@@ -489,7 +489,7 @@ func BenchmarkAblationConnPool(b *testing.B) {
 			d.BeginMeasurement()
 			k.Run(25)
 			d.EndMeasurement()
-			total := float64(len(d.Records()))
+			total := float64(d.ResponseTimes().Count()) + float64(d.Errors())
 			if total == 0 {
 				return 0
 			}
@@ -945,7 +945,7 @@ func BenchmarkAblationStickySessions(b *testing.B) {
 			k.Schedule(5, nt.App.Stations()[1].Fail)
 			k.Run(k.Now() + 30)
 			d.EndMeasurement()
-			total := float64(len(d.Records()))
+			total := float64(d.ResponseTimes().Count()) + float64(d.Errors())
 			if total == 0 {
 				return 0
 			}

@@ -333,3 +333,31 @@ func TestReportRendersThroughputGrid(t *testing.T) {
 		t.Fatal("running campaign should not render a report")
 	}
 }
+
+// TestFinishedCampaignReleasesCharacterizer pins what a finished campaign
+// keeps: its results and final cache counts, not the characterizer that
+// produced them, so a long-lived Service does not pin one per campaign.
+func TestFinishedCampaignReleasesCharacterizer(t *testing.T) {
+	svc := NewService(Config{Options: fastOptions()})
+	defer svc.Close()
+	c, err := svc.Submit(sweepA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := campaignJSON(t, c)
+	c.mu.Lock()
+	char := c.char
+	c.mu.Unlock()
+	if char != nil {
+		t.Fatal("finished campaign still holds its characterizer")
+	}
+	if !bytes.Equal(data, directStore(t, sweepA)) {
+		t.Fatal("finished campaign's results differ from the direct run")
+	}
+	if p := c.Progress(); p.CacheMisses != 5 || p.CacheHits != 0 {
+		t.Fatalf("final cache counts %d hits / %d misses, want 0 / 5", p.CacheHits, p.CacheMisses)
+	}
+	if _, err := c.Report(); err != nil {
+		t.Fatal(err)
+	}
+}

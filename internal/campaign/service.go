@@ -305,8 +305,14 @@ type Campaign struct {
 	status Status
 	err    error
 	done   int
-	char   *core.Characterizer
+	char   *core.Characterizer // live while running; nil once finished
 	stream *streamState
+
+	// results and the cache counts are what a finished campaign keeps of
+	// its characterizer, so a Service holding many finished campaigns
+	// does not pin their runners, generators and deployments.
+	results                *store.Store
+	cacheHits, cacheMisses uint64
 }
 
 // ID returns the service-assigned campaign identifier.
@@ -342,10 +348,7 @@ func (c *Campaign) Progress() Progress {
 		TotalTrials: c.totalTrials,
 		DoneTrials:  c.done,
 	}
-	if c.char != nil {
-		p.CacheHits = c.char.Runner().CacheHits()
-		p.CacheMisses = c.char.Runner().CacheMisses()
-	}
+	p.CacheHits, p.CacheMisses = c.cacheCounts()
 	if c.err != nil && c.status != StatusDone {
 		p.Error = c.err.Error()
 	}
@@ -361,7 +364,17 @@ func (c *Campaign) Results() (*store.Store, error) {
 	if c.status != StatusDone {
 		return nil, fmt.Errorf("campaign %s is %s, results unavailable", c.id, c.status)
 	}
-	return c.char.Results(), nil
+	return c.results, nil
+}
+
+// cacheCounts reports the campaign's cache hits and misses: live from the
+// runner while it runs, frozen once it finishes. The caller holds c.mu.
+func (c *Campaign) cacheCounts() (hits, misses uint64) {
+	if c.char == nil {
+		return c.cacheHits, c.cacheMisses
+	}
+	r := c.char.Runner()
+	return r.CacheHits(), r.CacheMisses()
 }
 
 // begin moves queued → running; false if the campaign was cancelled
@@ -392,7 +405,8 @@ func (c *Campaign) noteTrial() int {
 	return done
 }
 
-// finish publishes a terminal status exactly once.
+// finish publishes a terminal status exactly once, keeping the results
+// and final cache counts and releasing the characterizer.
 func (c *Campaign) finish(st Status, err error) {
 	c.mu.Lock()
 	if c.status.Terminal() {
@@ -401,6 +415,11 @@ func (c *Campaign) finish(st Status, err error) {
 	}
 	c.status = st
 	c.err = err
+	if c.char != nil {
+		c.results = c.char.Results()
+		c.cacheHits, c.cacheMisses = c.cacheCounts()
+		c.char = nil
+	}
 	c.mu.Unlock()
 	c.closeStream(st)
 	c.cancel()

@@ -240,7 +240,7 @@ func (h *exprHooks) record(res *store.Result) {
 // --- DES side ---------------------------------------------------------
 
 // desObserver builds per-window expression environments from the DES's
-// own measured signals: the driver's request log for throughput and
+// own measured signals: the driver's success sample for throughput and
 // response-time quantiles, and the stations' busy-time integrals for
 // utilization — the same counters the monitor samples. Station lists are
 // re-read from the live tiers every window, so an autoscaling policy's
@@ -248,7 +248,7 @@ func (h *exprHooks) record(res *store.Result) {
 type desObserver struct {
 	driver   *sim.Driver
 	nt       *sim.NTier
-	prevIdx  int
+	prevIdx  int // successes already folded into earlier windows
 	prevBusy [expr.NumTiers][expr.NumResources]float64
 	prevTime float64
 	rts      []float64  // scratch, reused across windows
@@ -274,14 +274,11 @@ func (o *desObserver) stations(ti int) (active, retired []*sim.Station) {
 func (o *desObserver) observe(now, warm, ts float64) expr.Env {
 	dt := now - o.prevTime
 	env := expr.Env{T: (now - warm) / ts}
-	recs := o.driver.Records()
-	o.rts = o.rts[:0]
-	for _, r := range recs[o.prevIdx:] {
-		if r.Outcome == sim.OK && !r.TimedOut {
-			o.rts = append(o.rts, r.RT)
-		}
-	}
-	o.prevIdx = len(recs)
+	// The window's successes are the tail of the driver's success sample,
+	// still in completion order: nothing sorts it before the trial ends.
+	win := o.driver.ResponseTimes().Since(o.prevIdx)
+	o.prevIdx += len(win)
+	o.rts = append(o.rts[:0], win...)
 	if dt > 0 {
 		// x() is goodput: successful, in-deadline completions per second.
 		// Errored and timed-out requests burn capacity but deliver nothing,

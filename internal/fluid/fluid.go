@@ -970,6 +970,13 @@ func mixtureCDF(classes []classDist, x float64) float64 {
 
 // mixtureQuantile inverts the mixture CDF by bisection. Deterministic:
 // fixed doubling and iteration counts.
+//
+// The bisection stops early, with the same result, once the midpoint
+// equals an endpoint. If mid == lo and the CDF test keeps lo, nothing
+// changes, so every later iteration computes the same mid and takes the
+// same branch; if it moves hi to mid instead, lo == hi == mid, and every
+// later midpoint is (mid+mid)/2 == mid. The case mid == hi is symmetric.
+// Either way the fixed-count loop would end with (lo+hi)/2 == mid.
 func mixtureQuantile(classes []classDist, p float64) float64 {
 	if p <= 0 {
 		return 0
@@ -986,6 +993,9 @@ func mixtureQuantile(classes []classDist, p float64) float64 {
 	lo := 0.0
 	for i := 0; i < 100; i++ {
 		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			return mid
+		}
 		if mixtureCDF(classes, mid) < p {
 			lo = mid
 		} else {

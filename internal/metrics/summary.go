@@ -118,7 +118,10 @@ func (s *Summary) String() string {
 type Sample struct {
 	xs     []float64
 	sorted bool
-	sum    Summary
+	// permuted is set by the first in-place sort after a Reset: from then
+	// on xs is no longer in recording order.
+	permuted bool
+	sum      Summary
 }
 
 // NewSample returns a sample with capacity pre-allocated for n values.
@@ -157,10 +160,7 @@ func (p *Sample) Quantile(q float64) float64 {
 	if len(p.xs) == 0 {
 		return 0
 	}
-	if !p.sorted {
-		sort.Float64s(p.xs)
-		p.sorted = true
-	}
+	p.ensureSorted()
 	if q <= 0 {
 		return p.xs[0]
 	}
@@ -183,20 +183,39 @@ func (p *Sample) Percentile(pct float64) float64 { return p.Quantile(pct / 100) 
 // Values returns a copy of the recorded values in insertion-independent
 // (sorted) order.
 func (p *Sample) Values() []float64 {
-	if !p.sorted {
-		sort.Float64s(p.xs)
-		p.sorted = true
-	}
+	p.ensureSorted()
 	out := make([]float64, len(p.xs))
 	copy(out, p.xs)
 	return out
+}
+
+// Since returns the values recorded after the first i, in recording
+// order, sharing the sample's storage (callers must copy before
+// modifying). Recording order exists only until the sample is first
+// sorted — Quantile, Percentile and Values sort in place — so Since
+// panics if that has happened since the last Reset.
+func (p *Sample) Since(i int) []float64 {
+	if p.permuted {
+		panic("metrics: Sample.Since after an in-place sort")
+	}
+	return p.xs[i:]
 }
 
 // Reset discards all recorded values but keeps the allocation.
 func (p *Sample) Reset() {
 	p.xs = p.xs[:0]
 	p.sorted = false
+	p.permuted = false
 	p.sum = Summary{}
+}
+
+// ensureSorted orders the values in place for the order statistics.
+func (p *Sample) ensureSorted() {
+	if !p.sorted {
+		sort.Float64s(p.xs)
+		p.sorted = true
+		p.permuted = true
+	}
 }
 
 // Pearson computes the Pearson correlation coefficient of two paired

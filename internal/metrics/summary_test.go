@@ -240,3 +240,30 @@ func TestPearson(t *testing.T) {
 		t.Errorf("prefix correlation = %g", r)
 	}
 }
+
+func TestSampleSinceKeepsRecordingOrder(t *testing.T) {
+	p := NewSample(0)
+	for _, x := range []float64{5, 3, 9, 1} {
+		p.Observe(x)
+	}
+	if got := p.Since(1); len(got) != 3 || got[0] != 3 || got[1] != 9 || got[2] != 1 {
+		t.Fatalf("Since(1) = %v, want [3 9 1]", got)
+	}
+	if got := p.Since(4); len(got) != 0 {
+		t.Fatalf("Since(Count) = %v, want empty", got)
+	}
+	p.Quantile(0.5) // sorts in place: recording order is gone
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Since after an in-place sort should panic")
+			}
+		}()
+		p.Since(0)
+	}()
+	p.Reset()
+	p.Observe(2)
+	if got := p.Since(0); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("Since after Reset = %v, want [2]", got)
+	}
+}

@@ -7,21 +7,6 @@ import (
 	"elba/internal/trace"
 )
 
-// RequestRecord is the driver's log entry for one completed request, the
-// simulated equivalent of the client emulator's response-time log.
-type RequestRecord struct {
-	// Issued is the simulated time the request was sent.
-	Issued float64
-	// RT is the response time in seconds.
-	RT float64
-	// Interaction names the interaction performed.
-	Interaction string
-	// Outcome is the request's final disposition.
-	Outcome Outcome
-	// TimedOut marks requests that completed after the client timeout.
-	TimedOut bool
-}
-
 // DriverConfig parameterizes the closed-loop client driver. Mulini
 // generates these values from the TBL workload section.
 type DriverConfig struct {
@@ -43,8 +28,9 @@ type DriverConfig struct {
 }
 
 // Driver emulates a population of users in a closed loop: think, issue the
-// session's next interaction, wait for the response, repeat. It records
-// response times and outcomes for the measurement window.
+// session's next interaction, wait for the response, repeat. It counts
+// outcomes and records successful response times for the measurement
+// window.
 type Driver struct {
 	k     *Kernel
 	app   *NTier
@@ -53,7 +39,6 @@ type Driver struct {
 	rng   *rand.Rand
 
 	measuring bool
-	records   []RequestRecord
 	issued    int64
 	completed int64
 	errors    int64
@@ -118,7 +103,7 @@ func (u *user) act(tag int32) {
 	if u.refused {
 		it := u.sess.Next(d.rng)
 		d.issued++
-		d.complete(it, d.k.Now(), 0, Rejected)
+		d.complete(it, 0, Rejected)
 		u.loop()
 		return
 	}
@@ -134,7 +119,7 @@ func (u *user) act(tag int32) {
 		if d.measuring {
 			d.injected++
 		}
-		d.complete(it, d.k.Now(), 0, Failed)
+		d.complete(it, 0, Failed)
 		u.loop()
 		return
 	}
@@ -157,7 +142,7 @@ func (u *user) requestDone(out Outcome) {
 		d.tracer.Commit(u.tr, rt, out.String())
 		u.tr = nil
 	}
-	d.complete(u.it, u.issuedAt, rt, out)
+	d.complete(u.it, rt, out)
 	u.loop()
 }
 
@@ -247,25 +232,21 @@ func (d *Driver) RemoveUsers(n int) {
 	}
 }
 
-func (d *Driver) complete(it Interaction, issued, rt float64, out Outcome) {
+func (d *Driver) complete(it Interaction, rt float64, out Outcome) {
 	d.completed++
 	timedOut := d.cfg.Timeout > 0 && rt > d.cfg.Timeout
-	if d.measuring {
-		rec := RequestRecord{Issued: issued, RT: rt, Interaction: it.Name, Outcome: out, TimedOut: timedOut}
-		d.records = append(d.records, rec)
-		if out == OK && !timedOut {
-			d.rtSample.Observe(rt)
-			if d.rtObs != nil {
-				d.rtObs.Observe(rt)
-			}
-			s := d.perIx[it.Name]
-			if s == nil {
-				// Interaction not declared by the model; register lazily.
-				s = &metrics.Summary{}
-				d.perIx[it.Name] = s
-			}
-			s.Observe(rt)
+	if d.measuring && out == OK && !timedOut {
+		d.rtSample.Observe(rt)
+		if d.rtObs != nil {
+			d.rtObs.Observe(rt)
 		}
+		s := d.perIx[it.Name]
+		if s == nil {
+			// Interaction not declared by the model; register lazily.
+			s = &metrics.Summary{}
+			d.perIx[it.Name] = s
+		}
+		s.Observe(rt)
 	}
 	if out != OK || timedOut {
 		d.errors++
@@ -276,12 +257,10 @@ func (d *Driver) complete(it Interaction, issued, rt float64, out Outcome) {
 }
 
 // BeginMeasurement starts recording requests; the trial runner calls this
-// at the end of the warm-up period. Any previously recorded window is
-// released, not truncated, so slices returned by earlier Records calls
-// stay valid.
+// at the end of the warm-up period. It clears the previous window's
+// counters, success sample and per-interaction summaries.
 func (d *Driver) BeginMeasurement() {
 	d.measuring = true
-	d.records = nil
 	d.rtSample.Reset()
 	for _, s := range d.perIx {
 		s.Reset()
@@ -293,11 +272,6 @@ func (d *Driver) BeginMeasurement() {
 
 // EndMeasurement stops recording.
 func (d *Driver) EndMeasurement() { d.measuring = false }
-
-// Records returns the measured request log (shared, not copied). The
-// returned slice is never overwritten by a later measurement window:
-// BeginMeasurement starts a fresh log rather than truncating this one.
-func (d *Driver) Records() []RequestRecord { return d.records }
 
 // SetTracer attaches a per-trial trace collector. While measuring, each
 // issued request is head-sampled by the collector; sampled requests carry
@@ -314,7 +288,13 @@ func (d *Driver) SetTracer(c *trace.Collector) { d.tracer = c }
 // observed run issues the identical request sequence as an unobserved one.
 func (d *Driver) SetRTObserver(o metrics.Observer) { d.rtObs = o }
 
-// ResponseTimes returns the sample of successful response times measured.
+// ResponseTimes returns the sample of successful, in-deadline response
+// times measured in the current window. Values are appended in completion
+// order, and nothing in this package sorts the sample, so until the caller
+// first takes a quantile (which sorts it in place) Sample.Since(i) yields
+// exactly the successes completed after the i-th. The expression hooks
+// rely on this to cut per-window response times out of a running trial;
+// quantiles are read only once the trial has ended.
 func (d *Driver) ResponseTimes() *metrics.Sample { return d.rtSample }
 
 // PerInteraction returns response-time summaries keyed by interaction

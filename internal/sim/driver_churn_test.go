@@ -78,12 +78,14 @@ func TestDriverChurnAccounting(t *testing.T) {
 }
 
 // churnRun executes one seeded trial with a scripted mid-run churn
-// schedule (surge, deep drain, regrow) and returns the measured records.
-func churnRun(t *testing.T) []RequestRecord {
+// schedule (surge, deep drain, regrow) and returns what it measured.
+func churnRun(t *testing.T) measured {
 	t.Helper()
 	k := NewKernel(3)
 	app := buildApp(k, 1, 2, 1, 0)
 	d := NewDriver(k, app, churnModel(), DriverConfig{Users: 12, RampUp: 2}, 42)
+	tap := &completionTap{k: k}
+	d.SetRTObserver(tap)
 	d.Start()
 	k.Run(10)
 	d.BeginMeasurement()
@@ -92,20 +94,22 @@ func churnRun(t *testing.T) []RequestRecord {
 	k.Schedule(20, func() { d.AddUsers(6, 0) })
 	k.Run(k.Now() + 40)
 	d.EndMeasurement()
-	return d.Records()
+	return tap.measured(d)
 }
 
-// TestDriverChurnDeterministic pins record-stream reproducibility across
+// TestDriverChurnDeterministic pins measurement reproducibility across
 // population churn: two identically seeded runs of the same scripted
-// surge/drain/regrow schedule produce byte-identical request records, so
-// a dynamic-workload trial stays as reproducible as a static one.
+// surge/drain/regrow schedule complete the identical success stream
+// (times and response times, bit for bit) and count the same requests
+// and errors, so a dynamic-workload trial stays as reproducible as a
+// static one.
 func TestDriverChurnDeterministic(t *testing.T) {
 	a, b := churnRun(t), churnRun(t)
-	if len(a) == 0 {
+	if len(a.done) == 0 {
 		t.Fatal("churn run measured no requests")
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("record streams diverge across identical churn runs (%d vs %d records)",
-			len(a), len(b))
+		t.Fatalf("measurements diverge across identical churn runs (%d vs %d successes)",
+			len(a.done), len(b.done))
 	}
 }

@@ -125,30 +125,63 @@ func TestDriverTimeoutAccounting(t *testing.T) {
 	}
 }
 
+// completionTap is a SetRTObserver tap: it logs every measured success as
+// its completion time and response time, in completion order.
+type completionTap struct {
+	k    *Kernel
+	done []completion
+}
+
+type completion struct{ at, rt float64 }
+
+func (c *completionTap) Observe(rt float64) {
+	c.done = append(c.done, completion{at: c.k.Now(), rt: rt})
+}
+
+// measured is what a driver measured: every success in completion order,
+// with its request and error counters.
+type measured struct {
+	done           []completion
+	issued, errors int64
+}
+
+func (c *completionTap) measured(d *Driver) measured {
+	return measured{done: c.done, issued: d.Issued(), errors: d.Errors()}
+}
+
 func TestDriverMeasurementWindow(t *testing.T) {
 	k := NewKernel(5)
 	app := buildApp(k, 1, 1, 1, 0)
 	model := fixedModel{it: Interaction{Name: "ix", AppDemand: 0.01}, think: 0.1}
 	d := NewDriver(k, app, model, DriverConfig{Users: 5, RampUp: 0.1}, 7)
+	tap := &completionTap{k: k}
+	d.SetRTObserver(tap)
 	d.Start()
 	k.Run(10) // warm-up: nothing recorded
-	if len(d.Records()) != 0 {
-		t.Fatalf("records captured before measurement began")
+	if len(tap.done) != 0 || d.ResponseTimes().Count() != 0 || len(d.PerInteraction()) != 0 {
+		t.Fatalf("requests captured before measurement began")
 	}
 	d.BeginMeasurement()
 	k.Run(20)
 	d.EndMeasurement()
-	n := len(d.Records())
+	n := d.ResponseTimes().Count()
 	if n == 0 {
-		t.Fatalf("no records captured during measurement")
+		t.Fatalf("no requests captured during measurement")
+	}
+	if len(tap.done) != n || d.PerInteraction()["ix"].Count() != int64(n) {
+		t.Fatalf("tap saw %d successes, sample %d, summary %d",
+			len(tap.done), n, d.PerInteraction()["ix"].Count())
 	}
 	k.Run(30) // cool-down: nothing more recorded
-	if len(d.Records()) != n {
-		t.Fatalf("records captured after measurement ended")
+	if d.ResponseTimes().Count() != n || len(tap.done) != n {
+		t.Fatalf("requests captured after measurement ended")
 	}
-	for _, r := range d.Records() {
-		if r.Issued < 10 {
-			t.Fatalf("record issued during warm-up leaked into measurement: %+v", r)
+	for _, c := range tap.done {
+		if c.at < 10 || c.at > 20 {
+			t.Fatalf("completion at %g recorded outside the [10, 20] window", c.at)
+		}
+		if issued := c.at - c.rt; issued < 10 {
+			t.Fatalf("request issued during warm-up (at %g) leaked into measurement", issued)
 		}
 	}
 }
@@ -196,22 +229,26 @@ func TestDriverMaxSessionsCausesRefusals(t *testing.T) {
 	d.Start()
 	k.Run(10)
 	d.BeginMeasurement()
+	app.ResetAccounting()
 	k.Run(k.Now() + 60)
 	d.EndMeasurement()
-	total := int64(len(d.Records()))
+	ok := int64(d.ResponseTimes().Count())
+	total := ok + d.Errors()
 	if total == 0 {
-		t.Fatalf("no records")
+		t.Fatalf("no requests measured")
 	}
 	rate := float64(d.Errors()) / float64(total)
 	// 20 of 100 users are refused: error rate ≈ 20%.
 	if math.Abs(rate-0.2) > 0.04 {
 		t.Fatalf("refusal rate = %.3f, want ≈0.20", rate)
 	}
-	// Refused requests never reach the servers.
-	for _, r := range d.Records() {
-		if r.Outcome == Rejected && r.RT != 0 {
-			t.Fatalf("refused request has nonzero RT: %+v", r)
-		}
+	// Refused requests never reach the servers: the web tier served only
+	// the admitted users' requests, which all succeed here. The two counts
+	// differ by at most the 80 requests in flight at the window's edges.
+	served := app.Web.Stations()[0].Completed()
+	if diff := served - ok; diff < -80 || diff > 80 {
+		t.Fatalf("web tier served %d requests for %d successes and %d refusals",
+			served, ok, d.Errors())
 	}
 }
 
@@ -314,10 +351,11 @@ func TestDriverRemoveMoreThanActive(t *testing.T) {
 	}
 	k.Run(20)
 	// All sessions retired: no measurement activity after settle.
+	issued := d.Issued()
 	d.BeginMeasurement()
 	k.Run(k.Now() + 10)
 	d.EndMeasurement()
-	if len(d.Records()) != 0 {
+	if d.Issued() != issued || d.ResponseTimes().Count() != 0 || d.Errors() != 0 {
 		t.Fatalf("retired users still issuing requests")
 	}
 }

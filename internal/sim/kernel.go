@@ -20,19 +20,17 @@ import (
 	"math/rand/v2"
 )
 
-// event is a scheduled occurrence. Events at the same instant fire in
-// schedule order (seq breaks ties), keeping runs deterministic. An event
-// carries either a closure (fn) or an actor/tag pair; the actor form lets
-// hot-path components (stations, drivers) receive their completions
-// without allocating a closure per event. Events are stored by value in
-// the kernel's heap, so scheduling allocates nothing beyond amortized
-// slice growth.
+// event is one entry of the pending-event heap. Events at the same
+// instant fire in schedule order (seq breaks ties), keeping runs
+// deterministic. An entry holds no pointer: its receiver lives in the
+// kernel's handler slab at slot, so the sifts that move entries never run
+// a GC write barrier, and at 24 bytes an entry is half the size it would
+// be carrying the receiver inline.
 type event struct {
-	at  float64
-	seq int64
-	fn  func()
-	act actor
-	tag int32
+	at   float64
+	seq  int64
+	slot int32 // index into Kernel.recv
+	tag  int32 // passed to the receiver's act
 }
 
 // actor is implemented by simulation components that receive scheduled
@@ -42,6 +40,12 @@ type actor interface {
 	act(tag int32)
 }
 
+// funcActor adapts a Schedule closure to the actor interface. A func value
+// is pointer-shaped, so the conversion does not allocate.
+type funcActor func()
+
+func (f funcActor) act(int32) { f() }
+
 // Kernel is a discrete-event simulation executive. The zero value is not
 // usable; create kernels with NewKernel.
 type Kernel struct {
@@ -50,6 +54,12 @@ type Kernel struct {
 	heap  []event // 4-ary min-heap ordered by (at, seq)
 	rng   *rand.Rand
 	fired int64
+
+	// recv is the handler slab: recv[e.slot] is the receiver of pending
+	// event e. A slot is released to free when its event fires, so the
+	// slab never holds more entries than the peak number of pending events.
+	recv []actor
+	free []int32
 }
 
 // NewKernel creates a kernel whose random stream is seeded
@@ -71,11 +81,7 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // Schedule arranges for fn to run delay seconds from now. A negative delay
 // is treated as zero (run as soon as the current event completes).
 func (k *Kernel) Schedule(delay float64, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	k.seq++
-	k.push(event{at: k.now + delay, seq: k.seq, fn: fn})
+	k.scheduleAct(delay, funcActor(fn), 0)
 }
 
 // scheduleAct arranges for a.act(tag) to run delay seconds from now. It is
@@ -84,8 +90,17 @@ func (k *Kernel) scheduleAct(delay float64, a actor, tag int32) {
 	if delay < 0 {
 		delay = 0
 	}
+	var slot int32
+	if n := len(k.free); n > 0 {
+		slot = k.free[n-1]
+		k.free = k.free[:n-1]
+		k.recv[slot] = a
+	} else {
+		slot = int32(len(k.recv))
+		k.recv = append(k.recv, a)
+	}
 	k.seq++
-	k.push(event{at: k.now + delay, seq: k.seq, act: a, tag: tag})
+	k.push(event{at: k.now + delay, seq: k.seq, slot: slot, tag: tag})
 }
 
 // heapArity is the branching factor of the pending-event heap. A 4-ary
@@ -101,26 +116,31 @@ func eventLess(a, b event) bool {
 	return a.seq < b.seq
 }
 
+// push inserts e, moving a hole up from the new leaf instead of swapping:
+// each level costs one 24-byte copy, and e is written once at the end.
 func (k *Kernel) push(e event) {
 	k.heap = append(k.heap, e)
 	h := k.heap
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / heapArity
-		if !eventLess(h[i], h[p]) {
+		if !eventLess(e, h[p]) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = e
 }
 
+// pop removes the earliest event, moving a hole down from the root and
+// dropping the former last entry into it. (at, seq) is a total order, so
+// the pop sequence is the same as any other correct heap's.
 func (k *Kernel) pop() event {
 	h := k.heap
 	top := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // release fn/actor references
+	last := h[n]
 	h = h[:n]
 	k.heap = h
 	i := 0
@@ -130,32 +150,36 @@ func (k *Kernel) pop() event {
 			break
 		}
 		m := first
-		last := first + heapArity
-		if last > n {
-			last = n
+		end := first + heapArity
+		if end > n {
+			end = n
 		}
-		for c := first + 1; c < last; c++ {
+		for c := first + 1; c < end; c++ {
 			if eventLess(h[c], h[m]) {
 				m = c
 			}
 		}
-		if !eventLess(h[m], h[i]) {
+		if !eventLess(h[m], last) {
 			break
 		}
-		h[i], h[m] = h[m], h[i]
+		h[i] = h[m]
 		i = m
+	}
+	if n > 0 {
+		h[i] = last
 	}
 	return top
 }
 
-// dispatch fires one event.
+// dispatch fires one popped event, releasing its slab slot first so the
+// receiver may schedule into it.
 func (k *Kernel) dispatch(e event) {
+	k.now = e.at
 	k.fired++
-	if e.act != nil {
-		e.act.act(e.tag)
-		return
-	}
-	e.fn()
+	a := k.recv[e.slot]
+	k.recv[e.slot] = nil
+	k.free = append(k.free, e.slot)
+	a.act(e.tag)
 }
 
 // Run executes events until the simulated clock reaches until seconds or
@@ -166,9 +190,7 @@ func (k *Kernel) Run(until float64) {
 		if k.heap[0].at > until {
 			break
 		}
-		e := k.pop()
-		k.now = e.at
-		k.dispatch(e)
+		k.dispatch(k.pop())
 	}
 	if k.now < until {
 		k.now = until
@@ -181,9 +203,7 @@ func (k *Kernel) Step() bool {
 	if len(k.heap) == 0 {
 		return false
 	}
-	e := k.pop()
-	k.now = e.at
-	k.dispatch(e)
+	k.dispatch(k.pop())
 	return true
 }
 

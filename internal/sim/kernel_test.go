@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -160,3 +161,68 @@ func TestKernelMonotoneClockProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestKernelFiresInStableTimeOrder is a differential test of the event
+// heap: over 2·10⁴ events with many equal timestamps, closure and actor
+// receivers mixed, events scheduled from inside handlers and the run cut
+// into many Run(until) and Step calls, the fire order must equal a stable
+// sort of the schedule order by time — the (at, seq) order.
+func TestKernelFiresInStableTimeOrder(t *testing.T) {
+	const total = 20000
+	k := NewKernel(1)
+	rng := k.Rand()
+	var at []float64 // at[id]: the time event id was scheduled for
+	var fired []int
+	var schedule func()
+	fire := func(id int) {
+		if k.Now() != at[id] {
+			t.Fatalf("event %d fired at %g, scheduled for %g", id, k.Now(), at[id])
+		}
+		// Handlers schedule more work, often for the current instant.
+		for n := rng.IntN(3); n > 0 && len(at) < total; n-- {
+			schedule()
+		}
+	}
+	schedule = func() {
+		id := len(at)
+		// Delays are multiples of 0.5 (some negative, clamped to now), so
+		// timestamps collide constantly and compare exactly.
+		delay := float64(rng.IntN(10)-2) * 0.5
+		at = append(at, k.Now()+math.Max(delay, 0))
+		if rng.IntN(2) == 0 {
+			k.Schedule(delay, func() { fired = append(fired, id); fire(id) })
+			return
+		}
+		k.scheduleAct(delay, actorFunc(func(tag int32) { fired = append(fired, int(tag)); fire(int(tag)) }), int32(id))
+	}
+	for i := 0; i < 2000; i++ {
+		schedule()
+	}
+	for until := 0.0; k.Pending() > 0; until += float64(rng.IntN(4)) * 0.5 {
+		if rng.IntN(5) == 0 {
+			k.Step()
+			continue
+		}
+		k.Run(until)
+	}
+	if len(at) != total || len(fired) != total || k.Events() != total {
+		t.Fatalf("scheduled %d, fired %d (kernel counted %d), want %d each",
+			len(at), len(fired), k.Events(), total)
+	}
+	want := make([]int, total)
+	for i := range want {
+		want[i] = i
+	}
+	sort.SliceStable(want, func(i, j int) bool { return at[want[i]] < at[want[j]] })
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("fire %d: event %d (t=%g), want event %d (t=%g)",
+				i, fired[i], at[fired[i]], want[i], at[want[i]])
+		}
+	}
+}
+
+// actorFunc adapts a function to the actor interface for tests.
+type actorFunc func(tag int32)
+
+func (f actorFunc) act(tag int32) { f(tag) }

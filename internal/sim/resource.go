@@ -21,8 +21,7 @@ type Resource struct {
 	rate float64
 
 	busy  bool
-	queue []pendingJob // ring: live entries are queue[qhead:]
-	qhead int
+	queue fifo
 
 	// cur holds the in-service job; single capacity means at most one, so
 	// the actor event needs no slot index.
@@ -56,7 +55,7 @@ func (r *Resource) Completed() int64 { return r.completed }
 // QueuedPeak reports the largest queue length observed.
 func (r *Resource) QueuedPeak() int { return r.queuedPeak }
 
-func (r *Resource) queued() int { return len(r.queue) - r.qhead }
+func (r *Resource) queued() int { return r.queue.len() }
 
 // InFlight reports jobs currently queued or in service.
 func (r *Resource) InFlight() int {
@@ -76,7 +75,7 @@ func (r *Resource) submit(demand float64, done jobDone) {
 		r.start(j)
 		return
 	}
-	r.queue = append(r.queue, j)
+	r.queue.push(j)
 	if q := r.queued(); q > r.queuedPeak {
 		r.queuedPeak = q
 	}
@@ -99,15 +98,8 @@ func (r *Resource) act(int32) {
 	r.accumulate()
 	r.busy = false
 	r.completed++
-	if r.qhead < len(r.queue) {
-		next := r.queue[r.qhead]
-		r.queue[r.qhead] = pendingJob{}
-		r.qhead++
-		if r.qhead == len(r.queue) {
-			r.queue = r.queue[:0]
-			r.qhead = 0
-		}
-		r.start(next)
+	if r.queue.len() > 0 {
+		r.start(r.queue.pop())
 	}
 	sl.jd.jobFinished(true, sl.wait, sl.svc)
 }

@@ -42,8 +42,7 @@ type Station struct {
 	detSvc  bool
 
 	busy   int
-	queue  []pendingJob // ring: live entries are queue[qhead:]
-	qhead  int
+	queue  fifo
 	failed bool
 	degr   float64 // runtime degradation factor; 1 = full speed
 
@@ -71,6 +70,46 @@ type pendingJob struct {
 	demand  float64
 	arrived float64
 	done    jobDone
+}
+
+// fifo is the waiting line shared by stations and devices: a ring over a
+// power-of-two backing array that is reused as jobs drain, so a queue that
+// never empties during a trial stays within twice its peak length instead
+// of growing with every job ever queued.
+type fifo struct {
+	buf  []pendingJob
+	head int
+	n    int
+}
+
+// minFIFO is the ring's first capacity.
+const minFIFO = 8
+
+func (q *fifo) len() int { return q.n }
+
+func (q *fifo) push(j pendingJob) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = j
+	q.n++
+}
+
+// pop removes the oldest job; the queue must be non-empty.
+func (q *fifo) pop() pendingJob {
+	j := q.buf[q.head]
+	q.buf[q.head] = pendingJob{} // release the completion reference
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return j
+}
+
+// grow doubles the ring, unwrapping the live jobs to the front.
+func (q *fifo) grow() {
+	buf := make([]pendingJob, max(2*len(q.buf), minFIFO))
+	n := copy(buf, q.buf[q.head:])
+	copy(buf[n:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
 }
 
 type svcSlot struct {
@@ -121,8 +160,8 @@ func (s *Station) Name() string { return s.name }
 // Servers reports the number of parallel servers.
 func (s *Station) Servers() int { return s.servers }
 
-// queued reports the number of jobs waiting in the ring buffer.
-func (s *Station) queued() int { return len(s.queue) - s.qhead }
+// queued reports the number of jobs waiting for a server.
+func (s *Station) queued() int { return s.queue.len() }
 
 // InFlight reports jobs currently queued or in service.
 func (s *Station) InFlight() int { return s.busy + s.queued() }
@@ -191,7 +230,7 @@ func (s *Station) submit(demand float64, done jobDone) {
 		s.start(j)
 		return
 	}
-	s.queue = append(s.queue, j)
+	s.queue.push(j)
 	if q := s.queued(); q > s.queuedPeak {
 		s.queuedPeak = q
 	}
@@ -227,15 +266,8 @@ func (s *Station) act(slot int32) {
 	s.accumulate()
 	s.busy--
 	s.completed++
-	if s.qhead < len(s.queue) {
-		next := s.queue[s.qhead]
-		s.queue[s.qhead] = pendingJob{}
-		s.qhead++
-		if s.qhead == len(s.queue) {
-			s.queue = s.queue[:0]
-			s.qhead = 0
-		}
-		s.start(next)
+	if s.queue.len() > 0 {
+		s.start(s.queue.pop())
 	}
 	sl.jd.jobFinished(true, sl.wait, sl.svc)
 }

@@ -215,3 +215,57 @@ func TestStationFailRecover(t *testing.T) {
 		t.Fatalf("rejected = %d", s.Rejected())
 	}
 }
+
+// TestQueuesStayBoundedUnderSaturation keeps a station and a device
+// saturated for a long run with a steady backlog: every completion
+// submits a replacement job, so the queue never drains. The shared FIFO
+// must reuse its backing array, staying within twice the peak queue
+// length instead of growing with every job ever queued.
+func TestQueuesStayBoundedUnderSaturation(t *testing.T) {
+	const backlog, jobs = 100, 20000
+	check := func(name string, peak, capacity int) {
+		t.Helper()
+		if peak != backlog {
+			t.Fatalf("%s: queued peak %d, want the %d-job backlog", name, peak, backlog)
+		}
+		if capacity > 2*peak {
+			t.Fatalf("%s: queue backing array holds %d jobs for a peak of %d", name, capacity, peak)
+		}
+	}
+
+	k := NewKernel(1)
+	s := detStation(k, 1, 1.0, 0)
+	served := 0
+	var resubmit Completion
+	resubmit = func(bool, float64, float64) {
+		if served++; served+backlog < jobs {
+			s.Submit(1, resubmit)
+		}
+	}
+	for i := 0; i <= backlog; i++ {
+		s.Submit(1, resubmit)
+	}
+	k.Run(math.Inf(1))
+	if served != jobs {
+		t.Fatalf("station served %d jobs, want %d", served, jobs)
+	}
+	check("station", s.QueuedPeak(), cap(s.queue.buf))
+
+	k = NewKernel(1)
+	r := NewResource(k, "disk", 1)
+	served = 0
+	var again completionFunc
+	again = func(bool, float64, float64) {
+		if served++; served+backlog < jobs {
+			r.submit(1, again)
+		}
+	}
+	for i := 0; i <= backlog; i++ {
+		r.submit(1, again)
+	}
+	k.Run(math.Inf(1))
+	if served != jobs {
+		t.Fatalf("resource served %d jobs, want %d", served, jobs)
+	}
+	check("resource", r.QueuedPeak(), cap(r.queue.buf))
+}

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"elba/internal/trace"
@@ -107,10 +108,12 @@ func TestTracingNeverPerturbsRequests(t *testing.T) {
 	// A traced run must issue and complete the identical request sequence
 	// as an untraced run: sampling draws from its own hashed stream, never
 	// from the driver's or kernel's.
-	run := func(traced bool) []RequestRecord {
+	run := func(traced bool) measured {
 		k := NewKernel(31)
 		nt := buildApp(k, 1, 2, 2, 0)
 		d := NewDriver(k, nt, mixModel{think: 0.05}, DriverConfig{Users: 6, RampUp: 0.2}, 31)
+		tap := &completionTap{k: k}
+		d.SetRTObserver(tap)
 		if traced {
 			d.SetTracer(trace.NewCollector(trace.SeedFor(31), 0.5))
 		}
@@ -119,16 +122,15 @@ func TestTracingNeverPerturbsRequests(t *testing.T) {
 		d.BeginMeasurement()
 		k.Run(6)
 		d.EndMeasurement()
-		return d.Records()
+		return tap.measured(d)
 	}
 	plain, traced := run(false), run(true)
-	if len(plain) != len(traced) {
-		t.Fatalf("record counts differ: %d vs %d", len(plain), len(traced))
+	if len(plain.done) == 0 {
+		t.Fatalf("untraced run measured no requests")
 	}
-	for i := range plain {
-		if plain[i] != traced[i] {
-			t.Fatalf("record %d differs: %+v vs %+v", i, plain[i], traced[i])
-		}
+	if !reflect.DeepEqual(plain, traced) {
+		t.Fatalf("tracing perturbed the run: %d successes, %d issued, %d errors untraced; %d, %d, %d traced",
+			len(plain.done), plain.issued, plain.errors, len(traced.done), traced.issued, traced.errors)
 	}
 }
 
@@ -144,50 +146,5 @@ func TestTracingDisabledAddsNoAllocations(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state loop allocates %.1f objects/run with tracing disabled, want 0", allocs)
-	}
-}
-
-func TestRecordsSurviveNextWindow(t *testing.T) {
-	// Regression: BeginMeasurement used to truncate the record log in
-	// place (records[:0]), so a slice returned by Records before the next
-	// window was silently overwritten by the new window's appends.
-	k := NewKernel(9)
-	nt := buildApp(k, 1, 1, 1, 0)
-	d := NewDriver(k, nt, mixModel{think: 0.05}, DriverConfig{Users: 4, RampUp: 0.1}, 9)
-	d.Start()
-	k.Run(1)
-
-	d.BeginMeasurement()
-	k.Run(4)
-	d.EndMeasurement()
-	first := d.Records()
-	if len(first) == 0 {
-		t.Fatalf("first window recorded nothing")
-	}
-	snapshot := make([]RequestRecord, len(first))
-	copy(snapshot, first)
-
-	d.BeginMeasurement()
-	k.Run(8)
-	d.EndMeasurement()
-	second := d.Records()
-	if len(second) == 0 {
-		t.Fatalf("second window recorded nothing")
-	}
-
-	if len(first) != len(snapshot) {
-		t.Fatalf("first window slice changed length: %d vs %d", len(first), len(snapshot))
-	}
-	for i := range first {
-		if first[i] != snapshot[i] {
-			t.Fatalf("first window record %d overwritten by second window: %+v vs %+v",
-				i, first[i], snapshot[i])
-		}
-	}
-	// The windows are disjoint in time: everything in the second window was
-	// issued after the first window ended.
-	lastFirst := first[len(first)-1].Issued
-	if second[0].Issued <= lastFirst {
-		t.Fatalf("second window leaked into the first: %f <= %f", second[0].Issued, lastFirst)
 	}
 }
