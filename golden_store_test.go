@@ -70,6 +70,47 @@ func TestStoreGoldenJSON(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "store.json.golden"), data)
 }
 
+// goldenFluidTBL pins the fluid engine's stored bytes, which the DES
+// goldens above never reach. The sweep runs sub-knee windows on the
+// service-only classes, deep-overload windows with three waiting tiers,
+// RAIDb-1 write broadcast over two replicas, and timeout losses (most of
+// its points fail on refusals and timeouts). The windowed spec scales the
+// database mid-run, so the solver rebuilds its class distributions in
+// place.
+const goldenFluidTBL = `experiment "golden-fluid-sweep" {
+	benchmark rubbos; platform emulab; appserver tomcat; mix submission;
+	topologies 1-1-1, 1-2-2;
+	workload { users 500 to 20500 step 5000; writeratio 15; timeout 2s; }
+	scaling { engine fluid; }
+}
+experiment "golden-fluid-scale-db" {
+	benchmark rubbos; platform emulab; appserver tomcat; mix submission;
+	topology { web 1; app 1; db 1; }
+	workload { users 300 + 2700*ramp((t - 60s)/60s); writeratio 15; }
+	trial { warmup 30s; run 240s; cooldown 30s; }
+	slo { assert p90(rt) < 2s; }
+	policies { scale db by 1 when util(db, cpu) > 0.5 cooldown 30s max 2; }
+	scaling { engine fluid; }
+}`
+
+// TestStoreGoldenFluidJSON pins the JSON serialization of fluid-engine
+// results: quantiles, timeout fractions, per-class means, SLO windows and
+// scale events.
+func TestStoreGoldenFluidJSON(t *testing.T) {
+	c, err := New(Options{TimeScale: 0.1, TrialParallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RunTBL(goldenFluidTBL); err != nil {
+		t.Fatal(err)
+	}
+	data, err := c.Results().MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("testdata", "store_fluid.json.golden"), data)
+}
+
 // TestStoreGoldenCSV pins the CSV serialization of the same sweep.
 func TestStoreGoldenCSV(t *testing.T) {
 	if testing.Short() {
