@@ -138,15 +138,14 @@ type tierState struct {
 	done0                               float64
 }
 
-// classDist is one class's response-time distribution: a sum of
-// independent exponential stages (web CPU, app CPU, db CPU — a
-// max-of-replicas hypoexponential for writes) shifted by the deterministic
-// legs and the window's measured queueing delay.
+// classDist is one class's service-only response-time distribution: a
+// sum of independent exponential stages (web CPU, app CPU, db CPU — a
+// max-of-replicas hypoexponential for writes), to which each window adds
+// the deterministic legs and its measured queueing delay.
 type classDist struct {
 	name    string
 	weight  float64
 	rates   []float64 // distinct exponential stage rates
-	alphas  []float64 // hypoexponential CDF coefficients
 	expMean float64   // Σ 1/rate
 }
 
@@ -162,6 +161,7 @@ type Solver struct {
 	tiers   [numTiers]tierState
 	classes []classDist
 	detSvc  float64 // deterministic leg latency shared by every class
+	mix     mixture // the last window's response-time mixture, rebuilt in place
 
 	entered       float64 // admitted sessions ramped in so far
 	refusedActive float64 // refused sessions ramped in so far
@@ -388,7 +388,6 @@ func (s *Solver) deriveClasses(classes []Class, wsum float64, d int) {
 			}
 		}
 		cd.rates = distinctRates(rates)
-		cd.alphas = hypoAlphas(cd.rates)
 		for _, r := range cd.rates {
 			cd.expMean += 1 / r
 		}
@@ -418,56 +417,18 @@ func harmonic(d int) float64 {
 // distinctRates deterministically perturbs duplicate stage rates apart so
 // the closed-form hypoexponential CDF (which requires distinct rates)
 // stays well conditioned. The perturbation is a pure function of the
-// input order.
+// input order. It works in place: every caller passes a slice it has just
+// built.
 func distinctRates(rates []float64) []float64 {
-	out := append([]float64(nil), rates...)
-	for i := 1; i < len(out); i++ {
+	for i := 1; i < len(rates); i++ {
 		for j := 0; j < i; j++ {
-			if rel := math.Abs(out[i]-out[j]) / math.Max(out[i], out[j]); rel < 1e-9 {
-				out[i] *= 1 + 1e-6*float64(i+1)
+			if rel := math.Abs(rates[i]-rates[j]) / math.Max(rates[i], rates[j]); rel < 1e-9 {
+				rates[i] *= 1 + 1e-6*float64(i+1)
 				j = -1 // restart against earlier entries
 			}
 		}
 	}
-	return out
-}
-
-// hypoAlphas returns the coefficients of the hypoexponential CDF
-// F(t) = 1 − Σ αᵢ e^(−λᵢ t) for distinct rates λ.
-func hypoAlphas(rates []float64) []float64 {
-	alphas := make([]float64, len(rates))
-	for i, li := range rates {
-		a := 1.0
-		for j, lj := range rates {
-			if j != i {
-				a *= lj / (lj - li)
-			}
-		}
-		alphas[i] = a
-	}
-	return alphas
-}
-
-// hypoCDF evaluates the hypoexponential CDF at x ≥ 0. An empty stage list
-// is a point mass at zero.
-func hypoCDF(rates, alphas []float64, x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if len(rates) == 0 {
-		return 1
-	}
-	f := 1.0
-	for i, r := range rates {
-		f -= alphas[i] * math.Exp(-r*x)
-	}
-	if f < 0 {
-		return 0
-	}
-	if f > 1 {
-		return 1
-	}
-	return f
+	return rates
 }
 
 // erlangCWait is the M/M/c mean queueing delay at per-node arrival rate
@@ -782,6 +743,8 @@ type Stats struct {
 // wait enters the distribution as an extra exponential stage, not a
 // deterministic shift: the M/M/1 sojourn is memoryless, and shifting by
 // the mean of a bursty wait would systematically inflate the median.
+// Like Advance, it updates solver state (the window's mixture), so one
+// solver serves one goroutine.
 func (s *Solver) StatsBetween(a, b Snapshot) Stats {
 	st := Stats{DurationSec: b.Time - a.Time}
 	comps := b.Done - a.Done
@@ -790,15 +753,65 @@ func (s *Solver) StatsBetween(a, b Snapshot) Stats {
 		st.Errors = rejected
 		return st
 	}
-	var pWait [numTiers]float64
 	lam := comps / st.DurationSec
+	var pWait [numTiers]float64
+	st.TierWaitSec, pWait = s.windowWaits(a, b, comps, lam)
+	shift := s.detSvc
+	mix := s.windowMixture(st.TierWaitSec, pWait, lam)
+
+	timeoutFrac := 0.0
+	if to := s.cfg.TimeoutSec; to > 0 {
+		timeoutFrac = 1 - mix.cdf(to-shift)
+		// Branch weights sum to 1 only within float rounding; scrub the
+		// resulting dust so sub-knee windows report exactly zero.
+		if timeoutFrac < 1e-12 {
+			timeoutFrac = 0
+		}
+	}
+	st.TimeoutFraction = timeoutFrac
+	st.Requests = comps * (1 - timeoutFrac)
+	st.Errors = rejected + comps*timeoutFrac
+	st.ThroughputRPS = st.Requests / st.DurationSec
+
+	sumW := 0.0
+	for _, w := range st.TierWaitSec {
+		sumW += w
+	}
+	mean := shift + sumW
+	st.PerClass = make([]ClassMean, 0, len(s.classes))
+	for _, c := range s.classes {
+		mean += c.weight * c.expMean
+		st.PerClass = append(st.PerClass, ClassMean{
+			Name: c.name, MeanMS: (shift + sumW + c.expMean) * 1000,
+		})
+	}
+	st.MeanRTms = mean * 1000
+	st.P50ms = (shift + mix.quantile(0.50)) * 1000
+	st.P90ms = (shift + mix.quantile(0.90)) * 1000
+	st.P99ms = (shift + mix.quantile(0.99)) * 1000
+	n := math.Round(comps)
+	if n < 1 {
+		n = 1
+	}
+	pMax := (n - 0.5) / n
+	if pMax > 1-1e-12 {
+		pMax = 1 - 1e-12
+	}
+	st.MaxRTms = (shift + mix.quantile(pMax)) * 1000
+	return st
+}
+
+// windowWaits returns each tier's mean queueing delay over the window
+// [a, b], which saw comps completions at rate lam, and the probability
+// that an arrival waits there at all.
+func (s *Solver) windowWaits(a, b Snapshot, comps, lam float64) (waits, pWait [numTiers]float64) {
 	for i := range s.tiers {
 		res := (b.QInt[i] - a.QInt[i]) / comps
 		w := res - s.tiers[i].svcLatency
 		if w < 0 {
 			w = 0
 		}
-		st.TierWaitSec[i] = w
+		waits[i] = w
 		// Probability an arrival has to wait at all: one minus the chance
 		// every leg is clear — Erlang-C for the M/M/c CPU leg, utilization
 		// for the single-server deterministic disk and net legs.
@@ -823,60 +836,21 @@ func (s *Solver) StatsBetween(a, b Snapshot) Stats {
 		}
 		pWait[i] = p
 	}
-	shift := s.detSvc
-	classes := s.windowClasses(st.TierWaitSec, pWait, lam)
-
-	timeoutFrac := 0.0
-	if to := s.cfg.TimeoutSec; to > 0 {
-		timeoutFrac = 1 - mixtureCDF(classes, to-shift)
-		// Branch weights sum to 1 only within float rounding; scrub the
-		// resulting dust so sub-knee windows report exactly zero.
-		if timeoutFrac < 1e-12 {
-			timeoutFrac = 0
-		}
-	}
-	st.TimeoutFraction = timeoutFrac
-	st.Requests = comps * (1 - timeoutFrac)
-	st.Errors = rejected + comps*timeoutFrac
-	st.ThroughputRPS = st.Requests / st.DurationSec
-
-	sumW := 0.0
-	for _, w := range st.TierWaitSec {
-		sumW += w
-	}
-	mean := shift + sumW
-	for _, c := range s.classes {
-		mean += c.weight * c.expMean
-		st.PerClass = append(st.PerClass, ClassMean{
-			Name: c.name, MeanMS: (shift + sumW + c.expMean) * 1000,
-		})
-	}
-	st.MeanRTms = mean * 1000
-	st.P50ms = (shift + mixtureQuantile(classes, 0.50)) * 1000
-	st.P90ms = (shift + mixtureQuantile(classes, 0.90)) * 1000
-	st.P99ms = (shift + mixtureQuantile(classes, 0.99)) * 1000
-	n := math.Round(comps)
-	if n < 1 {
-		n = 1
-	}
-	pMax := (n - 0.5) / n
-	if pMax > 1-1e-12 {
-		pMax = 1 - 1e-12
-	}
-	st.MaxRTms = (shift + mixtureQuantile(classes, pMax)) * 1000
-	return st
+	return waits, pWait
 }
 
-// windowClasses folds the window's per-tier mean waits into each class
-// distribution. A tier's wait is an atom-at-zero mixture — with
-// probability pWait the arrival queues for an exponential conditional
-// wait of mean W/pWait, otherwise it starts service immediately — so the
-// per-class distribution expands into one hypoexponential branch per
-// subset of tiers that imposed a wait. Zero-wait windows reuse the
-// precomputed service-only distributions unchanged.
-func (s *Solver) windowClasses(waits, pWait [numTiers]float64, lam float64) []classDist {
-	var waitStages [][]float64 // conditional-wait stage rates per waiting tier
-	var waitProb []float64
+// windowMixture folds the window's per-tier mean waits into the class
+// distributions and returns the solver's mixture, rebuilt for this
+// window. A tier's wait is an atom-at-zero mixture — with probability
+// pWait the arrival queues for an exponential conditional wait of mean
+// W/pWait, otherwise it starts service immediately — so each class
+// expands into one hypoexponential branch per subset of tiers that
+// imposed a wait. A zero-wait window keeps one branch per class, its
+// service-only distribution.
+func (s *Solver) windowMixture(waits, pWait [numTiers]float64, lam float64) *mixture {
+	var stages [numTiers][]float64 // conditional-wait stage rates per waiting tier
+	var probs [numTiers]float64
+	n := 0
 	for i, w := range waits {
 		if w > 1e-12 {
 			// Conditional-wait shape: an arrival that waits drains the
@@ -884,38 +858,13 @@ func (s *Solver) windowClasses(waits, pWait [numTiers]float64, lam float64) []cl
 			// (open M/M/1, geometrically distributed queue) toward Erlang
 			// (deterministic queue). The closed network sits between the
 			// two; half-strength matches the DES across the sweep range.
-			waitStages = append(waitStages, waitDist(w/pWait[i], 1+lam*w/pWait[i]/4))
-			waitProb = append(waitProb, pWait[i])
+			stages[n] = waitDist(w/pWait[i], 1+lam*w/pWait[i]/4)
+			probs[n] = pWait[i]
+			n++
 		}
 	}
-	if len(waitStages) == 0 {
-		return s.classes
-	}
-	out := make([]classDist, 0, len(s.classes)*(1<<len(waitStages)))
-	for _, c := range s.classes {
-		for sub := 0; sub < 1<<len(waitStages); sub++ {
-			weight := c.weight
-			rates := append([]float64(nil), c.rates...)
-			for j := range waitStages {
-				if sub&(1<<j) != 0 {
-					weight *= waitProb[j]
-					rates = append(rates, waitStages[j]...)
-				} else {
-					weight *= 1 - waitProb[j]
-				}
-			}
-			if weight <= 0 {
-				continue
-			}
-			rates = distinctRates(rates)
-			cd := classDist{name: c.name, weight: weight, rates: rates, alphas: hypoAlphas(rates)}
-			for _, r := range rates {
-				cd.expMean += 1 / r
-			}
-			out = append(out, cd)
-		}
-	}
-	return out
+	s.mix.build(s.classes, stages[:n], probs[:n])
+	return &s.mix
 }
 
 // waitDist shapes one tier's conditional wait: mean m with squared
@@ -955,21 +904,146 @@ func waitDist(m, shape float64) []float64 {
 	}
 }
 
-// mixtureCDF evaluates the class-weighted response-distribution CDF at x
-// (x relative to the shared deterministic shift).
-func mixtureCDF(classes []classDist, x float64) float64 {
+// mixture is one window's response-time distribution (relative to the
+// shared deterministic shift): weighted hypoexponential branches, each
+// with CDF F(x) = 1 − Σ αᵢ e^(−λᵢ x) over distinct stage rates λᵢ. Every
+// class repeats the same per-tier wait stages, so a window's thousands of
+// branch stages draw on a few dozen rates. The rates live once in a table
+// deduplicated by bit pattern and each branch term holds an index into
+// it, so a CDF evaluation calls math.Exp once per distinct rate. Each
+// branch then subtracts its αᵢ·e terms in stage order and clamps to
+// [0, 1]: the same float operations, in the same order, as evaluating the
+// branch on its own, and math.Exp is deterministic, so the result is
+// bit-identical to that. The solver owns one mixture and rebuilds it in
+// place, so rebuilding it allocates nothing once its buffers have grown.
+type mixture struct {
+	rates    []float64 // distinct stage rates
+	exps     []float64 // e^(−rate·x) per table entry, refilled by cdf
+	terms    []term    // every branch's stages, branch after branch
+	branches []branch
+	buf      []float64 // one branch's stage rates while it is built
+}
+
+// term is one exponential stage of a branch: its CDF coefficient and the
+// table index of its rate.
+type term struct {
+	alpha float64
+	rate  int
+}
+
+// branch is one class under one subset of waiting tiers: its mixture
+// weight, mean and span of terms.
+type branch struct {
+	weight  float64
+	expMean float64 // Σ 1/rate
+	lo, hi  int     // terms[lo:hi]
+}
+
+// build rebuilds the mixture for a window: one branch per class and
+// subset of waiting tiers, with the subset's wait stages appended to the
+// class's stages in tier order. Branches of zero weight are dropped.
+func (m *mixture) build(classes []classDist, waitStages [][]float64, waitProb []float64) {
+	// Grow the buffers at most once per window, to their exact need: each
+	// class has 2^k branches, every one carrying the class's stages, and
+	// each wait stage appears in half of them.
+	subsets := 1 << len(waitStages)
+	terms := 0
+	for _, c := range classes {
+		terms += subsets * len(c.rates)
+	}
+	for _, w := range waitStages {
+		terms += subsets / 2 * len(w) * len(classes)
+	}
+	if cap(m.terms) < terms {
+		m.terms = make([]term, 0, terms)
+	}
+	if n := subsets * len(classes); cap(m.branches) < n {
+		m.branches = make([]branch, 0, n)
+	}
+	m.rates, m.terms, m.branches = m.rates[:0], m.terms[:0], m.branches[:0]
+	for _, c := range classes {
+		for sub := 0; sub < subsets; sub++ {
+			weight := c.weight
+			rates := append(m.buf[:0], c.rates...)
+			for j := range waitStages {
+				if sub&(1<<j) != 0 {
+					weight *= waitProb[j]
+					rates = append(rates, waitStages[j]...)
+				} else {
+					weight *= 1 - waitProb[j]
+				}
+			}
+			m.buf = rates
+			if weight > 0 {
+				m.addBranch(weight, distinctRates(rates))
+			}
+		}
+	}
+	if cap(m.exps) < len(m.rates) {
+		m.exps = make([]float64, len(m.rates))
+	}
+	m.exps = m.exps[:len(m.rates)]
+}
+
+// addBranch appends a branch over distinct stage rates. Its coefficients
+// αᵢ = Πⱼ≠ᵢ λⱼ/(λⱼ − λᵢ) are the closed-form hypoexponential ones.
+func (m *mixture) addBranch(weight float64, rates []float64) {
+	lo := len(m.terms)
+	var mean float64
+	for i, li := range rates {
+		a := 1.0
+		for j, lj := range rates {
+			if j != i {
+				a *= lj / (lj - li)
+			}
+		}
+		m.terms = append(m.terms, term{alpha: a, rate: m.rateIndex(li)})
+		mean += 1 / li
+	}
+	m.branches = append(m.branches, branch{weight: weight, expMean: mean, lo: lo, hi: len(m.terms)})
+}
+
+// rateIndex returns r's index in the rate table, adding it if no entry
+// has r's exact bit pattern.
+func (m *mixture) rateIndex(r float64) int {
+	bits := math.Float64bits(r)
+	for k, x := range m.rates {
+		if math.Float64bits(x) == bits {
+			return k
+		}
+	}
+	m.rates = append(m.rates, r)
+	return len(m.rates) - 1
+}
+
+// cdf evaluates the weighted mixture CDF at x. A branch with no stages is
+// a point mass at zero.
+func (m *mixture) cdf(x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
+	exps := m.exps
+	for k, r := range m.rates {
+		exps[k] = math.Exp(-r * x)
+	}
 	f := 0.0
-	for _, c := range classes {
-		f += c.weight * hypoCDF(c.rates, c.alphas, x)
+	for _, b := range m.branches {
+		g := 1.0
+		for _, t := range m.terms[b.lo:b.hi] {
+			g -= t.alpha * exps[t.rate]
+		}
+		if g < 0 {
+			g = 0
+		} else if g > 1 {
+			g = 1
+		}
+		f += b.weight * g
 	}
 	return f
 }
 
-// mixtureQuantile inverts the mixture CDF by bisection. Deterministic:
-// fixed doubling and iteration counts.
+// quantile inverts the mixture CDF by bisection. Deterministic: fixed
+// doubling and iteration counts.
 //
 // The bisection stops early, with the same result, once the midpoint
 // equals an endpoint. If mid == lo and the CDF test keeps lo, nothing
@@ -977,17 +1051,17 @@ func mixtureCDF(classes []classDist, x float64) float64 {
 // same branch; if it moves hi to mid instead, lo == hi == mid, and every
 // later midpoint is (mid+mid)/2 == mid. The case mid == hi is symmetric.
 // Either way the fixed-count loop would end with (lo+hi)/2 == mid.
-func mixtureQuantile(classes []classDist, p float64) float64 {
+func (m *mixture) quantile(p float64) float64 {
 	if p <= 0 {
 		return 0
 	}
 	hi := 1e-6
-	for _, c := range classes {
-		if m := c.expMean * 4; m > hi {
-			hi = m
+	for _, b := range m.branches {
+		if v := b.expMean * 4; v > hi {
+			hi = v
 		}
 	}
-	for i := 0; i < 200 && mixtureCDF(classes, hi) < p; i++ {
+	for i := 0; i < 200 && m.cdf(hi) < p; i++ {
 		hi *= 2
 	}
 	lo := 0.0
@@ -996,7 +1070,7 @@ func mixtureQuantile(classes []classDist, p float64) float64 {
 		if mid == lo || mid == hi {
 			return mid
 		}
-		if mixtureCDF(classes, mid) < p {
+		if m.cdf(mid) < p {
 			lo = mid
 		} else {
 			hi = mid

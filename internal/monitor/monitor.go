@@ -8,6 +8,8 @@ package monitor
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -368,13 +370,70 @@ func appendStamp(b []byte, t float64) []byte {
 func appendFixed(b []byte, v float64, width, prec int) []byte {
 	const spaces = "                " // longest pad is width 12
 	start := len(b)
-	b = strconv.AppendFloat(b, v, 'f', prec, 64)
+	b = appendF(b, v, prec)
 	if pad := width - (len(b) - start); pad > 0 {
 		b = append(b, spaces[:pad]...)
 		copy(b[start+pad:], b[start:len(b)-pad])
 		for i := 0; i < pad; i++ {
 			b[start+i] = ' '
 		}
+	}
+	return b
+}
+
+// pow10 holds the powers of ten that fit in a uint64.
+var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// appendF appends v as strconv.AppendFloat(b, v, 'f', prec, 64) does, in
+// integer arithmetic. With an explicit precision strconv always takes its
+// multiprecision path; here v = mant·2^e exactly, so v·10^prec is
+// mant·10^prec·2^e, and rounding that to an integer half to even gives
+// the digits strconv prints. NaN, ±Inf, and magnitudes whose scaled
+// mantissa overflows 64 bits go to strconv.
+func appendF(b []byte, v float64, prec int) []byte {
+	fb := math.Float64bits(v)
+	exp := int(fb>>52) & 0x7ff
+	mant := fb & (1<<52 - 1)
+	if exp == 0x7ff || prec < 0 || prec >= len(pow10) {
+		return strconv.AppendFloat(b, v, 'f', prec, 64)
+	}
+	if exp == 0 {
+		exp = 1 // subnormal: no implicit leading bit
+	} else {
+		mant |= 1 << 52
+	}
+	e := exp - 1075 // v = ±mant·2^e
+	hi, p := bits.Mul64(mant, pow10[prec])
+	var n uint64
+	switch {
+	case hi != 0 || e >= 0 && e > bits.LeadingZeros64(p):
+		return strconv.AppendFloat(b, v, 'f', prec, 64)
+	case e >= 0:
+		n = p << e
+	case e > -64:
+		s := uint(-e)
+		n = p >> s
+		rem, half := p&(1<<s-1), uint64(1)<<(s-1)
+		if rem > half || rem == half && n&1 == 1 {
+			n++
+		}
+	}
+	// For e ≤ −64, n stays 0: p·2^e is below one half. Past −64 that
+	// follows from p < 2^64; at −64 the mantissa is normal (≥ 2^52), so
+	// p < 2^63 for prec ≤ 3 and p overflowed above for any larger prec.
+	if fb>>63 != 0 {
+		b = append(b, '-')
+	}
+	if prec == 0 {
+		return strconv.AppendUint(b, n, 10)
+	}
+	scale := pow10[prec]
+	b = strconv.AppendUint(b, n/scale, 10)
+	b = append(b, '.')
+	frac := n % scale
+	for d := scale / 10; d > 0; d /= 10 {
+		b = append(b, byte('0'+frac/d%10))
 	}
 	return b
 }
