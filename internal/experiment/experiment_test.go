@@ -464,33 +464,51 @@ func TestParallelCappedByClusterSize(t *testing.T) {
 	}
 }
 
-// TestArchiveWritesMonitorFiles checks the per-trial sysstat archive.
+// TestArchiveWritesMonitorFiles checks the per-trial sysstat archive on
+// both engines, and that the archived files add up to the trial's
+// CollectedBytes, which the monitor counts without rendering them.
 func TestArchiveWritesMonitorFiles(t *testing.T) {
-	r := testRunner(t)
-	r.ArchiveDir = t.TempDir()
-	e := rubisExperiment(t, `workload { users 60; writeratio 15; }`)
-	if err := r.RunExperiment(e); err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(r.ArchiveDir, "rubis-it", "1-1-1", "u60_w15")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("archive missing: %v", err)
-	}
-	// 4 machines (web, app, db, client), one .sar each.
-	if len(entries) != 4 {
-		t.Fatalf("archived files = %d, want 4", len(entries))
-	}
-	data, err := os.ReadFile(filepath.Join(dir, entries[0].Name()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(data), "# sysstat") {
-		t.Fatalf("archived file not sysstat format: %q", string(data)[:30])
-	}
-	// Round-trip through the sar parser.
-	if _, err := monitor.ParseFile(string(data)); err != nil {
-		t.Fatalf("archived file unparseable: %v", err)
+	for _, engine := range []string{EngineDES, EngineFluid} {
+		t.Run(engine, func(t *testing.T) {
+			r := testRunner(t)
+			r.ArchiveDir = t.TempDir()
+			r.ScalingEngine = engine
+			e := rubisExperiment(t, `workload { users 60; writeratio 15; }`)
+			if err := r.RunExperiment(e); err != nil {
+				t.Fatal(err)
+			}
+			dir := filepath.Join(r.ArchiveDir, "rubis-it", "1-1-1", "u60_w15")
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatalf("archive missing: %v", err)
+			}
+			// 4 machines (web, app, db, client), one .sar each.
+			if len(entries) != 4 {
+				t.Fatalf("archived files = %d, want 4", len(entries))
+			}
+			total := 0
+			for _, ent := range entries {
+				data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.HasPrefix(string(data), "# sysstat") {
+					t.Fatalf("archived file not sysstat format: %q", string(data)[:30])
+				}
+				// Round-trip through the sar parser.
+				if _, err := monitor.ParseFile(string(data)); err != nil {
+					t.Fatalf("archived file unparseable: %v", err)
+				}
+				total += len(data)
+			}
+			results := r.Store().All()
+			if len(results) != 1 {
+				t.Fatalf("stored results = %d, want 1", len(results))
+			}
+			if got := results[0].CollectedBytes; got != total {
+				t.Fatalf("CollectedBytes = %d, archived .sar files total %d bytes", got, total)
+			}
+		})
 	}
 }
 

@@ -1,10 +1,12 @@
 package experiment
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
+	"elba/internal/deploy"
+	"elba/internal/fault"
+	"elba/internal/mulini"
 	"elba/internal/spec"
 )
 
@@ -42,6 +44,12 @@ type KneeProbe struct {
 // first), and if hi also meets it the search reports hi with no
 // violation. Resolution is the search's stopping granularity in users.
 //
+// The search generates and deploys the topology once and runs every
+// probe on that placement, as a sweep runs its grid on one deployment.
+// Each probe still measures exactly what a fresh RunTrialAt would,
+// because placement, node factors and deploy glitches are pure functions
+// of (Seed, experiment, topology) and no trial mutates cluster nodes.
+//
 // Probes run through the runner's trial cache when one is attached, so
 // a re-anchored search (new bracket, same spec) reuses every previously
 // measured population; without a shared cache an ephemeral per-sweep
@@ -57,35 +65,48 @@ func (r *Runner) KneeSearch(e *spec.Experiment, topo spec.Topology,
 	if sloMS <= 0 {
 		return KneeSearchResult{}, fmt.Errorf("experiment: knee search needs a positive SLO")
 	}
+	if err := checkBracket(lo, hi); err != nil {
+		return KneeSearchResult{}, err
+	}
 	cache := r.TrialCache
 	if cache == nil {
 		cache = newEphemeralTrialCache()
 	}
 	res := KneeSearchResult{}
-	probe := func(users int) (bool, error) {
-		out, err := r.runTrialAt(context.Background(), cache, e, topo, users, writeRatioPct)
+	err := r.withDeployment(e, topo, func(d *mulini.Deployment, placement *deploy.Placement, prof fault.Profile) error {
+		probe := func(users int) (bool, error) {
+			out, err := r.trialOn(cache, e, d, placement, prof, users, writeRatioPct)
+			if err != nil {
+				return false, err
+			}
+			if !out.FromCache {
+				res.Trials++
+				res.Probes = append(res.Probes, KneeProbe{
+					Users: users, AvgRTms: out.Result.AvgRTms, Completed: out.Result.Completed,
+				})
+			}
+			return out.Result.Completed && out.Result.AvgRTms <= sloMS, nil
+		}
+		users, violation, err := kneeBisect(probe, lo, hi, resolution)
 		if err != nil {
-			return false, err
+			if errors.Is(err, errKneeLowerBound) {
+				return fmt.Errorf("experiment: lower bound %d users already violates the %g ms SLO", lo, sloMS)
+			}
+			return err
 		}
-		if !out.FromCache {
-			res.Trials++
-			res.Probes = append(res.Probes, KneeProbe{
-				Users: users, AvgRTms: out.Result.AvgRTms, Completed: out.Result.Completed,
-			})
-		}
-		return out.Result.Completed && out.Result.AvgRTms <= sloMS, nil
-	}
+		res.Users = users
+		res.ViolationUsers = violation
+		return nil
+	})
+	return res, err
+}
 
-	users, violation, err := kneeBisect(probe, lo, hi, resolution)
-	if err != nil {
-		if errors.Is(err, errKneeLowerBound) {
-			return res, fmt.Errorf("experiment: lower bound %d users already violates the %g ms SLO", lo, sloMS)
-		}
-		return res, err
+// checkBracket rejects a knee-search bracket that cannot hold a knee.
+func checkBracket(lo, hi int) error {
+	if lo < 1 || hi <= lo {
+		return fmt.Errorf("experiment: knee search needs 1 <= lo < hi")
 	}
-	res.Users = users
-	res.ViolationUsers = violation
-	return res, nil
+	return nil
 }
 
 // errKneeLowerBound marks a search whose lower bound already fails the
@@ -102,8 +123,8 @@ var errKneeLowerBound = errors.New("experiment: knee-search lower bound fails th
 // probes with probe(users) = true and probe(violation) = false; which
 // boundary it converges to depends on which probes land in the dips.
 func kneeBisect(probe func(users int) (bool, error), lo, hi, resolution int) (users, violation int, err error) {
-	if lo < 1 || hi <= lo {
-		return 0, 0, fmt.Errorf("experiment: knee search needs 1 <= lo < hi")
+	if err := checkBracket(lo, hi); err != nil {
+		return 0, 0, err
 	}
 	if resolution < 1 {
 		resolution = 1

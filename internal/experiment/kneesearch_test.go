@@ -1,10 +1,17 @@
 package experiment
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
+	"elba/internal/fault"
+	"elba/internal/spec"
 	"elba/internal/store"
 )
 
@@ -265,5 +272,140 @@ func TestKneeBisectPropagatesProbeErrors(t *testing.T) {
 	}
 	if _, _, err := kneeBisect(probe, 1, 1000, 1); !errors.Is(err, boom) {
 		t.Fatalf("mid-search probe error lost: %v", err)
+	}
+}
+
+// referenceKneeSearch is KneeSearch with a fresh deployment per probe:
+// every probe goes through RunTrialAt, which generates, deploys and tears
+// down the topology for its one trial.
+func referenceKneeSearch(r *Runner, e *spec.Experiment, topo spec.Topology,
+	writeRatioPct, sloMS float64, lo, hi, resolution int) (KneeSearchResult, error) {
+
+	r.TrialCache = newEphemeralTrialCache()
+	res := KneeSearchResult{}
+	probe := func(users int) (bool, error) {
+		out, err := r.RunTrialAt(e, topo, users, writeRatioPct)
+		if err != nil {
+			return false, err
+		}
+		if !out.FromCache {
+			res.Trials++
+			res.Probes = append(res.Probes, KneeProbe{
+				Users: users, AvgRTms: out.Result.AvgRTms, Completed: out.Result.Completed,
+			})
+		}
+		return out.Result.Completed && out.Result.AvgRTms <= sloMS, nil
+	}
+	users, violation, err := kneeBisect(probe, lo, hi, resolution)
+	if errors.Is(err, errKneeLowerBound) {
+		return res, fmt.Errorf("experiment: lower bound %d users already violates the %g ms SLO", lo, sloMS)
+	}
+	if err != nil {
+		return res, err
+	}
+	res.Users, res.ViolationUsers = users, violation
+	return res, nil
+}
+
+// readTree maps every file under dir to its contents.
+func readTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		out[rel] = data
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestKneeSearchMatchesPerProbeDeployment checks that a search running
+// every probe on one deployment returns what a search deploying afresh
+// for each probe returns — the bracket, the trial count and every probe
+// — and leaves byte-identical results JSON and monitor archives. The DES
+// case runs the light fault profile under a seed whose placement has a
+// slowed app server and deploy-step retries, so both reach every probe.
+func TestKneeSearchMatchesPerProbeDeployment(t *testing.T) {
+	rubbos, err := os.ReadFile(filepath.Join("..", "..", "specs", "rubbos-baseline.tbl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := spec.Parse(string(rubbos))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted := rubisExperiment(t, `workload { users 100; writeratio 15; } faults { profile light; }`)
+	const seed = 22
+	one := spec.Topology{Web: 1, App: 1, DB: 1}
+	cases := []struct {
+		name       string
+		e          *spec.Experiment
+		engine     string
+		wr, slo    float64
+		lo, hi, by int
+		wantErr    bool
+	}{
+		{"des light faults", faulted, "", 15, 1000, 50, 800, 50, false},
+		{"fluid", doc.Experiments[0], EngineFluid, 0, 1000, 500, 1_000_000, 1000, false},
+		{"violated lower bound", faulted, "", 15, 100, 600, 900, 100, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			runners := [2]*Runner{testRunner(t), testRunner(t)}
+			for _, r := range runners {
+				r.Seed = seed
+				r.ScalingEngine = c.engine
+				r.ArchiveDir = t.TempDir()
+			}
+			got, gotErr := runners[0].KneeSearch(c.e, one, c.wr, c.slo, c.lo, c.hi, c.by)
+			want, wantErr := referenceKneeSearch(runners[1], c.e, one, c.wr, c.slo, c.lo, c.hi, c.by)
+			if (gotErr != nil) != c.wantErr || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("error %v, per-probe deployment gives %v", gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("search %+v, per-probe deployment gives %+v", got, want)
+			}
+			if got.Trials == 0 {
+				t.Fatal("search ran no trials")
+			}
+			var js [2][]byte
+			for i, r := range runners {
+				if js[i], err = r.Store().MarshalJSON(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(js[0], js[1]) {
+				t.Fatalf("results JSON differs from per-probe deployment:\n%s\n%s", js[0], js[1])
+			}
+			if a, b := readTree(t, runners[0].ArchiveDir), readTree(t, runners[1].ArchiveDir); len(a) == 0 || !reflect.DeepEqual(a, b) {
+				t.Fatalf("monitor archives differ: %d files, per-probe deployment %d", len(a), len(b))
+			}
+			if c.e != faulted {
+				return
+			}
+			prof, _ := fault.ProfileByName("light")
+			d, err := runners[0].gen.GenerateOne(c.e, one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(prof.NodeFactors(seed, c.e.Name, one.String(), serverRoles(d))) == 0 {
+				t.Fatal("seed no longer slows a node; pick another")
+			}
+			for _, res := range runners[0].Store().All() {
+				if res.DeployRetries == 0 {
+					t.Fatalf("%v: no deploy retries; the seed no longer glitches the deployment", res.Key)
+				}
+			}
+		})
 	}
 }

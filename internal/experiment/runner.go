@@ -427,28 +427,6 @@ func (r *Runner) runDeployment(ctx context.Context, e *spec.Experiment, cl *clus
 		}
 	}
 
-	profName := ""
-	if prof.Enabled() {
-		profName = prof.Name
-	}
-	roles := serverRoles(d)
-	cfgFor := func(pt gridPoint) TrialConfig {
-		return TrialConfig{
-			Users:          pt.users,
-			Engine:         r.engineFor(e, pt.users),
-			WriteRatioPct:  pt.wr,
-			TimeScale:      r.TimeScale,
-			RootSeed:       r.Seed,
-			FaultProfile:   profName,
-			TraceRate:      r.TraceRate,
-			TraceExemplars: r.TraceExemplars,
-			SketchRT:       r.SketchRT,
-			RTObserver:     r.rtObserverFor(e.Name, d.Topology.String(), pt.users, pt.wr),
-			FaultPlan: prof.TrialPlan(r.Seed, e.Name, d.Topology.String(), roles,
-				pt.users, pt.wr, e.Trial.RunSec),
-		}
-	}
-
 	workers := r.TrialParallel
 	if workers < 1 {
 		workers = 1
@@ -459,7 +437,7 @@ func (r *Runner) runDeployment(ctx context.Context, e *spec.Experiment, cl *clus
 
 	if workers <= 1 {
 		for _, pt := range points {
-			out, terr := r.runPoint(ctx, r.TrialCache, e, d, placement, cfgFor(pt), r.TrialParallel)
+			out, terr := r.runPoint(ctx, r.TrialCache, e, d, placement, r.trialConfig(e, d, prof, pt.users, pt.wr), r.TrialParallel)
 			if terr != nil {
 				return fmt.Errorf("experiment %s/%s u=%d w=%g: %w",
 					e.Name, d.Topology, pt.users, pt.wr, terr)
@@ -505,7 +483,7 @@ func (r *Runner) runDeployment(ctx context.Context, e *spec.Experiment, cl *clus
 				if stop.Load() {
 					continue
 				}
-				out, terr := r.runPoint(ctx, r.TrialCache, e, d, placement, cfgFor(points[i]), 1)
+				out, terr := r.runPoint(ctx, r.TrialCache, e, d, placement, r.trialConfig(e, d, prof, points[i].users, points[i].wr), 1)
 				outs[i], terrs[i] = out, terr
 				if !r.KeepGoingOnFailure && out != nil && !out.Result.Completed {
 					stop.Store(true)
@@ -549,60 +527,92 @@ func (r *Runner) runDeployment(ctx context.Context, e *spec.Experiment, cl *clus
 	return err
 }
 
-// RunTrialAt deploys topology topo of experiment e, runs a single trial
-// at the given workload point, tears down, and returns the outcome. The
-// scale-out controller and ad-hoc probes use it.
-func (r *Runner) RunTrialAt(e *spec.Experiment, topo spec.Topology, users int, writeRatioPct float64) (*TrialOutcome, error) {
-	return r.runTrialAt(context.Background(), r.TrialCache, e, topo, users, writeRatioPct)
+// trialConfig builds the TrialConfig of one workload point of deployment
+// d: the runner's knobs plus the point's engine, RT observer and fault
+// plan.
+func (r *Runner) trialConfig(e *spec.Experiment, d *mulini.Deployment, prof fault.Profile,
+	users int, writeRatioPct float64) TrialConfig {
+
+	topo := d.Topology.String()
+	cfg := TrialConfig{
+		Users:          users,
+		Engine:         r.engineFor(e, users),
+		WriteRatioPct:  writeRatioPct,
+		TimeScale:      r.TimeScale,
+		RootSeed:       r.Seed,
+		TraceRate:      r.TraceRate,
+		TraceExemplars: r.TraceExemplars,
+		SketchRT:       r.SketchRT,
+		RTObserver:     r.rtObserverFor(e.Name, topo, users, writeRatioPct),
+	}
+	if prof.Enabled() {
+		cfg.FaultProfile = prof.Name
+		cfg.FaultPlan = prof.TrialPlan(r.Seed, e.Name, topo, serverRoles(d),
+			users, writeRatioPct, e.Trial.RunSec)
+	}
+	return cfg
 }
 
-// runTrialAt is RunTrialAt against an explicit context and cache: the
-// knee search passes its per-sweep fallback cache here when the runner
-// has no shared one.
-func (r *Runner) runTrialAt(ctx context.Context, cache TrialCache, e *spec.Experiment,
-	topo spec.Topology, users int, writeRatioPct float64) (*TrialOutcome, error) {
+// withDeployment generates topology topo of experiment e, deploys it on
+// a fresh cluster, runs fn against the placement and tears it down. The
+// placement, its node factors and its deploy glitches are pure functions
+// of (Seed, experiment, topology) and no trial mutates cluster nodes, so
+// every trial fn runs measures exactly what it would on a deployment of
+// its own.
+func (r *Runner) withDeployment(e *spec.Experiment, topo spec.Topology,
+	fn func(d *mulini.Deployment, placement *deploy.Placement, prof fault.Profile) error) error {
+
 	d, err := r.gen.GenerateOne(e, topo)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	cl, err := r.newCluster(e)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	deployer := deploy.NewDeployer(cl)
 	prof := r.profileFor(e)
 	r.armDeployer(deployer, prof, e, d)
 	placement, err := deployer.Deploy(d)
 	if err != nil {
+		return err
+	}
+	err = fn(d, placement, prof)
+	if uerr := deployer.Undeploy(placement); uerr != nil && err == nil {
+		err = uerr
+	}
+	return err
+}
+
+// RunTrialAt deploys topology topo of experiment e, runs a single trial
+// at the given workload point, tears down, and returns the outcome. The
+// scale-out controller and ad-hoc probes use it.
+func (r *Runner) RunTrialAt(e *spec.Experiment, topo spec.Topology, users int, writeRatioPct float64) (*TrialOutcome, error) {
+	var out *TrialOutcome
+	err := r.withDeployment(e, topo, func(d *mulini.Deployment, placement *deploy.Placement, prof fault.Profile) error {
+		var err error
+		out, err = r.trialOn(r.TrialCache, e, d, placement, prof, users, writeRatioPct)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
+	return out, nil
+}
+
+// trialOn runs one workload point on a deployed placement through cache
+// and commits its outcome: the store, the archive, and OnTrial.
+func (r *Runner) trialOn(cache TrialCache, e *spec.Experiment, d *mulini.Deployment,
+	placement *deploy.Placement, prof fault.Profile, users int, writeRatioPct float64) (*TrialOutcome, error) {
+
 	workers := r.TrialParallel
 	if workers < 1 {
 		workers = 1
 	}
-	profName := ""
-	if prof.Enabled() {
-		profName = prof.Name
-	}
-	out, terr := r.runPoint(ctx, cache, e, d, placement, TrialConfig{
-		Users:          users,
-		Engine:         r.engineFor(e, users),
-		WriteRatioPct:  writeRatioPct,
-		TimeScale:      r.TimeScale,
-		RootSeed:       r.Seed,
-		FaultProfile:   profName,
-		TraceRate:      r.TraceRate,
-		TraceExemplars: r.TraceExemplars,
-		SketchRT:       r.SketchRT,
-		RTObserver:     r.rtObserverFor(e.Name, d.Topology.String(), users, writeRatioPct),
-		FaultPlan: prof.TrialPlan(r.Seed, e.Name, d.Topology.String(), serverRoles(d),
-			users, writeRatioPct, e.Trial.RunSec),
-	}, workers)
-	if uerr := deployer.Undeploy(placement); uerr != nil && terr == nil {
-		terr = uerr
-	}
-	if terr != nil {
-		return nil, terr
+	out, err := r.runPoint(context.Background(), cache, e, d, placement,
+		r.trialConfig(e, d, prof, users, writeRatioPct), workers)
+	if err != nil {
+		return nil, err
 	}
 	r.results.Put(out.Result)
 	if err := r.archive(out); err != nil {

@@ -171,23 +171,11 @@ func runTransientTrialSeeded(e *spec.Experiment, d *mulini.Deployment, p *deploy
 // RunTransientAt deploys a topology, runs a transient schedule, and tears
 // down — the runner-level entry point.
 func (r *Runner) RunTransientAt(e *spec.Experiment, topo spec.Topology, schedule []PopulationPhase) ([]PhaseResult, error) {
-	d, err := r.gen.GenerateOne(e, topo)
-	if err != nil {
-		return nil, err
-	}
-	cl, err := r.newCluster(e)
-	if err != nil {
-		return nil, err
-	}
-	deployer := deploy.NewDeployer(cl)
-	r.armDeployer(deployer, r.profileFor(e), e, d)
-	placement, err := deployer.Deploy(d)
-	if err != nil {
-		return nil, err
-	}
-	out, terr := runTransientTrialSeeded(e, d, placement, schedule, r.TimeScale, r.Seed)
-	if uerr := deployer.Undeploy(placement); uerr != nil && terr == nil {
-		terr = uerr
-	}
-	return out, terr
+	var out []PhaseResult
+	err := r.withDeployment(e, topo, func(d *mulini.Deployment, placement *deploy.Placement, _ fault.Profile) error {
+		var err error
+		out, err = runTransientTrialSeeded(e, d, placement, schedule, r.TimeScale, r.Seed)
+		return err
+	})
+	return out, err
 }

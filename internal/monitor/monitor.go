@@ -12,7 +12,6 @@ import (
 	"math/bits"
 	"sort"
 	"strconv"
-	"strings"
 
 	"elba/internal/metrics"
 	"elba/internal/sim"
@@ -79,26 +78,57 @@ type Monitor struct {
 	probes  []Probe
 	running bool
 
-	// state caches per-probe output targets and counter windows so a
-	// sample tick does no map lookups, key concatenation, or Sprintf work.
+	// state caches per-probe series and counter windows so a sample tick
+	// does no map lookups or key concatenation.
 	state []probeState
-	buf   []byte // scratch line buffer reused across ticks
+	ticks int    // sampling ticks taken so far
+	buf   []byte // reused to measure values wider than their column
 
-	files  map[string]*strings.Builder
+	files  map[string]*hostFile
 	series map[string]*metrics.TimeSeries
 }
 
-// probeState is the resolved hot-path state for one probe: where its rows
-// go, which time series receive its values, and the previous cumulative
-// counter readings for windowed rates.
+// hostFile is one host's sysstat collection file. Sampling only counts
+// its bytes; File renders the text from the series on demand, because
+// nothing but the opt-in archive reads it.
+type hostFile struct {
+	header string
+	probes []int // indexes of the host's probes, in probe order
+	bytes  int   // rendered length of the header and every row so far
+}
+
+// Metric families, in the order a probe's rows appear within a tick.
+const (
+	famCPU = iota
+	famMem
+	famNet
+	famDisk
+	famDiskUtil
+	famNetUtil
+	numFamilies
+)
+
+// families names each family's series and the row text between the host
+// and the values.
+var families = [numFamilies]struct{ series, label string }{
+	famCPU:      {"cpu", " cpu all "},
+	famMem:      {"memory", " mem "},
+	famNet:      {"network", " net eth0 "},
+	famDisk:     {"disk", " disk sda "},
+	famDiskUtil: {"disk-util", " disk sda %util "},
+	famNetUtil:  {"net-util", " net eth0 %util "},
+}
+
+// stampLen is the length of an HH:MM:SS stamp.
+const stampLen = 8
+
+// probeState is the resolved hot-path state for one probe: its host's
+// file, the series receiving each family's values (nil = family not
+// sampled), and the previous cumulative counter readings for windowed
+// rates.
 type probeState struct {
-	file     *strings.Builder
-	cpu      *metrics.TimeSeries
-	mem      *metrics.TimeSeries
-	net      *metrics.TimeSeries
-	disk     *metrics.TimeSeries
-	diskUtil *metrics.TimeSeries
-	netUtil  *metrics.TimeSeries
+	file     *hostFile
+	series   [numFamilies]*metrics.TimeSeries
 	lastBusy float64
 	lastNet  float64
 	lastDisk float64
@@ -117,37 +147,33 @@ func New(k *sim.Kernel, cfg Config, probes []Probe) (*Monitor, error) {
 	}
 	m := &Monitor{
 		k: k, cfg: cfg, probes: probes,
-		files:  map[string]*strings.Builder{},
+		files:  map[string]*hostFile{},
 		series: map[string]*metrics.TimeSeries{},
-	}
-	for _, p := range probes {
-		if m.files[p.Host] == nil {
-			m.files[p.Host] = &strings.Builder{}
-			fmt.Fprintf(m.files[p.Host], "# sysstat 5.0.5 host=%s role=%s interval=%gs\n",
-				p.Host, p.Role, cfg.IntervalSec)
-		}
 	}
 	m.state = make([]probeState, len(probes))
 	for i, p := range probes {
+		f := m.files[p.Host]
+		if f == nil {
+			f = &hostFile{header: fmt.Sprintf("# sysstat 5.0.5 host=%s role=%s interval=%gs\n",
+				p.Host, p.Role, cfg.IntervalSec)}
+			f.bytes = len(f.header)
+			m.files[p.Host] = f
+		}
+		f.probes = append(f.probes, i)
 		st := &m.state[i]
-		st.file = m.files[p.Host]
-		if m.has("cpu") {
-			st.cpu = m.seriesFor(p.Host, "cpu")
+		st.file = f
+		sampled := [numFamilies]bool{
+			famCPU:      m.has("cpu"),
+			famMem:      m.has("memory"),
+			famNet:      m.has("network") && p.NetBytes != nil,
+			famDisk:     m.has("disk") && p.DiskOps != nil,
+			famDiskUtil: m.has("disk") && (p.Disk != nil || p.DiskBusyFn != nil),
+			famNetUtil:  m.has("network") && (p.NetRes != nil || p.NetBusyFn != nil),
 		}
-		if m.has("memory") {
-			st.mem = m.seriesFor(p.Host, "memory")
-		}
-		if m.has("network") && p.NetBytes != nil {
-			st.net = m.seriesFor(p.Host, "network")
-		}
-		if m.has("disk") && p.DiskOps != nil {
-			st.disk = m.seriesFor(p.Host, "disk")
-		}
-		if m.has("disk") && (p.Disk != nil || p.DiskBusyFn != nil) {
-			st.diskUtil = m.seriesFor(p.Host, "disk-util")
-		}
-		if m.has("network") && (p.NetRes != nil || p.NetBusyFn != nil) {
-			st.netUtil = m.seriesFor(p.Host, "net-util")
+		for fam, on := range sampled {
+			if on {
+				st.series[fam] = m.seriesFor(p.Host, families[fam].series)
+			}
 		}
 	}
 	return m, nil
@@ -216,16 +242,17 @@ func (m *Monitor) tick() {
 	for i := range m.probes {
 		m.sample(&m.probes[i], &m.state[i], now)
 	}
+	m.ticks++
 	m.k.Schedule(m.cfg.IntervalSec, m.tick)
 }
 
-// sample emits one sysstat row per enabled metric family. Rows are built
-// in the monitor's scratch buffer and written once, so steady-state
-// sampling allocates nothing beyond amortized buffer growth — collection
-// volume is Table 3 scale, so this path runs millions of times per sweep.
+// sample records one value per enabled metric family in the family's
+// series and counts the sysstat row it renders to. No text is written
+// here — File renders rows from the series — so steady-state sampling
+// allocates nothing beyond amortized series growth; collection volume is
+// Table 3 scale, so this path runs millions of times per sweep.
 func (m *Monitor) sample(p *Probe, st *probeState, now float64) {
-	b := m.buf[:0]
-	if st.cpu != nil {
+	if st.series[famCPU] != nil {
 		util := 0.0
 		if p.Station != nil || p.CPUBusyFn != nil {
 			var busy float64
@@ -246,22 +273,9 @@ func (m *Monitor) sample(p *Probe, st *probeState, now float64) {
 				util = 1
 			}
 		}
-		user := util * 100 * 0.92
-		sys := util * 100 * 0.08
-		idle := 100 - user - sys
-		b = appendStamp(b, now)
-		b = append(b, ' ')
-		b = append(b, p.Host...)
-		b = append(b, " cpu all "...)
-		b = appendFixed(b, user, 6, 2)
-		b = append(b, ' ')
-		b = appendFixed(b, sys, 6, 2)
-		b = append(b, ' ')
-		b = appendFixed(b, idle, 6, 2)
-		b = append(b, '\n')
-		st.cpu.Append(now, util*100)
+		m.record(p, st, famCPU, now, util*100)
 	}
-	if st.mem != nil {
+	if st.series[famMem] != nil {
 		used := p.BaseMemMB
 		if p.Station != nil {
 			used += float64(p.Station.InFlight()) * p.MemPerJobMB
@@ -271,42 +285,21 @@ func (m *Monitor) sample(p *Probe, st *probeState, now float64) {
 		if p.TotalMemMB > 0 && used > p.TotalMemMB {
 			used = p.TotalMemMB
 		}
-		free := p.TotalMemMB - used
-		b = appendStamp(b, now)
-		b = append(b, ' ')
-		b = append(b, p.Host...)
-		b = append(b, " mem "...)
-		b = appendFixed(b, used, 8, 1)
-		b = append(b, ' ')
-		b = appendFixed(b, free, 8, 1)
-		b = append(b, '\n')
-		st.mem.Append(now, used)
+		m.record(p, st, famMem, now, used)
 	}
-	if st.net != nil {
+	if st.series[famNet] != nil {
 		cum := p.NetBytes()
 		rate := (cum - st.lastNet) / m.cfg.IntervalSec
 		st.lastNet = cum
-		b = appendStamp(b, now)
-		b = append(b, ' ')
-		b = append(b, p.Host...)
-		b = append(b, " net eth0 "...)
-		b = appendFixed(b, rate, 12, 1)
-		b = append(b, '\n')
-		st.net.Append(now, rate)
+		m.record(p, st, famNet, now, rate)
 	}
-	if st.disk != nil {
+	if st.series[famDisk] != nil {
 		cum := p.DiskOps()
 		rate := (cum - st.lastDisk) / m.cfg.IntervalSec
 		st.lastDisk = cum
-		b = appendStamp(b, now)
-		b = append(b, ' ')
-		b = append(b, p.Host...)
-		b = append(b, " disk sda "...)
-		b = appendFixed(b, rate, 10, 1)
-		b = append(b, '\n')
-		st.disk.Append(now, rate)
+		m.record(p, st, famDisk, now, rate)
 	}
-	if st.diskUtil != nil {
+	if st.series[famDiskUtil] != nil {
 		busy := 0.0
 		if p.Disk != nil {
 			busy = p.Disk.BusyTime()
@@ -319,15 +312,9 @@ func (m *Monitor) sample(p *Probe, st *probeState, now float64) {
 		if util > 1 {
 			util = 1
 		}
-		b = appendStamp(b, now)
-		b = append(b, ' ')
-		b = append(b, p.Host...)
-		b = append(b, " disk sda %util "...)
-		b = appendFixed(b, util*100, 6, 2)
-		b = append(b, '\n')
-		st.diskUtil.Append(now, util*100)
+		m.record(p, st, famDiskUtil, now, util*100)
 	}
-	if st.netUtil != nil {
+	if st.series[famNetUtil] != nil {
 		busy := 0.0
 		if p.NetRes != nil {
 			busy = p.NetRes.BusyTime()
@@ -340,18 +327,87 @@ func (m *Monitor) sample(p *Probe, st *probeState, now float64) {
 		if util > 1 {
 			util = 1
 		}
-		b = appendStamp(b, now)
-		b = append(b, ' ')
-		b = append(b, p.Host...)
-		b = append(b, " net eth0 %util "...)
-		b = appendFixed(b, util*100, 6, 2)
-		b = append(b, '\n')
-		st.netUtil.Append(now, util*100)
+		m.record(p, st, famNetUtil, now, util*100)
 	}
-	if len(b) > 0 {
-		st.file.Write(b)
+}
+
+// record appends a family's value to its series and adds the length of
+// the row File renders for it to the host's byte count: the stamp, a
+// space, the host, the label, the columns with a space between each
+// two, and the newline.
+func (m *Monitor) record(p *Probe, st *probeState, fam int, now, v float64) {
+	st.series[fam].Append(now, v)
+	var cols [3]column
+	n := columns(&cols, fam, p, v)
+	size := stampLen + 1 + len(p.Host) + len(families[fam].label) + n
+	for _, c := range cols[:n] {
+		size += m.fixedLen(c)
 	}
-	m.buf = b
+	st.file.bytes += size
+}
+
+// column is one value of a row, printed as %{width}.{prec}f.
+type column struct {
+	v           float64
+	width, prec int
+}
+
+// columns fills cols with the columns of family fam's row for the series
+// value v and returns their number: cpu splits the utilization
+// percentage into user, sys and idle, and mem prints the free memory
+// beside the used. It fills an array the caller owns because returning
+// one by value costs a copy on every sample.
+func columns(cols *[3]column, fam int, p *Probe, v float64) int {
+	switch fam {
+	case famCPU:
+		user := v * 0.92
+		sys := v * 0.08
+		idle := 100 - user - sys
+		cols[0], cols[1], cols[2] = column{user, 6, 2}, column{sys, 6, 2}, column{idle, 6, 2}
+		return 3
+	case famMem:
+		cols[0], cols[1] = column{v, 8, 1}, column{p.TotalMemMB - v, 8, 1}
+		return 2
+	case famNet:
+		cols[0] = column{v, 12, 1}
+	case famDisk:
+		cols[0] = column{v, 10, 1}
+	default: // famDiskUtil, famNetUtil
+		cols[0] = column{v, 6, 2}
+	}
+	return 1
+}
+
+// fixedLen returns len(appendFixed(nil, c.v, c.width, c.prec)). With
+// k = width-prec-1, a value in (-(10^(k-1)-1), 10^k-1) rounds to at most
+// k integer digits, or k-1 after a minus sign, so it fills exactly its
+// width. Any other value (NaN, ±Inf, a wide magnitude) is formatted into
+// m.buf and measured.
+func (m *Monitor) fixedLen(c column) int {
+	k := c.width - c.prec - 1
+	if c.v < float64(pow10[k]-1) && c.v > -float64(pow10[k-1]-1) {
+		return c.width
+	}
+	m.buf = appendFixed(m.buf[:0], c.v, c.width, c.prec)
+	return len(m.buf)
+}
+
+// appendRow renders one sysstat row of family fam for the series point
+// (t, v).
+func appendRow(b []byte, fam int, p *Probe, t, v float64) []byte {
+	b = appendStamp(b, t)
+	b = append(b, ' ')
+	b = append(b, p.Host...)
+	b = append(b, families[fam].label...)
+	var cols [3]column
+	n := columns(&cols, fam, p, v)
+	for j, c := range cols[:n] {
+		if j > 0 {
+			b = append(b, ' ')
+		}
+		b = appendFixed(b, c.v, c.width, c.prec)
+	}
+	return append(b, '\n')
 }
 
 // appendStamp renders a simulated time as HH:MM:SS, sar style, without the
@@ -438,19 +494,41 @@ func appendF(b []byte, v float64, prec int) []byte {
 	return b
 }
 
-// Series returns the sampled time series for host/metric.
+// Series returns the sampled time series for host/metric. File renders
+// the host's text from it, so callers must not append to it.
 func (m *Monitor) Series(host, metric string) (*metrics.TimeSeries, bool) {
 	ts, ok := m.series[host+"/"+metric]
 	return ts, ok
 }
 
-// File returns the sysstat-format text collected for a host.
+// File returns the sysstat-format text collected for a host. It is
+// rendered from the series: the header, then each tick's rows in probe
+// order, so a host shared by several probes interleaves their rows as
+// they were sampled.
 func (m *Monitor) File(host string) (string, bool) {
 	f, ok := m.files[host]
 	if !ok {
 		return "", false
 	}
-	return f.String(), true
+	b := make([]byte, 0, f.bytes)
+	b = append(b, f.header...)
+	// The host's probes share one series per family, each appending one
+	// point per tick in probe order, so a cursor per family walks them.
+	var next [numFamilies]int
+	for tick := 0; tick < m.ticks; tick++ {
+		for _, i := range f.probes {
+			p, st := &m.probes[i], &m.state[i]
+			for fam, ts := range st.series {
+				if ts == nil {
+					continue
+				}
+				pt := ts.At(next[fam])
+				next[fam]++
+				b = appendRow(b, fam, p, pt.T, pt.V)
+			}
+		}
+	}
+	return string(b), true
 }
 
 // Hosts lists monitored hosts, sorted.
@@ -464,11 +542,12 @@ func (m *Monitor) Hosts() []string {
 }
 
 // CollectedBytes reports the total size of collected monitor output, the
-// quantity the paper's Table 3 reports per experiment set.
+// quantity the paper's Table 3 reports per experiment set. It is the
+// length File would render, counted while sampling.
 func (m *Monitor) CollectedBytes() int {
 	n := 0
 	for _, f := range m.files {
-		n += f.Len()
+		n += f.bytes
 	}
 	return n
 }
