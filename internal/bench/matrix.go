@@ -9,16 +9,21 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sync"
 
 	"elba/internal/sim"
 )
 
 // TransitionMatrix is a row-stochastic matrix over a benchmark's
 // interaction states: P[i][j] is the probability that a user in state i
-// performs interaction j next.
+// performs interaction j next. Its rows never change after
+// NewTransitionMatrix, so one matrix may serve concurrent trials.
 type TransitionMatrix struct {
 	states []sim.Interaction
 	p      [][]float64
+
+	stationaryOnce sync.Once
+	stationary     []float64
 }
 
 // NewTransitionMatrix builds a matrix over states from rows of
@@ -150,10 +155,17 @@ func (m *TransitionMatrix) Reweight(writeRatio float64) (*TransitionMatrix, erro
 	return NewTransitionMatrix(m.states, rows)
 }
 
-// Stationary computes the stationary distribution by power iteration. The
-// matrices our benchmarks build are irreducible and aperiodic, so the
-// iteration converges; iteration is capped defensively.
+// Stationary returns the stationary distribution (shared, not copied).
+// It depends only on the rows, so it is computed once, on first use.
 func (m *TransitionMatrix) Stationary() []float64 {
+	m.stationaryOnce.Do(func() { m.stationary = m.powerIterate() })
+	return m.stationary
+}
+
+// powerIterate computes the stationary distribution by power iteration.
+// The matrices our benchmarks build are irreducible and aperiodic, so the
+// iteration converges; iteration is capped defensively.
+func (m *TransitionMatrix) powerIterate() []float64 {
 	n := len(m.states)
 	pi := make([]float64, n)
 	next := make([]float64, n)

@@ -3,7 +3,6 @@ package experiment
 import (
 	"sync"
 
-	"elba/internal/spec"
 	"elba/internal/store"
 )
 
@@ -62,10 +61,11 @@ type TrialCache interface {
 	Do(k TrialKey, compute func() (store.Result, error)) (res store.Result, hit bool, err error)
 }
 
-// trialKey assembles the memo key for one workload point of e on topo.
-func (r *Runner) trialKey(e *spec.Experiment, topo string, cfg TrialConfig) TrialKey {
+// trialKey assembles the memo key for one workload point on topo of the
+// experiment whose TrialHash is hash.
+func (r *Runner) trialKey(hash, topo string, cfg TrialConfig) TrialKey {
 	return TrialKey{
-		SpecHash:       e.TrialHash(),
+		SpecHash:       hash,
 		Topology:       topo,
 		Users:          cfg.Users,
 		WriteRatioPct:  cfg.WriteRatioPct,

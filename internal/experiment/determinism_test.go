@@ -57,6 +57,27 @@ func TestTrialParallelDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestSharedModelsDeterministicAcrossWorkers runs a DES and a fluid sweep
+// whose four trial workers share the runner's workload models and
+// requires the bytes of the sequential run; under -race it also checks
+// that concurrent trials may share one Profile. The runner must have
+// built one model per write ratio, not one per trial.
+func TestSharedModelsDeterministicAcrossWorkers(t *testing.T) {
+	for _, engine := range []string{EngineDES, EngineFluid} {
+		t.Run(engine, func(t *testing.T) {
+			_, base, _ := runGrid(t, 1, func(r *Runner) { r.ScalingEngine = engine })
+			var shared *Runner
+			_, got, _ := runGrid(t, 4, func(r *Runner) { r.ScalingEngine = engine; shared = r })
+			if got != base {
+				t.Fatalf("4 workers diverged from the sequential run:\n--- seq ---\n%s\n--- par ---\n%s", base, got)
+			}
+			if n := len(shared.models.m); n != 2 {
+				t.Fatalf("runner built %d workload models for the grid's 2 write ratios", n)
+			}
+		})
+	}
+}
+
 // TestTrialParallelWithDeploymentParallel layers both parallelism axes and
 // still demands byte-identical serialized results.
 func TestTrialParallelWithDeploymentParallel(t *testing.T) {

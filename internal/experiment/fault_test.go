@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"elba/internal/deploy"
 	"elba/internal/fault"
 	"elba/internal/report"
+	"elba/internal/spec"
 	"elba/internal/store"
 )
 
@@ -187,5 +189,53 @@ func TestFaultPlanFollowsRootSeed(t *testing.T) {
 	}
 	if strings.Join(a1, ";") == strings.Join(b, ";") {
 		t.Fatalf("different seeds injected identical fault schedules: %v", a1)
+	}
+}
+
+// TestRunExperimentReportsTeardownErrors checks that a failed teardown.sh
+// reaches RunExperiment's caller from both the sequential and the
+// parallel sweep. Under the searched seed the profile's deploy glitches
+// exhaust the retry budget only in teardown.sh, so the deployment comes
+// up, the whole grid is stored, and only the teardown fails.
+func TestRunExperimentReportsTeardownErrors(t *testing.T) {
+	prof := fault.Profile{Name: "teardown-glitches", GlitchProb: 0.2, MaxGlitches: 6}
+	e := rubisExperiment(t, `topologies 1-1-1; workload { users 50 to 100 step 50; writeratio 15; }`)
+	probe := testRunner(t)
+	d, err := probe.gen.GenerateOne(e, spec.Topology{Web: 1, App: 1, DB: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seed uint64
+	for s := uint64(1); s <= 200 && seed == 0; s++ {
+		probe.Seed = s
+		cl, err := probe.newCluster(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dp := deploy.NewDeployer(cl)
+		probe.armDeployer(dp, prof, e, d)
+		p, err := dp.Deploy(d)
+		if err != nil {
+			continue
+		}
+		if err := dp.Undeploy(p); err != nil && strings.Contains(err.Error(), "teardown.sh") {
+			seed = s
+		}
+	}
+	if seed == 0 {
+		t.Fatal("no seed in 1..200 fails only the teardown")
+	}
+	for _, workers := range []int{1, 2} {
+		r := testRunner(t)
+		r.Seed = seed
+		r.FaultProfile = &prof
+		r.TrialParallel = workers
+		err := r.RunExperiment(e)
+		if err == nil || !strings.Contains(err.Error(), "teardown.sh") {
+			t.Fatalf("workers=%d: RunExperiment = %v, want the teardown.sh failure", workers, err)
+		}
+		if n := r.Store().Len(); n != 2 {
+			t.Fatalf("workers=%d: stored %d results, want the grid's 2", workers, n)
+		}
 	}
 }

@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"elba/internal/deploy"
-	"elba/internal/fault"
-	"elba/internal/mulini"
 	"elba/internal/spec"
 )
 
@@ -73,9 +70,9 @@ func (r *Runner) KneeSearch(e *spec.Experiment, topo spec.Topology,
 		cache = newEphemeralTrialCache()
 	}
 	res := KneeSearchResult{}
-	err := r.withDeployment(e, topo, func(d *mulini.Deployment, placement *deploy.Placement, prof fault.Profile) error {
+	err := r.withDeployment(e, topo, specHash(e, cache), func(dep *deployed) error {
 		probe := func(users int) (bool, error) {
-			out, err := r.trialOn(cache, e, d, placement, prof, users, writeRatioPct)
+			out, err := r.trialOn(cache, dep, users, writeRatioPct)
 			if err != nil {
 				return false, err
 			}

@@ -109,6 +109,9 @@ type Runner struct {
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
 
+	// models holds the workload models this runner's trials share.
+	models workloadModels
+
 	// clusterMu serializes cluster mutations (allocate/deploy/release).
 	clusterMu sync.Mutex
 }
@@ -190,6 +193,7 @@ func (r *Runner) RunExperimentContext(ctx context.Context, e *spec.Experiment) e
 	if err != nil {
 		return err
 	}
+	hash := specHash(e, r.TrialCache)
 
 	workers := r.Parallel
 	if workers < 1 {
@@ -216,7 +220,7 @@ func (r *Runner) RunExperimentContext(ctx context.Context, e *spec.Experiment) e
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := r.runDeployment(ctx, e, cl, d); err != nil {
+			if err := r.runDeployment(ctx, e, hash, cl, d); err != nil {
 				return err
 			}
 		}
@@ -243,7 +247,7 @@ func (r *Runner) RunExperimentContext(ctx context.Context, e *spec.Experiment) e
 					workerErrs[w] = err
 					return
 				}
-				if err := r.runDeployment(ctx, e, cl, d); err != nil {
+				if err := r.runDeployment(ctx, e, hash, cl, d); err != nil {
 					workerErrs[w] = err
 					return
 				}
@@ -304,30 +308,51 @@ func (r *Runner) armDeployer(dp *deploy.Deployer, prof fault.Profile, e *spec.Ex
 	})
 }
 
+// deployed is one topology of an experiment on its placement: what every
+// workload point run there shares.
+type deployed struct {
+	e         *spec.Experiment
+	d         *mulini.Deployment
+	placement *deploy.Placement
+	prof      fault.Profile
+	// specHash is specHash(e, cache) for the cache the points run
+	// through.
+	specHash string
+}
+
+// specHash returns the spec part of the trial keys of e's points,
+// e.TrialHash(), when a cache will key them, and "" when none will. The
+// hash renders and digests the whole canonical spec, so a sweep or a knee
+// search computes it once for all of its points.
+func specHash(e *spec.Experiment, cache TrialCache) string {
+	if cache == nil {
+		return ""
+	}
+	return e.TrialHash()
+}
+
 // runPoint runs one workload point through the trial cache: a key
 // already cached (or in flight on another campaign sharing the cache)
 // is served without simulating, everything else is computed by
 // runPointUncached and cached on success. With no cache attached the
 // uncached path runs directly — byte- and allocation-identical to the
 // pre-cache runner.
-func (r *Runner) runPoint(ctx context.Context, cache TrialCache, e *spec.Experiment,
-	d *mulini.Deployment, placement *deploy.Placement, cfg TrialConfig, workers int) (*TrialOutcome, error) {
-
+func (r *Runner) runPoint(ctx context.Context, cache TrialCache, dep *deployed, cfg TrialConfig, workers int) (*TrialOutcome, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if cache == nil {
-		return r.runPointUncached(ctx, e, d, placement, cfg, workers)
+		return r.runPointUncached(ctx, dep, cfg, workers)
 	}
 	var fresh *TrialOutcome
-	res, _, err := cache.Do(r.trialKey(e, d.Topology.String(), cfg), func() (store.Result, error) {
-		out, err := r.runPointUncached(ctx, e, d, placement, cfg, workers)
+	res, _, err := cache.Do(r.trialKey(dep.specHash, dep.d.Topology.String(), cfg), func() (store.Result, error) {
+		out, err := r.runPointUncached(ctx, dep, cfg, workers)
 		if err != nil {
 			return store.Result{}, err
 		}
 		if out == nil {
 			return store.Result{}, fmt.Errorf("experiment: trial %s/%s u=%d produced no outcome",
-				e.Name, d.Topology, cfg.Users)
+				dep.e.Name, dep.d.Topology, cfg.Users)
 		}
 		fresh = out
 		return out.Result, nil
@@ -348,9 +373,7 @@ func (r *Runner) runPoint(ctx context.Context, cache TrialCache, e *spec.Experim
 // runPointUncached runs one workload point, retrying failed trials up to
 // the runner's retry budget with attempt-mixed seeds. It returns the
 // first completed attempt, or the last attempt when the budget runs out.
-func (r *Runner) runPointUncached(ctx context.Context, e *spec.Experiment, d *mulini.Deployment,
-	placement *deploy.Placement, cfg TrialConfig, workers int) (*TrialOutcome, error) {
-
+func (r *Runner) runPointUncached(ctx context.Context, dep *deployed, cfg TrialConfig, workers int) (*TrialOutcome, error) {
 	retries := r.TrialRetries
 	if retries < 0 {
 		retries = 0
@@ -361,7 +384,7 @@ func (r *Runner) runPointUncached(ctx context.Context, e *spec.Experiment, d *mu
 		}
 		acfg := cfg
 		acfg.Attempt = attempt
-		out, err := RunReplicatedTrialParallel(e, d, placement, acfg, e.Repeat, workers)
+		out, err := RunReplicatedTrialParallel(dep.e, dep.d, dep.placement, acfg, dep.e.Repeat, workers)
 		if err != nil || out == nil {
 			return out, err
 		}
@@ -377,11 +400,14 @@ func (r *Runner) runPointUncached(ctx context.Context, e *spec.Experiment, d *mu
 	}
 }
 
-// runDeployment deploys one topology and sweeps its workload grid.
-// Cluster mutations are serialized; the trials themselves run without
-// the lock, which is what makes sweep parallelism safe. Each deployment
-// gets its own deployer so fault wiring never races across topologies.
-func (r *Runner) runDeployment(ctx context.Context, e *spec.Experiment, cl *cluster.Cluster, d *mulini.Deployment) error {
+// runDeployment deploys one topology and sweeps its workload grid; hash
+// is specHash(e, r.TrialCache). Cluster mutations are serialized; the
+// trials themselves run without the lock, which is what makes sweep
+// parallelism safe. Each deployment gets its own deployer so fault wiring
+// never races across topologies.
+func (r *Runner) runDeployment(ctx context.Context, e *spec.Experiment, hash string,
+	cl *cluster.Cluster, d *mulini.Deployment) (err error) {
+
 	deployer := deploy.NewDeployer(cl)
 	prof := r.profileFor(e)
 	r.armDeployer(deployer, prof, e, d)
@@ -402,6 +428,7 @@ func (r *Runner) runDeployment(ctx context.Context, e *spec.Experiment, cl *clus
 			err = uerr
 		}
 	}()
+	dep := &deployed{e: e, d: d, placement: placement, prof: prof, specHash: hash}
 	// The workload grid in its canonical order. Trial seeds derive purely
 	// from the grid coordinates and results are committed in this order,
 	// so the store's contents do not depend on how the grid is executed.
@@ -414,9 +441,9 @@ func (r *Runner) runDeployment(ctx context.Context, e *spec.Experiment, cl *clus
 	// then evolves inside the trial at the observation cadence.
 	usersVals := e.Workload.Users.Values()
 	if e.Workload.UsersExpr != "" {
-		u0, uerr := initialUsers(e, sessionCapacity(d, placement))
-		if uerr != nil {
-			return uerr
+		u0, err := initialUsers(e, sessionCapacity(d, placement))
+		if err != nil {
+			return err
 		}
 		usersVals = []float64{float64(u0)}
 	}
@@ -437,7 +464,7 @@ func (r *Runner) runDeployment(ctx context.Context, e *spec.Experiment, cl *clus
 
 	if workers <= 1 {
 		for _, pt := range points {
-			out, terr := r.runPoint(ctx, r.TrialCache, e, d, placement, r.trialConfig(e, d, prof, pt.users, pt.wr), r.TrialParallel)
+			out, terr := r.runPoint(ctx, r.TrialCache, dep, r.trialConfig(dep, pt.users, pt.wr), r.TrialParallel)
 			if terr != nil {
 				return fmt.Errorf("experiment %s/%s u=%d w=%g: %w",
 					e.Name, d.Topology, pt.users, pt.wr, terr)
@@ -454,7 +481,7 @@ func (r *Runner) runDeployment(ctx context.Context, e *spec.Experiment, cl *clus
 					e.Name, d.Topology, pt.users, pt.wr, out.Result.FailReason)
 			}
 		}
-		return err
+		return nil
 	}
 
 	// Parallel grid: every point runs on the worker pool against its own
@@ -483,7 +510,7 @@ func (r *Runner) runDeployment(ctx context.Context, e *spec.Experiment, cl *clus
 				if stop.Load() {
 					continue
 				}
-				out, terr := r.runPoint(ctx, r.TrialCache, e, d, placement, r.trialConfig(e, d, prof, points[i].users, points[i].wr), 1)
+				out, terr := r.runPoint(ctx, r.TrialCache, dep, r.trialConfig(dep, points[i].users, points[i].wr), 1)
 				outs[i], terrs[i] = out, terr
 				if !r.KeepGoingOnFailure && out != nil && !out.Result.Completed {
 					stop.Store(true)
@@ -521,19 +548,15 @@ func (r *Runner) runDeployment(ctx context.Context, e *spec.Experiment, cl *clus
 			}
 		}
 	}
-	if joined := errors.Join(errs...); joined != nil {
-		return joined
-	}
-	return err
+	return errors.Join(errs...)
 }
 
-// trialConfig builds the TrialConfig of one workload point of deployment
-// d: the runner's knobs plus the point's engine, RT observer and fault
-// plan.
-func (r *Runner) trialConfig(e *spec.Experiment, d *mulini.Deployment, prof fault.Profile,
-	users int, writeRatioPct float64) TrialConfig {
-
-	topo := d.Topology.String()
+// trialConfig builds the TrialConfig of one workload point on dep: the
+// runner's knobs and shared workload models plus the point's engine, RT
+// observer and fault plan.
+func (r *Runner) trialConfig(dep *deployed, users int, writeRatioPct float64) TrialConfig {
+	e, prof := dep.e, dep.prof
+	topo := dep.d.Topology.String()
 	cfg := TrialConfig{
 		Users:          users,
 		Engine:         r.engineFor(e, users),
@@ -544,24 +567,24 @@ func (r *Runner) trialConfig(e *spec.Experiment, d *mulini.Deployment, prof faul
 		TraceExemplars: r.TraceExemplars,
 		SketchRT:       r.SketchRT,
 		RTObserver:     r.rtObserverFor(e.Name, topo, users, writeRatioPct),
+		models:         &r.models,
 	}
 	if prof.Enabled() {
 		cfg.FaultProfile = prof.Name
-		cfg.FaultPlan = prof.TrialPlan(r.Seed, e.Name, topo, serverRoles(d),
+		cfg.FaultPlan = prof.TrialPlan(r.Seed, e.Name, topo, serverRoles(dep.d),
 			users, writeRatioPct, e.Trial.RunSec)
 	}
 	return cfg
 }
 
 // withDeployment generates topology topo of experiment e, deploys it on
-// a fresh cluster, runs fn against the placement and tears it down. The
-// placement, its node factors and its deploy glitches are pure functions
-// of (Seed, experiment, topology) and no trial mutates cluster nodes, so
-// every trial fn runs measures exactly what it would on a deployment of
-// its own.
-func (r *Runner) withDeployment(e *spec.Experiment, topo spec.Topology,
-	fn func(d *mulini.Deployment, placement *deploy.Placement, prof fault.Profile) error) error {
-
+// a fresh cluster, runs fn against the placement and tears it down; fn's
+// points key the trial cache with hash (see specHash). The placement, its
+// node factors and its deploy glitches are pure functions of (Seed,
+// experiment, topology) and no trial mutates cluster nodes, so every
+// trial fn runs measures exactly what it would on a deployment of its
+// own.
+func (r *Runner) withDeployment(e *spec.Experiment, topo spec.Topology, hash string, fn func(dep *deployed) error) error {
 	d, err := r.gen.GenerateOne(e, topo)
 	if err != nil {
 		return err
@@ -577,7 +600,7 @@ func (r *Runner) withDeployment(e *spec.Experiment, topo spec.Topology,
 	if err != nil {
 		return err
 	}
-	err = fn(d, placement, prof)
+	err = fn(&deployed{e: e, d: d, placement: placement, prof: prof, specHash: hash})
 	if uerr := deployer.Undeploy(placement); uerr != nil && err == nil {
 		err = uerr
 	}
@@ -589,9 +612,9 @@ func (r *Runner) withDeployment(e *spec.Experiment, topo spec.Topology,
 // scale-out controller and ad-hoc probes use it.
 func (r *Runner) RunTrialAt(e *spec.Experiment, topo spec.Topology, users int, writeRatioPct float64) (*TrialOutcome, error) {
 	var out *TrialOutcome
-	err := r.withDeployment(e, topo, func(d *mulini.Deployment, placement *deploy.Placement, prof fault.Profile) error {
+	err := r.withDeployment(e, topo, specHash(e, r.TrialCache), func(dep *deployed) error {
 		var err error
-		out, err = r.trialOn(r.TrialCache, e, d, placement, prof, users, writeRatioPct)
+		out, err = r.trialOn(r.TrialCache, dep, users, writeRatioPct)
 		return err
 	})
 	if err != nil {
@@ -600,17 +623,14 @@ func (r *Runner) RunTrialAt(e *spec.Experiment, topo spec.Topology, users int, w
 	return out, nil
 }
 
-// trialOn runs one workload point on a deployed placement through cache
-// and commits its outcome: the store, the archive, and OnTrial.
-func (r *Runner) trialOn(cache TrialCache, e *spec.Experiment, d *mulini.Deployment,
-	placement *deploy.Placement, prof fault.Profile, users int, writeRatioPct float64) (*TrialOutcome, error) {
-
+// trialOn runs one workload point on dep through cache and commits its
+// outcome: the store, the archive, and OnTrial.
+func (r *Runner) trialOn(cache TrialCache, dep *deployed, users int, writeRatioPct float64) (*TrialOutcome, error) {
 	workers := r.TrialParallel
 	if workers < 1 {
 		workers = 1
 	}
-	out, err := r.runPoint(context.Background(), cache, e, d, placement,
-		r.trialConfig(e, d, prof, users, writeRatioPct), workers)
+	out, err := r.runPoint(context.Background(), cache, dep, r.trialConfig(dep, users, writeRatioPct), workers)
 	if err != nil {
 		return nil, err
 	}

@@ -172,9 +172,9 @@ func runTransientTrialSeeded(e *spec.Experiment, d *mulini.Deployment, p *deploy
 // down — the runner-level entry point.
 func (r *Runner) RunTransientAt(e *spec.Experiment, topo spec.Topology, schedule []PopulationPhase) ([]PhaseResult, error) {
 	var out []PhaseResult
-	err := r.withDeployment(e, topo, func(d *mulini.Deployment, placement *deploy.Placement, _ fault.Profile) error {
+	err := r.withDeployment(e, topo, "", func(dep *deployed) error {
 		var err error
-		out, err = runTransientTrialSeeded(e, d, placement, schedule, r.TimeScale, r.Seed)
+		out, err = runTransientTrialSeeded(e, dep.d, dep.placement, schedule, r.TimeScale, r.Seed)
 		return err
 	})
 	return out, err

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"elba/internal/bench"
 	"elba/internal/deploy"
 	"elba/internal/fault"
 	"elba/internal/metrics"
@@ -81,6 +82,18 @@ type TrialConfig struct {
 	// path's live tap and the differential tests' window into real trial
 	// streams. Ignored by the fluid engine.
 	RTObserver metrics.Observer
+
+	// models, set by a Runner, supplies the workload model the runner's
+	// trials share; nil builds one for this trial.
+	models *workloadModels
+}
+
+// model returns the trial's workload model.
+func (cfg *TrialConfig) model(e *spec.Experiment) (*bench.Profile, error) {
+	if cfg.models == nil {
+		return Model(e, cfg.WriteRatioPct)
+	}
+	return cfg.models.get(e, cfg.WriteRatioPct)
 }
 
 // TrialOutcome carries a trial's stored result plus the raw monitoring
@@ -134,7 +147,7 @@ func RunTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement, cfg
 		seed = mixAttempt(seed, cfg.Attempt)
 	}
 
-	model, err := Model(e, cfg.WriteRatioPct)
+	model, err := cfg.model(e)
 	if err != nil {
 		return nil, err
 	}
@@ -197,6 +210,7 @@ func RunTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement, cfg
 	mon, err := monitor.New(k, monitor.Config{
 		IntervalSec: e.Monitor.IntervalSec * ts,
 		Metrics:     e.Monitor.Metrics,
+		HorizonSec:  warm + run + cool,
 	}, probes)
 	if err != nil {
 		return nil, err

@@ -28,7 +28,7 @@ func runFluidTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement
 	if ts <= 0 {
 		ts = 1.0
 	}
-	model, err := Model(e, cfg.WriteRatioPct)
+	model, err := cfg.model(e)
 	if err != nil {
 		return nil, err
 	}
@@ -100,6 +100,7 @@ func runFluidTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement
 	mon, err := monitor.New(k, monitor.Config{
 		IntervalSec: e.Monitor.IntervalSec * ts,
 		Metrics:     e.Monitor.Metrics,
+		HorizonSec:  warm + run + cool,
 	}, probes)
 	if err != nil {
 		return nil, err

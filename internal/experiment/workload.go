@@ -9,6 +9,7 @@ package experiment
 
 import (
 	"fmt"
+	"sync"
 
 	"elba/internal/bench"
 	"elba/internal/bench/rubbos"
@@ -59,5 +60,41 @@ func Model(e *spec.Experiment, writeRatioPct float64) (*bench.Profile, error) {
 	if e.Workload.ThinkTimeSec > 0 {
 		return bench.NewProfile(p.Name(), p.Matrix(), e.Workload.ThinkTimeSec)
 	}
+	return p, nil
+}
+
+// workloadModels builds each workload model once and hands the same
+// Profile to every trial that asks for it. Sharing is safe: a Profile and
+// its matrix never change once built, and the matrix computes its
+// stationary vector once, under a sync.Once.
+type workloadModels struct {
+	mu sync.Mutex
+	m  map[modelKey]*bench.Profile
+}
+
+// modelKey is everything Model reads: the experiment's benchmark, app
+// server, mix and think time, and the write ratio.
+type modelKey struct {
+	benchmark, appServer, mix string
+	writeRatioPct, thinkSec   float64
+}
+
+// get returns Model(e, writeRatioPct), building it on first use. Errors
+// are not kept: every call that fails builds again and reports its own.
+func (w *workloadModels) get(e *spec.Experiment, writeRatioPct float64) (*bench.Profile, error) {
+	k := modelKey{e.Benchmark, e.AppServer, e.Mix, writeRatioPct, e.Workload.ThinkTimeSec}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if p, ok := w.m[k]; ok {
+		return p, nil
+	}
+	p, err := Model(e, writeRatioPct)
+	if err != nil {
+		return nil, err
+	}
+	if w.m == nil {
+		w.m = map[modelKey]*bench.Profile{}
+	}
+	w.m[k] = p
 	return p, nil
 }

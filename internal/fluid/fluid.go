@@ -786,9 +786,6 @@ func (s *Solver) StatsBetween(a, b Snapshot) Stats {
 		})
 	}
 	st.MeanRTms = mean * 1000
-	st.P50ms = (shift + mix.quantile(0.50)) * 1000
-	st.P90ms = (shift + mix.quantile(0.90)) * 1000
-	st.P99ms = (shift + mix.quantile(0.99)) * 1000
 	n := math.Round(comps)
 	if n < 1 {
 		n = 1
@@ -797,7 +794,11 @@ func (s *Solver) StatsBetween(a, b Snapshot) Stats {
 	if pMax > 1-1e-12 {
 		pMax = 1 - 1e-12
 	}
-	st.MaxRTms = (shift + mix.quantile(pMax)) * 1000
+	q := mix.quantiles([lanes]float64{0.50, 0.90, 0.99, pMax})
+	st.P50ms = (shift + q[0]) * 1000
+	st.P90ms = (shift + q[1]) * 1000
+	st.P99ms = (shift + q[2]) * 1000
+	st.MaxRTms = (shift + q[3]) * 1000
 	return st
 }
 
@@ -917,12 +918,17 @@ func waitDist(m, shape float64) []float64 {
 // bit-identical to that. The solver owns one mixture and rebuilds it in
 // place, so rebuilding it allocates nothing once its buffers have grown.
 type mixture struct {
-	rates    []float64 // distinct stage rates
-	exps     []float64 // e^(−rate·x) per table entry, refilled by cdf
-	terms    []term    // every branch's stages, branch after branch
+	rates    []float64        // distinct stage rates
+	exps     [][lanes]float64 // e^(−rate·x) per table entry and lane, refilled by cdfs
+	terms    []term           // every branch's stages, branch after branch
 	branches []branch
 	buf      []float64 // one branch's stage rates while it is built
 }
+
+// lanes is the number of points one CDF pass evaluates: StatsBetween's
+// four quantiles (p50, p90, p99 and the maximum). cdfs unrolls its term
+// walk by hand to this width.
+const lanes = 4
 
 // term is one exponential stage of a branch: its CDF coefficient and the
 // table index of its rate.
@@ -980,7 +986,7 @@ func (m *mixture) build(classes []classDist, waitStages [][]float64, waitProb []
 		}
 	}
 	if cap(m.exps) < len(m.rates) {
-		m.exps = make([]float64, len(m.rates))
+		m.exps = make([][lanes]float64, len(m.rates))
 	}
 	m.exps = m.exps[:len(m.rates)]
 }
@@ -1016,34 +1022,70 @@ func (m *mixture) rateIndex(r float64) int {
 	return len(m.rates) - 1
 }
 
-// cdf evaluates the weighted mixture CDF at x. A branch with no stages is
-// a point mass at zero.
+// cdf evaluates the weighted mixture CDF at x.
 func (m *mixture) cdf(x float64) float64 {
-	if x <= 0 {
-		return 0
+	return m.cdfs([lanes]float64{x})[0]
+}
+
+// cdfs evaluates the weighted mixture CDF at every lane's point, with one
+// pass over the branch terms: each lane keeps its own accumulators and
+// does exactly the float operations, in the same order, that evaluating
+// its point alone would. A lane at x ≤ 0 reads 0 and costs no
+// exponentials, which is how callers idle a lane. A branch with no stages
+// is a point mass at zero.
+func (m *mixture) cdfs(xs [lanes]float64) [lanes]float64 {
+	for l, x := range xs {
+		if x <= 0 {
+			continue
+		}
+		for k, r := range m.rates {
+			m.exps[k][l] = math.Exp(-r * x)
+		}
 	}
-	exps := m.exps
-	for k, r := range m.rates {
-		exps[k] = math.Exp(-r * x)
-	}
-	f := 0.0
+	// One accumulator per lane, by hand: the compiler keeps scalars in
+	// registers but not the elements of an array.
+	var f0, f1, f2, f3 float64
 	for _, b := range m.branches {
-		g := 1.0
+		g0, g1, g2, g3 := 1.0, 1.0, 1.0, 1.0
 		for _, t := range m.terms[b.lo:b.hi] {
-			g -= t.alpha * exps[t.rate]
+			e := &m.exps[t.rate]
+			g0 -= t.alpha * e[0]
+			g1 -= t.alpha * e[1]
+			g2 -= t.alpha * e[2]
+			g3 -= t.alpha * e[3]
 		}
-		if g < 0 {
-			g = 0
-		} else if g > 1 {
-			g = 1
+		f0 += b.weight * clamp01(g0)
+		f1 += b.weight * clamp01(g1)
+		f2 += b.weight * clamp01(g2)
+		f3 += b.weight * clamp01(g3)
+	}
+	f := [lanes]float64{f0, f1, f2, f3}
+	for l, x := range xs {
+		if x <= 0 {
+			f[l] = 0
 		}
-		f += b.weight * g
 	}
 	return f
 }
 
-// quantile inverts the mixture CDF by bisection. Deterministic: fixed
-// doubling and iteration counts.
+// clamp01 bounds a branch's CDF value, which rounding can push past
+// [0, 1].
+func clamp01(g float64) float64 {
+	if g < 0 {
+		return 0
+	}
+	if g > 1 {
+		return 1
+	}
+	return g
+}
+
+// quantiles inverts the mixture CDF at each lane's probability by
+// bisection, stepping the lanes in lockstep so that each pass over the
+// terms serves every lane still searching. Each lane runs the fixed
+// search on its own: up to 200 doublings of the upper bracket, then up to
+// 100 halvings, so lanes finish after different numbers of passes. A
+// lane with p ≤ 0 reads 0.
 //
 // The bisection stops early, with the same result, once the midpoint
 // equals an endpoint. If mid == lo and the CDF test keeps lo, nothing
@@ -1051,32 +1093,92 @@ func (m *mixture) cdf(x float64) float64 {
 // same branch; if it moves hi to mid instead, lo == hi == mid, and every
 // later midpoint is (mid+mid)/2 == mid. The case mid == hi is symmetric.
 // Either way the fixed-count loop would end with (lo+hi)/2 == mid.
-func (m *mixture) quantile(p float64) float64 {
-	if p <= 0 {
-		return 0
-	}
+func (m *mixture) quantiles(ps [lanes]float64) [lanes]float64 {
 	hi := 1e-6
 	for _, b := range m.branches {
 		if v := b.expMean * 4; v > hi {
 			hi = v
 		}
 	}
-	for i := 0; i < 200 && m.cdf(hi) < p; i++ {
-		hi *= 2
+	var bs [lanes]bisection
+	for l, p := range ps {
+		bs[l] = bisection{p: p, hi: hi, done: p <= 0}
 	}
-	lo := 0.0
-	for i := 0; i < 100; i++ {
-		mid := (lo + hi) / 2
-		if mid == lo || mid == hi {
-			return mid
+	for {
+		var xs [lanes]float64
+		live := false
+		for l := range bs {
+			if bs[l].next() {
+				xs[l] = bs[l].x
+				live = true
+			}
 		}
-		if m.cdf(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
+		if !live {
+			break
+		}
+		f := m.cdfs(xs)
+		for l := range bs {
+			if !bs[l].done {
+				bs[l].take(f[l])
+			}
 		}
 	}
-	return (lo + hi) / 2
+	var q [lanes]float64
+	for l := range bs {
+		q[l] = bs[l].q
+	}
+	return q
+}
+
+// bisection is one lane of quantiles: the search for the x where the CDF
+// reaches p.
+type bisection struct {
+	p, lo, hi float64
+	x         float64 // the point whose CDF the search needs next
+	doublings int     // of hi, while bracketing
+	steps     int     // halvings of [lo, hi], once bracketed
+	bracketed bool
+	done      bool
+	q         float64 // the quantile, once done
+}
+
+// next moves the search to its next CDF evaluation at x and reports
+// whether it needs one; false means it is done and q holds the quantile.
+func (b *bisection) next() bool {
+	if b.done {
+		return false
+	}
+	if !b.bracketed {
+		if b.doublings < 200 {
+			b.x = b.hi
+			return true
+		}
+		b.bracketed = true
+	}
+	mid := (b.lo + b.hi) / 2
+	if b.steps == 100 || mid == b.lo || mid == b.hi {
+		b.q, b.done = mid, true
+		return false
+	}
+	b.x = mid
+	return true
+}
+
+// take applies the CDF value f at x.
+func (b *bisection) take(f float64) {
+	switch {
+	case !b.bracketed && f < b.p:
+		b.hi *= 2
+		b.doublings++
+	case !b.bracketed:
+		b.bracketed = true
+	case f < b.p:
+		b.lo = b.x
+		b.steps++
+	default:
+		b.hi = b.x
+		b.steps++
+	}
 }
 
 // --- probe views for the monitor -------------------------------------

@@ -109,18 +109,26 @@ func mixtureCDF(branches []refBranch, x float64) float64 {
 // mixtureQuantile inverts the reference mixture CDF by bisection, with
 // the early exit once the midpoint equals a bracket end.
 func mixtureQuantile(branches []refBranch, p float64) float64 {
-	return bisect(branches, p, true)
+	q, _ := bisect(branches, p, true)
+	return q
 }
 
 // fixedBisection is mixtureQuantile without its early exit: the doubling
 // and 100-step bisection run to their fixed counts.
 func fixedBisection(branches []refBranch, p float64) float64 {
-	return bisect(branches, p, false)
+	q, _ := bisect(branches, p, false)
+	return q
 }
 
-func bisect(branches []refBranch, p float64, early bool) float64 {
+// bisect inverts the reference mixture CDF at p and reports how many CDF
+// evaluations it made.
+func bisect(branches []refBranch, p float64, early bool) (q float64, evals int) {
 	if p <= 0 {
-		return 0
+		return 0, 0
+	}
+	cdf := func(x float64) float64 {
+		evals++
+		return mixtureCDF(branches, x)
 	}
 	hi := 1e-6
 	for _, b := range branches {
@@ -128,22 +136,22 @@ func bisect(branches []refBranch, p float64, early bool) float64 {
 			hi = m
 		}
 	}
-	for i := 0; i < 200 && mixtureCDF(branches, hi) < p; i++ {
+	for i := 0; i < 200 && cdf(hi) < p; i++ {
 		hi *= 2
 	}
 	lo := 0.0
 	for i := 0; i < 100; i++ {
 		mid := (lo + hi) / 2
 		if early && (mid == lo || mid == hi) {
-			return mid
+			return mid, evals
 		}
-		if mixtureCDF(branches, mid) < p {
+		if cdf(mid) < p {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	return (lo + hi) / 2
+	return (lo + hi) / 2, evals
 }
 
 // randomWindow draws a window the way windowMixture builds one: 1–6
@@ -213,8 +221,11 @@ func checkMixture(t *testing.T, rng *rand.Rand, m *mixture, ref []refBranch, pMa
 	for _, x := range []float64{-1, 0, 1e-9, hi * rng.Float64(), hi, 4 * hi * rng.Float64(), 1e6} {
 		same("cdf", m.cdf(x), mixtureCDF(ref, x))
 	}
-	for _, p := range []float64{0, 0.5, 0.9, 0.99, pMax, rng.Float64()} {
-		same("quantile", m.quantile(p), mixtureQuantile(ref, p))
+	for _, ps := range [][lanes]float64{{0.5, 0.9, 0.99, pMax}, {0, rng.Float64(), rng.Float64(), rng.Float64()}} {
+		q := m.quantiles(ps)
+		for l, p := range ps {
+			same("quantile", q[l], mixtureQuantile(ref, p))
+		}
 	}
 }
 
@@ -241,31 +252,47 @@ func TestMixtureMatchesPerBranchReference(t *testing.T) {
 	}
 }
 
-// TestMixtureQuantileMatchesFixedBisection checks the early exit is
-// bit-identical to running the bisection to its fixed count, on random
-// mixtures at the quantiles the solver asks for and at random ones.
+// TestMixtureQuantileMatchesFixedBisection checks the lockstep bisection
+// against running each lane's bisection alone to its fixed count, bit for
+// bit, on random mixtures: at the quantiles the solver asks for, and at
+// lanes mixing a random p, p = 1 (which can exhaust the doublings), an
+// idle p = 0 and a negative p. Lanes must also stop after different
+// numbers of passes, or lockstep is not exercised.
 func TestMixtureQuantileMatchesFixedBisection(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 13))
 	var m mixture
-	check := func(ref []refBranch, p float64) {
+	var staggered int
+	check := func(ref []refBranch, ps [lanes]float64) {
 		t.Helper()
-		got, want := m.quantile(p), fixedBisection(ref, p)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("p=%v over %d branches: early exit %v (%#x), fixed bisection %v (%#x)",
-				p, len(ref), got, math.Float64bits(got), want, math.Float64bits(want))
+		q := m.quantiles(ps)
+		passes := map[int]bool{}
+		for l, p := range ps {
+			if want := fixedBisection(ref, p); math.Float64bits(q[l]) != math.Float64bits(want) {
+				t.Fatalf("lane %d of %v over %d branches: lockstep %v (%#x), fixed bisection %v (%#x)",
+					l, ps, len(ref), q[l], math.Float64bits(q[l]), want, math.Float64bits(want))
+			}
+			if _, evals := bisect(ref, p, true); evals > 0 {
+				passes[evals] = true
+			}
+		}
+		if len(passes) > 1 {
+			staggered++
 		}
 	}
 	for trial := 0; trial < 500; trial++ {
 		classes, stages, probs := randomWindow(rng, 1)
 		m.build(classes, stages, probs)
 		ref := refWindow(classes, stages, probs)
-		for _, p := range []float64{0.5, 0.9, 0.99, 1 - 1e-12, rng.Float64(), 1} {
-			check(ref, p)
-		}
+		check(ref, [lanes]float64{0.5, 0.9, 0.99, 1 - 1e-12})
+		check(ref, [lanes]float64{rng.Float64(), 1, 0, -rng.Float64()})
+	}
+	if staggered < 500 {
+		t.Fatalf("coverage: lanes stopped at different passes in only %d of 1000 calls", staggered)
 	}
 
-	// Weights summing to 0.5 cap the CDF below p = 0.9, so all 200
-	// doublings run out and the bisection climbs to the top of the bracket.
+	// Weights summing to 0.5 cap the CDF below p = 0.9, so that lane runs
+	// out all 200 doublings and climbs to the top of the bracket, while
+	// the lanes below 0.5 converge as usual and the idle lane reads 0.
 	classes, _, _ := randomWindow(rng, 0.5)
 	m.build(classes, nil, nil)
 	ref := refWindow(classes, nil, nil)
@@ -273,10 +300,11 @@ func TestMixtureQuantileMatchesFixedBisection(t *testing.T) {
 	for _, c := range classes {
 		hi = math.Max(hi, 4*c.expMean)
 	}
-	if q := m.quantile(0.9); q < hi*math.Pow(2, 199) {
-		t.Fatalf("capped mixture: quantile %v, want the exhausted bracket near %v", q, hi*math.Pow(2, 200))
+	ps := [lanes]float64{0.25, 0.9, 0, 0.45}
+	if q := m.quantiles(ps); q[1] < hi*math.Pow(2, 199) {
+		t.Fatalf("capped mixture: quantile %v, want the exhausted bracket near %v", q[1], hi*math.Pow(2, 200))
 	}
-	check(ref, 0.9)
+	check(ref, ps)
 }
 
 // rubbosConfig is the RUBBoS submission mix (15% writes) on one-core

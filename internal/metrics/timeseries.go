@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -34,6 +35,10 @@ func (ts *TimeSeries) Name() string { return ts.name }
 func (ts *TimeSeries) Append(t, v float64) {
 	ts.points = append(ts.points, Point{T: t, V: v})
 }
+
+// Grow makes room for n more points, so that many appends do not
+// reallocate.
+func (ts *TimeSeries) Grow(n int) { ts.points = slices.Grow(ts.points, n) }
 
 // Len reports the number of points.
 func (ts *TimeSeries) Len() int { return len(ts.points) }

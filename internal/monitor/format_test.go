@@ -58,7 +58,9 @@ func TestAppendFixedMatchesSprintf(t *testing.T) {
 
 // BenchmarkMonitorSample measures one sampling tick over a 1-4-2
 // deployment (seven hosts) with the cpu, memory, network and disk
-// families, each host exposing every counter the families read.
+// families, each host exposing every counter the families read. The
+// monitor knows its horizon, as a trial's does, so its series never
+// regrow.
 func BenchmarkMonitorSample(b *testing.B) {
 	k := sim.NewKernel(1)
 	rate := func(r float64) func() float64 { return func() float64 { return k.Now() * r } }
@@ -77,7 +79,8 @@ func BenchmarkMonitorSample(b *testing.B) {
 		})
 	}
 	const interval = 1.0
-	m, err := New(k, Config{IntervalSec: interval, Metrics: []string{"cpu", "memory", "network", "disk"}}, probes)
+	m, err := New(k, Config{IntervalSec: interval, Metrics: []string{"cpu", "memory", "network", "disk"},
+		HorizonSec: float64(b.N) * interval}, probes)
 	if err != nil {
 		b.Fatal(err)
 	}

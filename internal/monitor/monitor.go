@@ -69,6 +69,10 @@ type Config struct {
 	IntervalSec float64
 	// Metrics enables metric families: cpu, memory, network, disk.
 	Metrics []string
+	// HorizonSec is how long sampling runs after Start, when the caller
+	// knows it: Start then sizes every series for the whole run, so
+	// sampling never regrows one (0 = grow as samples arrive).
+	HorizonSec float64
 }
 
 // Monitor samples a set of probes on a simulation kernel.
@@ -80,9 +84,10 @@ type Monitor struct {
 
 	// state caches per-probe series and counter windows so a sample tick
 	// does no map lookups or key concatenation.
-	state []probeState
-	ticks int    // sampling ticks taken so far
-	buf   []byte // reused to measure values wider than their column
+	state  []probeState
+	ticks  int    // sampling ticks taken so far
+	buf    []byte // reused to measure values wider than their column
+	tickFn func() // m.tick, bound once: binding it per Schedule allocates
 
 	files  map[string]*hostFile
 	series map[string]*metrics.TimeSeries
@@ -150,6 +155,7 @@ func New(k *sim.Kernel, cfg Config, probes []Probe) (*Monitor, error) {
 		files:  map[string]*hostFile{},
 		series: map[string]*metrics.TimeSeries{},
 	}
+	m.tickFn = m.tick
 	m.state = make([]probeState, len(probes))
 	for i, p := range probes {
 		f := m.files[p.Host]
@@ -228,7 +234,34 @@ func (m *Monitor) Start() {
 			st.lastNetBusy = p.NetBusyFn()
 		}
 	}
-	m.k.Schedule(m.cfg.IntervalSec, m.tick)
+	if m.cfg.HorizonSec > 0 {
+		// One tick more than fit the horizon, for the float drift of
+		// the tick times.
+		m.reserve(int(m.cfg.HorizonSec/m.cfg.IntervalSec) + 1)
+	}
+	m.k.Schedule(m.cfg.IntervalSec, m.tickFn)
+}
+
+// reserve makes room in every series for ticks more sampling ticks: a
+// point per tick from each of the host's probes that append to it.
+func (m *Monitor) reserve(ticks int) {
+	for _, f := range m.files {
+		var n [numFamilies]int
+		var series [numFamilies]*metrics.TimeSeries
+		for _, i := range f.probes {
+			for fam, ts := range m.state[i].series {
+				if ts != nil {
+					n[fam]++
+					series[fam] = ts
+				}
+			}
+		}
+		for fam, ts := range series {
+			if ts != nil {
+				ts.Grow(n[fam] * ticks)
+			}
+		}
+	}
 }
 
 // Stop halts sampling after the current interval.
@@ -243,7 +276,7 @@ func (m *Monitor) tick() {
 		m.sample(&m.probes[i], &m.state[i], now)
 	}
 	m.ticks++
-	m.k.Schedule(m.cfg.IntervalSec, m.tick)
+	m.k.Schedule(m.cfg.IntervalSec, m.tickFn)
 }
 
 // sample records one value per enabled metric family in the family's

@@ -206,3 +206,37 @@ func TestParseFileErrors(t *testing.T) {
 		t.Fatalf("record = %+v", recs[0])
 	}
 }
+
+// TestMonitorHorizonSizesSeries checks that a monitor told its horizon
+// samples without allocating: Start sized every series for the whole
+// run, including the series two probes on one host share.
+func TestMonitorHorizonSizesSeries(t *testing.T) {
+	k := sim.NewKernel(1)
+	count := func() float64 { return k.Now() * 10 }
+	probes := []Probe{
+		{Host: "h1", Role: "WEB1", Station: busyStation(k), TotalMemMB: 1024, NetBytes: count},
+		{Host: "h1", Role: "APP1", CPUBusyFn: count, TotalMemMB: 1024, DiskOps: count},
+		{Host: "h2", Role: "DB1", Station: busyStation(k), NetBytes: count, DiskOps: count, DiskBusyFn: count},
+	}
+	const block = 300 // ticks, at one tick per second
+	m, err := New(k, Config{IntervalSec: 1, Metrics: []string{"cpu", "memory", "network", "disk"},
+		HorizonSec: 2 * block}, probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	var until float64
+	// AllocsPerRun first runs the function once untimed, so the timed run
+	// samples the second half of the horizon, where an undersized series
+	// would regrow.
+	allocs := testing.AllocsPerRun(1, func() {
+		until += block
+		k.Run(until)
+	})
+	if allocs != 0 {
+		t.Fatalf("sampling %d ticks allocated %v times", block, allocs)
+	}
+	if ts, _ := m.Series("h1", "cpu"); ts.Len() != 2*2*block {
+		t.Fatalf("shared cpu series holds %d points, want %d", ts.Len(), 2*2*block)
+	}
+}
