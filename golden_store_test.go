@@ -111,6 +111,68 @@ func TestStoreGoldenFluidJSON(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "store_fluid.json.golden"), data)
 }
 
+// goldenDESWindowsTBL pins the DES engine's observation-window path,
+// which the sweep golden above never enters: a population that rises and
+// falls at window boundaries, an SLO assert, a when-guarded error burst
+// armed at a boundary, a clock-scheduled slowdown, scale-out and
+// scale-in policies, and a disk demand whose busy time feeds util(db,
+// disk).
+const goldenDESWindowsTBL = `experiment "golden-des-windows" {
+	benchmark rubis; platform emulab; appserver jonas;
+	topology { web 1; app 1; db 1; }
+	workload { users 60 + 240*ramp((t - 20s)/60s) - 220*ramp((t - 150s)/40s); writeratio 15; }
+	trial { warmup 30s; run 240s; cooldown 30s; }
+	monitor { interval 5s; metrics cpu, memory, network, disk; }
+	demands { db { disk 6ms; } }
+	slo { assert p90(rt) < 150ms; }
+	faults {
+		client errorburst 0.2 at 60s for 30s when util(app, cpu) > 0.6;
+		JONAS1 slowdown 0.5 at 110s for 20s;
+	}
+	policies {
+		scale app by 1 when util(app, cpu) > 0.7 cooldown 20s max 3;
+		scale app in by 1 when util(app, cpu) < 0.3 cooldown 20s;
+	}
+}`
+
+// TestStoreGoldenDESWindowsJSON pins the JSON serialization of a DES
+// trial driven window by window, and checks that every windowed
+// mechanism actually fired, so the golden cannot silently pin a trial
+// where one of them is inert.
+func TestStoreGoldenDESWindowsJSON(t *testing.T) {
+	c, err := New(Options{TimeScale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RunTBL(goldenDESWindowsTBL); err != nil {
+		t.Fatal(err)
+	}
+	rs := c.Results().Filter(func(Result) bool { return true })
+	if len(rs) != 1 {
+		t.Fatalf("got %d results, want 1", len(rs))
+	}
+	r := rs[0]
+	var out, in bool
+	for _, ev := range r.ScaleEvents {
+		out = out || ev.To > ev.From
+		in = in || ev.To < ev.From
+	}
+	if !out || !in {
+		t.Errorf("scale events %v: want firings in both directions", r.ScaleEvents)
+	}
+	if r.SLOViolations == 0 {
+		t.Errorf("no SLO violation in %d windows", r.SLOWindows)
+	}
+	if r.InjectedErrors == 0 {
+		t.Error("the when-guarded error burst injected no errors")
+	}
+	data, err := c.Results().MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("testdata", "store_des_windows.json.golden"), data)
+}
+
 // TestStoreGoldenCSV pins the CSV serialization of the same sweep.
 func TestStoreGoldenCSV(t *testing.T) {
 	if testing.Short() {
