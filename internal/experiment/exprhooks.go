@@ -3,12 +3,9 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"elba/internal/expr"
 	"elba/internal/fault"
-	"elba/internal/fluid"
-	"elba/internal/sim"
 	"elba/internal/spec"
 	"elba/internal/store"
 )
@@ -33,10 +30,6 @@ type exprHooks struct {
 	windowSec float64 // scaled observation window width
 	ts        float64
 	capUsers  int // session-capacity clamp for dynamic populations (0 = none)
-
-	// actuator applies policy firings to the running engine. Set by the
-	// trial before the first window when the spec declares policies.
-	actuator scaleActuator
 
 	sloWindows    int
 	sloViolations int
@@ -121,16 +114,14 @@ func newExprHooks(e *spec.Experiment, warm, run, ts, windowSec float64, capUsers
 }
 
 // applyPolicies evaluates the autoscaling policies against the window
-// that just closed, in declaration order. A policy fires when its
-// predicate holds, its cooldown has elapsed, and its bound leaves room
-// to move; firing updates env.Replicas so later policies at the same
-// boundary (and nothing else — the window's other signals are already
-// observed) see the new count. Times are protocol seconds, so cooldowns
-// are time-scale–invariant like every other spec duration.
-func (h *exprHooks) applyPolicies(env *expr.Env) {
-	if h.actuator == nil {
-		return
-	}
+// that just closed, in declaration order, and actuates them on eng. A
+// policy fires when its predicate holds, its cooldown has elapsed, and
+// its bound leaves room to move; firing updates env.Replicas so later
+// policies at the same boundary (and nothing else — the window's other
+// signals are already observed) see the new count. Times are protocol
+// seconds, so cooldowns are time-scale–invariant like every other spec
+// duration.
+func (h *exprHooks) applyPolicies(env *expr.Env, eng engine) {
 	for _, ps := range h.policies {
 		if env.T-ps.last < ps.pol.CooldownSec-1e-9 {
 			continue
@@ -138,7 +129,7 @@ func (h *exprHooks) applyPolicies(env *expr.Env) {
 		if !ps.prog.EvalBool(env) {
 			continue
 		}
-		cur := h.actuator.Replicas(ps.tier)
+		cur := eng.replicas(ps.tier)
 		target := cur
 		if ps.pol.In {
 			if target = cur - ps.pol.Delta; target < ps.pol.Min {
@@ -152,7 +143,7 @@ func (h *exprHooks) applyPolicies(env *expr.Env) {
 		if target == cur {
 			continue
 		}
-		got := h.actuator.Scale(ps.tier, target)
+		got := eng.scale(ps.tier, target)
 		if got == cur {
 			continue
 		}
@@ -237,272 +228,82 @@ func (h *exprHooks) record(res *store.Result) {
 	res.ScaleEvents = h.scaleEvents
 }
 
-// --- DES side ---------------------------------------------------------
-
-// desObserver builds per-window expression environments from the DES's
-// own measured signals: the driver's success sample for throughput and
-// response-time quantiles, and the stations' busy-time integrals for
-// utilization — the same counters the monitor samples. Station lists are
-// re-read from the live tiers every window, so an autoscaling policy's
-// replica-set changes are visible to the very next observation.
-type desObserver struct {
-	driver   *sim.Driver
-	nt       *sim.NTier
-	prevIdx  int // successes already folded into earlier windows
-	prevBusy [expr.NumTiers][expr.NumResources]float64
+// windowObserver turns an engine's window readings into expression
+// environments: goodput and quantiles from the window itself, and
+// utilization as each busy integral's delta over the elapsed engine time
+// and the tier's capacity units. Time and window width come from the
+// engine's own clock.
+type windowObserver struct {
+	warm, ts float64
 	prevTime float64
-	rts      []float64  // scratch, reused across windows
-	lastQ    [3]float64 // last non-empty window's p50/p90/p99
+	prevBusy [expr.NumTiers][expr.NumResources]float64
+	lastQ    [3]float64 // last served window's p50/p90/p99
 }
 
-// stations reports a tier's active and retired station lists. Retired
-// stations keep contributing to the cumulative busy numerator (their
-// drain work happened, and dropping them would step the sums backwards);
-// only active stations count toward the capacity denominator.
-func (o *desObserver) stations(ti int) (active, retired []*sim.Station) {
-	switch ti {
-	case expr.TierWeb:
-		return o.nt.Web.Stations(), o.nt.Web.Retired()
-	case expr.TierApp:
-		return o.nt.App.Stations(), o.nt.App.Retired()
-	default:
-		return o.nt.DB.Replicas(), o.nt.DB.Retired()
-	}
-}
-
-// observe closes the window [prevTime, now] and returns its environment.
-func (o *desObserver) observe(now, warm, ts float64) expr.Env {
-	dt := now - o.prevTime
-	env := expr.Env{T: (now - warm) / ts}
-	// The window's successes are the tail of the driver's success sample,
-	// still in completion order: nothing sorts it before the trial ends.
-	win := o.driver.ResponseTimes().Since(o.prevIdx)
-	o.prevIdx += len(win)
-	o.rts = append(o.rts[:0], win...)
+// env closes the window the previous call opened and reads it from eng.
+func (o *windowObserver) env(eng engine) expr.Env {
+	w := eng.observe()
+	dt := w.now - o.prevTime
+	env := expr.Env{T: (w.now - o.warm) / o.ts}
 	if dt > 0 {
 		// x() is goodput: successful, in-deadline completions per second.
 		// Errored and timed-out requests burn capacity but deliver nothing,
 		// so an SLO on x() sees an error burst as the throughput loss it is.
-		env.X = float64(len(o.rts)) / dt
+		env.X = w.goodput / dt
 	}
-	if len(o.rts) == 0 {
-		// An empty window is a stall, not perfection: carry the last
-		// non-empty window's quantiles forward so a latency assert keeps
-		// judging the last observed behaviour instead of trivially passing
-		// on zeros. Before first traffic the carried values are still zero,
-		// preserving historical warm-start behaviour.
-		env.P50, env.P90, env.P99 = o.lastQ[0], o.lastQ[1], o.lastQ[2]
-	} else {
-		sort.Float64s(o.rts)
-		env.P50 = quantileSorted(o.rts, 0.50)
-		env.P90 = quantileSorted(o.rts, 0.90)
-		env.P99 = quantileSorted(o.rts, 0.99)
-		o.lastQ = [3]float64{env.P50, env.P90, env.P99}
+	// An empty window is a stall, not perfection: it carries the last
+	// served window's quantiles forward, so a latency assert keeps judging
+	// the last observed behaviour instead of trivially passing on zeros.
+	// Before first traffic the carried values are still zero.
+	if w.served {
+		o.lastQ = w.q
 	}
-	for ti := 0; ti < expr.NumTiers; ti++ {
-		active, retired := o.stations(ti)
-		var busy [expr.NumResources]float64
-		var servers, disks, nets float64
-		for _, st := range active {
-			busy[expr.ResCPU] += st.BusyTime()
-			servers += float64(st.Servers())
-			if d := st.Disk(); d != nil {
-				busy[expr.ResDisk] += d.BusyTime()
-				disks++
-			}
-			if n := st.Net(); n != nil {
-				busy[expr.ResNet] += n.BusyTime()
-				nets++
-			}
-		}
-		for _, st := range retired {
-			busy[expr.ResCPU] += st.BusyTime()
-			if d := st.Disk(); d != nil {
-				busy[expr.ResDisk] += d.BusyTime()
-			}
-			if n := st.Net(); n != nil {
-				busy[expr.ResNet] += n.BusyTime()
-			}
-		}
+	env.P50, env.P90, env.P99 = o.lastQ[0], o.lastQ[1], o.lastQ[2]
+	for ti := range w.busy {
 		if dt > 0 {
-			if servers > 0 {
-				env.Util[ti][expr.ResCPU] = (busy[expr.ResCPU] - o.prevBusy[ti][expr.ResCPU]) / (dt * servers)
-			}
-			if disks > 0 {
-				env.Util[ti][expr.ResDisk] = (busy[expr.ResDisk] - o.prevBusy[ti][expr.ResDisk]) / (dt * disks)
-			}
-			if nets > 0 {
-				env.Util[ti][expr.ResNet] = (busy[expr.ResNet] - o.prevBusy[ti][expr.ResNet]) / (dt * nets)
+			for r, units := range w.units[ti] {
+				if units > 0 {
+					env.Util[ti][r] = (w.busy[ti][r] - o.prevBusy[ti][r]) / (dt * units)
+				}
 			}
 		}
-		o.prevBusy[ti] = busy
-		env.Replicas[ti] = float64(len(active))
+		env.Replicas[ti] = float64(eng.replicas(ti))
 	}
-	o.prevTime = now
+	o.prevTime, o.prevBusy = w.now, w.busy
 	return env
 }
 
-// quantileSorted interpolates like metrics.Sample.Quantile over an
-// already-sorted window, so DES window quantiles match the whole-run
-// statistics' definition. Empty windows report zero.
-func quantileSorted(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return xs[0]
-	}
-	if q >= 1 {
-		return xs[len(xs)-1]
-	}
-	pos := q * float64(len(xs)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return xs[lo]
-	}
-	frac := pos - float64(lo)
-	return xs[lo]*(1-frac) + xs[hi]*frac
-}
-
-// armDES schedules the window boundaries on the trial kernel. Call it at
-// the start of the measured run, right after accounting has been reset
-// and measurement begun: the first window opens at that instant. users0
-// is the population the trial started with.
-func (h *exprHooks) armDES(k *sim.Kernel, driver *sim.Driver, nt *sim.NTier,
-	stationOf map[string]*sim.Station, users0 int) {
-
-	obs := &desObserver{driver: driver, nt: nt, prevTime: k.Now()}
-
-	target := users0
-	end := h.warm + h.run
-	var tick func()
-	tick = func() {
-		now := k.Now()
-		tStart := (obs.prevTime - h.warm) / h.ts
-		env := obs.observe(now, h.warm, h.ts)
-		h.observeSLO(&env, tStart)
-		for _, g := range h.guards {
-			if g.shouldFire(&env, now) {
-				armFault(k, driver, stationOf, g.ev, 0, g.ev.DurationSec*h.ts)
-			}
-		}
-		if h.users != nil {
-			// The population follows the expression at the observation
-			// cadence: the window just closed supplies the environment, and
-			// new sessions enter (or leave) at the boundary — observation-
-			// driven workload evolution, not an oracle schedule.
-			want := clampUsers(h.users.Eval(&env), h.capUsers)
-			switch {
-			case want > target:
-				driver.AddUsers(want-target, 0)
-			case want < target:
-				driver.RemoveUsers(target - want)
-			}
-			target = want
-		}
-		h.applyPolicies(&env)
-		if rem := end - now; rem > 1e-9 {
-			if rem > h.windowSec {
-				rem = h.windowSec
-			}
-			k.Schedule(rem, tick)
-		}
-	}
-	first := h.windowSec
-	if first > h.run {
-		first = h.run
-	}
-	k.Schedule(first, tick)
-}
-
-// --- fluid side -------------------------------------------------------
-
-// fluidObserver builds per-window environments from the fluid solver's
-// window statistics and cumulative busy integrals, mirroring what the
-// DES observer reads from its own counters.
-type fluidObserver struct {
-	solver   *fluid.Solver
-	prevSnap fluid.Snapshot
-	prevBusy [expr.NumTiers][expr.NumResources]float64
-	lastQ    [3]float64 // last non-empty window's p50/p90/p99
-}
-
-func (o *fluidObserver) observe(warm, ts float64) expr.Env {
-	cur := o.solver.Snapshot()
-	st := o.solver.StatsBetween(o.prevSnap, cur)
-	env := expr.Env{T: (cur.Time - warm) / ts}
-	if st.DurationSec > 0 {
-		// x() is goodput — successful, in-deadline completions per
-		// second — the same definition the DES observer applies to its
-		// OK, non-timed-out records, so a cross-engine x() assert reads
-		// one quantity.
-		env.X = st.Requests / st.DurationSec
-	}
-	if st.Requests > 1e-9 {
-		env.P50, env.P90, env.P99 = st.P50ms/1000, st.P90ms/1000, st.P99ms/1000
-		o.lastQ = [3]float64{env.P50, env.P90, env.P99}
-	} else {
-		// Empty window: carry the last non-empty window's quantiles
-		// forward, mirroring the DES observer's stall semantics.
-		env.P50, env.P90, env.P99 = o.lastQ[0], o.lastQ[1], o.lastQ[2]
-	}
-	dt := cur.Time - o.prevSnap.Time
-	for ti := 0; ti < expr.NumTiers; ti++ {
-		busy := [expr.NumResources]float64{
-			expr.ResCPU:  o.solver.NodeCPUBusy(ti),
-			expr.ResDisk: o.solver.NodeDiskBusy(ti),
-			expr.ResNet:  o.solver.NodeNetBusy(ti),
-		}
-		if dt > 0 {
-			cores := float64(o.solver.NodeCores(ti))
-			if cores > 0 {
-				env.Util[ti][expr.ResCPU] = (busy[expr.ResCPU] - o.prevBusy[ti][expr.ResCPU]) / (dt * cores)
-			}
-			env.Util[ti][expr.ResDisk] = (busy[expr.ResDisk] - o.prevBusy[ti][expr.ResDisk]) / dt
-			env.Util[ti][expr.ResNet] = (busy[expr.ResNet] - o.prevBusy[ti][expr.ResNet]) / dt
-		}
-		o.prevBusy[ti] = busy
-		env.Replicas[ti] = float64(o.solver.TierNodes(ti))
-	}
-	o.prevSnap = cur
-	return env
-}
-
-// runFluidWindows drives the measured run period window by window:
-// integrate to the boundary (letting the monitor's kernel ticks land on
-// schedule), close the observation window, evaluate the SLO assert, and
-// retarget the fluid population. Call it with the kernel and solver both
-// standing at the start of the run period.
-func (h *exprHooks) runFluidWindows(k *sim.Kernel, solver *fluid.Solver, users0 int) {
-	obs := &fluidObserver{solver: solver, prevSnap: solver.Snapshot()}
-	for ti := 0; ti < expr.NumTiers; ti++ {
-		obs.prevBusy[ti] = [expr.NumResources]float64{
-			expr.ResCPU:  solver.NodeCPUBusy(ti),
-			expr.ResDisk: solver.NodeDiskBusy(ti),
-			expr.ResNet:  solver.NodeNetBusy(ti),
-		}
-	}
-	target := users0
+// runWindows drives the measured run period window by window: advance
+// the engine to the boundary, close the observation window, judge the
+// SLO assert, fire the when-guarded faults, retarget the population and
+// apply the policies. Call it with the engine standing at the start of
+// the measured run.
+func (h *exprHooks) runWindows(eng engine) {
+	obs := windowObserver{warm: h.warm, ts: h.ts}
+	// The reading at run start only opens the first window.
+	obs.env(eng)
 	end := h.warm + h.run
 	for now := h.warm; end-now > 1e-9; {
 		next := now + h.windowSec
 		if next > end {
 			next = end
 		}
-		k.Run(next)
-		solver.Advance(next)
-		tStart := (now - h.warm) / h.ts
-		env := obs.observe(h.warm, h.ts)
-		h.observeSLO(&env, tStart)
-		if h.users != nil {
-			want := clampUsers(h.users.Eval(&env), h.capUsers)
-			if want != target {
-				solver.SetSessions(want)
-				target = want
+		eng.advance(next)
+		env := obs.env(eng)
+		h.observeSLO(&env, (now-h.warm)/h.ts)
+		for _, g := range h.guards {
+			if g.shouldFire(&env, next) {
+				eng.inject(g.ev, g.ev.DurationSec*h.ts)
 			}
 		}
-		h.applyPolicies(&env)
+		if h.users != nil {
+			// The population follows the expression at the observation
+			// cadence: the window just closed supplies the environment, and
+			// sessions enter (or leave) at the boundary — observation-driven
+			// workload evolution, not an oracle schedule.
+			eng.retarget(clampUsers(h.users.Eval(&env), h.capUsers))
+		}
+		h.applyPolicies(&env, eng)
 		now = next
 	}
 }

@@ -9,29 +9,29 @@ import (
 	"elba/internal/store"
 )
 
-// fakeActuator is a scaleActuator over plain counters, with an optional
-// hard ceiling that models spare-pool exhaustion: Scale stops at the
-// ceiling no matter what target the policy asked for.
-type fakeActuator struct {
-	replicas [expr.NumTiers]int
-	ceiling  int // 0 = unlimited
+// fakeEngine is an engine whose tiers are plain counters, with an
+// optional hard ceiling that models spare-pool exhaustion: scale stops at
+// the ceiling no matter what target the policy asked for. Only the tier
+// operations are implemented; policies touch nothing else.
+type fakeEngine struct {
+	engine
+	n       [expr.NumTiers]int
+	ceiling int // 0 = unlimited
 }
 
-func (f *fakeActuator) Replicas(tier int) int { return f.replicas[tier] }
+func (f *fakeEngine) replicas(tier int) int { return f.n[tier] }
 
-func (f *fakeActuator) Scale(tier, target int) int {
+func (f *fakeEngine) scale(tier, target int) int {
 	if f.ceiling > 0 && target > f.ceiling {
 		target = f.ceiling
 	}
-	if target > f.replicas[tier] || target < f.replicas[tier] {
-		f.replicas[tier] = target
-	}
-	return f.replicas[tier]
+	f.n[tier] = target
+	return f.n[tier]
 }
 
-// policyHooks compiles a policies-only experiment into exprHooks wired to
-// the given actuator, mirroring what a trial does before its first window.
-func policyHooks(t *testing.T, act scaleActuator, pols ...spec.Policy) *exprHooks {
+// policyHooks compiles a policies-only experiment into exprHooks,
+// mirroring what a trial does before its first window.
+func policyHooks(t *testing.T, pols ...spec.Policy) *exprHooks {
 	t.Helper()
 	h, err := newExprHooks(&spec.Experiment{Policies: pols}, 0, 600, 1, 5, 0)
 	if err != nil {
@@ -40,7 +40,6 @@ func policyHooks(t *testing.T, act scaleActuator, pols ...spec.Policy) *exprHook
 	if h == nil {
 		t.Fatal("policies compiled to nil hooks")
 	}
-	h.actuator = act
 	return h
 }
 
@@ -57,15 +56,15 @@ func hotEnv(tSec float64) expr.Env {
 // into a staircase: one firing per cooldown period, at the first window
 // boundary at or past expiry, never in between.
 func TestPolicyCooldownPacing(t *testing.T) {
-	act := &fakeActuator{}
-	act.replicas[expr.TierApp] = 2
-	h := policyHooks(t, act, spec.Policy{
+	act := &fakeEngine{}
+	act.n[expr.TierApp] = 2
+	h := policyHooks(t, spec.Policy{
 		Tier: "app", Delta: 1, WhenExpr: "util(app, cpu) > 0.8",
 		CooldownSec: 30, Max: 12,
 	})
 	for tSec := 0.0; tSec <= 100; tSec += 5 {
 		env := hotEnv(tSec)
-		h.applyPolicies(&env)
+		h.applyPolicies(&env, act)
 	}
 	// Firings at t=0, 30, 60, 90: four steps, 2→3→4→5→6.
 	want := []store.ScaleEvent{
@@ -82,8 +81,8 @@ func TestPolicyCooldownPacing(t *testing.T) {
 			t.Errorf("event %d = %v, want %v", i, h.scaleEvents[i], want[i])
 		}
 	}
-	if act.replicas[expr.TierApp] != 6 {
-		t.Errorf("replicas = %d, want 6", act.replicas[expr.TierApp])
+	if act.n[expr.TierApp] != 6 {
+		t.Errorf("replicas = %d, want 6", act.n[expr.TierApp])
 	}
 }
 
@@ -93,23 +92,23 @@ func TestPolicyCooldownPacing(t *testing.T) {
 // a slot) the policy fires at the very next window instead of waiting
 // out a cooldown it never used.
 func TestPolicyBoundIsNotAFiring(t *testing.T) {
-	act := &fakeActuator{}
-	act.replicas[expr.TierApp] = 4
-	h := policyHooks(t, act, spec.Policy{
+	act := &fakeEngine{}
+	act.n[expr.TierApp] = 4
+	h := policyHooks(t, spec.Policy{
 		Tier: "app", Delta: 1, WhenExpr: "util(app, cpu) > 0.8",
 		CooldownSec: 60, Max: 4,
 	})
 	for tSec := 0.0; tSec <= 20; tSec += 5 {
 		env := hotEnv(tSec)
-		h.applyPolicies(&env)
+		h.applyPolicies(&env, act)
 	}
 	if len(h.scaleEvents) != 0 {
 		t.Fatalf("at-max windows fired: %v", h.scaleEvents)
 	}
 	// Free a slot out of band; the next window must fire immediately.
-	act.replicas[expr.TierApp] = 3
+	act.n[expr.TierApp] = 3
 	env := hotEnv(25)
-	h.applyPolicies(&env)
+	h.applyPolicies(&env, act)
 	if len(h.scaleEvents) != 1 || h.scaleEvents[0].TSec != 25 {
 		t.Fatalf("after headroom appeared, events = %v, want one firing at t=25", h.scaleEvents)
 	}
@@ -119,20 +118,20 @@ func TestPolicyBoundIsNotAFiring(t *testing.T) {
 // cannot move at all: no event is recorded and the cooldown stays
 // unlatched, so the policy retries every window until capacity appears.
 func TestPolicyShortfallIsNotAFiring(t *testing.T) {
-	act := &fakeActuator{ceiling: 2}
-	act.replicas[expr.TierApp] = 2
-	h := policyHooks(t, act, spec.Policy{
+	act := &fakeEngine{ceiling: 2}
+	act.n[expr.TierApp] = 2
+	h := policyHooks(t, spec.Policy{
 		Tier: "app", Delta: 1, WhenExpr: "util(app, cpu) > 0.8",
 		CooldownSec: 60, Max: 8,
 	})
 	env := hotEnv(0)
-	h.applyPolicies(&env)
+	h.applyPolicies(&env, act)
 	if len(h.scaleEvents) != 0 {
 		t.Fatalf("pool-exhausted window fired: %v", h.scaleEvents)
 	}
 	act.ceiling = 0
 	env = hotEnv(5)
-	h.applyPolicies(&env)
+	h.applyPolicies(&env, act)
 	if len(h.scaleEvents) != 1 || h.scaleEvents[0].TSec != 5 {
 		t.Fatalf("after pool refill, events = %v, want one firing at t=5", h.scaleEvents)
 	}
@@ -142,15 +141,15 @@ func TestPolicyShortfallIsNotAFiring(t *testing.T) {
 // drain stops at min, a firing that would cross the floor clamps to it,
 // and at-floor windows are no-ops.
 func TestPolicyScaleInFloor(t *testing.T) {
-	act := &fakeActuator{}
-	act.replicas[expr.TierApp] = 5
-	h := policyHooks(t, act, spec.Policy{
+	act := &fakeEngine{}
+	act.n[expr.TierApp] = 5
+	h := policyHooks(t, spec.Policy{
 		Tier: "app", In: true, Delta: 2, WhenExpr: "util(app, cpu) < 0.3",
 		CooldownSec: 0, Min: 2,
 	})
 	for tSec := 0.0; tSec <= 20; tSec += 5 {
 		env := expr.Env{T: tSec} // idle: util 0 < 0.3
-		h.applyPolicies(&env)
+		h.applyPolicies(&env, act)
 	}
 	want := []store.ScaleEvent{
 		{TSec: 0, Tier: "app", From: 5, To: 3},
@@ -171,9 +170,9 @@ func TestPolicyScaleInFloor(t *testing.T) {
 // expressed as replicas(app) < 4 stops being true within the same window
 // once the first policy has pushed the count to 4.
 func TestPolicyDeclarationOrder(t *testing.T) {
-	act := &fakeActuator{}
-	act.replicas[expr.TierApp] = 2
-	h := policyHooks(t, act,
+	act := &fakeEngine{}
+	act.n[expr.TierApp] = 2
+	h := policyHooks(t,
 		spec.Policy{Tier: "app", Delta: 2, WhenExpr: "util(app, cpu) > 0.8",
 			CooldownSec: 0, Max: 8},
 		spec.Policy{Tier: "app", Delta: 1, WhenExpr: "util(app, cpu) > 0.8 && replicas(app) < 4",
@@ -181,7 +180,7 @@ func TestPolicyDeclarationOrder(t *testing.T) {
 	)
 	env := hotEnv(0)
 	env.Replicas[expr.TierApp] = 2
-	h.applyPolicies(&env)
+	h.applyPolicies(&env, act)
 	// First policy 2→4; second's replicas(app) guard now reads 4 and holds fire.
 	if len(h.scaleEvents) != 1 || h.scaleEvents[0].To != 4 {
 		t.Fatalf("events = %v, want exactly [t=0s app 2→4]", h.scaleEvents)
@@ -194,13 +193,13 @@ func TestPolicyDeclarationOrder(t *testing.T) {
 // TestPolicyEventsRecorded checks record() copies the timeline into the
 // stored result and that an event renders the way the report prints it.
 func TestPolicyEventsRecorded(t *testing.T) {
-	act := &fakeActuator{}
-	act.replicas[expr.TierApp] = 2
-	h := policyHooks(t, act, spec.Policy{
+	act := &fakeEngine{}
+	act.n[expr.TierApp] = 2
+	h := policyHooks(t, spec.Policy{
 		Tier: "app", Delta: 1, WhenExpr: "util(app, cpu) > 0.8", Max: 4,
 	})
 	env := hotEnv(15)
-	h.applyPolicies(&env)
+	h.applyPolicies(&env, act)
 	var res store.Result
 	h.record(&res)
 	if len(res.ScaleEvents) != 1 {

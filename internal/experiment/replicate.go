@@ -44,14 +44,7 @@ func RunReplicatedTrialParallel(e *spec.Experiment, d *mulini.Deployment, p *dep
 	if repeat <= 1 {
 		return RunTrial(e, d, p, cfg)
 	}
-	base := cfg.Seed
-	if base == 0 {
-		base = deriveSeed(e.Seed, d.Topology.String(), cfg.Users, cfg.WriteRatioPct)
-		if cfg.RootSeed != 0 {
-			base = mixRootSeed(base, cfg.RootSeed, e.Name)
-		}
-		base = mixAttempt(base, cfg.Attempt)
-	}
+	base := trialSeed(e, d, cfg)
 
 	outs := make([]*TrialOutcome, repeat)
 	if workers > repeat {

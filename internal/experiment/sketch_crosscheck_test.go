@@ -11,12 +11,10 @@ import (
 	"elba/internal/store"
 )
 
-// rtTap accumulates one trial's measured response-time stream three
-// ways: exact order statistics, a fixed-bucket histogram, and an
-// independently-built t-digest.
+// rtTap accumulates one trial's measured response-time stream two ways:
+// exact order statistics and an independently-built t-digest.
 type rtTap struct {
 	sample *metrics.Sample
-	hist   *metrics.Histogram
 	digest *metrics.TDigest
 }
 
@@ -28,9 +26,7 @@ type rtTap struct {
 //     digest fed the same stream — the tap is the measurement, not a
 //     shadow of it;
 //   - the digest must land inside the exact sample's rank-error window
-//     ε(q) = max(4·sqrt(q(1−q)), ½)/δ;
-//   - the histogram estimate must agree with the exact value to within
-//     its bucket width.
+//     ε(q) = max(4·sqrt(q(1−q)), ½)/δ.
 func TestSketchCrosscheckRubbosBaseline(t *testing.T) {
 	src, err := os.ReadFile("../../specs/rubbos-baseline.tbl")
 	if err != nil {
@@ -52,15 +48,12 @@ func TestSketchCrosscheckRubbosBaseline(t *testing.T) {
 		if tp == nil {
 			tp = &rtTap{
 				sample: metrics.NewSample(4096),
-				// 5 ms buckets to 30 s: the trials' full RT span.
-				hist:   metrics.NewHistogram(0, 30000, 6000),
 				digest: metrics.NewTDigest(metrics.DefaultTDigestCompression),
 			}
 			taps[k] = tp
 		}
 		ms := rt * 1000
 		tp.sample.Observe(ms)
-		tp.hist.Observe(ms)
 		tp.digest.Observe(ms)
 	}
 
@@ -76,7 +69,9 @@ func TestSketchCrosscheckRubbosBaseline(t *testing.T) {
 		t.Fatal("RT observer never fired")
 	}
 
-	const bucketMs = 30000.0 / 6000
+	// Value-space slack, in ms, for comparing the sketch with the stored
+	// percentile columns.
+	const slackMs = 5.0
 	checked := 0
 	for _, res := range r.Store().All() {
 		tp := taps[res.Key]
@@ -102,11 +97,6 @@ func TestSketchCrosscheckRubbosBaseline(t *testing.T) {
 				t.Errorf("%v q=%g: sketch %g outside exact rank window [%g, %g] (ε=%g)",
 					res.Key, q, stored, lo, hi, eps)
 			}
-			exact := tp.sample.Quantile(q)
-			if h := tp.hist.Quantile(q); math.Abs(h-exact) > bucketMs {
-				t.Errorf("%v q=%g: histogram %g vs exact %g exceeds one bucket (%g ms)",
-					res.Key, q, h, exact, bucketMs)
-			}
 			checked++
 		}
 		// The stored percentile columns come from the same stream; the
@@ -122,7 +112,7 @@ func TestSketchCrosscheckRubbosBaseline(t *testing.T) {
 			eps := math.Max(4*math.Sqrt(pair.q*(1-pair.q)), 0.5) / float64(res.RTSketch.Compression())
 			lo := tp.sample.Quantile(math.Max(0, pair.q-eps))
 			hi := tp.sample.Quantile(math.Min(1, pair.q+eps))
-			slack := (hi - lo) + bucketMs
+			slack := (hi - lo) + slackMs
 			if d := math.Abs(res.RTSketch.Quantile(pair.q) - pair.column); d > slack {
 				t.Errorf("%v q=%g: sketch %g vs stored column %g differ by %g (> %g)",
 					res.Key, pair.q, res.RTSketch.Quantile(pair.q), pair.column, d, slack)

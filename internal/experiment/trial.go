@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"elba/internal/bench"
+	"elba/internal/cluster"
 	"elba/internal/deploy"
+	"elba/internal/expr"
 	"elba/internal/fault"
 	"elba/internal/metrics"
 	"elba/internal/monitor"
@@ -12,7 +14,6 @@ import (
 	"elba/internal/sim"
 	"elba/internal/spec"
 	"elba/internal/store"
-	"elba/internal/trace"
 )
 
 // FailureErrorRate is the error fraction above which a trial is recorded
@@ -118,19 +119,89 @@ var memProfile = map[string]struct{ base, perJob float64 }{
 	"client": {120, 0.1},
 }
 
+// tierNames maps expr tier indices to TBL tier names.
+var tierNames = [expr.NumTiers]string{"web", "app", "db"}
+
+// engine is the model a trial runs on: the exact DES (engine_des.go) or
+// the fluid approximation (engine_fluid.go). The trial protocol, the
+// monitor wiring, the observation-window loop and result assembly are
+// written once against it, so each engine supplies only what it alone
+// models.
+type engine interface {
+	// counters attaches the engine's monitor counters for a role of tier
+	// ti, hosted on node, to p, and returns the role's cumulative served
+	// operations.
+	counters(p monitor.Probe, ti int, node *cluster.Node) (monitor.Probe, func() float64)
+	// advance runs the trial to absolute time t.
+	advance(t float64)
+	// measure opens (on) or closes the measured run period.
+	measure(on bool)
+	// observe closes the observation window opened by its previous call
+	// and reads it.
+	observe() windowReading
+	// retarget steers the emulated population to n users.
+	retarget(n int)
+	// replicas reports a tier's live server count. scale moves it toward
+	// target and returns the count reached, which falls short when the
+	// tier runs out of spare nodes.
+	replicas(ti int) int
+	scale(ti, target int) int
+	// inject starts a fault now, lasting dur seconds.
+	inject(ev fault.Event, dur float64)
+	// fill writes the measured run's request statistics into res.
+	fill(res store.Result) store.Result
+}
+
+// windowReading is what an engine reports when an observation window
+// closes: its own clock, the window's goodput and response-time
+// quantiles, and per tier the cumulative busy integrals with the capacity
+// units that divide their deltas into utilizations.
+type windowReading struct {
+	now float64
+	// goodput counts the window's successful, in-deadline completions.
+	goodput float64
+	// served reports whether q holds the window's p50, p90 and p99
+	// (seconds); an empty window has none.
+	served bool
+	q      [3]float64
+	busy   [expr.NumTiers][expr.NumResources]float64
+	units  [expr.NumTiers][expr.NumResources]float64
+}
+
+// trialPlan is one trial's scaled protocol and the inputs an engine is
+// built from.
+type trialPlan struct {
+	e     *spec.Experiment
+	d     *mulini.Deployment
+	p     *deploy.Placement
+	cfg   TrialConfig
+	model *bench.Profile
+	k     *sim.Kernel
+	seed  uint64
+	// warm and ts place the run period's fault windows; rampUp spreads
+	// the initial sessions' arrivals.
+	warm, ts, rampUp float64
+	// maxSessions is the deployment's session capacity (0 = unknown).
+	maxSessions int
+}
+
 // RunTrial executes one trial of experiment e against a deployed
 // placement. The simulated application is constructed from the placement's
 // actual nodes: CPU speeds come from the allocated hardware and the
 // session capacity from the deployed app-server packages, so a wrong
-// deployment shows up as a wrong measurement.
+// deployment shows up as a wrong measurement. Both engines run the same
+// protocol (ramp-up, warm-up, measured run, cool-down), the same monitor
+// sampling schedule and the same result-assembly rules, so a fluid
+// trial's stored output is shaped exactly like an exact one.
 func RunTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement, cfg TrialConfig) (*TrialOutcome, error) {
 	if cfg.Users <= 0 {
 		return nil, fmt.Errorf("experiment: trial needs at least one user")
 	}
+	newEngine := newDESEngine
 	switch cfg.Engine {
 	case "", EngineDES:
 	case EngineFluid:
-		return runFluidTrial(e, d, p, cfg)
+		newEngine = newFluidEngine
 	default:
 		return nil, fmt.Errorf("experiment: unknown trial engine %q", cfg.Engine)
 	}
@@ -138,75 +209,33 @@ func RunTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement, cfg
 	if ts <= 0 {
 		ts = 1.0
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = deriveSeed(e.Seed, d.Topology.String(), cfg.Users, cfg.WriteRatioPct)
-		if cfg.RootSeed != 0 {
-			seed = mixRootSeed(seed, cfg.RootSeed, e.Name)
-		}
-		seed = mixAttempt(seed, cfg.Attempt)
-	}
-
 	model, err := cfg.model(e)
 	if err != nil {
 		return nil, err
 	}
-
-	k := sim.NewKernel(seed)
-	nt, maxSessions, err := buildNTier(k, e, d, p)
-	if err != nil {
-		return nil, err
-	}
-
 	warm := e.Trial.WarmupSec * ts
 	run := e.Trial.RunSec * ts
 	cool := e.Trial.CooldownSec * ts
-
 	rampUp := warm / 2
 	if rampUp > 10 {
 		rampUp = 10
 	}
-	driver := sim.NewDriver(k, nt, model, sim.DriverConfig{
-		Users:       cfg.Users,
-		Timeout:     e.Workload.TimeoutSec,
-		RampUp:      rampUp,
-		MaxSessions: maxSessions,
-	}, seed^0x5eed)
+	maxSessions := sessionCapacity(d, p)
 
-	// Request-level tracing: one single-owner collector per trial, seeded
-	// from the trial seed under the "trace" domain, so the traced subset is
-	// a pure function of the trial coordinates — identical for any worker
-	// count, and absent entirely when the rate is zero.
-	var tracer *trace.Collector
-	if cfg.TraceRate > 0 {
-		tracer = trace.NewCollector(trace.SeedFor(seed), cfg.TraceRate)
-		driver.SetTracer(tracer)
+	// Expression hooks: nil for expression-free specs, which therefore run
+	// the measured period in one step.
+	hooks, err := newExprHooks(e, warm, run, ts, e.Monitor.IntervalSec*ts, maxSessions)
+	if err != nil {
+		return nil, err
 	}
-
-	// Response-time tap: a per-trial sketch (milliseconds, to match the
-	// stored percentile fields) and/or the caller's live observer. The tap
-	// sees exactly the measurement stream in completion order, which is a
-	// pure function of the trial seed — so the sketch is byte-reproducible
-	// for any worker count.
-	var sketch *metrics.TDigest
-	if cfg.SketchRT || cfg.RTObserver != nil {
-		var obs metrics.MultiObserver
-		if cfg.SketchRT {
-			sk := metrics.NewTDigest(metrics.DefaultTDigestCompression)
-			sketch = sk
-			obs = append(obs, metrics.ObserverFunc(func(rt float64) { sk.Observe(rt * 1000) }))
-		}
-		if cfg.RTObserver != nil {
-			obs = append(obs, cfg.RTObserver)
-		}
-		if len(obs) == 1 {
-			driver.SetRTObserver(obs[0])
-		} else {
-			driver.SetRTObserver(obs)
-		}
+	seed := trialSeed(e, d, cfg)
+	k := sim.NewKernel(seed)
+	eng, err := newEngine(trialPlan{e: e, d: d, p: p, cfg: cfg, model: model, k: k, seed: seed,
+		warm: warm, ts: ts, rampUp: rampUp, maxSessions: maxSessions})
+	if err != nil {
+		return nil, err
 	}
-
-	probes, stationOf, hostOf := buildProbes(d, p, nt, model)
+	probes, hostOf := buildProbes(d, p, model, eng)
 	mon, err := monitor.New(k, monitor.Config{
 		IntervalSec: e.Monitor.IntervalSec * ts,
 		Metrics:     e.Monitor.Metrics,
@@ -216,78 +245,40 @@ func RunTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement, cfg
 		return nil, err
 	}
 
-	// Schedule fault injection: outages are specified relative to the run
-	// period and scale with the trial, like everything else. Faults with a
-	// when-guard are armed by the expression hooks at the observation
-	// cadence instead of firing on the clock.
-	for _, f := range e.Faults {
-		ev, err := specFaultEvent(f)
-		if err != nil {
-			return nil, err
-		}
-		if ev.Kind != fault.ErrorBurst {
-			if _, ok := stationOf[f.Role]; !ok {
-				return nil, fmt.Errorf("experiment: fault names role %s, absent from topology %s",
-					f.Role, d.Topology)
-			}
-		}
-		if f.WhenExpr != "" {
-			continue
-		}
-		scheduleFault(k, driver, stationOf, ev, warm, ts)
-	}
-	// Profile-derived fault plan: same mechanism, derived coordinates.
-	// Roles absent from this topology are skipped silently — the plan is
-	// drawn from the deployment's own role list, so that only happens for
-	// hand-built configs.
-	for _, ev := range cfg.FaultPlan {
-		scheduleFault(k, driver, stationOf, ev, warm, ts)
-	}
-
-	// Expression hooks: nil for expression-free specs, which therefore run
-	// the exact historical event stream.
-	hooks, err := newExprHooks(e, warm, run, ts, e.Monitor.IntervalSec*ts, maxSessions)
-	if err != nil {
-		return nil, err
-	}
-	if hooks != nil && len(hooks.policies) > 0 {
-		scaler, err := newDESScaler(e, k, d, p, nt)
-		if err != nil {
-			return nil, err
-		}
-		hooks.actuator = scaler
-	}
-
-	driver.Start()
 	mon.Start()
-
-	k.Run(warm)
-	nt.ResetAccounting()
-	driver.BeginMeasurement()
+	eng.advance(warm)
+	eng.measure(true)
 	runStart := k.Now()
 	if hooks != nil {
-		hooks.armDES(k, driver, nt, stationOf, cfg.Users)
+		hooks.runWindows(eng)
 	}
-	k.Run(warm + run)
-	driver.EndMeasurement()
+	eng.advance(warm + run)
+	eng.measure(false)
 	runEnd := k.Now()
-	k.Run(warm + run + cool)
+	eng.advance(warm + run + cool)
 	mon.Stop()
 
-	res := assembleResult(e, d, driver, mon, stationOf, hostOf, cfg, runStart, runEnd)
-	if sketch != nil && sketch.Count() > 0 {
-		sketch.Compress()
-		res.RTSketch = sketch
-	}
+	res := assembleResult(e, d, eng, mon, hostOf, cfg, runStart, runEnd)
 	res.DeployRetries = p.Retries
 	res.DeploySeconds = p.DeploySec
 	if hooks != nil {
 		hooks.record(&res)
 	}
-	if tracer != nil {
-		res.Trace = trace.BuildReport(tracer, cfg.TraceExemplars)
-	}
 	return &TrialOutcome{Result: res, Monitor: mon, RunWindow: [2]float64{runStart, runEnd}}, nil
+}
+
+// trialSeed is the seed of a trial's random universe: cfg.Seed when set,
+// else a pure function of the trial coordinates, the runner's root seed
+// and the retry attempt.
+func trialSeed(e *spec.Experiment, d *mulini.Deployment, cfg TrialConfig) uint64 {
+	if cfg.Seed != 0 {
+		return cfg.Seed
+	}
+	seed := deriveSeed(e.Seed, d.Topology.String(), cfg.Users, cfg.WriteRatioPct)
+	if cfg.RootSeed != 0 {
+		seed = mixRootSeed(seed, cfg.RootSeed, e.Name)
+	}
+	return mixAttempt(seed, cfg.Attempt)
 }
 
 // specFaultEvent converts a TBL fault declaration to a fault event.
@@ -302,108 +293,6 @@ func specFaultEvent(f spec.Fault) (fault.Event, error) {
 	}
 	return fault.Event{Kind: kind, Role: f.Role, AtSec: f.AtSec,
 		DurationSec: f.DurationSec, Factor: f.Factor}, nil
-}
-
-// scheduleFault arms one fault window on the trial's kernel. Times are
-// relative to the run period's start and scale with the trial; roles not
-// present in the topology are ignored. It must be called before the
-// kernel runs (delays are measured from time zero).
-func scheduleFault(k *sim.Kernel, driver *sim.Driver, stationOf map[string]*sim.Station,
-	ev fault.Event, warm, ts float64) {
-	armFault(k, driver, stationOf, ev, warm+ev.AtSec*ts, ev.DurationSec*ts)
-}
-
-// armFault schedules one fault's start and recovery, `at` kernel seconds
-// from now for `dur` kernel seconds. When-guarded faults fire through
-// this path at a window boundary with at = 0.
-func armFault(k *sim.Kernel, driver *sim.Driver, stationOf map[string]*sim.Station,
-	ev fault.Event, at, dur float64) {
-
-	end := at + dur
-	switch ev.Kind {
-	case fault.Crash:
-		st, ok := stationOf[ev.Role]
-		if !ok {
-			return
-		}
-		k.Schedule(at, st.Fail)
-		k.Schedule(end, st.Recover)
-	case fault.Slowdown, fault.Stall:
-		st, ok := stationOf[ev.Role]
-		if !ok {
-			return
-		}
-		f := ev.Factor
-		k.Schedule(at, func() { st.SetDegradation(f) })
-		k.Schedule(end, func() { st.SetDegradation(1) })
-	case fault.ErrorBurst:
-		f := ev.Factor
-		k.Schedule(at, func() { driver.SetErrorRate(f) })
-		k.Schedule(end, func() { driver.SetErrorRate(0) })
-	}
-}
-
-// buildNTier constructs the queueing network from the deployed placement
-// and reports the deployment's total session capacity. Tiers whose spec
-// declares disk or network demands get per-node Resource queues sized
-// from the allocated hardware's Table-2 capacities; without demands the
-// stations are exactly the historical CPU-only ones.
-func buildNTier(k *sim.Kernel, e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement) (*sim.NTier, int, error) {
-	mkStations := func(tier string) ([]*sim.Station, error) {
-		td := e.Demands[tier]
-		var out []*sim.Station
-		for _, role := range d.Roles(tier) {
-			node, ok := p.Node(role)
-			if !ok {
-				return nil, fmt.Errorf("experiment: role %s has no allocated node", role)
-			}
-			st := sim.NewStation(k, sim.StationConfig{
-				Name:    role,
-				Servers: node.Cores(),
-				Speed:   node.EffectiveSpeed(),
-			})
-			if td.DiskSec > 0 {
-				ds := node.EffectiveDiskSpeed()
-				if ds <= 0 {
-					ds = node.DiskSpeed()
-				}
-				st.AttachDisk(sim.NewResource(k, role+"/disk", ds))
-			}
-			if td.NetBytes > 0 {
-				if bps := node.NetBytesPerSec(); bps > 0 {
-					st.AttachNet(sim.NewResource(k, role+"/net", bps))
-				}
-			}
-			out = append(out, st)
-		}
-		return out, nil
-	}
-	web, err := mkStations("web")
-	if err != nil {
-		return nil, 0, err
-	}
-	app, err := mkStations("app")
-	if err != nil {
-		return nil, 0, err
-	}
-	db, err := mkStations("db")
-	if err != nil {
-		return nil, 0, err
-	}
-	maxSessions := sessionCapacity(d, p)
-	nt := &sim.NTier{
-		Web: sim.NewTier(k, "web", sim.RoundRobin, web),
-		App: sim.NewTier(k, "app", sim.RoundRobin, app),
-		DB:  sim.NewRAIDb(k, sim.RoundRobin, db),
-	}
-	conv := func(d spec.ResourceDemand) sim.TierDemand {
-		return sim.TierDemand{CPUScale: d.CPUScale, DiskSec: d.DiskSec, NetBytes: d.NetBytes}
-	}
-	nt.Demands = [3]sim.TierDemand{
-		conv(e.Demands["web"]), conv(e.Demands["app"]), conv(e.Demands["db"]),
-	}
-	nt.DB.Demand = nt.Demands[2]
-	return nt, maxSessions, nil
 }
 
 // sessionCapacity reports the deployment's total session capacity: each
@@ -427,27 +316,15 @@ func sessionCapacity(d *mulini.Deployment, p *deploy.Placement) int {
 	return maxSessions
 }
 
-// buildProbes wires a monitor probe to every deployed node. Network and
-// disk counters are derived from the station completion counters and the
-// workload's mean transfer sizes.
-func buildProbes(d *mulini.Deployment, p *deploy.Placement, nt *sim.NTier, model interface {
-	MeanBytes() (float64, float64)
-}) ([]monitor.Probe, map[string]*sim.Station, map[string]string) {
+// buildProbes wires a monitor probe to every deployed node. Roles of the
+// modelled tiers carry the engine's counters, with network and disk
+// operation counts derived from served operations and the workload's mean
+// transfer sizes; the other hosts (the client) carry memory only.
+func buildProbes(d *mulini.Deployment, p *deploy.Placement, model *bench.Profile,
+	eng engine) ([]monitor.Probe, map[string]string) {
+
 	reqBytes, replyBytes := model.MeanBytes()
-	stationOf := map[string]*sim.Station{}
 	hostOf := map[string]string{}
-	byTier := map[string][]*sim.Station{
-		"web": nt.Web.Stations(),
-		"app": nt.App.Stations(),
-		"db":  nt.DB.Replicas(),
-	}
-	for tier, stations := range byTier {
-		for i, role := range d.Roles(tier) {
-			if i < len(stations) {
-				stationOf[role] = stations[i]
-			}
-		}
-	}
 	var probes []monitor.Probe
 	for _, a := range d.Assignments {
 		node, ok := p.Node(a.Role)
@@ -459,12 +336,13 @@ func buildProbes(d *mulini.Deployment, p *deploy.Placement, nt *sim.NTier, model
 		probe := monitor.Probe{
 			Host:        node.Name(),
 			Role:        a.Role,
-			Station:     stationOf[a.Role],
 			TotalMemMB:  float64(node.Pool().MemoryMB),
 			BaseMemMB:   mp.base,
 			MemPerJobMB: mp.perJob,
 		}
-		if st := stationOf[a.Role]; st != nil {
+		if ti, ok := expr.TierIndex(a.Tier); ok {
+			var ops func() float64
+			probe, ops = eng.counters(probe, ti, node)
 			perReq := reqBytes + replyBytes
 			switch a.Tier {
 			case "db":
@@ -472,149 +350,14 @@ func buildProbes(d *mulini.Deployment, p *deploy.Placement, nt *sim.NTier, model
 			case "app":
 				perReq = replyBytes + 400
 			}
-			probe.NetBytes = func() float64 { return float64(st.Completed()) * perReq }
+			probe.NetBytes = func() float64 { return ops() * perReq }
 			if a.Tier == "db" {
-				probe.DiskOps = func() float64 { return float64(st.Completed()) * 1.6 }
+				probe.DiskOps = func() float64 { return ops() * 1.6 }
 			}
-			probe.Disk = st.Disk()
-			probe.NetRes = st.Net()
 		}
 		probes = append(probes, probe)
 	}
-	return probes, stationOf, hostOf
-}
-
-func assembleResult(e *spec.Experiment, d *mulini.Deployment, driver *sim.Driver,
-	mon *monitor.Monitor, stationOf map[string]*sim.Station, hostOf map[string]string,
-	cfg TrialConfig, runStart, runEnd float64) store.Result {
-
-	rts := driver.ResponseTimes()
-	dur := runEnd - runStart
-	res := store.Result{
-		Key: store.Key{
-			Experiment:    e.Name,
-			Topology:      d.Topology.String(),
-			Users:         cfg.Users,
-			WriteRatioPct: cfg.WriteRatioPct,
-		},
-		Engine:         cfg.Engine,
-		Requests:       int64(rts.Count()),
-		Errors:         driver.Errors(),
-		RunSeconds:     dur,
-		CollectedBytes: mon.CollectedBytes(),
-		TierCPU:        map[string]float64{},
-		HostCPU:        map[string]float64{},
-	}
-	if rts.Count() > 0 {
-		res.AvgRTms = rts.Mean() * 1000
-		res.P50ms = rts.Percentile(50) * 1000
-		res.P90ms = rts.Percentile(90) * 1000
-		res.P99ms = rts.Percentile(99) * 1000
-		res.MaxRTms = rts.Max() * 1000
-		res.Throughput = float64(rts.Count()) / dur
-	}
-	if per := driver.PerInteraction(); len(per) > 0 {
-		res.PerInteraction = make(map[string]float64, len(per))
-		for name, s := range per {
-			res.PerInteraction[name] = s.Mean() * 1000
-		}
-	}
-	res.FaultProfile = cfg.FaultProfile
-	if len(cfg.FaultPlan) > 0 {
-		res.FaultEvents = make([]string, len(cfg.FaultPlan))
-		for i, fe := range cfg.FaultPlan {
-			res.FaultEvents[i] = fe.String()
-		}
-	}
-	res.InjectedErrors = driver.InjectedErrors()
-
-	collectUtilization(&res, d, mon, hostOf,
-		func(role string) bool { return stationOf[role] != nil }, runStart, runEnd)
-
-	total := res.Requests + res.Errors
-	switch {
-	case total == 0:
-		res.Completed = false
-		res.FailReason = "no requests completed during the run period"
-	case res.ErrorRate() > FailureErrorRate:
-		res.Completed = false
-		res.FailReason = fmt.Sprintf("error rate %.1f%% exceeds %.0f%%",
-			res.ErrorRate()*100, FailureErrorRate*100)
-	default:
-		res.Completed = true
-	}
-	return res
-}
-
-// collectUtilization aggregates the monitor's utilization series over the
-// run window into per-host and per-tier means, exactly as the paper's
-// analysis pipeline reads sysstat output. Disk and network maps stay nil
-// (and thus absent from stored output) unless the run observed those
-// resources. observed filters to roles the engine actually modelled.
-func collectUtilization(res *store.Result, d *mulini.Deployment, mon *monitor.Monitor,
-	hostOf map[string]string, observed func(role string) bool, runStart, runEnd float64) {
-
-	tierSums := map[string]float64{}
-	tierCounts := map[string]int{}
-	// Allocated lazily: a CPU-only trial (no declared demands) must not
-	// allocate for resources it never observed.
-	var diskSums, netSums map[string]float64
-	var diskCounts, netCounts map[string]int
-	for _, a := range d.Assignments {
-		if !observed(a.Role) {
-			continue
-		}
-		host := hostOf[a.Role]
-		if host == "" {
-			continue
-		}
-		if ts, ok := mon.Series(host, "cpu"); ok {
-			if mean, ok := ts.MeanIn(runStart, runEnd); ok {
-				res.HostCPU[a.Role] = mean
-				tierSums[a.Tier] += mean
-				tierCounts[a.Tier]++
-			}
-		}
-		if ts, ok := mon.Series(host, "disk-util"); ok {
-			if mean, ok := ts.MeanIn(runStart, runEnd); ok {
-				if res.HostDisk == nil {
-					res.HostDisk = map[string]float64{}
-					diskSums = map[string]float64{}
-					diskCounts = map[string]int{}
-				}
-				res.HostDisk[a.Role] = mean
-				diskSums[a.Tier] += mean
-				diskCounts[a.Tier]++
-			}
-		}
-		if ts, ok := mon.Series(host, "net-util"); ok {
-			if mean, ok := ts.MeanIn(runStart, runEnd); ok {
-				if res.HostNet == nil {
-					res.HostNet = map[string]float64{}
-					netSums = map[string]float64{}
-					netCounts = map[string]int{}
-				}
-				res.HostNet[a.Role] = mean
-				netSums[a.Tier] += mean
-				netCounts[a.Tier]++
-			}
-		}
-	}
-	for tier, sum := range tierSums {
-		res.TierCPU[tier] = sum / float64(tierCounts[tier])
-	}
-	for tier, sum := range diskSums {
-		if res.TierDisk == nil {
-			res.TierDisk = map[string]float64{}
-		}
-		res.TierDisk[tier] = sum / float64(diskCounts[tier])
-	}
-	for tier, sum := range netSums {
-		if res.TierNet == nil {
-			res.TierNet = map[string]float64{}
-		}
-		res.TierNet[tier] = sum / float64(netCounts[tier])
-	}
+	return probes, hostOf
 }
 
 // mixRootSeed folds a runner-level root seed and the experiment name into

@@ -1,9 +1,9 @@
 package metrics
 
-// Observer receives a stream of observations. Histogram, Summary, Sample,
-// and TDigest all implement it, so measurement producers (the simulated
-// client driver, the result-log folder) can be pointed at any statistic
-// without knowing which one is attached.
+// Observer receives a stream of observations. Summary, Sample and TDigest
+// all implement it, so measurement producers (the simulated client
+// driver, the result-log folder) can be pointed at any statistic without
+// knowing which one is attached.
 type Observer interface {
 	Observe(x float64)
 }

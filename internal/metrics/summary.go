@@ -161,20 +161,30 @@ func (p *Sample) Quantile(q float64) float64 {
 		return 0
 	}
 	p.ensureSorted()
+	return QuantileSorted(p.xs, q)
+}
+
+// QuantileSorted returns the q-th quantile of an ascending slice by
+// linear interpolation between closest ranks, the definition
+// Sample.Quantile uses. It returns 0 for an empty slice.
+func QuantileSorted(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
 	if q <= 0 {
-		return p.xs[0]
+		return xs[0]
 	}
 	if q >= 1 {
-		return p.xs[len(p.xs)-1]
+		return xs[len(xs)-1]
 	}
-	pos := q * float64(len(p.xs)-1)
+	pos := q * float64(len(xs)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return p.xs[lo]
+		return xs[lo]
 	}
 	frac := pos - float64(lo)
-	return p.xs[lo]*(1-frac) + p.xs[hi]*frac
+	return xs[lo]*(1-frac) + xs[hi]*frac
 }
 
 // Percentile is shorthand for Quantile(pct/100).

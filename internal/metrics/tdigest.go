@@ -45,9 +45,8 @@ const DefaultTDigestCompression = 100
 // are byte-identical at any worker count. Methods are not safe for
 // concurrent use.
 //
-// The quantile argument contract mirrors Histogram.Quantile exactly:
-// out-of-range q is clamped into [0, 1], NaN q returns NaN, and an empty
-// digest returns 0 — the differential tests assert both types agree.
+// The quantile argument contract: out-of-range q is clamped into [0, 1],
+// NaN q returns NaN, and an empty digest returns 0.
 type TDigest struct {
 	compression float64
 	min, max    float64
@@ -285,9 +284,8 @@ func (d *TDigest) compress() {
 }
 
 // Quantile estimates the q-th quantile under the documented rank-error
-// bound. The argument contract mirrors Histogram.Quantile: q < 0 is
-// clamped to 0, q > 1 to 1, NaN returns NaN, and an empty digest
-// returns 0. q=0 and q=1 return the exact min and max.
+// bound. q < 0 is clamped to 0, q > 1 to 1, NaN returns NaN, and an
+// empty digest returns 0. q=0 and q=1 return the exact min and max.
 func (d *TDigest) Quantile(q float64) float64 {
 	if math.IsNaN(q) {
 		return math.NaN()

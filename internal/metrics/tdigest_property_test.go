@@ -269,59 +269,3 @@ func TestTDigestWeightedAddEquivalence(t *testing.T) {
 		assertWithinRankBound(t, flat, d, q, "weighted")
 	}
 }
-
-// TestTDigestVsHistogramDifferential: the two quantile estimators the
-// repo now carries must agree on the same stream: each within its own
-// documented error of the exact sample, hence within the sum of the two
-// windows of each other. Run across stream shapes at the report
-// quantiles.
-func TestTDigestVsHistogramDifferential(t *testing.T) {
-	for _, sg := range adversarialStreams {
-		rng := rand.New(rand.NewPCG(99, 0xbeef))
-		xs := sg.gen(rng, 20000)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, x := range xs {
-			lo = math.Min(lo, x)
-			hi = math.Max(hi, x)
-		}
-		if hi <= lo {
-			hi = lo + 1
-		}
-		const buckets = 400
-		h := NewHistogram(lo, hi+1e-9, buckets)
-		d := NewTDigest(DefaultTDigestCompression)
-		for _, x := range xs {
-			h.Observe(x)
-			d.Observe(x)
-		}
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		width := (hi + 1e-9 - lo) / buckets
-		for _, q := range []float64{0.5, 0.9, 0.99} {
-			// The histogram's error is one bucket width in value space;
-			// the digest's is ε(q) in rank space. Convert the digest's
-			// window to values and require the estimates within the sum.
-			n := len(sorted)
-			eps := d.RankError(q)
-			loRank := clampRank(int(math.Floor((q-eps)*float64(n))), n)
-			hiRank := clampRank(int(math.Ceil((q+eps)*float64(n)))-1, n)
-			window := sorted[hiRank] - sorted[loRank]
-			tol := window + width
-			dv, hv := d.Quantile(q), h.Quantile(q)
-			if diff := math.Abs(dv - hv); diff > tol {
-				t.Errorf("%s: q=%g sketch=%g histogram=%g differ by %g > tolerance %g",
-					sg.name, q, dv, hv, diff, tol)
-			}
-		}
-	}
-}
-
-func clampRank(r, n int) int {
-	if r < 0 {
-		return 0
-	}
-	if r > n-1 {
-		return n - 1
-	}
-	return r
-}
