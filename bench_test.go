@@ -670,21 +670,6 @@ func BenchmarkExtensionWriteRatioSensitivity(b *testing.B) {
 // Microbenchmarks of the substrate.
 // ---------------------------------------------------------------------
 
-func BenchmarkSimKernelEvents(b *testing.B) {
-	k := sim.NewKernel(1)
-	var loop func()
-	n := 0
-	loop = func() {
-		n++
-		if n < b.N {
-			k.Schedule(0.001, loop)
-		}
-	}
-	b.ResetTimer()
-	k.Schedule(0, loop)
-	k.Run(1e18)
-}
-
 func BenchmarkStationPipeline(b *testing.B) {
 	k := sim.NewKernel(1)
 	s := sim.NewStation(k, sim.StationConfig{Name: "S", Servers: 2, Speed: 1})

@@ -6,8 +6,10 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -118,8 +120,8 @@ func (s *Summary) String() string {
 type Sample struct {
 	xs     []float64
 	sorted bool
-	// permuted is set by the first in-place sort after a Reset: from then
-	// on xs is no longer in recording order.
+	// permuted is set by the first in-place sort or selection after a
+	// Reset: from then on xs is no longer in recording order.
 	permuted bool
 	sum      Summary
 }
@@ -156,12 +158,31 @@ func (p *Sample) Summary() Summary { return p.sum }
 
 // Quantile returns the q-th quantile (0 <= q <= 1) using linear
 // interpolation between closest ranks. It returns 0 for an empty sample.
+// Unless the sample is sorted already, it selects only the one or two
+// order statistics it reads, reordering the values in place; selection
+// yields the values a full sort would leave at those ranks.
 func (p *Sample) Quantile(q float64) float64 {
 	if len(p.xs) == 0 {
 		return 0
 	}
-	p.ensureSorted()
-	return QuantileSorted(p.xs, q)
+	if p.sorted {
+		return QuantileSorted(p.xs, q)
+	}
+	p.permuted = true
+	lo, hi, frac := quantileRanks(len(p.xs), q)
+	x := selectRank(p.xs, lo)
+	if lo == hi {
+		return x
+	}
+	// The values after rank lo are the ones above it, so rank hi = lo+1
+	// is their minimum.
+	y := p.xs[hi]
+	for _, v := range p.xs[hi+1:] {
+		if cmp.Less(v, y) {
+			y = v
+		}
+	}
+	return x*(1-frac) + y*frac
 }
 
 // QuantileSorted returns the q-th quantile of an ascending slice by
@@ -171,20 +192,66 @@ func QuantileSorted(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	if q <= 0 {
-		return xs[0]
-	}
-	if q >= 1 {
-		return xs[len(xs)-1]
-	}
-	pos := q * float64(len(xs)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
+	lo, hi, frac := quantileRanks(len(xs), q)
 	if lo == hi {
 		return xs[lo]
 	}
-	frac := pos - float64(lo)
 	return xs[lo]*(1-frac) + xs[hi]*frac
+}
+
+// quantileRanks returns the closest ranks below and above the q-th
+// quantile of n ≥ 1 ascending values, and how far the quantile lies from
+// the lower rank towards the upper one.
+func quantileRanks(n int, q float64) (lo, hi int, frac float64) {
+	if q <= 0 {
+		return 0, 0, 0
+	}
+	if q >= 1 {
+		return n - 1, n - 1, 0
+	}
+	pos := q * float64(n-1)
+	lo, hi = int(math.Floor(pos)), int(math.Ceil(pos))
+	return lo, hi, pos - float64(lo)
+}
+
+// selectRank reorders xs so that xs[k] holds the value of rank k, with no
+// greater value before it and no smaller one after it, and returns that
+// value. It orders values as sort.Float64s does (NaNs first), so the value
+// is the one sorting would leave at k. Each pass partitions the range
+// holding k around the value at k (Wirth's FIND); should the passes run
+// past twice the depth a halving needs, the rest of the range is sorted
+// instead, which bounds the worst case by a sort's.
+func selectRank(xs []float64, k int) float64 {
+	lo, hi := 0, len(xs)-1
+	for passes := 2 * bits.Len(uint(len(xs))); lo < hi; passes-- {
+		if passes == 0 {
+			sort.Float64s(xs[lo : hi+1])
+			break
+		}
+		x := xs[k]
+		i, j := lo, hi
+		for i <= j {
+			for cmp.Less(xs[i], x) {
+				i++
+			}
+			for cmp.Less(x, xs[j]) {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// Now xs[lo:j+1] ≤ x ≤ xs[i:hi+1], and any value between is x.
+		if j < k {
+			lo = i
+		}
+		if k < i {
+			hi = j
+		}
+	}
+	return xs[k]
 }
 
 // Percentile is shorthand for Quantile(pct/100).
@@ -193,7 +260,11 @@ func (p *Sample) Percentile(pct float64) float64 { return p.Quantile(pct / 100) 
 // Values returns a copy of the recorded values in insertion-independent
 // (sorted) order.
 func (p *Sample) Values() []float64 {
-	p.ensureSorted()
+	if !p.sorted {
+		sort.Float64s(p.xs)
+		p.sorted = true
+		p.permuted = true
+	}
 	out := make([]float64, len(p.xs))
 	copy(out, p.xs)
 	return out
@@ -202,11 +273,11 @@ func (p *Sample) Values() []float64 {
 // Since returns the values recorded after the first i, in recording
 // order, sharing the sample's storage (callers must copy before
 // modifying). Recording order exists only until the sample is first
-// sorted — Quantile, Percentile and Values sort in place — so Since
-// panics if that has happened since the last Reset.
+// reordered — Quantile and Percentile select and Values sorts in place —
+// so Since panics if that has happened since the last Reset.
 func (p *Sample) Since(i int) []float64 {
 	if p.permuted {
-		panic("metrics: Sample.Since after an in-place sort")
+		panic("metrics: Sample.Since after an in-place reorder")
 	}
 	return p.xs[i:]
 }
@@ -217,15 +288,6 @@ func (p *Sample) Reset() {
 	p.sorted = false
 	p.permuted = false
 	p.sum = Summary{}
-}
-
-// ensureSorted orders the values in place for the order statistics.
-func (p *Sample) ensureSorted() {
-	if !p.sorted {
-		sort.Float64s(p.xs)
-		p.sorted = true
-		p.permuted = true
-	}
 }
 
 // Pearson computes the Pearson correlation coefficient of two paired

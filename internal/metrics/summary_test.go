@@ -3,6 +3,8 @@ package metrics
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -153,6 +155,94 @@ func TestSampleQuantiles(t *testing.T) {
 	}
 }
 
+// quantileBySort is the sort-based Sample.Quantile that selection
+// replaced, given the values sorted by sort.Float64s: interpolate between
+// the closest ranks.
+func quantileBySort(ys []float64, q float64) float64 {
+	if len(ys) == 0 {
+		return 0
+	}
+	if q <= 0 {
+		return ys[0]
+	}
+	if q >= 1 {
+		return ys[len(ys)-1]
+	}
+	pos := q * float64(len(ys)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return ys[lo]
+	}
+	frac := pos - float64(lo)
+	return ys[lo]*(1-frac) + ys[hi]*frac
+}
+
+// TestSampleQuantileMatchesSortReference checks that selecting order
+// statistics returns the bits sorting did, on samples of 0–3 values and
+// of up to 3000, with and without heavy duplication, for q values taken
+// in several orders on one sample (each selection leaves the values
+// reordered for the next), then again once Values has sorted them.
+func TestSampleQuantileMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	var samples [][]float64
+	for trial := 0; trial < 600; trial++ {
+		n := trial % 4
+		if trial >= 200 {
+			n = 4 + rng.IntN(3000)
+		}
+		dupShare := []float64{0, 0.5, 1}[trial%3] // share of values from {0, 0.25, 0.5, 0.75}
+		xs := make([]float64, n)
+		for i := range xs {
+			if rng.Float64() < dupShare {
+				xs[i] = float64(rng.IntN(4)) * 0.25
+			} else {
+				xs[i] = rng.ExpFloat64()
+			}
+		}
+		samples = append(samples, xs)
+	}
+	// An ascending run rotated right by one makes each pass of the q = 0
+	// selection set aside a single value, which drives it past its pass
+	// budget into sorting the rest.
+	rotated := make([]float64, 1000)
+	for i := range rotated {
+		rotated[i] = float64((i + len(rotated) - 1) % len(rotated))
+	}
+	samples = append(samples, rotated)
+
+	orders := [][]float64{
+		{0, 0.5, 0.9, 0.99, 1},
+		{1, 0.99, 0.9, 0.5, 0},
+		{0.99, 0.5, 1, 0.9, 0},
+		{0.5, 0.9, 0.5, 0.99, 0.9},
+	}
+	for _, xs := range samples {
+		sorted := slices.Clone(xs)
+		sort.Float64s(sorted)
+		for _, order := range orders {
+			s := NewSample(len(xs))
+			for _, x := range xs {
+				s.Observe(x)
+			}
+			check := func(when string) {
+				for _, q := range order {
+					got, want := s.Quantile(q), quantileBySort(sorted, q)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("n=%d order %v %s: Quantile(%g) = %v, sort gives %v",
+							len(xs), order, when, q, got, want)
+					}
+				}
+			}
+			check("selecting")
+			if v := s.Values(); !slices.Equal(v, sorted) {
+				t.Fatalf("n=%d: Values after selection is not the sorted sample", len(xs))
+			}
+			check("after Values")
+		}
+	}
+}
+
 func TestSampleEmptyAndReset(t *testing.T) {
 	s := NewSample(4)
 	if s.Quantile(0.5) != 0 || s.Count() != 0 {
@@ -252,11 +342,11 @@ func TestSampleSinceKeepsRecordingOrder(t *testing.T) {
 	if got := p.Since(4); len(got) != 0 {
 		t.Fatalf("Since(Count) = %v, want empty", got)
 	}
-	p.Quantile(0.5) // sorts in place: recording order is gone
+	p.Quantile(0.5) // reorders in place: recording order is gone
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("Since after an in-place sort should panic")
+				t.Fatal("Since after an in-place reorder should panic")
 			}
 		}()
 		p.Since(0)

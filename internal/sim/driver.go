@@ -290,11 +290,11 @@ func (d *Driver) SetRTObserver(o metrics.Observer) { d.rtObs = o }
 
 // ResponseTimes returns the sample of successful, in-deadline response
 // times measured in the current window. Values are appended in completion
-// order, and nothing in this package sorts the sample, so until the caller
-// first takes a quantile (which sorts it in place) Sample.Since(i) yields
-// exactly the successes completed after the i-th. The expression hooks
-// rely on this to cut per-window response times out of a running trial;
-// quantiles are read only once the trial has ended.
+// order, and nothing in this package reorders the sample, so until the
+// caller first takes a quantile (which reorders it in place)
+// Sample.Since(i) yields exactly the successes completed after the i-th.
+// The expression hooks rely on this to cut per-window response times out
+// of a running trial; quantiles are read only once the trial has ended.
 func (d *Driver) ResponseTimes() *metrics.Sample { return d.rtSample }
 
 // PerInteraction returns response-time summaries keyed by interaction

@@ -17,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 )
 
@@ -29,8 +30,21 @@ import (
 type event struct {
 	at   float64
 	seq  int64
-	slot int32 // index into Kernel.recv
+	slot int32 // index into Kernel.slab
 	tag  int32 // passed to the receiver's act
+}
+
+// entry is one slot of the handler slab. It holds a pending event's
+// receiver; while the event waits in a rung bucket or the top list, its
+// time, seq and tag live here too, and next links it to the following
+// event of that list. A free slot is linked into the free list by next.
+// Slot 0 is never handed out, so 0 ends every list.
+type entry struct {
+	a    actor
+	at   float64
+	seq  int64
+	tag  int32
+	next int32
 }
 
 // actor is implemented by simulation components that receive scheduled
@@ -48,24 +62,45 @@ func (f funcActor) act(int32) { f() }
 
 // Kernel is a discrete-event simulation executive. The zero value is not
 // usable; create kernels with NewKernel.
+//
+// Pending events wait in three tiers. The heap holds the events due
+// soon. The rung holds later ones in buckets of equal width: bucket i
+// holds the events whose index ⌊(at−start)/width⌋ is i, unsorted, and the
+// buckets up to cur have been moved into the heap. The top list holds,
+// unsorted, the events past the rung's last bucket. An event's index never
+// decreases as its time grows, rounding included, so every heap event
+// precedes every rung event, which precedes every top event, and events
+// at the same instant always share a tier. The heap's root is therefore
+// the earliest pending event, and the fire order is the (at, seq) order
+// of a plain heap.
 type Kernel struct {
 	now   float64
 	seq   int64
-	heap  []event // 4-ary min-heap ordered by (at, seq)
 	rng   *rand.Rand
 	fired int64
 
-	// recv is the handler slab: recv[e.slot] is the receiver of pending
-	// event e. A slot is released to free when its event fires, so the
-	// slab never holds more entries than the peak number of pending events.
-	recv []actor
-	free []int32
+	heap    []event // 4-ary min-heap ordered by (at, seq)
+	buckets []int32 // head slot of each rung bucket's list; 0 when empty
+	start   float64
+	width   float64
+	cur     int   // the bucket last moved into the heap
+	top     int32 // head slot of the top list
+
+	// slab is the handler slab: slab[e.slot] holds the receiver of
+	// pending event e. A slot is released to the free list when its event
+	// fires, so the slab never holds more entries than the peak number of
+	// pending events.
+	slab []entry
+	free int32
 }
 
 // NewKernel creates a kernel whose random stream is seeded
 // deterministically from seed.
 func NewKernel(seed uint64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}
+	return &Kernel{
+		rng:  rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
+		slab: make([]entry, 1),
+	}
 }
 
 // Now reports the current simulated time in seconds.
@@ -90,17 +125,111 @@ func (k *Kernel) scheduleAct(delay float64, a actor, tag int32) {
 	if delay < 0 {
 		delay = 0
 	}
-	var slot int32
-	if n := len(k.free); n > 0 {
-		slot = k.free[n-1]
-		k.free = k.free[:n-1]
-		k.recv[slot] = a
+	slot := k.free
+	if slot != 0 {
+		k.free = k.slab[slot].next
+		k.slab[slot].a = a
 	} else {
-		slot = int32(len(k.recv))
-		k.recv = append(k.recv, a)
+		slot = int32(len(k.slab))
+		k.slab = append(k.slab, entry{a: a})
 	}
 	k.seq++
-	k.push(event{at: k.now + delay, seq: k.seq, slot: slot, tag: tag})
+	k.place(event{at: k.now + delay, seq: k.seq, slot: slot, tag: tag})
+}
+
+// place files e in the tier its bucket index selects. The index is NaN
+// only for an event at the instant of a zero-width rung, which joins the
+// rest of that instant in the heap.
+func (k *Kernel) place(e event) {
+	x := (e.at - k.start) / k.width
+	switch {
+	case !(x >= float64(k.cur+1)):
+		k.push(e)
+	case x < float64(len(k.buckets)):
+		k.link(&k.buckets[int(x)], e)
+	default:
+		k.link(&k.top, e)
+	}
+}
+
+// link keeps e in its slab entry at the head of the list at head.
+func (k *Kernel) link(head *int32, e event) {
+	s := &k.slab[e.slot]
+	s.at, s.seq, s.tag, s.next = e.at, e.seq, e.tag, *head
+	*head = e.slot
+}
+
+// pushList moves the events of the list starting at slot into the heap.
+func (k *Kernel) pushList(slot int32) {
+	for ; slot != 0; slot = k.slab[slot].next {
+		s := &k.slab[slot]
+		k.push(event{at: s.at, seq: s.seq, slot: slot, tag: s.tag})
+	}
+}
+
+// refill moves the next non-empty bucket into the empty heap, first
+// building a new rung from the top list when every bucket has been moved.
+// It reports whether any event is pending.
+func (k *Kernel) refill() bool {
+	for {
+		for k.cur+1 < len(k.buckets) {
+			k.cur++
+			slot := k.buckets[k.cur]
+			if slot == 0 {
+				continue
+			}
+			k.buckets[k.cur] = 0
+			k.pushList(slot)
+			return true
+		}
+		if k.top == 0 {
+			return false
+		}
+		k.build()
+		if len(k.heap) > 0 {
+			return true
+		}
+	}
+}
+
+// build spreads the top list over a new rung. With n events between min
+// and max, the rung has n+1 buckets of width (max−min)/n, so the latest
+// event lands in bucket n by the same index formula place uses: with a
+// normal width the computed index exceeds n by a few ulps at most. A
+// zero or subnormal width (all events at one instant, or nearly so) or an
+// infinite one makes no rung: the events go straight to the heap, and the
+// zero-width rung left at max sends later events at max to the heap and
+// any after it to the top list.
+func (k *Kernel) build() {
+	n := 0
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for slot := k.top; slot != 0; slot = k.slab[slot].next {
+		n++
+		lo = min(lo, k.slab[slot].at)
+		hi = max(hi, k.slab[slot].at)
+	}
+	slot := k.top
+	k.top = 0
+	k.start, k.width, k.cur = lo, (hi-lo)/float64(n), -1
+	if !(k.width >= 0x1p-1022 && k.width <= math.MaxFloat64) {
+		k.start, k.width, k.cur = hi, 0, 0
+		k.buckets = k.buckets[:0]
+		k.pushList(slot)
+		return
+	}
+	if cap(k.buckets) > n {
+		k.buckets = k.buckets[:n+1]
+	} else {
+		k.buckets = make([]int32, n+1)
+	}
+	for slot != 0 {
+		s := &k.slab[slot]
+		next := s.next
+		i := int((s.at - k.start) / k.width)
+		s.next = k.buckets[i]
+		k.buckets[i] = slot
+		slot = next
+	}
 }
 
 // heapArity is the branching factor of the pending-event heap. A 4-ary
@@ -176,17 +305,19 @@ func (k *Kernel) pop() event {
 func (k *Kernel) dispatch(e event) {
 	k.now = e.at
 	k.fired++
-	a := k.recv[e.slot]
-	k.recv[e.slot] = nil
-	k.free = append(k.free, e.slot)
+	s := &k.slab[e.slot]
+	a := s.a
+	s.a = nil
+	s.next = k.free
+	k.free = e.slot
 	a.act(e.tag)
 }
 
 // Run executes events until the simulated clock reaches until seconds or
-// no events remain. The clock is left at until (or at the last event time
-// when the queue empties first).
+// no events remain, and then advances the clock to until, also when the
+// queue empties first. A clock already past until stays where it is.
 func (k *Kernel) Run(until float64) {
-	for len(k.heap) > 0 {
+	for len(k.heap) > 0 || k.refill() {
 		if k.heap[0].at > until {
 			break
 		}
@@ -200,7 +331,7 @@ func (k *Kernel) Run(until float64) {
 // Step executes exactly one pending event and reports whether one existed.
 // It is intended for tests that need fine-grained control.
 func (k *Kernel) Step() bool {
-	if len(k.heap) == 0 {
+	if len(k.heap) == 0 && !k.refill() {
 		return false
 	}
 	k.dispatch(k.pop())
@@ -208,7 +339,7 @@ func (k *Kernel) Step() bool {
 }
 
 // Pending reports the number of scheduled events not yet fired.
-func (k *Kernel) Pending() int { return len(k.heap) }
+func (k *Kernel) Pending() int { return int(k.seq - k.fired) }
 
 // Exp draws an exponentially distributed duration with the given mean. A
 // non-positive mean yields zero, which callers use for deterministic
@@ -222,5 +353,5 @@ func (k *Kernel) Exp(mean float64) float64 {
 
 // String describes the kernel state for debugging.
 func (k *Kernel) String() string {
-	return fmt.Sprintf("sim.Kernel{now=%.3fs pending=%d fired=%d}", k.now, len(k.heap), k.fired)
+	return fmt.Sprintf("sim.Kernel{now=%.3fs pending=%d fired=%d}", k.now, k.Pending(), k.fired)
 }

@@ -139,7 +139,7 @@ func TestTracingDisabledAddsNoAllocations(t *testing.T) {
 	nt := buildApp(k, 1, 2, 2, 0)
 	d := NewDriver(k, nt, mixModel{think: 0.02}, DriverConfig{Users: 8, RampUp: 0.2}, 7)
 	d.Start()
-	// Warm up so call/writeCall pools and the event heap reach steady state.
+	// Warm up so call/writeCall pools and the event queue reach steady state.
 	k.Run(5)
 	allocs := testing.AllocsPerRun(50, func() {
 		k.Run(k.Now() + 0.5)
