@@ -137,9 +137,11 @@ func (k *Kernel) scheduleAct(delay float64, a actor, tag int32) {
 	k.place(event{at: k.now + delay, seq: k.seq, slot: slot, tag: tag})
 }
 
-// place files e in the tier its bucket index selects. The index is NaN
-// only for an event at the instant of a zero-width rung, which joins the
-// rest of that instant in the heap.
+// place files e in the tier its bucket index selects. A zero-width rung
+// (a new kernel's, at time 0, or the one build leaves when it cannot
+// spread the top list) makes the index −∞ before its instant, NaN at it
+// and +∞ after it; NaN sends the event to the heap with the rest of that
+// instant.
 func (k *Kernel) place(e event) {
 	x := (e.at - k.start) / k.width
 	switch {
