@@ -197,7 +197,8 @@ func (k *Kernel) refill() bool {
 // build spreads the top list over a new rung. With n events between min
 // and max, the rung has n+1 buckets of width (max−min)/n, so the latest
 // event lands in bucket n by the same index formula place uses: with a
-// normal width the computed index exceeds n by a few ulps at most. A
+// normal width, rounding lifts its computed index above n by a few ulps
+// at most, well below n+1. A
 // zero or subnormal width (all events at one instant, or nearly so) or an
 // infinite one makes no rung: the events go straight to the heap, and the
 // zero-width rung left at max sends later events at max to the heap and
