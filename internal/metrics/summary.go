@@ -118,8 +118,7 @@ func (s *Summary) String() string {
 // (percentiles, median) can be computed after the fact. It keeps every
 // value; trials are bounded so this stays modest.
 type Sample struct {
-	xs     []float64
-	sorted bool
+	xs []float64
 	// permuted is set by the first in-place sort or selection after a
 	// Reset: from then on xs is no longer in recording order.
 	permuted bool
@@ -134,7 +133,6 @@ func NewSample(n int) *Sample {
 // Observe appends a value to the sample.
 func (p *Sample) Observe(x float64) {
 	p.xs = append(p.xs, x)
-	p.sorted = false
 	p.sum.Observe(x)
 }
 
@@ -158,15 +156,12 @@ func (p *Sample) Summary() Summary { return p.sum }
 
 // Quantile returns the q-th quantile (0 <= q <= 1) using linear
 // interpolation between closest ranks. It returns 0 for an empty sample.
-// Unless the sample is sorted already, it selects only the one or two
-// order statistics it reads, reordering the values in place; selection
-// yields the values a full sort would leave at those ranks.
+// It selects only the one or two order statistics it reads, reordering
+// the values in place; selection yields the values a full sort would
+// leave at those ranks.
 func (p *Sample) Quantile(q float64) float64 {
 	if len(p.xs) == 0 {
 		return 0
-	}
-	if p.sorted {
-		return QuantileSorted(p.xs, q)
 	}
 	p.permuted = true
 	lo, hi, frac := quantileRanks(len(p.xs), q)
@@ -260,11 +255,8 @@ func (p *Sample) Percentile(pct float64) float64 { return p.Quantile(pct / 100) 
 // Values returns a copy of the recorded values in insertion-independent
 // (sorted) order.
 func (p *Sample) Values() []float64 {
-	if !p.sorted {
-		sort.Float64s(p.xs)
-		p.sorted = true
-		p.permuted = true
-	}
+	sort.Float64s(p.xs)
+	p.permuted = true
 	out := make([]float64, len(p.xs))
 	copy(out, p.xs)
 	return out
@@ -285,7 +277,6 @@ func (p *Sample) Since(i int) []float64 {
 // Reset discards all recorded values but keeps the allocation.
 func (p *Sample) Reset() {
 	p.xs = p.xs[:0]
-	p.sorted = false
 	p.permuted = false
 	p.sum = Summary{}
 }
