@@ -369,13 +369,15 @@ func (h *holdActor) delay() float64 {
 }
 
 // BenchmarkSimKernelEvents times one event of a hold model (fire the
-// earliest event, whose handler schedules its successor) at 10², 10³ and
-// 10⁴ pending events. "far" draws every delay as a think time; "mix" draws
-// des-sweep's mix, 30% think times and 70% service times, where most
-// pending events are think times and most fired ones service times. An op
-// is one event, including its delay draw and handler call.
+// earliest event, whose handler schedules its successor) at 1, 10², 10³
+// and 10⁴ pending events. With one pending event, each successor goes to
+// the top list and through a rung build before it reaches the heap. "far"
+// draws every delay as a think time; "mix" draws des-sweep's mix, 30%
+// think times and 70% service times, where most pending events are think
+// times and most fired ones service times. An op is one event, including
+// its delay draw and handler call.
 func BenchmarkSimKernelEvents(b *testing.B) {
-	for _, pending := range []int{100, 1000, 10000} {
+	for _, pending := range []int{1, 100, 1000, 10000} {
 		for _, mix := range []struct {
 			name string
 			far  float64
