@@ -9,7 +9,7 @@ import (
 )
 
 // benchOutput fabricates `go test -bench -benchmem` output for the
-// benchmarks recorded in the repo's BENCH_PR1.json fixture, scaling the
+// benchmarks recorded in the testdata/BENCH_PR1.json fixture, scaling the
 // fixture's ns/op by ratio (1.0 reproduces the baseline exactly).
 func benchOutput(ratio float64) string {
 	var b strings.Builder
@@ -35,7 +35,7 @@ func benchOutput(ratio float64) string {
 
 func repoFixture(t *testing.T) string {
 	t.Helper()
-	path, err := filepath.Abs("../../BENCH_PR1.json")
+	path, err := filepath.Abs(filepath.Join("testdata", "BENCH_PR1.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

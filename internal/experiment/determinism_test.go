@@ -1,9 +1,16 @@
 package experiment
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"elba/internal/spec"
 	"elba/internal/store"
@@ -274,5 +281,153 @@ func TestGridAbortStoresPrefixOnly(t *testing.T) {
 	if seq.CSV() != par.CSV() {
 		t.Fatalf("abort prefix differs between worker counts:\n--- seq ---\n%s\n--- par ---\n%s",
 			seq.CSV(), par.CSV())
+	}
+}
+
+// holdCache is a TrialCache that holds one workload point until release
+// is closed, for at most 3 s: a runner that commits nothing while the
+// point is held then fails rather than hangs.
+type holdCache struct {
+	TrialCache
+	users    int
+	release  chan struct{}
+	timedOut atomic.Bool
+}
+
+func (c *holdCache) Do(k TrialKey, compute func() (store.Result, error)) (store.Result, bool, error) {
+	if k.Users == c.users {
+		select {
+		case <-c.release:
+		case <-time.After(3 * time.Second):
+			c.timedOut.Store(true)
+		}
+	}
+	return c.TrialCache.Do(k, compute)
+}
+
+// TestGridCommitsStreamWithTheGrid holds a parallel grid's last point
+// until OnTrial has fired: the points before it must commit while it
+// waits, in grid order. A runner that commits only once the whole grid
+// has finished times out here.
+func TestGridCommitsStreamWithTheGrid(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		r := testRunner(t)
+		r.TrialParallel = workers
+		hold := &holdCache{TrialCache: newEphemeralTrialCache(), users: 400, release: make(chan struct{})}
+		r.TrialCache = hold
+		var release sync.Once
+		var seen []int
+		r.OnTrial = func(res store.Result) {
+			seen = append(seen, res.Key.Users)
+			release.Do(func() { close(hold.release) })
+		}
+		if err := r.RunExperiment(rubisExperiment(t, `workload { users 50 to 400 step 50; writeratio 15; }`)); err != nil {
+			t.Fatal(err)
+		}
+		if hold.timedOut.Load() {
+			t.Errorf("workers=%d: nothing committed while the 400-user point waited", workers)
+		}
+		if want := []int{50, 100, 150, 200, 250, 300, 350, 400}; !slices.Equal(seen, want) {
+			t.Errorf("workers=%d: OnTrial saw users %v, want %v", workers, seen, want)
+		}
+	}
+}
+
+// TestJoinedErrorSameAtEveryWorkerCount: when every point of a sweep
+// fails, the sweep still runs all of them and reports each, in grid
+// order, with the same joined error at every worker count.
+func TestJoinedErrorSameAtEveryWorkerCount(t *testing.T) {
+	var want string
+	for _, w := range []struct{ parallel, trial int }{{1, 1}, {1, 2}, {1, 4}, {2, 1}, {2, 4}} {
+		r := testRunner(t)
+		r.Parallel, r.TrialParallel = w.parallel, w.trial
+		err := r.RunExperiment(rubisExperiment(t, `
+			topologies 1-1-1, 1-2-1;
+			workload { users 50 to 200 step 50; writeratio 15; }
+			faults { JONAS9 at 10s for 10s; }`))
+		if err == nil {
+			t.Fatalf("parallel=%d trial=%d: faulty experiment reported success", w.parallel, w.trial)
+		}
+		if want == "" {
+			want = err.Error()
+			rest := want
+			for _, topo := range []string{"1-1-1", "1-2-1"} {
+				for users := 50; users <= 200; users += 50 {
+					point := fmt.Sprintf("rubis-it/%s u=%d w=15:", topo, users)
+					i := strings.Index(rest, point)
+					if i < 0 {
+						t.Fatalf("joined error lacks %s in grid order: %v", point, err)
+					}
+					rest = rest[i+len(point):]
+				}
+			}
+			continue
+		}
+		if err.Error() != want {
+			t.Fatalf("parallel=%d trial=%d: joined error differs from parallel=1 trial=1:\n%v\n--- want ---\n%s",
+				w.parallel, w.trial, err, want)
+		}
+	}
+}
+
+// cancelCache cancels the sweep's context ctx while it computes one
+// workload point, which itself finishes cleanly. Later points wait for
+// the cancellation (for at most 3 s) before computing, so it lands before
+// any of them starts at every worker count.
+type cancelCache struct {
+	TrialCache
+	ctx    context.Context
+	cancel context.CancelFunc
+	users  int
+}
+
+func (c cancelCache) Do(k TrialKey, compute func() (store.Result, error)) (store.Result, bool, error) {
+	switch {
+	case k.Users == c.users:
+		return c.TrialCache.Do(k, func() (store.Result, error) {
+			defer c.cancel()
+			return compute()
+		})
+	case k.Users > c.users:
+		select {
+		case <-c.ctx.Done():
+		case <-time.After(3 * time.Second):
+		}
+	}
+	return c.TrialCache.Do(k, compute)
+}
+
+// TestRunnerCancellationStopsTheGrid cancels a sweep while it computes its
+// third point. No point starts after that; the in-flight ones commit; the
+// sweep reports the cancellation once per worker at most; and the store
+// keeps a strict prefix of the grid.
+func TestRunnerCancellationStopsTheGrid(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		r := testRunner(t)
+		r.TrialParallel = workers
+		ctx, cancel := context.WithCancel(context.Background())
+		r.TrialCache = cancelCache{TrialCache: newEphemeralTrialCache(), ctx: ctx, cancel: cancel, users: 150}
+		err := r.RunExperimentContext(ctx, rubisExperiment(t, `workload { users 50 to 800 step 50; writeratio 15; }`))
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: cancelled sweep returned %v", workers, err)
+		}
+		if n := strings.Count(err.Error(), context.Canceled.Error()); n > workers {
+			t.Fatalf("workers=%d: the cancellation is reported %d times: %v", workers, n, err)
+		}
+		stored := r.Store().All()
+		if len(stored) >= 16 {
+			t.Fatalf("workers=%d: cancelled sweep stored all %d points", workers, len(stored))
+		}
+		for i, res := range stored {
+			if res.Key.Users != 50*(i+1) {
+				t.Fatalf("workers=%d: stored result %d is u=%d, not a grid prefix", workers, i, res.Key.Users)
+			}
+		}
+		// One worker runs the points in order, so it must have committed
+		// exactly the 150-user point it was computing, and nothing later.
+		if workers == 1 && len(stored) != 3 {
+			t.Fatalf("workers=1: stored %d points, want 3 (through the in-flight 150-user point)", len(stored))
+		}
 	}
 }

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"errors"
-	"sync"
 
 	"elba/internal/deploy"
 	"elba/internal/metrics"
@@ -11,20 +10,6 @@ import (
 	"elba/internal/store"
 )
 
-// RunReplicatedTrial runs a workload point `repeat` times with
-// independent seeds and aggregates the results: response-time and
-// throughput means carry 95% confidence half-widths, counters are summed,
-// and the aggregate is marked failed if any replica failed. With
-// repeat <= 1 it is RunTrial.
-//
-// Replication is the standard answer to the "random fluctuations ... at
-// saturation" the paper observes (§IV.A): the confidence interval makes
-// the fluctuation quantitative.
-func RunReplicatedTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement,
-	cfg TrialConfig, repeat int) (*TrialOutcome, error) {
-	return RunReplicatedTrialParallel(e, d, p, cfg, repeat, 1)
-}
-
 // replicaSeed derives replica i's seed from the workload point's base
 // seed. Each replica's random stream is a pure function of (base, i), so
 // the aggregate is bit-identical however the replicas are scheduled.
@@ -32,12 +17,21 @@ func replicaSeed(base uint64, i int) uint64 {
 	return base ^ (uint64(i+1) * 0x9e3779b97f4a7c15)
 }
 
-// RunReplicatedTrialParallel is RunReplicatedTrial with the replicas run
-// on a bounded pool of `workers` goroutines. Replica seeds are derived
-// from the replica index alone and aggregation always folds outcomes in
-// index order, so the result is bit-identical for every worker count.
-// Errors from all failed replicas are collected (errors.Join), not just
-// the first.
+// RunReplicatedTrialParallel runs a workload point `repeat` times with
+// independent seeds, on up to `workers` goroutines, and aggregates the
+// results: response-time and throughput means carry 95% confidence
+// half-widths, counters are summed, and the aggregate is marked failed if
+// any replica failed. With repeat <= 1 it is RunTrial.
+//
+// Replication is the standard answer to the "random fluctuations ... at
+// saturation" the paper observes (§IV.A): the confidence interval makes
+// the fluctuation quantitative.
+//
+// Replica seeds are derived from the replica index alone and replicas fold
+// into the aggregate in index order, each as soon as it and every earlier
+// one have finished, so the result is bit-identical for every worker
+// count. Every replica runs, and the errors of all failed replicas are
+// joined.
 func RunReplicatedTrialParallel(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement,
 	cfg TrialConfig, repeat, workers int) (*TrialOutcome, error) {
 
@@ -45,46 +39,8 @@ func RunReplicatedTrialParallel(e *spec.Experiment, d *mulini.Deployment, p *dep
 		return RunTrial(e, d, p, cfg)
 	}
 	base := trialSeed(e, d, cfg)
-
 	outs := make([]*TrialOutcome, repeat)
-	if workers > repeat {
-		workers = repeat
-	}
-	if workers > 1 {
-		trialErrs := make([]error, repeat)
-		jobs := make(chan int, repeat)
-		for i := 0; i < repeat; i++ {
-			jobs <- i
-		}
-		close(jobs)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					rcfg := cfg
-					rcfg.Seed = replicaSeed(base, i)
-					outs[i], trialErrs[i] = RunTrial(e, d, p, rcfg)
-				}
-			}()
-		}
-		wg.Wait()
-		if err := errors.Join(trialErrs...); err != nil {
-			return nil, err
-		}
-	} else {
-		for i := 0; i < repeat; i++ {
-			rcfg := cfg
-			rcfg.Seed = replicaSeed(base, i)
-			out, err := RunTrial(e, d, p, rcfg)
-			if err != nil {
-				return nil, err
-			}
-			outs[i] = out
-		}
-	}
-
+	errs := make([]error, repeat)
 	var last *TrialOutcome
 	var rt, p50, p90, p99, x metrics.Summary
 	var agg store.Result
@@ -93,8 +49,17 @@ func RunReplicatedTrialParallel(e *spec.Experiment, d *mulini.Deployment, p *dep
 	var sketch *metrics.TDigest
 	tierSum := map[string]float64{}
 	hostSum := map[string]float64{}
-	for i := 0; i < repeat; i++ {
+	ordered(repeat, workers, func(i int) bool {
+		rcfg := cfg
+		rcfg.Seed = replicaSeed(base, i)
+		outs[i], errs[i] = RunTrial(e, d, p, rcfg)
+		return false
+	}, func(i int) {
 		out := outs[i]
+		outs[i] = nil // release the replica and its monitor
+		if out == nil {
+			return // failed: the joined error reports it
+		}
 		last = out
 		r := out.Result
 		if i == 0 {
@@ -140,6 +105,9 @@ func RunReplicatedTrialParallel(e *spec.Experiment, d *mulini.Deployment, p *dep
 			}
 			sketch.Merge(r.RTSketch)
 		}
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	if sketch != nil {
 		sketch.Compress()

@@ -31,7 +31,9 @@ type Runner struct {
 	// protocol). Exposed so tests and quick benchmarks can run the same
 	// pipeline faster.
 	TimeScale float64
-	// OnTrial, when set, observes each stored result as it lands.
+	// OnTrial, when set, observes each stored result as it lands. One
+	// deployment's calls never overlap and arrive in grid order; calls
+	// from different deployments may overlap when Parallel > 1.
 	OnTrial func(store.Result)
 	// KeepGoingOnFailure records failed trials and continues the sweep
 	// (the paper's tables keep failed cells as gaps). When false, the
@@ -53,8 +55,9 @@ type Runner struct {
 	// grid concurrently (default 1 = sequential), and, for single-point
 	// runs, this many trial replicas. Every trial draws from a random
 	// stream derived purely from its coordinates, and results are
-	// committed to the store in grid order, so the stored results are
-	// bit-identical for every TrialParallel value.
+	// committed to the store in grid order as each prefix of the grid
+	// completes, so the stored results are bit-identical for every
+	// TrialParallel value.
 	TrialParallel int
 	// Seed, when non-zero, is a root seed mixed into every derived trial
 	// seed together with the experiment name. Zero keeps the historical
@@ -86,9 +89,9 @@ type Runner struct {
 	SketchRT bool
 	// OnRTSample, when set, observes every measured successful response
 	// time of every DES trial (seconds, completion order), tagged with
-	// the trial's grid key. Like OnTrial it may fire from multiple
-	// goroutines when Parallel or TrialParallel exceed 1; workload points
-	// served from the trial cache run no simulation and never fire it.
+	// the trial's grid key. It may fire from multiple goroutines when
+	// Parallel or TrialParallel exceed 1; workload points served from
+	// the trial cache run no simulation and never fire it.
 	OnRTSample func(k store.Key, rt float64)
 	// ScalingEngine, when non-empty, overrides the experiment's scaling
 	// clause: "des", "fluid", or "auto" (with ScalingThreshold).
@@ -179,11 +182,16 @@ func (r *Runner) RunExperiment(e *spec.Experiment) error {
 }
 
 // RunExperimentContext is RunExperiment under a cancellation context:
-// when ctx is cancelled, no further trial starts — the in-flight trial
-// (milliseconds of simulation) finishes, its result is discarded along
-// with everything after the cancellation point in grid order, and the
-// sweep returns ctx's error. Results committed before the cancellation
-// stay in the store, so an aborted campaign keeps its completed prefix.
+// once ctx is cancelled, no further trial starts. Trials already in flight
+// (milliseconds of simulation) finish and commit like any other, and if
+// any point was skipped the sweep returns an error wrapping ctx's. Results
+// committed before the cancellation stay in the store, so an aborted
+// campaign keeps each deployment's completed prefix.
+//
+// A failing deployment does not stop the others: the returned error joins
+// every failing deployment's error in deployment order, at any Parallel
+// value. New deployments stop starting only once a grid stops (see
+// runDeployment) or a deployment fails after ctx is cancelled.
 func (r *Runner) RunExperimentContext(ctx context.Context, e *spec.Experiment) error {
 	deployments, err := r.gen.Generate(e)
 	if err != nil {
@@ -194,68 +202,24 @@ func (r *Runner) RunExperimentContext(ctx context.Context, e *spec.Experiment) e
 		return err
 	}
 	hash := specHash(e, r.TrialCache)
-
-	workers := r.Parallel
-	if workers < 1 {
-		workers = 1
-	}
 	// Cap parallelism so the largest concurrent topologies always fit
 	// the platform; each deployment also occupies a client machine.
-	maxMachines := 0
+	workers := r.Parallel
 	for _, d := range deployments {
-		if m := d.MachineCount(); m > maxMachines {
-			maxMachines = m
+		if m := d.MachineCount(); m > 0 {
+			workers = min(workers, cl.Size()/m)
 		}
 	}
-	if maxMachines > 0 {
-		if fit := cl.Size() / maxMachines; workers > fit {
-			workers = fit
-		}
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers == 1 {
-		for _, d := range deployments {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := r.runDeployment(ctx, e, hash, cl, d); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Fully buffered so early worker exits can never deadlock the feeder.
-	jobs := make(chan *mulini.Deployment, len(deployments))
-	for _, d := range deployments {
-		jobs <- d
-	}
-	close(jobs)
-	// One error slot per worker: a worker stops at its first failed
-	// deployment, and every worker's error survives to the joined report
-	// (the old single-slot channel silently dropped all but one).
-	workerErrs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for d := range jobs {
-				if err := ctx.Err(); err != nil {
-					workerErrs[w] = err
-					return
-				}
-				if err := r.runDeployment(ctx, e, hash, cl, d); err != nil {
-					workerErrs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return errors.Join(workerErrs...)
+	errs := make([]error, len(deployments))
+	ordered(len(deployments), workers, func(i int) bool {
+		var stopped bool
+		errs[i] = r.onDeployment(e, cl, deployments[i], hash, func(dep *deployed) (err error) {
+			stopped, err = r.runDeployment(ctx, dep)
+			return err
+		})
+		return stopped || (errs[i] != nil && ctx.Err() != nil)
+	}, func(int) {})
+	return errors.Join(errs...)
 }
 
 // rtObserverFor adapts the runner's OnRTSample hook to a per-trial
@@ -400,38 +364,19 @@ func (r *Runner) runPointUncached(ctx context.Context, dep *deployed, cfg TrialC
 	}
 }
 
-// runDeployment deploys one topology and sweeps its workload grid; hash
-// is specHash(e, r.TrialCache). Cluster mutations are serialized; the
-// trials themselves run without the lock, which is what makes sweep
-// parallelism safe. Each deployment gets its own deployer so fault wiring
-// never races across topologies.
-func (r *Runner) runDeployment(ctx context.Context, e *spec.Experiment, hash string,
-	cl *cluster.Cluster, d *mulini.Deployment) (err error) {
-
-	deployer := deploy.NewDeployer(cl)
-	prof := r.profileFor(e)
-	r.armDeployer(deployer, prof, e, d)
-
-	r.clusterMu.Lock()
-	placement, err := deployer.Deploy(d)
-	r.clusterMu.Unlock()
-	if err != nil {
-		return fmt.Errorf("experiment %s/%s: %w", e.Name, d.Topology, err)
-	}
-	defer func() {
-		// Teardown errors after a completed sweep are deployment bugs;
-		// surface them loudly rather than silently leaking nodes.
-		r.clusterMu.Lock()
-		uerr := deployer.Undeploy(placement)
-		r.clusterMu.Unlock()
-		if uerr != nil && err == nil {
-			err = uerr
-		}
-	}()
-	dep := &deployed{e: e, d: d, placement: placement, prof: prof, specHash: hash}
-	// The workload grid in its canonical order. Trial seeds derive purely
-	// from the grid coordinates and results are committed in this order,
-	// so the store's contents do not depend on how the grid is executed.
+// runDeployment sweeps dep's workload grid. Points run on TrialParallel
+// workers, each against its own kernel, and commit (store, archive,
+// OnTrial) in grid order as soon as every earlier point has committed.
+// Trial seeds derive purely from the grid coordinates, so the store's
+// contents do not depend on how the grid is executed.
+//
+// One rule holds at every worker count. A point's error does not stop the
+// grid; the returned error joins every failing point's in grid order, and
+// nothing after the first error or abort is stored. No further point
+// starts after a failed trial while KeepGoingOnFailure is off, or after an
+// error seen once ctx is cancelled; stopped reports that either happened.
+func (r *Runner) runDeployment(ctx context.Context, dep *deployed) (stopped bool, err error) {
+	e, d := dep.e, dep.d
 	type gridPoint struct {
 		wr    float64
 		users int
@@ -441,9 +386,9 @@ func (r *Runner) runDeployment(ctx context.Context, e *spec.Experiment, hash str
 	// then evolves inside the trial at the observation cadence.
 	usersVals := e.Workload.Users.Values()
 	if e.Workload.UsersExpr != "" {
-		u0, err := initialUsers(e, sessionCapacity(d, placement))
+		u0, err := initialUsers(e, sessionCapacity(d, dep.placement))
 		if err != nil {
-			return err
+			return false, err
 		}
 		usersVals = []float64{float64(u0)}
 	}
@@ -453,102 +398,92 @@ func (r *Runner) runDeployment(ctx context.Context, e *spec.Experiment, hash str
 			points = append(points, gridPoint{wr: wr, users: int(users)})
 		}
 	}
-
-	workers := r.TrialParallel
-	if workers < 1 {
-		workers = 1
+	// TrialParallel goes to the points, or to the replicas of a lone one.
+	workers, replicaWorkers := r.TrialParallel, 1
+	if len(points) == 1 {
+		workers, replicaWorkers = 1, r.TrialParallel
 	}
-	if workers > len(points) {
-		workers = len(points)
-	}
-
-	if workers <= 1 {
-		for _, pt := range points {
-			out, terr := r.runPoint(ctx, r.TrialCache, dep, r.trialConfig(dep, pt.users, pt.wr), r.TrialParallel)
-			if terr != nil {
-				return fmt.Errorf("experiment %s/%s u=%d w=%g: %w",
-					e.Name, d.Topology, pt.users, pt.wr, terr)
-			}
-			r.results.Put(out.Result)
-			if err := r.archive(out); err != nil {
-				return err
-			}
-			if r.OnTrial != nil {
-				r.OnTrial(out.Result)
-			}
-			if !out.Result.Completed && !r.KeepGoingOnFailure {
-				return fmt.Errorf("experiment %s/%s u=%d w=%g failed: %s",
-					e.Name, d.Topology, pt.users, pt.wr, out.Result.FailReason)
+	aborts := func(out *TrialOutcome) bool { return !out.Result.Completed && !r.KeepGoingOnFailure }
+	outs := make([]*TrialOutcome, len(points))
+	errs := make([]error, len(points))
+	var joined []error
+	stopped = ordered(len(points), workers, func(i int) bool {
+		pt := points[i]
+		out, err := r.runPoint(ctx, r.TrialCache, dep, r.trialConfig(dep, pt.users, pt.wr), replicaWorkers)
+		if err != nil {
+			errs[i] = fmt.Errorf("experiment %s/%s u=%d w=%g: %w", e.Name, d.Topology, pt.users, pt.wr, err)
+			return ctx.Err() != nil
+		}
+		outs[i] = out
+		return aborts(out)
+	}, func(i int) {
+		out, err := outs[i], errs[i]
+		outs[i] = nil // release the outcome and its monitor
+		if err == nil && len(joined) == 0 {
+			if err = r.commit(out); err == nil && aborts(out) {
+				err = fmt.Errorf("experiment %s/%s u=%d w=%g failed: %s",
+					e.Name, d.Topology, points[i].users, points[i].wr, out.Result.FailReason)
 			}
 		}
-		return nil
-	}
+		if err != nil {
+			joined = append(joined, err)
+		}
+	})
+	return stopped, errors.Join(joined...)
+}
 
-	// Parallel grid: every point runs on the worker pool against its own
-	// kernel; outcomes land in an indexed slice and are committed in grid
-	// order afterwards. Errors from every failed point are collected
-	// rather than only the first — which is why a trial error does not
-	// stop the pool. Only the explicit abort condition (a failed trial
-	// with KeepGoingOnFailure off) stops workers from picking up new
-	// points. Results are committed only up to the first error or abort
-	// point in grid order, matching what a sequential sweep would have
-	// stored.
-	outs := make([]*TrialOutcome, len(points))
-	terrs := make([]error, len(points))
-	var stop atomic.Bool
-	jobs := make(chan int, len(points))
-	for i := range points {
-		jobs <- i
+// ordered runs work(i) for every i in [0, n) on up to workers goroutines,
+// the caller's among them (alone when workers < 2), and calls commit(i) in
+// index order as soon as i and every earlier index have finished. Indices
+// start in order, and commit calls never overlap, so commit needs no lock
+// of its own. Once a work call returns true, no further index starts; the
+// indices already started still finish and commit. ordered reports
+// whether that happened.
+func ordered(n, workers int, work func(i int) (stop bool), commit func(i int)) (stopped bool) {
+	var (
+		mu         sync.Mutex
+		next       int  // indices below next have started
+		committed  int  // indices below committed have committed
+		committing bool // a goroutine is calling commit
+		done       = make([]bool, n)
+	)
+	run := func() {
+		mu.Lock()
+		for !stopped && next < n {
+			i := next
+			next++
+			mu.Unlock()
+			stop := work(i)
+			mu.Lock()
+			done[i] = true
+			stopped = stopped || stop
+			if committing {
+				continue // the committing goroutine will reach i
+			}
+			// Commit outside the lock: commit may run the caller's code.
+			committing = true
+			for committed < next && done[committed] {
+				c := committed
+				mu.Unlock()
+				commit(c)
+				mu.Lock()
+				committed++
+			}
+			committing = false
+		}
+		mu.Unlock()
 	}
-	close(jobs)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				if stop.Load() {
-					continue
-				}
-				out, terr := r.runPoint(ctx, r.TrialCache, dep, r.trialConfig(dep, points[i].users, points[i].wr), 1)
-				outs[i], terrs[i] = out, terr
-				if !r.KeepGoingOnFailure && out != nil && !out.Result.Completed {
-					stop.Store(true)
-				}
-			}
+			run()
 		}()
 	}
+	run()
 	wg.Wait()
-
-	var errs []error
-	storing := true
-	for i, pt := range points {
-		switch {
-		case terrs[i] != nil:
-			errs = append(errs, fmt.Errorf("experiment %s/%s u=%d w=%g: %w",
-				e.Name, d.Topology, pt.users, pt.wr, terrs[i]))
-			storing = false
-		case outs[i] == nil:
-			// Skipped after an abort elsewhere in the grid.
-		case storing:
-			out := outs[i]
-			r.results.Put(out.Result)
-			if aerr := r.archive(out); aerr != nil {
-				errs = append(errs, aerr)
-				storing = false
-				continue
-			}
-			if r.OnTrial != nil {
-				r.OnTrial(out.Result)
-			}
-			if !out.Result.Completed && !r.KeepGoingOnFailure {
-				errs = append(errs, fmt.Errorf("experiment %s/%s u=%d w=%g failed: %s",
-					e.Name, d.Topology, pt.users, pt.wr, out.Result.FailReason))
-				storing = false
-			}
-		}
-	}
-	return errors.Join(errs...)
+	return stopped
 }
 
 // trialConfig builds the TrialConfig of one workload point on dep: the
@@ -577,13 +512,12 @@ func (r *Runner) trialConfig(dep *deployed, users int, writeRatioPct float64) Tr
 	return cfg
 }
 
-// withDeployment generates topology topo of experiment e, deploys it on
-// a fresh cluster, runs fn against the placement and tears it down; fn's
-// points key the trial cache with hash (see specHash). The placement, its
-// node factors and its deploy glitches are pure functions of (Seed,
-// experiment, topology) and no trial mutates cluster nodes, so every
-// trial fn runs measures exactly what it would on a deployment of its
-// own.
+// withDeployment generates topology topo of experiment e and runs fn on
+// it, deployed on a fresh cluster (see onDeployment); fn's points key the
+// trial cache with hash (see specHash). The placement, its node factors
+// and its deploy glitches are pure functions of (Seed, experiment,
+// topology) and no trial mutates cluster nodes, so every trial fn runs
+// measures exactly what it would on a deployment of its own.
 func (r *Runner) withDeployment(e *spec.Experiment, topo spec.Topology, hash string, fn func(dep *deployed) error) error {
 	d, err := r.gen.GenerateOne(e, topo)
 	if err != nil {
@@ -593,15 +527,32 @@ func (r *Runner) withDeployment(e *spec.Experiment, topo spec.Topology, hash str
 	if err != nil {
 		return err
 	}
+	return r.onDeployment(e, cl, d, hash, fn)
+}
+
+// onDeployment deploys d on cl, runs fn against the placement and tears it
+// down. Cluster mutations are serialized; fn runs without the lock, which
+// is what makes sweep parallelism safe. Each deployment gets its own
+// deployer so fault wiring never races across topologies.
+func (r *Runner) onDeployment(e *spec.Experiment, cl *cluster.Cluster, d *mulini.Deployment,
+	hash string, fn func(dep *deployed) error) error {
+
 	deployer := deploy.NewDeployer(cl)
 	prof := r.profileFor(e)
 	r.armDeployer(deployer, prof, e, d)
+	r.clusterMu.Lock()
 	placement, err := deployer.Deploy(d)
+	r.clusterMu.Unlock()
 	if err != nil {
-		return err
+		return fmt.Errorf("experiment %s/%s: %w", e.Name, d.Topology, err)
 	}
 	err = fn(&deployed{e: e, d: d, placement: placement, prof: prof, specHash: hash})
-	if uerr := deployer.Undeploy(placement); uerr != nil && err == nil {
+	// Teardown errors are deployment bugs; surface them loudly rather
+	// than silently leaking nodes.
+	r.clusterMu.Lock()
+	uerr := deployer.Undeploy(placement)
+	r.clusterMu.Unlock()
+	if uerr != nil && err == nil {
 		err = uerr
 	}
 	return err
@@ -624,24 +575,28 @@ func (r *Runner) RunTrialAt(e *spec.Experiment, topo spec.Topology, users int, w
 }
 
 // trialOn runs one workload point on dep through cache and commits its
-// outcome: the store, the archive, and OnTrial.
+// outcome.
 func (r *Runner) trialOn(cache TrialCache, dep *deployed, users int, writeRatioPct float64) (*TrialOutcome, error) {
-	workers := r.TrialParallel
-	if workers < 1 {
-		workers = 1
-	}
-	out, err := r.runPoint(context.Background(), cache, dep, r.trialConfig(dep, users, writeRatioPct), workers)
+	out, err := r.runPoint(context.Background(), cache, dep, r.trialConfig(dep, users, writeRatioPct), r.TrialParallel)
 	if err != nil {
 		return nil, err
 	}
+	if err := r.commit(out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// commit records a trial's outcome: the store, the archive, then OnTrial.
+func (r *Runner) commit(out *TrialOutcome) error {
 	r.results.Put(out.Result)
 	if err := r.archive(out); err != nil {
-		return nil, err
+		return err
 	}
 	if r.OnTrial != nil {
 		r.OnTrial(out.Result)
 	}
-	return out, nil
+	return nil
 }
 
 // archive writes a trial's raw monitor files under ArchiveDir (no-op when

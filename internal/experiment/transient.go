@@ -31,20 +31,10 @@ type PhaseResult struct {
 	AppCPU, DBCPU float64
 }
 
-// RunTransientTrial drives one deployment through a time-varying
-// population schedule — the "workload evolves" situation the paper's
-// introduction motivates — and reports per-phase statistics. Unlike the
-// steady-state trial protocol, every phase is measured (the first phase
-// doubles as its own warm-up), so early phases show transient effects by
-// design.
-func RunTransientTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement,
-	schedule []PopulationPhase, timeScale float64) ([]PhaseResult, error) {
-	return runTransientTrialSeeded(e, d, p, schedule, timeScale, 0)
-}
-
-// runTransientTrialSeeded is RunTransientTrial with a runner root seed
-// mixed into the derived trial seed (0 = historical derivation).
-func runTransientTrialSeeded(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement,
+// runTransientTrial runs a transient schedule on placement p of d (see
+// RunTransientAt). root is the runner's root seed, mixed into the derived
+// trial seed (0 = historical derivation).
+func runTransientTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement,
 	schedule []PopulationPhase, timeScale float64, root uint64) ([]PhaseResult, error) {
 
 	if len(schedule) == 0 {
@@ -149,13 +139,17 @@ func runTransientTrialSeeded(e *spec.Experiment, d *mulini.Deployment, p *deploy
 	return out, nil
 }
 
-// RunTransientAt deploys a topology, runs a transient schedule, and tears
-// down — the runner-level entry point.
+// RunTransientAt deploys a topology, drives it through a time-varying
+// population schedule — the "workload evolves" situation the paper's
+// introduction motivates — tears down, and reports per-phase statistics.
+// Unlike the steady-state trial protocol, every phase is measured (the
+// first phase doubles as its own warm-up), so early phases show transient
+// effects by design.
 func (r *Runner) RunTransientAt(e *spec.Experiment, topo spec.Topology, schedule []PopulationPhase) ([]PhaseResult, error) {
 	var out []PhaseResult
 	err := r.withDeployment(e, topo, "", func(dep *deployed) error {
 		var err error
-		out, err = runTransientTrialSeeded(e, dep.d, dep.placement, schedule, r.TimeScale, r.Seed)
+		out, err = runTransientTrial(e, dep.d, dep.placement, schedule, r.TimeScale, r.Seed)
 		return err
 	})
 	return out, err
