@@ -65,9 +65,6 @@ func (m *TransitionMatrix) States() []sim.Interaction { return m.states }
 // Len reports the number of states.
 func (m *TransitionMatrix) Len() int { return len(m.states) }
 
-// Prob reports P[i][j].
-func (m *TransitionMatrix) Prob(i, j int) float64 { return m.p[i][j] }
-
 // Next samples the successor state of i using rng.
 func (m *TransitionMatrix) Next(i int, rng *rand.Rand) int {
 	u := rng.Float64()
@@ -80,18 +77,6 @@ func (m *TransitionMatrix) Next(i int, rng *rand.Rand) int {
 		}
 	}
 	return len(row) - 1 // float residue lands on the last state
-}
-
-// RowWriteMass reports the probability that the successor of state i is a
-// write interaction.
-func (m *TransitionMatrix) RowWriteMass(i int) float64 {
-	var w float64
-	for j, v := range m.p[i] {
-		if m.states[j].Write {
-			w += v
-		}
-	}
-	return w
 }
 
 // Reweight returns a copy of the matrix whose every row has exactly

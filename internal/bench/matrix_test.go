@@ -21,8 +21,8 @@ func TestNewTransitionMatrixNormalizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(m.Prob(0, 0)-0.75) > 1e-12 || math.Abs(m.Prob(0, 1)-0.25) > 1e-12 {
-		t.Fatalf("row 0 not normalized: %g %g", m.Prob(0, 0), m.Prob(0, 1))
+	if math.Abs(m.p[0][0]-0.75) > 1e-12 || math.Abs(m.p[0][1]-0.25) > 1e-12 {
+		t.Fatalf("row 0 not normalized: %g %g", m.p[0][0], m.p[0][1])
 	}
 }
 
@@ -162,7 +162,7 @@ func TestReweightRowsStochasticProperty(t *testing.T) {
 		for i := 0; i < rw.Len(); i++ {
 			var sum float64
 			for j := 0; j < rw.Len(); j++ {
-				sum += rw.Prob(i, j)
+				sum += rw.p[i][j]
 			}
 			if math.Abs(sum-1) > 1e-9 {
 				return false
@@ -173,4 +173,16 @@ func TestReweightRowsStochasticProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// RowWriteMass reports the probability that the successor of state i is a
+// write interaction.
+func (m *TransitionMatrix) RowWriteMass(i int) float64 {
+	var w float64
+	for j, v := range m.p[i] {
+		if m.states[j].Write {
+			w += v
+		}
+	}
+	return w
 }

@@ -240,11 +240,6 @@ func New(server AppServer, writeRatio float64) (*bench.Profile, error) {
 	return bench.NewProfile(name, m, ThinkTime)
 }
 
-// BrowseOnly builds the read-only browsing mix (write ratio 0).
-func BrowseOnly(server AppServer) (*bench.Profile, error) {
-	return New(server, 0)
-}
-
 // Bidding builds the default bidding mix (15% writes).
 func Bidding(server AppServer) (*bench.Profile, error) {
 	return New(server, DefaultWriteRatio)

@@ -138,7 +138,7 @@ func TestSessionReachesAllInteractions(t *testing.T) {
 }
 
 func TestBrowseOnlyHasNoWrites(t *testing.T) {
-	p, err := BrowseOnly(WebLogic)
+	p, err := New(WebLogic, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,13 +150,6 @@ func OpenCache(dir string) (*Cache, error) {
 // Dir reports the persistence directory ("" for a memory-only cache).
 func (c *Cache) Dir() string { return c.dir }
 
-// Len reports the number of memoized trials.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()

@@ -144,7 +144,6 @@ func (s *Service) Submit(src string) (*Campaign, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Campaign{
 		id:          id,
-		src:         src,
 		doc:         doc,
 		names:       names,
 		totalTrials: total,
@@ -293,7 +292,6 @@ type Progress struct {
 // Campaign is one submitted TBL document moving through the queue.
 type Campaign struct {
 	id          string
-	src         string
 	doc         *spec.Document
 	names       []string
 	totalTrials int
@@ -317,12 +315,6 @@ type Campaign struct {
 
 // ID returns the service-assigned campaign identifier.
 func (c *Campaign) ID() string { return c.id }
-
-// Source returns the submitted TBL text.
-func (c *Campaign) Source() string { return c.src }
-
-// Done is closed when the campaign reaches a terminal status.
-func (c *Campaign) Done() <-chan struct{} { return c.finished }
 
 // Wait blocks until the campaign is terminal and returns its status.
 func (c *Campaign) Wait() Status {

@@ -277,9 +277,6 @@ func CatalogFromRepository(repo *Repository) (*Catalog, error) {
 	return c, nil
 }
 
-// Repository exposes the underlying CIM repository.
-func (c *Catalog) Repository() *Repository { return c.repo }
-
 // PlatformByName finds a platform.
 func (c *Catalog) PlatformByName(name string) (Platform, bool) {
 	for _, p := range c.Platforms {

@@ -109,7 +109,7 @@ func TestCatalogLookupMisses(t *testing.T) {
 	if got := c.SoftwareForTier("rubis", "cache"); got != nil {
 		t.Errorf("unknown tier returned packages: %v", got)
 	}
-	if c.Repository() == nil {
+	if c.repo == nil {
 		t.Errorf("repository accessor nil")
 	}
 }

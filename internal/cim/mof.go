@@ -188,18 +188,6 @@ func (v Value) AsInt() (int64, bool) {
 	}
 }
 
-// AsFloat coerces numeric values to float64.
-func (v Value) AsFloat() (float64, bool) {
-	switch v.Kind {
-	case IntValue:
-		return float64(v.I), true
-	case RealValue:
-		return v.F, true
-	default:
-		return 0, false
-	}
-}
-
 // Property declares a typed class property, optionally with a default.
 type Property struct {
 	Name    string
@@ -242,16 +230,6 @@ func (in *Instance) GetInt(name string) int64 {
 	if v, ok := in.Props[name]; ok {
 		if i, ok := v.AsInt(); ok {
 			return i
-		}
-	}
-	return 0
-}
-
-// GetFloat returns a numeric property as float64 or 0.
-func (in *Instance) GetFloat(name string) float64 {
-	if v, ok := in.Props[name]; ok {
-		if f, ok := v.AsFloat(); ok {
-			return f
 		}
 	}
 	return 0

@@ -135,14 +135,8 @@ func TestValueCoercions(t *testing.T) {
 	if i, ok := (Value{Kind: RealValue, F: 3.9}).AsInt(); !ok || i != 3 {
 		t.Errorf("AsInt(3.9) = %d, %v", i, ok)
 	}
-	if f, ok := (Value{Kind: IntValue, I: 7}).AsFloat(); !ok || f != 7 {
-		t.Errorf("AsFloat(7) = %g, %v", f, ok)
-	}
 	if _, ok := (Value{Kind: StringValue}).AsInt(); ok {
 		t.Errorf("string should not coerce to int")
-	}
-	if _, ok := (Value{Kind: BoolValue}).AsFloat(); ok {
-		t.Errorf("bool should not coerce to float")
 	}
 }
 
@@ -153,7 +147,7 @@ instance of C { X = -5; Y = -2.5; };`
 	if err != nil {
 		t.Fatal(err)
 	}
-	if instances[0].GetInt("X") != -5 || instances[0].GetFloat("Y") != -2.5 {
+	if instances[0].GetInt("X") != -5 || instances[0].Props["Y"].F != -2.5 {
 		t.Fatalf("negative values wrong: %+v", instances[0].Props)
 	}
 }

@@ -2,7 +2,6 @@ package cim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -47,22 +46,6 @@ func (r *Repository) LoadMOF(src string) error {
 		r.instances = append(r.instances, &in)
 	}
 	return nil
-}
-
-// Class returns a registered class by name.
-func (r *Repository) Class(name string) (*Class, bool) {
-	c, ok := r.classes[name]
-	return c, ok
-}
-
-// ClassNames lists registered classes, sorted.
-func (r *Repository) ClassNames() []string {
-	names := make([]string, 0, len(r.classes))
-	for n := range r.classes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // allProperties resolves a class's properties including inherited ones,
@@ -199,17 +182,3 @@ func (r *Repository) InstancesOf(cls string) []*Instance {
 	}
 	return out
 }
-
-// FindInstance returns the first instance of cls (or subclass) whose
-// property prop equals value.
-func (r *Repository) FindInstance(cls, prop, value string) (*Instance, bool) {
-	for _, in := range r.InstancesOf(cls) {
-		if in.GetString(prop) == value {
-			return in, true
-		}
-	}
-	return nil, false
-}
-
-// Len reports the number of registered instances.
-func (r *Repository) Len() int { return len(r.instances) }

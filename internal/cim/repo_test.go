@@ -34,8 +34,8 @@ func TestRepositoryInheritanceQuery(t *testing.T) {
 	if got := len(r.InstancesOf("Leaf")); got != 1 {
 		t.Fatalf("InstancesOf(Leaf) = %d, want 1", got)
 	}
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d", r.Len())
+	if len(r.instances) != 3 {
+		t.Fatalf("Len = %d", len(r.instances))
 	}
 }
 
@@ -97,24 +97,13 @@ func TestRepositoryRejectsDuplicateClass(t *testing.T) {
 	}
 }
 
-func TestRepositoryFindInstance(t *testing.T) {
-	r := newTestRepo(t)
-	in, ok := r.FindInstance("Base", "Name", "m1")
-	if !ok || in.GetInt("MidProp") != 4 {
-		t.Fatalf("FindInstance failed: %v %v", in, ok)
-	}
-	if _, ok := r.FindInstance("Base", "Name", "zzz"); ok {
-		t.Fatalf("FindInstance matched nonexistent value")
-	}
-}
-
 func TestRepositoryClassNames(t *testing.T) {
 	r := newTestRepo(t)
 	names := r.ClassNames()
 	if len(names) != 3 || names[0] != "Base" || names[2] != "Mid" {
 		t.Fatalf("ClassNames = %v", names)
 	}
-	if _, ok := r.Class("Leaf"); !ok {
+	if _, ok := r.classes["Leaf"]; !ok {
 		t.Fatalf("Class(Leaf) not found")
 	}
 }
@@ -131,8 +120,8 @@ func TestWriteMOFRoundTrip(t *testing.T) {
 	if len(r2.ClassNames()) != len(r.ClassNames()) {
 		t.Fatalf("classes lost: %v vs %v", r2.ClassNames(), r.ClassNames())
 	}
-	if r2.Len() != r.Len() {
-		t.Fatalf("instances lost: %d vs %d", r2.Len(), r.Len())
+	if len(r2.instances) != len(r.instances) {
+		t.Fatalf("instances lost: %d vs %d", len(r2.instances), len(r.instances))
 	}
 	leaf := r2.InstancesOf("Leaf")[0]
 	if leaf.GetString("Name") != "l1" || leaf.GetInt("MidProp") != 3 {
@@ -151,7 +140,7 @@ func TestBuiltInCatalogRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := cat.Repository().WriteMOF()
+	text := cat.repo.WriteMOF()
 	r2 := NewRepository()
 	if err := r2.LoadMOF(text); err != nil {
 		t.Fatalf("catalog round trip failed: %v", err)

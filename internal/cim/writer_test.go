@@ -8,10 +8,8 @@ import (
 
 // WriteMOF serializes a repository back to MOF text: classes in
 // dependency order (superclasses first), then instances in declaration
-// order. The output round-trips through Parse, so site-specific resource
-// models built programmatically can be exported, versioned, and fed back
-// to Mulini — the CIM/MOF interchange role the paper assigns the format
-// (§II).
+// order. The output round-trips through Parse, which the MOF fuzzer and
+// the round-trip tests check the parser against.
 func (r *Repository) WriteMOF() string {
 	var b strings.Builder
 	b.WriteString("// CIM resource model — generated by elba/internal/cim\n\n")
@@ -90,4 +88,14 @@ func writeInstance(b *strings.Builder, in *Instance) {
 		fmt.Fprintf(b, "\t%s = %s;\n", name, v.String())
 	}
 	b.WriteString("};\n\n")
+}
+
+// ClassNames lists registered classes, sorted.
+func (r *Repository) ClassNames() []string {
+	names := make([]string, 0, len(r.classes))
+	for n := range r.classes {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

@@ -9,7 +9,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"elba/internal/cim"
@@ -109,9 +108,6 @@ func (n *Node) Pool() cim.NodePool { return n.pool }
 // Speed reports the node's rated CPU frequency relative to the reference.
 func (n *Node) Speed() float64 { return float64(n.pool.CPUMHz) / ReferenceMHz }
 
-// Health reports the node's hardware health state.
-func (n *Node) Health() Health { return n.health }
-
 // Degradation reports the node's effective-speed multiplier (1 = full
 // rated speed). Down nodes report 0.
 func (n *Node) Degradation() float64 {
@@ -167,12 +163,6 @@ func (n *Node) Degrade(factor float64) {
 	n.degradation = factor
 }
 
-// MarkDown takes the node out of service entirely.
-func (n *Node) MarkDown() {
-	n.health = Down
-	n.degradation = 0
-}
-
 // Restore returns the node to full health.
 func (n *Node) Restore() {
 	n.health = Healthy
@@ -187,17 +177,11 @@ func (n *Node) Cores() int {
 	return n.pool.CPUCount
 }
 
-// Role reports the node's assigned role (e.g. "APP2"), set at allocation.
-func (n *Node) Role() string { return n.role }
-
 // Allocated reports whether the node is held by an experiment.
 func (n *Node) Allocated() bool { return n.allocated }
 
 // State reports a service's lifecycle state.
 func (n *Node) State(service string) ServiceState { return n.services[service] }
-
-// Version reports the installed version of a package, or "".
-func (n *Node) Version(pkg string) string { return n.versions[pkg] }
 
 // Install places a software package on the node.
 func (n *Node) Install(pkg, version string) error {
@@ -244,18 +228,6 @@ func (n *Node) Stop(pkg string) error {
 	return nil
 }
 
-// Running lists services currently running, sorted.
-func (n *Node) Running() []string {
-	var out []string
-	for svc, st := range n.services {
-		if st == Running {
-			out = append(out, svc)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // WriteFile records a configuration file on the node (the simulated
 // equivalent of Mulini pushing workers2.properties and friends).
 func (n *Node) WriteFile(path, content string) {
@@ -266,16 +238,6 @@ func (n *Node) WriteFile(path, content string) {
 func (n *Node) ReadFile(path string) (string, bool) {
 	c, ok := n.files[path]
 	return c, ok
-}
-
-// Files lists written file paths, sorted.
-func (n *Node) Files() []string {
-	out := make([]string, 0, len(n.files))
-	for p := range n.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // reset returns the node to pristine state on release. Health is
@@ -321,29 +283,8 @@ func New(platform cim.Platform) (*Cluster, error) {
 	return c, nil
 }
 
-// Platform reports the cluster's platform description.
-func (c *Cluster) Platform() cim.Platform { return c.platform }
-
 // Size reports the total number of nodes.
 func (c *Cluster) Size() int { return len(c.nodes) }
-
-// Free reports the number of unallocated nodes, optionally filtered by
-// node type ("" = any).
-func (c *Cluster) Free(nodeType string) int {
-	n := 0
-	for _, node := range c.nodes {
-		if !node.allocated && (nodeType == "" || node.pool.NodeType == nodeType) {
-			n++
-		}
-	}
-	return n
-}
-
-// Node finds a node by hostname.
-func (c *Cluster) Node(name string) (*Node, bool) {
-	n, ok := c.byName[name]
-	return n, ok
-}
 
 // Allocate reserves the first free node of the given type ("" = any) and
 // assigns it a role. Allocation order is deterministic (pool declaration
@@ -372,15 +313,6 @@ func (c *Cluster) Release(n *Node) {
 		return // not ours; ignore
 	}
 	n.reset()
-}
-
-// ReleaseAll wipes every allocated node, between experiment iterations.
-func (c *Cluster) ReleaseAll() {
-	for _, n := range c.nodes {
-		if n.allocated {
-			n.reset()
-		}
-	}
 }
 
 // Allocated lists currently allocated nodes in allocation order.

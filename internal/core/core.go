@@ -65,8 +65,6 @@ type Options struct {
 	// run or across runs sharing the cache — reuse prior results
 	// byte-for-byte instead of re-simulating. Nil disables memoization.
 	TrialCache experiment.TrialCache
-	// Catalog overrides the built-in CIM resource model.
-	Catalog *cim.Catalog
 	// Store receives results; a fresh store is created when nil.
 	Store *store.Store
 	// OnTrial observes each trial result as it lands.
@@ -87,13 +85,9 @@ type Characterizer struct {
 
 // New creates a Characterizer.
 func New(opts Options) (*Characterizer, error) {
-	cat := opts.Catalog
-	if cat == nil {
-		var err error
-		cat, err = cim.LoadCatalog()
-		if err != nil {
-			return nil, err
-		}
+	cat, err := cim.LoadCatalog()
+	if err != nil {
+		return nil, err
 	}
 	st := opts.Store
 	if st == nil {
@@ -228,14 +222,6 @@ func (c *Characterizer) ScaleRows(figureOf func(set string) string) []report.Sca
 		})
 	}
 	return rows
-}
-
-// CollectedBytes reports the monitoring-data volume gathered for one
-// experiment set.
-func (c *Characterizer) CollectedBytes(set string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.collected[set]
 }
 
 // Capacity answers the paper's §V.C capacity-planning question from

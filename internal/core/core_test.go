@@ -33,7 +33,7 @@ experiment "tiny" {
 	if got := c.Results().Len(); got != 4 {
 		t.Fatalf("results = %d, want 4", got)
 	}
-	if c.CollectedBytes("tiny") == 0 {
+	if c.collected["tiny"] == 0 {
 		t.Fatalf("no monitoring bytes accounted")
 	}
 	rows := c.ScaleRows(FigureOf)
@@ -89,8 +89,13 @@ func TestPaperSuiteParses(t *testing.T) {
 	if len(doc.Experiments) != 5 {
 		t.Fatalf("paper suite has %d experiments, want 5", len(doc.Experiments))
 	}
-	scaleout, ok := doc.Find("rubis-scaleout-jonas")
-	if !ok {
+	var scaleout *spec.Experiment
+	for _, e := range doc.Experiments {
+		if e.Name == "rubis-scaleout-jonas" {
+			scaleout = e
+		}
+	}
+	if scaleout == nil {
 		t.Fatalf("scale-out set missing")
 	}
 	// 1-a-d for a=1..12, d=1..3 → 36 configurations.
@@ -179,6 +184,12 @@ func TestScaleOutThroughCore(t *testing.T) {
 	}
 	if len(steps) == 0 {
 		t.Fatalf("no steps")
+	}
+	// Every trial runs at the spec's write ratio.
+	for _, r := range c.Results().All() {
+		if r.Key.WriteRatioPct != 15 {
+			t.Errorf("scale-out stored %s, want w=15%%", r.Key)
+		}
 	}
 }
 

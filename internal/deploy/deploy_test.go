@@ -126,7 +126,7 @@ func TestEngineAuditTrail(t *testing.T) {
 	if err := eng.Execute(d.Bundle, "run.sh"); err != nil {
 		t.Fatal(err)
 	}
-	audit := eng.Audit()
+	audit := eng.audit
 	if len(audit) == 0 {
 		t.Fatalf("no actions recorded")
 	}
@@ -228,4 +228,28 @@ func TestSplitWords(t *testing.T) {
 			t.Fatalf("words[%d] = %q, want %q", i, words[i], want[i])
 		}
 	}
+}
+
+// TierNodes lists nodes for a tier in replica order.
+func (p *Placement) TierNodes(tier string) []*cluster.Node {
+	var out []*cluster.Node
+	for _, role := range p.Deployment.Roles(tier) {
+		if n, ok := p.Nodes[role]; ok {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// Roles lists bound roles in allocation order via the audit trail.
+func (e *Engine) Roles() []string {
+	var out []string
+	seen := map[string]bool{}
+	for _, a := range e.audit {
+		if a.Verb == "allocate" && !seen[a.Role] {
+			seen[a.Role] = true
+			out = append(out, a.Role)
+		}
+	}
+	return out
 }

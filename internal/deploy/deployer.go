@@ -27,17 +27,6 @@ func (p *Placement) Node(role string) (*cluster.Node, bool) {
 	return n, ok
 }
 
-// TierNodes lists nodes for a tier in replica order.
-func (p *Placement) TierNodes(tier string) []*cluster.Node {
-	var out []*cluster.Node
-	for _, role := range p.Deployment.Roles(tier) {
-		if n, ok := p.Nodes[role]; ok {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Deployer runs a deployment's generated bundle end to end and verifies
 // the resulting cluster state.
 type Deployer struct {

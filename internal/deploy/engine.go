@@ -94,30 +94,11 @@ func (e *Engine) Retries() int { return e.retries }
 // retry backoffs.
 func (e *Engine) ElapsedSec() float64 { return e.elapsedSec }
 
-// Steps reports the number of elbactl steps executed (or attempted).
-func (e *Engine) Steps() int { return e.steps }
-
 // Node resolves a role to its allocated node.
 func (e *Engine) Node(role string) (*cluster.Node, bool) {
 	n, ok := e.roles[role]
 	return n, ok
 }
-
-// Roles lists bound roles in allocation order via the audit trail.
-func (e *Engine) Roles() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, a := range e.audit {
-		if a.Verb == "allocate" && !seen[a.Role] {
-			seen[a.Role] = true
-			out = append(out, a.Role)
-		}
-	}
-	return out
-}
-
-// Audit returns the executed actions (shared, not copied).
-func (e *Engine) Audit() []Action { return e.audit }
 
 // Execute runs a bundle starting from the entry script (normally
 // "run.sh"). Execution has set -e semantics: the first failing elbactl

@@ -125,13 +125,13 @@ func TestEngineGlitchesRecoverUnderRetry(t *testing.T) {
 	if eng.Retries() != 3 {
 		t.Errorf("retries = %d, want 3", eng.Retries())
 	}
-	if eng.Steps() != len(lines) {
-		t.Errorf("steps = %d, want %d", eng.Steps(), len(lines))
+	if eng.steps != len(lines) {
+		t.Errorf("steps = %d, want %d", eng.steps, len(lines))
 	}
 	if eng.ElapsedSec() <= 0 {
 		t.Error("retries charged no simulated time")
 	}
-	if got := len(eng.Audit()); got != len(lines) {
+	if got := len(eng.audit); got != len(lines) {
 		t.Errorf("audit entries = %d, want %d (one per successful step, no duplicates)", got, len(lines))
 	}
 }
@@ -152,8 +152,8 @@ func TestEngineGlitchesExceedBudget(t *testing.T) {
 	if !strings.Contains(err.Error(), "failed after 2 attempt(s)") {
 		t.Fatalf("error does not report the attempt budget: %v", err)
 	}
-	if len(eng.Audit()) != 0 {
-		t.Fatalf("failed step left audit entries: %v", eng.Audit())
+	if len(eng.audit) != 0 {
+		t.Fatalf("failed step left audit entries: %v", eng.audit)
 	}
 }
 

@@ -36,11 +36,11 @@ func runGrid(t *testing.T, trialParallel int, mutate func(*Runner)) (csv string,
 	if err := r.RunExperiment(rubisExperiment(t, deterministicGrid)); err != nil {
 		t.Fatal(err)
 	}
-	data, err := r.Store().MarshalJSON()
+	data, err := r.results.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.Store().CSV(), string(data), r.Store()
+	return r.results.CSV(), string(data), r.results
 }
 
 // TestTrialParallelDeterministicAcrossWorkers is the tentpole determinism
@@ -112,12 +112,12 @@ func TestDeploymentOrderPermutationMetamorphic(t *testing.T) {
 		if err := perm.RunExperiment(rubisExperiment(t, permuted)); err != nil {
 			t.Fatal(err)
 		}
-		if perm.Store().Len() != base.Store().Len() {
+		if perm.results.Len() != base.results.Len() {
 			t.Fatalf("workers=%d: result counts differ: %d vs %d",
-				workers, perm.Store().Len(), base.Store().Len())
+				workers, perm.results.Len(), base.results.Len())
 		}
-		for _, want := range base.Store().All() {
-			got, ok := perm.Store().Get(want.Key)
+		for _, want := range base.results.All() {
+			got, ok := perm.results.Get(want.Key)
 			if !ok {
 				t.Fatalf("workers=%d: permuted run missing %s", workers, want.Key)
 			}
@@ -127,7 +127,7 @@ func TestDeploymentOrderPermutationMetamorphic(t *testing.T) {
 					workers, want.Key, got, want)
 			}
 		}
-		if perm.Store().CSV() != base.Store().CSV() {
+		if perm.results.CSV() != base.results.CSV() {
 			t.Fatalf("workers=%d: canonical CSV differs under topology permutation", workers)
 		}
 	}
@@ -258,29 +258,6 @@ func TestTrialParallelErrorsAllCollected(t *testing.T) {
 	}
 	if found < 2 {
 		t.Fatalf("joined error retained %d failing grid points, want >= 2: %v", found, err)
-	}
-}
-
-// TestGridAbortStoresPrefixOnly pins the abort semantics with
-// KeepGoingOnFailure off: whatever the worker count, the store holds
-// exactly the grid-order prefix a sequential sweep would have stored.
-func TestGridAbortStoresPrefixOnly(t *testing.T) {
-	run := func(workers int) *store.Store {
-		r := testRunner(t)
-		r.TrialParallel = workers
-		r.KeepGoingOnFailure = false
-		e := rubisExperiment(t, `
-			workload { users 600 to 900 step 100; writeratio 15; }`)
-		if err := r.RunExperiment(e); err == nil {
-			t.Fatal("overloaded sweep with KeepGoingOnFailure=false reported success")
-		}
-		return r.Store()
-	}
-	seq := run(1)
-	par := run(4)
-	if seq.CSV() != par.CSV() {
-		t.Fatalf("abort prefix differs between worker counts:\n--- seq ---\n%s\n--- par ---\n%s",
-			seq.CSV(), par.CSV())
 	}
 }
 
@@ -415,7 +392,7 @@ func TestRunnerCancellationStopsTheGrid(t *testing.T) {
 		if n := strings.Count(err.Error(), context.Canceled.Error()); n > workers {
 			t.Fatalf("workers=%d: the cancellation is reported %d times: %v", workers, n, err)
 		}
-		stored := r.Store().All()
+		stored := r.results.All()
 		if len(stored) >= 16 {
 			t.Fatalf("workers=%d: cancelled sweep stored all %d points", workers, len(stored))
 		}

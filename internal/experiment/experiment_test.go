@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,6 +29,13 @@ func testRunner(t *testing.T) *Runner {
 	}
 	r.TimeScale = fastScale
 	return r
+}
+
+// RunExperiment executes the full sweep of e: every topology × user
+// population × write ratio. Results (including failed trials) land in the
+// runner's store. With Parallel > 1, deployments run concurrently.
+func (r *Runner) RunExperiment(e *spec.Experiment) error {
+	return r.RunExperimentContext(context.Background(), e)
 }
 
 func parseExperiment(t *testing.T, src string) *spec.Experiment {
@@ -191,10 +199,10 @@ func TestRunExperimentSweepStoresGrid(t *testing.T) {
 	if err := r.RunExperiment(e); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Store().Len(); got != 6 {
+	if got := r.results.Len(); got != 6 {
 		t.Fatalf("stored %d results, want 6", got)
 	}
-	pts := r.Store().RTvsUsers("rubis-it", "1-1-1", 15)
+	pts := r.results.RTvsUsers("rubis-it", "1-1-1", 15)
 	if len(pts) != 3 {
 		t.Fatalf("series = %v", pts)
 	}
@@ -300,7 +308,7 @@ func TestReplicatedTrialAggregates(t *testing.T) {
 	if err := r.RunExperiment(e); err != nil {
 		t.Fatal(err)
 	}
-	res, ok := r.Store().Get(store.Key{
+	res, ok := r.results.Get(store.Key{
 		Experiment: "rubis-it", Topology: "1-1-1", Users: 150, WriteRatioPct: 15,
 	})
 	if !ok {
@@ -431,11 +439,11 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 	if err := par.RunExperiment(rubisExperiment(t, grid)); err != nil {
 		t.Fatal(err)
 	}
-	if seq.Store().Len() != par.Store().Len() {
-		t.Fatalf("result counts differ: %d vs %d", seq.Store().Len(), par.Store().Len())
+	if seq.results.Len() != par.results.Len() {
+		t.Fatalf("result counts differ: %d vs %d", seq.results.Len(), par.results.Len())
 	}
-	for _, r := range seq.Store().All() {
-		p, ok := par.Store().Get(r.Key)
+	for _, r := range seq.results.All() {
+		p, ok := par.results.Get(r.Key)
 		if !ok {
 			t.Fatalf("parallel run missing %s", r.Key)
 		}
@@ -459,8 +467,8 @@ func TestParallelCappedByClusterSize(t *testing.T) {
 	if err := r.RunExperiment(e); err != nil {
 		t.Fatal(err)
 	}
-	if r.Store().Len() != 3 {
-		t.Fatalf("results = %d", r.Store().Len())
+	if r.results.Len() != 3 {
+		t.Fatalf("results = %d", r.results.Len())
 	}
 }
 
@@ -501,7 +509,7 @@ func TestArchiveWritesMonitorFiles(t *testing.T) {
 				}
 				total += len(data)
 			}
-			results := r.Store().All()
+			results := r.results.All()
 			if len(results) != 1 {
 				t.Fatalf("stored results = %d, want 1", len(results))
 			}

@@ -19,7 +19,7 @@ func exprExperiment(t *testing.T, name, clauses string) *store.Store {
 	if err := r.RunExperiment(e); err != nil {
 		t.Fatal(err)
 	}
-	return r.Store()
+	return r.results
 }
 
 // TestUsersExprDrivesPopulation: a ramp expression grows the DES

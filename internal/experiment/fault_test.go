@@ -77,7 +77,7 @@ func TestNoFaultProfileKeepsBaselineBytes(t *testing.T) {
 
 // TestCrashMidSweepCompletesGridWithGaps is the issue's acceptance
 // scenario: a node crash covering the measured period fails its trials,
-// but under KeepGoingOnFailure the sweep still visits every grid point,
+// but the sweep still visits every grid point,
 // records the failures as gaps, and the availability table renders them.
 func TestCrashMidSweepCompletesGridWithGaps(t *testing.T) {
 	r := testRunner(t)
@@ -90,7 +90,7 @@ func TestCrashMidSweepCompletesGridWithGaps(t *testing.T) {
 	if err := r.RunExperiment(e); err != nil {
 		t.Fatal(err)
 	}
-	st := r.Store()
+	st := r.results
 	if st.Len() != 4 {
 		t.Fatalf("sweep stored %d results, want all 4 grid points", st.Len())
 	}
@@ -135,7 +135,7 @@ func TestTrialRetrySalvagesTransientFailure(t *testing.T) {
 		if err := r.RunExperiment(e); err != nil {
 			t.Fatal(err)
 		}
-		res, ok := r.Store().Get(store.Key{
+		res, ok := r.results.Get(store.Key{
 			Experiment: "rubis-it", Topology: "1-1-1", Users: 50, WriteRatioPct: 15,
 		})
 		if !ok {
@@ -178,7 +178,7 @@ func TestFaultPlanFollowsRootSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		var events []string
-		for _, res := range r.Store().All() {
+		for _, res := range r.results.All() {
 			events = append(events, res.FaultEvents...)
 		}
 		return events
@@ -234,7 +234,7 @@ func TestRunExperimentReportsTeardownErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "teardown.sh") {
 			t.Fatalf("workers=%d: RunExperiment = %v, want the teardown.sh failure", workers, err)
 		}
-		if n := r.Store().Len(); n != 2 {
+		if n := r.results.Len(); n != 2 {
 			t.Fatalf("workers=%d: stored %d results, want the grid's 2", workers, n)
 		}
 	}

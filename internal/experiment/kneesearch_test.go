@@ -380,7 +380,7 @@ func TestKneeSearchMatchesPerProbeDeployment(t *testing.T) {
 			}
 			var js [2][]byte
 			for i, r := range runners {
-				if js[i], err = r.Store().MarshalJSON(); err != nil {
+				if js[i], err = r.results.MarshalJSON(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -401,7 +401,7 @@ func TestKneeSearchMatchesPerProbeDeployment(t *testing.T) {
 			if len(prof.NodeFactors(seed, c.e.Name, one.String(), serverRoles(d))) == 0 {
 				t.Fatal("seed no longer slows a node; pick another")
 			}
-			for _, res := range runners[0].Store().All() {
+			for _, res := range runners[0].results.All() {
 				if res.DeployRetries == 0 {
 					t.Fatalf("%v: no deploy retries; the seed no longer glitches the deployment", res.Key)
 				}

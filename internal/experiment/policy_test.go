@@ -259,7 +259,7 @@ func TestPolicyFreeOutputByteIdentical(t *testing.T) {
 		if err := r.RunExperiment(rubisExperiment(t, extra)); err != nil {
 			t.Fatal(err)
 		}
-		data, err := r.Store().MarshalJSON()
+		data, err := r.results.MarshalJSON()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,10 +35,6 @@ type Runner struct {
 	// deployment's calls never overlap and arrive in grid order; calls
 	// from different deployments may overlap when Parallel > 1.
 	OnTrial func(store.Result)
-	// KeepGoingOnFailure records failed trials and continues the sweep
-	// (the paper's tables keep failed cells as gaps). When false, the
-	// first failed trial aborts the experiment.
-	KeepGoingOnFailure bool
 	// ArchiveDir, when set, stores every trial's raw monitor output
 	// (sysstat-format text, one file per host) under
 	// <dir>/<experiment>/<topology>/u<users>_w<ratio>/ — the per-host
@@ -129,11 +125,10 @@ func NewRunner(catalog *cim.Catalog, st *store.Store) (*Runner, error) {
 		st = store.New()
 	}
 	return &Runner{
-		catalog:            catalog,
-		gen:                gen,
-		results:            st,
-		TimeScale:          1.0,
-		KeepGoingOnFailure: true,
+		catalog:   catalog,
+		gen:       gen,
+		results:   st,
+		TimeScale: 1.0,
 	}, nil
 }
 
@@ -147,9 +142,6 @@ func (r *Runner) engineFor(e *spec.Experiment, users int) string {
 	return e.Scaling.EngineFor(users)
 }
 
-// Store exposes the accumulated results.
-func (r *Runner) Store() *store.Store { return r.results }
-
 // CacheHits reports the workload points this runner served from its
 // trial cache (0 when no cache is attached).
 func (r *Runner) CacheHits() uint64 { return r.cacheHits.Load() }
@@ -162,9 +154,6 @@ func (r *Runner) CacheMisses() uint64 { return r.cacheMisses.Load() }
 // reports use it directly).
 func (r *Runner) Generator() *mulini.Generator { return r.gen }
 
-// Catalog exposes the CIM catalog.
-func (r *Runner) Catalog() *cim.Catalog { return r.catalog }
-
 // newCluster materializes the experiment's platform.
 func (r *Runner) newCluster(e *spec.Experiment) (*cluster.Cluster, error) {
 	platform, ok := r.catalog.PlatformByName(e.Platform)
@@ -174,15 +163,10 @@ func (r *Runner) newCluster(e *spec.Experiment) (*cluster.Cluster, error) {
 	return cluster.New(platform)
 }
 
-// RunExperiment executes the full sweep of e: every topology × user
-// population × write ratio. Results (including failed trials) land in the
-// runner's store. With Parallel > 1, deployments run concurrently.
-func (r *Runner) RunExperiment(e *spec.Experiment) error {
-	return r.RunExperimentContext(context.Background(), e)
-}
-
-// RunExperimentContext is RunExperiment under a cancellation context:
-// once ctx is cancelled, no further trial starts. Trials already in flight
+// RunExperimentContext executes the full sweep of e: every topology ×
+// user population × write ratio. Results (including failed trials) land
+// in the runner's store. With Parallel > 1, deployments run concurrently.
+// Once ctx is cancelled, no further trial starts. Trials already in flight
 // (milliseconds of simulation) finish and commit like any other, and if
 // any point was skipped the sweep returns an error wrapping ctx's. Results
 // committed before the cancellation stay in the store, so an aborted
@@ -190,8 +174,8 @@ func (r *Runner) RunExperiment(e *spec.Experiment) error {
 //
 // A failing deployment does not stop the others: the returned error joins
 // every failing deployment's error in deployment order, at any Parallel
-// value. New deployments stop starting only once a grid stops (see
-// runDeployment) or a deployment fails after ctx is cancelled.
+// value. New deployments stop starting only once a deployment fails after
+// ctx is cancelled.
 func (r *Runner) RunExperimentContext(ctx context.Context, e *spec.Experiment) error {
 	deployments, err := r.gen.Generate(e)
 	if err != nil {
@@ -212,12 +196,10 @@ func (r *Runner) RunExperimentContext(ctx context.Context, e *spec.Experiment) e
 	}
 	errs := make([]error, len(deployments))
 	ordered(len(deployments), workers, func(i int) bool {
-		var stopped bool
-		errs[i] = r.onDeployment(e, cl, deployments[i], hash, func(dep *deployed) (err error) {
-			stopped, err = r.runDeployment(ctx, dep)
-			return err
+		errs[i] = r.onDeployment(e, cl, deployments[i], hash, func(dep *deployed) error {
+			return r.runDeployment(ctx, dep)
 		})
-		return stopped || (errs[i] != nil && ctx.Err() != nil)
+		return errs[i] != nil && ctx.Err() != nil
 	}, func(int) {})
 	return errors.Join(errs...)
 }
@@ -372,10 +354,10 @@ func (r *Runner) runPointUncached(ctx context.Context, dep *deployed, cfg TrialC
 //
 // One rule holds at every worker count. A point's error does not stop the
 // grid; the returned error joins every failing point's in grid order, and
-// nothing after the first error or abort is stored. No further point
-// starts after a failed trial while KeepGoingOnFailure is off, or after an
-// error seen once ctx is cancelled; stopped reports that either happened.
-func (r *Runner) runDeployment(ctx context.Context, dep *deployed) (stopped bool, err error) {
+// nothing after the first error is stored. A failed trial is stored like
+// any other result (the paper's tables keep failed cells as gaps). No
+// further point starts after an error seen once ctx is cancelled.
+func (r *Runner) runDeployment(ctx context.Context, dep *deployed) error {
 	e, d := dep.e, dep.d
 	type gridPoint struct {
 		wr    float64
@@ -388,7 +370,7 @@ func (r *Runner) runDeployment(ctx context.Context, dep *deployed) (stopped bool
 	if e.Workload.UsersExpr != "" {
 		u0, err := initialUsers(e, sessionCapacity(d, dep.placement))
 		if err != nil {
-			return false, err
+			return err
 		}
 		usersVals = []float64{float64(u0)}
 	}
@@ -403,11 +385,10 @@ func (r *Runner) runDeployment(ctx context.Context, dep *deployed) (stopped bool
 	if len(points) == 1 {
 		workers, replicaWorkers = 1, r.TrialParallel
 	}
-	aborts := func(out *TrialOutcome) bool { return !out.Result.Completed && !r.KeepGoingOnFailure }
 	outs := make([]*TrialOutcome, len(points))
 	errs := make([]error, len(points))
 	var joined []error
-	stopped = ordered(len(points), workers, func(i int) bool {
+	ordered(len(points), workers, func(i int) bool {
 		pt := points[i]
 		out, err := r.runPoint(ctx, r.TrialCache, dep, r.trialConfig(dep, pt.users, pt.wr), replicaWorkers)
 		if err != nil {
@@ -415,21 +396,18 @@ func (r *Runner) runDeployment(ctx context.Context, dep *deployed) (stopped bool
 			return ctx.Err() != nil
 		}
 		outs[i] = out
-		return aborts(out)
+		return false
 	}, func(i int) {
 		out, err := outs[i], errs[i]
 		outs[i] = nil // release the outcome and its monitor
 		if err == nil && len(joined) == 0 {
-			if err = r.commit(out); err == nil && aborts(out) {
-				err = fmt.Errorf("experiment %s/%s u=%d w=%g failed: %s",
-					e.Name, d.Topology, points[i].users, points[i].wr, out.Result.FailReason)
-			}
+			err = r.commit(out)
 		}
 		if err != nil {
 			joined = append(joined, err)
 		}
 	})
-	return stopped, errors.Join(joined...)
+	return errors.Join(joined...)
 }
 
 // ordered runs work(i) for every i in [0, n) on up to workers goroutines,
@@ -437,11 +415,11 @@ func (r *Runner) runDeployment(ctx context.Context, dep *deployed) (stopped bool
 // index order as soon as i and every earlier index have finished. Indices
 // start in order, and commit calls never overlap, so commit needs no lock
 // of its own. Once a work call returns true, no further index starts; the
-// indices already started still finish and commit. ordered reports
-// whether that happened.
-func ordered(n, workers int, work func(i int) (stop bool), commit func(i int)) (stopped bool) {
+// indices already started still finish and commit.
+func ordered(n, workers int, work func(i int) (stop bool), commit func(i int)) {
 	var (
 		mu         sync.Mutex
+		stopped    bool // a work call returned true
 		next       int  // indices below next have started
 		committed  int  // indices below committed have committed
 		committing bool // a goroutine is calling commit
@@ -483,7 +461,6 @@ func ordered(n, workers int, work func(i int) (stop bool), commit func(i int)) (
 	}
 	run()
 	wg.Wait()
-	return stopped
 }
 
 // trialConfig builds the TrialConfig of one workload point on dep: the

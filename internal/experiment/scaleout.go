@@ -9,8 +9,6 @@ import (
 
 // ScaleOutOptions parameterize the paper's §V.A iterative strategy.
 type ScaleOutOptions struct {
-	// StartTopology is the initial configuration (default 1-1-1).
-	StartTopology spec.Topology
 	// LoadStep is the user increment per iteration (paper: 250-user
 	// increments per added app server).
 	LoadStep int
@@ -20,26 +18,22 @@ type ScaleOutOptions struct {
 	MaxApp, MaxDB int
 	// SLOms is the mean response-time objective that triggers scaling.
 	SLOms float64
-	// WriteRatioPct fixes the write ratio (paper: 15%).
-	WriteRatioPct float64
-	// MinImprovementPct is the response-time improvement below which
-	// adding a server is judged useless and the other tier is tried
-	// (paper: adding DB servers "makes very little difference" until the
-	// DB becomes the bottleneck).
-	MinImprovementPct float64
 }
 
 // DefaultScaleOutOptions mirror the paper's experiment envelope.
 var DefaultScaleOutOptions = ScaleOutOptions{
-	StartTopology:     spec.Topology{Web: 1, App: 1, DB: 1},
-	LoadStep:          250,
-	MaxUsers:          2900,
-	MaxApp:            12,
-	MaxDB:             3,
-	SLOms:             1000,
-	WriteRatioPct:     15,
-	MinImprovementPct: 5,
+	LoadStep: 250,
+	MaxUsers: 2900,
+	MaxApp:   12,
+	MaxDB:    3,
+	SLOms:    1000,
 }
+
+// minImprovementPct is the response-time improvement below which adding
+// a server is judged useless and the other tier is tried (paper: adding
+// DB servers "makes very little difference" until the DB becomes the
+// bottleneck).
+const minImprovementPct = 5
 
 // StepAction describes what the controller did after observing a trial.
 type StepAction string
@@ -74,11 +68,10 @@ type Step struct {
 // from the observed utilization, add one server to that tier, and repeat.
 // When adding a server fails to improve response time, the other tier is
 // grown instead ("this is an indication of a different bottleneck in the
-// system", §V.B). The loop stops at the workload or topology bounds.
+// system", §V.B). The loop starts at 1-1-1 and stops at the workload or
+// topology bounds. Every trial runs at the low end of e's write ratio
+// range, as RunTransientAt does.
 func (r *Runner) ScaleOut(e *spec.Experiment, opts ScaleOutOptions) ([]Step, error) {
-	if opts.StartTopology == (spec.Topology{}) {
-		opts.StartTopology = DefaultScaleOutOptions.StartTopology
-	}
 	if opts.LoadStep <= 0 {
 		opts.LoadStep = DefaultScaleOutOptions.LoadStep
 	}
@@ -94,11 +87,8 @@ func (r *Runner) ScaleOut(e *spec.Experiment, opts ScaleOutOptions) ([]Step, err
 	if opts.SLOms <= 0 {
 		opts.SLOms = DefaultScaleOutOptions.SLOms
 	}
-	if opts.MinImprovementPct <= 0 {
-		opts.MinImprovementPct = DefaultScaleOutOptions.MinImprovementPct
-	}
 
-	topo := opts.StartTopology
+	topo := spec.Topology{Web: 1, App: 1, DB: 1}
 	users := opts.LoadStep
 	var steps []Step
 	var lastRT float64
@@ -108,7 +98,7 @@ func (r *Runner) ScaleOut(e *spec.Experiment, opts ScaleOutOptions) ([]Step, err
 	// The loop is bounded by the topology and workload envelope; each
 	// iteration either raises load or grows a tier, so it terminates.
 	for iter := 0; iter < 200; iter++ {
-		out, err := r.RunTrialAt(e, topo, users, opts.WriteRatioPct)
+		out, err := r.RunTrialAt(e, topo, users, e.Workload.WriteRatioPct.Lo)
 		if err != nil {
 			return steps, err
 		}
@@ -126,7 +116,7 @@ func (r *Runner) ScaleOut(e *spec.Experiment, opts ScaleOutOptions) ([]Step, err
 		// bottleneck is elsewhere: grow the other tier.
 		if lastAction == ActionAddAppServer || lastAction == ActionAddDBServer {
 			impr := bottleneck.Improvement(lastRT, res.AvgRTms)
-			if res.Completed && impr < opts.MinImprovementPct {
+			if res.Completed && impr < minImprovementPct {
 				switch {
 				case lastTier == "app" && topo.DB < opts.MaxDB:
 					step.Action = ActionAddDBServer

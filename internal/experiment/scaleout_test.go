@@ -14,12 +14,11 @@ func TestScaleOutGrowsAppTierFirst(t *testing.T) {
 	r := testRunner(t)
 	e := rubisExperiment(t, `workload { users 100; writeratio 15; }`)
 	steps, err := r.ScaleOut(e, ScaleOutOptions{
-		LoadStep:      150,
-		MaxUsers:      750,
-		MaxApp:        4,
-		MaxDB:         2,
-		SLOms:         600,
-		WriteRatioPct: 15,
+		LoadStep: 150,
+		MaxUsers: 750,
+		MaxApp:   4,
+		MaxDB:    2,
+		SLOms:    600,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -73,7 +73,7 @@ func TestSketchCrosscheckRubbosBaseline(t *testing.T) {
 	// percentile columns.
 	const slackMs = 5.0
 	checked := 0
-	for _, res := range r.Store().All() {
+	for _, res := range r.results.All() {
 		tp := taps[res.Key]
 		if tp == nil || res.RTSketch == nil {
 			t.Fatalf("no tap or sketch for %v", res.Key)

@@ -145,7 +145,7 @@ func TestTraceVerdictAgreesWithUtilization(t *testing.T) {
 		t.Fatal(err)
 	}
 	checked := 0
-	for _, res := range r.Store().All() {
+	for _, res := range r.results.All() {
 		if res.Trace == nil || !res.Completed {
 			continue
 		}

@@ -92,8 +92,6 @@ type Config struct {
 	Web, App, DB TierSpec
 	// Classes is the workload's interaction mix (weights sum to 1).
 	Classes []Class
-	// StepSec is the integration step (0 = ThinkSec/20).
-	StepSec float64
 }
 
 // tierIndex labels the request path.
@@ -192,11 +190,7 @@ func New(cfg Config) (*Solver, error) {
 			}
 		}
 	}
-	s := &Solver{cfg: cfg, think: cfg.ThinkSec}
-	s.dt = cfg.StepSec
-	if s.dt <= 0 {
-		s.dt = cfg.ThinkSec / 20
-	}
+	s := &Solver{cfg: cfg, think: cfg.ThinkSec, dt: cfg.ThinkSec / 20}
 
 	var wsum float64
 	for _, c := range cfg.Classes {
@@ -542,9 +536,6 @@ func (t *tierState) step(inAmt, dt float64) float64 {
 	t.done += out
 	return out
 }
-
-// Now reports the solver's current time.
-func (s *Solver) Now() float64 { return s.now }
 
 // SetSessions retargets the admitted population mid-run, the fluid
 // equivalent of the DES driver's AddUsers/RemoveUsers. Growth enters the
@@ -1183,13 +1174,6 @@ func (b *bisection) take(f float64) {
 
 // --- probe views for the monitor -------------------------------------
 
-// TierQueue reports the tier's current fluid level (jobs queued or in
-// service across all nodes).
-func (s *Solver) TierQueue(tier int) float64 { return s.tiers[tier].q }
-
-// TierCompletions reports cumulative completions out of a tier.
-func (s *Solver) TierCompletions(tier int) float64 { return s.tiers[tier].done }
-
 // NodeCPUBusy reports one node's cumulative CPU busy-seconds. Nodes of a
 // tier are interchangeable, so every node reports the tier mean. The
 // epoch baseline is nonzero only after SetTierNodes re-derived the
@@ -1224,9 +1208,6 @@ func (s *Solver) NodeJobs(tier int) float64 {
 	t := &s.tiers[tier]
 	return t.q / float64(t.nodes)
 }
-
-// Capacity reports a tier's service capacity in completions per second.
-func (s *Solver) Capacity(tier int) float64 { return s.tiers[tier].cap }
 
 // NodeCores reports a tier's per-node CPU count (the Erlang-C server
 // count), the denominator for windowed CPU-utilization sampling:

@@ -109,7 +109,7 @@ func TestSaturationCapacity(t *testing.T) {
 	}
 	capacity := math.Inf(1)
 	for i := 0; i < numTiers; i++ {
-		if c := s.Capacity(i); c < capacity {
+		if c := s.tiers[i].cap; c < capacity {
 			capacity = c
 		}
 	}
@@ -243,7 +243,7 @@ func TestBusyIntegralsConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Advance(300)
-	done := s.TierCompletions(TierDB)
+	done := s.tiers[TierDB].done
 	if done <= 0 {
 		t.Fatal("no completions")
 	}
@@ -307,7 +307,7 @@ func TestStepCostPopulationIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Advance(1200) // a full rubbos-length trial horizon
-	if s.TierCompletions(TierDB) <= 0 {
+	if s.tiers[TierDB].done <= 0 {
 		t.Fatal("million-user run produced no completions")
 	}
 }

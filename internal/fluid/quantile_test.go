@@ -360,7 +360,7 @@ func TestSolverWindowsMatchReference(t *testing.T) {
 		if win == 30 {
 			s.SetTierNodes(TierDB, 2)
 		}
-		s.Advance(s.Now() + 5)
+		s.Advance(s.now + 5)
 		snap := s.Snapshot()
 		st := s.StatsBetween(prev, snap)
 		comps := snap.Done - prev.Done

@@ -22,7 +22,6 @@ type Summary struct {
 	m2   float64
 	min  float64
 	max  float64
-	sum  float64
 }
 
 // Observe adds one observation to the summary.
@@ -38,33 +37,9 @@ func (s *Summary) Observe(x float64) {
 			s.max = x
 		}
 	}
-	s.sum += x
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
-}
-
-// Merge folds another summary into s. Merging an empty summary is a no-op.
-func (s *Summary) Merge(o Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	n := s.n + o.n
-	delta := o.mean - s.mean
-	mean := s.mean + delta*float64(o.n)/float64(n)
-	m2 := s.m2 + o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	s.mean, s.m2, s.n = mean, m2, n
-	s.sum += o.sum
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
 }
 
 // Reset returns the summary to its empty state so the hot path can reuse
@@ -76,12 +51,6 @@ func (s *Summary) Count() int64 { return s.n }
 
 // Mean reports the arithmetic mean, or 0 for an empty summary.
 func (s *Summary) Mean() float64 { return s.mean }
-
-// Sum reports the running sum of all observations.
-func (s *Summary) Sum() float64 { return s.sum }
-
-// Min reports the smallest observation, or 0 for an empty summary.
-func (s *Summary) Min() float64 { return s.min }
 
 // Max reports the largest observation, or 0 for an empty summary.
 func (s *Summary) Max() float64 { return s.max }
@@ -119,8 +88,8 @@ func (s *Summary) String() string {
 // value; trials are bounded so this stays modest.
 type Sample struct {
 	xs []float64
-	// permuted is set by the first in-place sort or selection after a
-	// Reset: from then on xs is no longer in recording order.
+	// permuted is set by the first in-place selection after a Reset:
+	// from then on xs is no longer in recording order.
 	permuted bool
 	sum      Summary
 }
@@ -142,17 +111,8 @@ func (p *Sample) Count() int { return len(p.xs) }
 // Mean reports the arithmetic mean of the recorded values.
 func (p *Sample) Mean() float64 { return p.sum.Mean() }
 
-// Min reports the smallest recorded value.
-func (p *Sample) Min() float64 { return p.sum.Min() }
-
 // Max reports the largest recorded value.
 func (p *Sample) Max() float64 { return p.sum.Max() }
-
-// StdDev reports the sample standard deviation of the recorded values.
-func (p *Sample) StdDev() float64 { return p.sum.StdDev() }
-
-// Summary returns the streaming summary of the recorded values.
-func (p *Sample) Summary() Summary { return p.sum }
 
 // Quantile returns the q-th quantile (0 <= q <= 1) using linear
 // interpolation between closest ranks. It returns 0 for an empty sample.
@@ -252,21 +212,11 @@ func selectRank(xs []float64, k int) float64 {
 // Percentile is shorthand for Quantile(pct/100).
 func (p *Sample) Percentile(pct float64) float64 { return p.Quantile(pct / 100) }
 
-// Values returns a copy of the recorded values in insertion-independent
-// (sorted) order.
-func (p *Sample) Values() []float64 {
-	sort.Float64s(p.xs)
-	p.permuted = true
-	out := make([]float64, len(p.xs))
-	copy(out, p.xs)
-	return out
-}
-
 // Since returns the values recorded after the first i, in recording
 // order, sharing the sample's storage (callers must copy before
 // modifying). Recording order exists only until the sample is first
-// reordered — Quantile and Percentile select and Values sorts in place —
-// so Since panics if that has happened since the last Reset.
+// reordered — Quantile and Percentile select in place — so Since panics
+// if that has happened since the last Reset.
 func (p *Sample) Since(i int) []float64 {
 	if p.permuted {
 		panic("metrics: Sample.Since after an in-place reorder")

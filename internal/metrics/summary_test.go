@@ -36,100 +36,19 @@ func TestSummaryBasicMoments(t *testing.T) {
 	if !almostEqual(s.Variance(), 32.0/7.0, 1e-12) {
 		t.Errorf("variance = %g, want %g", s.Variance(), 32.0/7.0)
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("min/max = %g/%g, want 2/9", s.Min(), s.Max())
-	}
-	if !almostEqual(s.Sum(), 40, 1e-12) {
-		t.Errorf("sum = %g, want 40", s.Sum())
+	if s.min != 2 || s.Max() != 9 {
+		t.Errorf("min/max = %g/%g, want 2/9", s.min, s.Max())
 	}
 }
 
 func TestSummarySingleObservation(t *testing.T) {
 	var s Summary
 	s.Observe(3.5)
-	if s.Mean() != 3.5 || s.Min() != 3.5 || s.Max() != 3.5 {
+	if s.Mean() != 3.5 || s.min != 3.5 || s.Max() != 3.5 {
 		t.Fatalf("single observation summary wrong: %s", s.String())
 	}
 	if s.Variance() != 0 || s.StdDev() != 0 {
 		t.Fatalf("variance of one observation must be 0")
-	}
-}
-
-func TestSummaryMergeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	var whole, a, b Summary
-	for i := 0; i < 1000; i++ {
-		x := rng.NormFloat64()*3 + 10
-		whole.Observe(x)
-		if i%2 == 0 {
-			a.Observe(x)
-		} else {
-			b.Observe(x)
-		}
-	}
-	a.Merge(b)
-	if a.Count() != whole.Count() {
-		t.Fatalf("merged count %d != %d", a.Count(), whole.Count())
-	}
-	if !almostEqual(a.Mean(), whole.Mean(), 1e-9) {
-		t.Errorf("merged mean %g != %g", a.Mean(), whole.Mean())
-	}
-	if !almostEqual(a.Variance(), whole.Variance(), 1e-9) {
-		t.Errorf("merged variance %g != %g", a.Variance(), whole.Variance())
-	}
-	if a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Errorf("merged min/max mismatch")
-	}
-}
-
-func TestSummaryMergeEmptyCases(t *testing.T) {
-	var a, b Summary
-	a.Observe(1)
-	a.Observe(2)
-	before := a
-	a.Merge(b) // merging empty is a no-op
-	if a != before {
-		t.Fatalf("merge with empty changed summary")
-	}
-	b.Merge(a) // merging into empty copies
-	if b.Count() != 2 || b.Mean() != 1.5 {
-		t.Fatalf("merge into empty failed: %s", b.String())
-	}
-}
-
-// Property: merging any split of a sequence equals observing the whole
-// sequence, for mean and count.
-func TestSummaryMergeProperty(t *testing.T) {
-	f := func(xs []float64, splitSeed uint64) bool {
-		// Keep values finite and moderate.
-		clean := xs[:0:0]
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				continue
-			}
-			clean = append(clean, math.Mod(x, 1e6))
-		}
-		var whole, a, b Summary
-		rng := rand.New(rand.NewPCG(splitSeed, 99))
-		for _, x := range clean {
-			whole.Observe(x)
-			if rng.IntN(2) == 0 {
-				a.Observe(x)
-			} else {
-				b.Observe(x)
-			}
-		}
-		a.Merge(b)
-		if a.Count() != whole.Count() {
-			return false
-		}
-		if whole.Count() == 0 {
-			return true
-		}
-		return almostEqual(a.Mean(), whole.Mean(), 1e-6)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -182,7 +101,7 @@ func quantileBySort(ys []float64, q float64) float64 {
 // statistics returns the bits sorting did, on samples of 0–3 values and
 // of up to 3000, with and without heavy duplication, for q values taken
 // in several orders on one sample (each selection leaves the values
-// reordered for the next), then again once Values has sorted them.
+// reordered for the next), then again once the values are sorted.
 func TestSampleQuantileMatchesSortReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	var samples [][]float64
@@ -235,10 +154,8 @@ func TestSampleQuantileMatchesSortReference(t *testing.T) {
 				}
 			}
 			check("selecting")
-			if v := s.Values(); !slices.Equal(v, sorted) {
-				t.Fatalf("n=%d: Values after selection is not the sorted sample", len(xs))
-			}
-			check("after Values")
+			sort.Float64s(s.xs)
+			check("after sorting")
 		}
 	}
 }
@@ -250,7 +167,7 @@ func TestSampleEmptyAndReset(t *testing.T) {
 	}
 	s.Observe(5)
 	s.Observe(1)
-	if s.Min() != 1 || s.Max() != 5 || s.Count() != 2 {
+	if s.sum.min != 1 || s.Max() != 5 || s.Count() != 2 {
 		t.Fatalf("sample bookkeeping wrong")
 	}
 	s.Reset()
@@ -278,7 +195,7 @@ func TestSampleQuantileMonotoneProperty(t *testing.T) {
 			if v < prev-1e-9 {
 				return false
 			}
-			if v < s.Min()-1e-9 || v > s.Max()+1e-9 {
+			if v < s.sum.min-1e-9 || v > s.Max()+1e-9 {
 				return false
 			}
 			prev = v
@@ -287,21 +204,6 @@ func TestSampleQuantileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSampleValuesSortedCopy(t *testing.T) {
-	s := NewSample(0)
-	for _, x := range []float64{3, 1, 2} {
-		s.Observe(x)
-	}
-	v := s.Values()
-	if v[0] != 1 || v[1] != 2 || v[2] != 3 {
-		t.Fatalf("Values not sorted: %v", v)
-	}
-	v[0] = 99 // must be a copy
-	if s.Min() != 1 {
-		t.Fatalf("Values returned internal storage")
 	}
 }
 

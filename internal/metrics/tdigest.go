@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -188,20 +187,10 @@ func (d *TDigest) Merge(o *TDigest) {
 	d.compress()
 }
 
-// Reset returns the digest to empty while keeping its allocations, so a
-// pre-sized digest can be reused across trials without allocating.
-func (d *TDigest) Reset() {
-	d.means = d.means[:0]
-	d.weights = d.weights[:0]
-	d.bufM = d.bufM[:0]
-	d.bufW = d.bufW[:0]
-	d.total = 0
-	d.min, d.max = 0, 0
-}
-
 // Compress seals the observation buffer into the centroid set. Callers
-// never need it for correctness — Quantile and the codecs seal on demand
-// — but sealing before serialization makes the canonical form explicit.
+// never need it for correctness — Quantile and MarshalJSON seal on
+// demand — but sealing before serialization makes the canonical form
+// explicit.
 func (d *TDigest) Compress() {
 	if len(d.bufM) > 0 {
 		d.compress()
@@ -327,23 +316,6 @@ func (d *TDigest) Quantile(q float64) float64 {
 	return prevMean + frac*(d.max-prevMean)
 }
 
-// RankError reports the documented rank-error bound ε(q) for this
-// digest's compression: max(4·sqrt(q·(1−q)), 1/2)/δ. The differential
-// battery asserts every quantile estimate within this bound.
-func (d *TDigest) RankError(q float64) float64 {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	e := 4 * math.Sqrt(q*(1-q))
-	if e < 0.5 {
-		e = 0.5
-	}
-	return e / d.compression
-}
-
 // tdigestSorter sorts the observation buffer's parallel arrays by mean.
 // It lives inside the digest so sort.Sort sees a stable pointer and the
 // flush path stays allocation-free.
@@ -357,140 +329,6 @@ func (s *tdigestSorter) Less(i, j int) bool { return s.m[i] < s.m[j] }
 func (s *tdigestSorter) Swap(i, j int) {
 	s.m[i], s.m[j] = s.m[j], s.m[i]
 	s.w[i], s.w[j] = s.w[j], s.w[i]
-}
-
-// Binary codec. Layout (little-endian):
-//
-//	magic "TDG1"
-//	float64 compression
-//	uvarint total weight
-//	float64 min, float64 max        (present only when total > 0)
-//	uvarint centroid count
-//	count × (float64 mean, uvarint weight)
-//
-// Weights are integral by construction, so uvarint keeps the common case
-// (per-trial sketches, weight 1..k) compact. Decoding validates every
-// structural invariant and returns an error — never panics — on corrupt
-// input; FuzzTDigestCodec pins that.
-const tdigestMagic = "TDG1"
-
-// MarshalBinary seals the digest and encodes it compactly.
-func (d *TDigest) MarshalBinary() ([]byte, error) {
-	d.Compress()
-	var varbuf [binary.MaxVarintLen64]byte
-	out := make([]byte, 0, 4+8+2*8+binary.MaxVarintLen64*(2+len(d.means))+8*len(d.means))
-	out = append(out, tdigestMagic...)
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(d.compression))
-	out = append(out, varbuf[:binary.PutUvarint(varbuf[:], d.total)]...)
-	if d.total > 0 {
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(d.min))
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(d.max))
-	}
-	out = append(out, varbuf[:binary.PutUvarint(varbuf[:], uint64(len(d.means)))]...)
-	for i := range d.means {
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(d.means[i]))
-		out = append(out, varbuf[:binary.PutUvarint(varbuf[:], d.weights[i])]...)
-	}
-	return out, nil
-}
-
-// UnmarshalBinary decodes a digest produced by MarshalBinary, validating
-// the structural invariants (magic, compression range, centroid cap and
-// ordering, weight sum) so corrupt bytes are rejected rather than
-// trusted.
-func (d *TDigest) UnmarshalBinary(data []byte) error {
-	r := binReader{data: data}
-	if string(r.take(4)) != tdigestMagic {
-		return fmt.Errorf("tdigest: bad magic")
-	}
-	compression := math.Float64frombits(r.u64())
-	if !(compression >= 20 && compression <= 1000) { // also rejects NaN
-		return fmt.Errorf("tdigest: compression %g out of range", compression)
-	}
-	total := r.uvarint()
-	var lo, hi float64
-	if total > 0 {
-		lo = math.Float64frombits(r.u64())
-		hi = math.Float64frombits(r.u64())
-		if math.IsNaN(lo) || math.IsNaN(hi) || lo > hi {
-			return fmt.Errorf("tdigest: invalid min/max")
-		}
-	}
-	n := r.uvarint()
-	if n > uint64(maxTDigestCentroids(compression)) {
-		return fmt.Errorf("tdigest: centroid count %d exceeds cap", n)
-	}
-	if (total == 0) != (n == 0) {
-		return fmt.Errorf("tdigest: weight/centroid mismatch")
-	}
-	means := make([]float64, 0, maxTDigestCentroids(compression))
-	weights := make([]uint64, 0, maxTDigestCentroids(compression))
-	var sum uint64
-	prev := math.Inf(-1)
-	for i := uint64(0); i < n; i++ {
-		m := math.Float64frombits(r.u64())
-		w := r.uvarint()
-		if r.err {
-			return fmt.Errorf("tdigest: truncated input")
-		}
-		if math.IsNaN(m) || m < prev || w == 0 {
-			return fmt.Errorf("tdigest: invalid centroid %d", i)
-		}
-		if m < lo || m > hi {
-			return fmt.Errorf("tdigest: centroid %d outside [min,max]", i)
-		}
-		prev = m
-		means = append(means, m)
-		weights = append(weights, w)
-		sum += w
-	}
-	if r.err {
-		return fmt.Errorf("tdigest: truncated input")
-	}
-	if r.off != len(r.data) {
-		return fmt.Errorf("tdigest: %d trailing bytes", len(r.data)-r.off)
-	}
-	if sum != total {
-		return fmt.Errorf("tdigest: weight sum %d != total %d", sum, total)
-	}
-	fresh := NewTDigest(compression)
-	fresh.means = append(fresh.means[:0], means...)
-	fresh.weights = append(fresh.weights[:0], weights...)
-	fresh.total = total
-	fresh.min, fresh.max = lo, hi
-	*d = *fresh
-	return nil
-}
-
-// binReader is a bounds-checked little-endian reader for the codec.
-type binReader struct {
-	data []byte
-	off  int
-	err  bool
-}
-
-func (r *binReader) take(n int) []byte {
-	if r.off+n > len(r.data) {
-		r.err = true
-		return make([]byte, n)
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *binReader) u64() uint64 {
-	return binary.LittleEndian.Uint64(r.take(8))
-}
-
-func (r *binReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		r.err = true
-		return 0
-	}
-	r.off += n
-	return v
 }
 
 // tdigestJSON is the sketch's JSON wire form, used inside store.Result
@@ -520,8 +358,9 @@ func (d *TDigest) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON decodes the JSON form under the same validation as the
-// binary codec.
+// UnmarshalJSON decodes the JSON form, validating its structural
+// invariants (compression range, centroid cap and ordering, weight sum)
+// so corrupt bytes are rejected rather than trusted.
 func (d *TDigest) UnmarshalJSON(data []byte) error {
 	var j tdigestJSON
 	if err := json.Unmarshal(data, &j); err != nil {
@@ -547,6 +386,9 @@ func (d *TDigest) UnmarshalJSON(data []byte) error {
 	for i, m := range j.Means {
 		if math.IsNaN(m) || m < prev || j.Weights[i] == 0 || m < j.Min || m > j.Max {
 			return fmt.Errorf("tdigest: invalid centroid %d", i)
+		}
+		if j.Weights[i] > math.MaxUint64-sum {
+			return fmt.Errorf("tdigest: weight sum overflows")
 		}
 		prev = m
 		sum += j.Weights[i]

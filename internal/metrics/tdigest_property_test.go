@@ -80,6 +80,23 @@ var adversarialStreams = []streamGen{
 	}},
 }
 
+// RankError reports the documented rank-error bound ε(q) for this
+// digest's compression: max(4·sqrt(q·(1−q)), 1/2)/δ. The differential
+// battery asserts every quantile estimate within this bound.
+func (d *TDigest) RankError(q float64) float64 {
+	if q < 0 {
+		q = 0
+	}
+	if q > 1 {
+		q = 1
+	}
+	e := 4 * math.Sqrt(q*(1-q))
+	if e < 0.5 {
+		e = 0.5
+	}
+	return e / d.compression
+}
+
 // assertWithinRankBound asserts that estimate lies between the exact
 // order statistics at ranks (q−ε)·n and (q+ε)·n of the sorted stream.
 func assertWithinRankBound(t *testing.T, sorted []float64, d *TDigest, q float64, label string) {
@@ -227,7 +244,7 @@ func TestTDigestMergeDeterministic(t *testing.T) {
 			}
 			acc.Merge(part)
 		}
-		data, err := acc.MarshalBinary()
+		data, err := acc.MarshalJSON()
 		if err != nil {
 			t.Fatal(err)
 		}

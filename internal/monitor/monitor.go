@@ -191,7 +191,7 @@ func (m *Monitor) seriesFor(host, metric string) *metrics.TimeSeries {
 	key := host + "/" + metric
 	ts, ok := m.series[key]
 	if !ok {
-		ts = metrics.NewTimeSeries(key)
+		ts = &metrics.TimeSeries{}
 		m.series[key] = ts
 	}
 	return ts

@@ -20,19 +20,8 @@ type Record struct {
 	Values []float64
 }
 
-// CPUUtil returns a cpu record's total utilization percentage
-// (user + sys).
-func (r Record) CPUUtil() (float64, bool) {
-	if r.Family != "cpu" || len(r.Values) < 3 {
-		return 0, false
-	}
-	return r.Values[0] + r.Values[1], true
-}
-
-// ParseFile parses a host's sysstat output back into records; the
-// analysis pipeline uses this to load collected files into the results
-// store, the paper's "performance data collected from the participating
-// hosts is put into a database for analysis".
+// ParseFile parses a host's sysstat output back into records. Tests of
+// this package and of the trial archive read monitor files back with it.
 func ParseFile(text string) ([]Record, error) {
 	var out []Record
 	for lineNo, line := range strings.Split(text, "\n") {

@@ -135,27 +135,6 @@ func (b *Bundle) TotalLines(kind ArtifactKind) int {
 	return n
 }
 
-// TotalBytes sums content sizes in bytes.
-func (b *Bundle) TotalBytes() int {
-	n := 0
-	for _, a := range b.artifacts {
-		n += len(a.Content)
-	}
-	return n
-}
-
-// Merge folds another bundle into b, prefixing paths to avoid collisions.
-func (b *Bundle) Merge(prefix string, other *Bundle) error {
-	for _, p := range other.order {
-		a := *other.artifacts[p]
-		a.Path = prefix + a.Path
-		if err := b.Add(a); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Summary renders a sorted path → line-count listing for reports.
 func (b *Bundle) Summary() string {
 	paths := b.Paths()

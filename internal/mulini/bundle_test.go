@@ -58,27 +58,6 @@ func TestBundleKindAccounting(t *testing.T) {
 	if got := len(b.ByKind(Config)); got != 1 {
 		t.Errorf("config artifacts = %d", got)
 	}
-	if b.TotalBytes() != len("1\n2\n3\n")+len("1\n")+len("1\n2\n") {
-		t.Errorf("bytes = %d", b.TotalBytes())
-	}
-}
-
-func TestBundleMerge(t *testing.T) {
-	a, b := NewBundle(), NewBundle()
-	a.Add(Artifact{Path: "x", Kind: Script, Content: "1\n"})
-	b.Add(Artifact{Path: "x", Kind: Script, Content: "2\n"})
-	if err := a.Merge("sub/", b); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := a.Get("sub/x"); !ok {
-		t.Fatalf("merged path missing")
-	}
-	// Colliding prefix errors.
-	c := NewBundle()
-	c.Add(Artifact{Path: "sub/x", Kind: Script})
-	if err := c.Merge("sub/", b); err == nil {
-		t.Fatalf("merge collision should error")
-	}
 }
 
 func TestBundleSummary(t *testing.T) {

@@ -29,9 +29,6 @@ type Station struct {
 	// count and treating residual queueing at the aggregate (adequate for
 	// the near-balanced loads our tiers carry).
 	Servers int
-	// Delay marks pure delay (infinite-server) stations; think time is
-	// modelled this way.
-	Delay bool
 }
 
 // Result is the MVA solution for one population size.
@@ -70,7 +67,7 @@ func NewNetwork(think float64, stations []Station) (*Network, error) {
 		if s.Demand < 0 || math.IsNaN(s.Demand) || math.IsInf(s.Demand, 0) {
 			return nil, fmt.Errorf("mva: station %d (%s) has invalid demand %g", i, s.Name, s.Demand)
 		}
-		if !s.Delay && s.Servers < 1 {
+		if s.Servers < 1 {
 			return nil, fmt.Errorf("mva: station %d (%s) needs at least one server", i, s.Name)
 		}
 	}
@@ -101,13 +98,8 @@ func (nw *Network) SolveRange(n int) ([]Result, error) {
 		resid := make([]float64, k)
 		var total float64
 		for i, s := range nw.stations {
-			d := s.Demand
-			if s.Delay {
-				resid[i] = d
-			} else {
-				eff := d / float64(s.Servers)
-				resid[i] = eff * (1 + queue[i])
-			}
+			eff := s.Demand / float64(s.Servers)
+			resid[i] = eff * (1 + queue[i])
 			total += resid[i]
 		}
 		x := float64(pop) / (nw.think + total)
@@ -121,15 +113,11 @@ func (nw *Network) SolveRange(n int) ([]Result, error) {
 		for i, s := range nw.stations {
 			queue[i] = x * resid[i]
 			res.QueueLength[i] = queue[i]
-			if s.Delay {
-				res.Utilization[i] = 0
-			} else {
-				u := x * s.Demand / float64(s.Servers)
-				if u > 1 {
-					u = 1
-				}
-				res.Utilization[i] = u
+			u := x * s.Demand / float64(s.Servers)
+			if u > 1 {
+				u = 1
 			}
+			res.Utilization[i] = u
 		}
 		out = append(out, res)
 	}
@@ -143,9 +131,6 @@ func (nw *Network) SaturationPopulation() float64 {
 	var total, dmax float64
 	for _, s := range nw.stations {
 		total += s.Demand
-		if s.Delay {
-			continue
-		}
 		eff := s.Demand / float64(s.Servers)
 		if eff > dmax {
 			dmax = eff
@@ -158,13 +143,10 @@ func (nw *Network) SaturationPopulation() float64 {
 }
 
 // BottleneckStation returns the index of the station with the highest
-// per-server demand (the asymptotic bottleneck), ignoring delay centers.
+// per-server demand (the asymptotic bottleneck).
 func (nw *Network) BottleneckStation() int {
 	best, bestEff := -1, -1.0
 	for i, s := range nw.stations {
-		if s.Delay {
-			continue
-		}
 		eff := s.Demand / float64(s.Servers)
 		if eff > bestEff {
 			best, bestEff = i, eff

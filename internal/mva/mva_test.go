@@ -128,10 +128,10 @@ func TestSaturationPopulation(t *testing.T) {
 	if n := nw.SaturationPopulation(); math.Abs(n-234.3) > 1 {
 		t.Fatalf("N* = %g, want ≈234", n)
 	}
-	// Delay-only network never saturates.
-	nw2, _ := NewNetwork(7, []Station{{Name: "z", Demand: 1, Delay: true}})
+	// A network without demand never saturates.
+	nw2, _ := NewNetwork(7, []Station{{Name: "z", Demand: 0, Servers: 1}})
 	if !math.IsInf(nw2.SaturationPopulation(), 1) {
-		t.Fatalf("delay-only N* should be infinite")
+		t.Fatalf("demand-free N* should be infinite")
 	}
 }
 

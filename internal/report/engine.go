@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"elba/internal/bottleneck"
 	"elba/internal/store"
 )
 
@@ -50,63 +49,6 @@ func TableEngineSummary(st *store.Store, experiment string) string {
 		t.AddRow(r.Key.Topology, fmt.Sprint(r.Key.Users),
 			fmt.Sprintf("%g", r.Key.WriteRatioPct), engineLabel(r),
 			fmt.Sprintf("%.1f", r.Throughput), fmt.Sprintf("%.1f", r.P50ms))
-	}
-	return t.String()
-}
-
-// relDelta is the signed relative difference of got versus want in
-// percent; 0 when both are 0.
-func relDelta(got, want float64) float64 {
-	if want == 0 {
-		if got == 0 {
-			return 0
-		}
-		return 100
-	}
-	return (got - want) / want * 100
-}
-
-// divergenceCell renders a fluid-vs-exact delta, flagging values outside
-// the tolerance band with a trailing '*'.
-func divergenceCell(fluid, exact, relTol float64) string {
-	d := relDelta(fluid, exact)
-	flag := ""
-	if d > relTol*100 || d < -relTol*100 {
-		flag = "*"
-	}
-	return fmt.Sprintf("%+.1f%%%s", d, flag)
-}
-
-// TableEngineDivergence cross-tabulates an experiment run under both
-// engines: for every population present in the exact store it reports
-// the fluid engine's relative error on throughput, p50, and p90, and
-// whether the two bottleneck verdicts agree. Deltas outside relTol are
-// starred — the rendered form of the cross-validation battery's
-// tolerance bands, and the quickest way to see where a spec leaves the
-// fluid approximation's validity envelope.
-func TableEngineDivergence(exact, fluid *store.Store, experiment string, relTol float64) string {
-	t := NewTable(
-		fmt.Sprintf("Exact vs fluid divergence: %s (band %.0f%%)", experiment, relTol*100),
-		"Config (w-a-d)", "Users", "ΔX", "Δp50", "Δp90", "Verdict (exact)", "Verdict (fluid)", "Agree")
-	for _, er := range experimentResults(exact, experiment) {
-		fr, ok := fluid.Get(er.Key)
-		if !ok {
-			t.AddRow(er.Key.Topology, fmt.Sprint(er.Key.Users), "-", "-", "-", "-", "-", "-")
-			continue
-		}
-		ve := bottleneck.Detect(er, bottleneck.DefaultThresholds)
-		vf := bottleneck.Detect(fr, bottleneck.DefaultThresholds)
-		agree := "yes"
-		if ve.Tier != vf.Tier || ve.Resource != vf.Resource {
-			agree = "NO"
-		}
-		t.AddRow(er.Key.Topology, fmt.Sprint(er.Key.Users),
-			divergenceCell(fr.Throughput, er.Throughput, relTol),
-			divergenceCell(fr.P50ms, er.P50ms, relTol),
-			divergenceCell(fr.P90ms, er.P90ms, relTol),
-			fmt.Sprintf("%s-%s", ve.Tier, ve.Resource),
-			fmt.Sprintf("%s-%s", vf.Tier, vf.Resource),
-			agree)
 	}
 	return t.String()
 }

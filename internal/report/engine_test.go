@@ -46,61 +46,3 @@ func TestTableEngineSummary(t *testing.T) {
 		t.Errorf("failed fluid trial row wrong:\n%s", out)
 	}
 }
-
-func TestTableEngineDivergence(t *testing.T) {
-	exact := store.New()
-	fluid := store.New()
-	// In band on everything: +2% X, -3% p50, +4% p90.
-	exact.Put(engineResult(100, "", 50, 100, 150, 50))
-	fluid.Put(engineResult(100, "fluid", 51, 97, 156, 50))
-	// Out of band on p90 only, verdicts still agree (both app-cpu).
-	exact.Put(engineResult(500, "", 33.5, 3400, 4300, 96))
-	fluid.Put(engineResult(500, "fluid", 33.3, 3350, 5100, 100))
-
-	out := TableEngineDivergence(exact, fluid, "eng", 0.05)
-	rows := strings.Split(strings.TrimSpace(out), "\n")
-	var inBand, overload string
-	for _, l := range rows {
-		if strings.Contains(l, " 100 ") || strings.HasSuffix(l, "yes") && strings.Contains(l, "100") {
-			if strings.Contains(l, "+2.0%") {
-				inBand = l
-			}
-		}
-		if strings.Contains(l, "500") {
-			overload = l
-		}
-	}
-	if inBand == "" {
-		t.Fatalf("in-band row missing:\n%s", out)
-	}
-	if strings.Contains(inBand, "*") {
-		t.Errorf("in-band deltas flagged:\n%s", inBand)
-	}
-	if overload == "" {
-		t.Fatalf("overload row missing:\n%s", out)
-	}
-	if !strings.Contains(overload, "+18.6%*") {
-		t.Errorf("out-of-band p90 not starred: %s", overload)
-	}
-	if !strings.Contains(overload, "app-cpu") || !strings.Contains(overload, "yes") {
-		t.Errorf("verdict agreement lost: %s", overload)
-	}
-	// ΔX and Δp50 stay unstarred at deep overload — the structural
-	// divergence is confined to the tail.
-	if c := strings.Count(overload, "*"); c != 1 {
-		t.Errorf("overload row has %d stars, want exactly 1: %s", c, overload)
-	}
-}
-
-func TestTableEngineDivergenceMissingFluidPoint(t *testing.T) {
-	exact := store.New()
-	fluid := store.New()
-	exact.Put(engineResult(100, "", 50, 100, 150, 50))
-	out := TableEngineDivergence(exact, fluid, "eng", 0.05)
-	if !strings.Contains(out, "-") {
-		t.Errorf("missing fluid point should render dashes:\n%s", out)
-	}
-	if strings.Contains(out, "NO") {
-		t.Errorf("missing point must not claim disagreement:\n%s", out)
-	}
-}

@@ -196,18 +196,6 @@ func foldPercentiles(d *metrics.TDigest, r store.Result) {
 	d.Add(r.MaxRTms, wMax)
 }
 
-// Experiments lists the folded experiments in first-seen order.
-func (f *Folder) Experiments() []string { return f.order }
-
-// Trials reports the total number of results folded so far.
-func (f *Folder) Trials() int {
-	n := 0
-	for _, agg := range f.exps {
-		n += agg.trials
-	}
-	return n
-}
-
 // Quantiles reports an experiment's running campaign-level response-time
 // quantiles in milliseconds from the merged sketch, plus whether any
 // folded result lacked a sketch (making the figures approximate).
@@ -221,15 +209,6 @@ func (f *Folder) Quantiles(experiment string, qs ...float64) (vals []float64, ap
 		vals[i] = agg.sketch.Quantile(q)
 	}
 	return vals, agg.approx, true
-}
-
-// Sketch exposes an experiment's merged response-time digest (nil when
-// the experiment is unknown). Callers must not mutate it.
-func (f *Folder) Sketch(experiment string) *metrics.TDigest {
-	if agg, ok := f.exps[experiment]; ok {
-		return agg.sketch
-	}
-	return nil
 }
 
 // Knees lists every detected knee and onset so far, in a deterministic

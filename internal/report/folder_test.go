@@ -254,10 +254,11 @@ func TestFolderMemoryBounded(t *testing.T) {
 		}
 		f.Ingest(r)
 	}
-	sk := f.Sketch("big")
-	if sk == nil {
+	agg, ok := f.exps["big"]
+	if !ok {
 		t.Fatal("no merged sketch")
 	}
+	sk := agg.sketch
 	if sk.Count() != uint64(trials)*2000 {
 		t.Fatalf("merged count %d, want %d", sk.Count(), trials*2000)
 	}
@@ -265,8 +266,8 @@ func TestFolderMemoryBounded(t *testing.T) {
 		t.Fatalf("merged sketch holds %d centroids, cap %d — memory not O(sketch)",
 			sk.Centroids(), sk.MaxCentroids())
 	}
-	if f.Trials() != trials {
-		t.Fatalf("Trials() = %d, want %d", f.Trials(), trials)
+	if agg.trials != trials {
+		t.Fatalf("folded %d trials, want %d", agg.trials, trials)
 	}
 }
 

@@ -5,16 +5,11 @@ package report
 // paper locates the knee of the throughput curve after the fact, from
 // the full table; the detector reproduces that reading incrementally:
 // the first segment's slope is the series' linear regime, and the knee
-// is the first point whose segment slope collapses below SlopeFraction
-// of it (or goes negative — throughput actually falling). Detection is
-// a pure function of the observed prefix, so a replayed result log
-// flags exactly the knees the live fold flagged.
+// is the first point whose segment slope collapses below
+// kneeSlopeFraction of it (or goes negative — throughput actually
+// falling). Detection is a pure function of the observed prefix, so a
+// replayed result log flags exactly the knees the live fold flagged.
 type KneeDetector struct {
-	// SlopeFraction is the collapse threshold as a fraction of the first
-	// segment's slope (0 selects the default 0.25). A lower fraction
-	// flags only harder saturation.
-	SlopeFraction float64
-
 	points     int
 	prevUsers  int
 	prevThru   float64
@@ -22,10 +17,10 @@ type KneeDetector struct {
 	foundUsers int
 }
 
-// DefaultKneeSlopeFraction is the slope-collapse threshold used when a
-// detector's SlopeFraction is unset: a segment gaining throughput at
-// less than a quarter of the series' initial rate is past the knee.
-const DefaultKneeSlopeFraction = 0.25
+// kneeSlopeFraction is the slope-collapse threshold as a fraction of the
+// first segment's slope: a segment gaining throughput at less than a
+// quarter of the series' initial rate is past the knee.
+const kneeSlopeFraction = 0.25
 
 // Observe feeds the next (users, throughput) point of the ascending
 // series and reports whether this point is the knee. It fires at most
@@ -51,11 +46,7 @@ func (k *KneeDetector) Observe(users int, throughput float64) bool {
 	if k.foundUsers != 0 {
 		return false
 	}
-	frac := k.SlopeFraction
-	if frac <= 0 {
-		frac = DefaultKneeSlopeFraction
-	}
-	if slope < 0 || (k.baseSlope > 0 && slope < frac*k.baseSlope) {
+	if slope < 0 || (k.baseSlope > 0 && slope < kneeSlopeFraction*k.baseSlope) {
 		k.foundUsers = users
 		return true
 	}

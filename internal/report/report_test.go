@@ -30,14 +30,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestTableAddRowf(t *testing.T) {
-	tb := NewTable("", "A", "B")
-	tb.AddRowf("%d|%s", 42, "x")
-	if !strings.Contains(tb.String(), "42") {
-		t.Fatalf("AddRowf failed:\n%s", tb.String())
-	}
-}
-
 func catalogAndBundle(t *testing.T) (*cim.Catalog, *mulini.Bundle) {
 	t.Helper()
 	cat, err := cim.LoadCatalog()
@@ -260,17 +252,5 @@ func TestSeriesChartIncludesPlot(t *testing.T) {
 	}
 	if !strings.Contains(out, "* 1-1-1") {
 		t.Fatalf("plot half missing:\n%s", out)
-	}
-}
-
-func TestTableMarkdown(t *testing.T) {
-	tb := NewTable("Title", "A", "B")
-	tb.AddRow("x|y", "z")
-	md := tb.Markdown()
-	if !strings.HasPrefix(md, "**Title**\n\n| A | B |\n| --- | --- |\n") {
-		t.Fatalf("markdown header wrong:\n%s", md)
-	}
-	if !strings.Contains(md, `| x\|y | z |`) {
-		t.Fatalf("pipe escaping wrong:\n%s", md)
 	}
 }

@@ -33,11 +33,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row of formatted values.
-func (t *Table) AddRowf(format string, args ...interface{}) {
-	t.AddRow(strings.Split(fmt.Sprintf(format, args...), "|")...)
-}
-
 // Rows reports the number of data rows.
 func (t *Table) Rows() int { return len(t.rows) }
 
@@ -71,32 +66,6 @@ func (t *Table) String() string {
 	var rule []string
 	for _, w := range widths {
 		rule = append(rule, strings.Repeat("-", w))
-	}
-	writeRow(rule)
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	return b.String()
-}
-
-// Markdown renders the table as GitHub-flavored Markdown, for inclusion
-// in documents like EXPERIMENTS.md.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.title)
-	}
-	writeRow := func(cells []string) {
-		b.WriteString("|")
-		for _, c := range cells {
-			fmt.Fprintf(&b, " %s |", strings.ReplaceAll(c, "|", "\\|"))
-		}
-		b.WriteString("\n")
-	}
-	writeRow(t.headers)
-	rule := make([]string, len(t.headers))
-	for i := range rule {
-		rule[i] = "---"
 	}
 	writeRow(rule)
 	for _, row := range t.rows {

@@ -198,9 +198,6 @@ func (d *Driver) Start() {
 	}
 }
 
-// ActiveUsers reports the number of live user sessions.
-func (d *Driver) ActiveUsers() int { return d.active }
-
 // AddUsers grows the population mid-run by n sessions, modelling workload
 // evolution (a traffic surge arriving at a running deployment). New users
 // ramp in over rampUp seconds. Session caps do not apply to late joiners;
@@ -327,13 +324,6 @@ func (d *Driver) SetErrorRate(p float64) {
 // measurement window.
 func (d *Driver) InjectedErrors() int64 { return d.injected }
 
-// Issued reports the total number of requests sent since Start.
-func (d *Driver) Issued() int64 { return d.issued }
-
 // Errors reports rejected, failed, or timed-out requests during the
 // measurement window.
 func (d *Driver) Errors() int64 { return d.errors }
-
-// Timeouts reports requests exceeding the client timeout during the
-// measurement window.
-func (d *Driver) Timeouts() int64 { return d.timeouts }

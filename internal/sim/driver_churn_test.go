@@ -24,16 +24,16 @@ func TestDriverChurnAccounting(t *testing.T) {
 	d := NewDriver(k, app, churnModel(), DriverConfig{Users: 10, RampUp: 1}, 7)
 	d.Start()
 	k.Run(5)
-	if got := d.ActiveUsers(); got != 10 {
+	if got := d.active; got != 10 {
 		t.Fatalf("after Start: ActiveUsers = %d, want 10", got)
 	}
 
 	d.RemoveUsers(4)
-	if got := d.ActiveUsers(); got != 6 {
+	if got := d.active; got != 6 {
 		t.Fatalf("after RemoveUsers(4): ActiveUsers = %d, want 6", got)
 	}
 	d.AddUsers(3, 0)
-	if got := d.ActiveUsers(); got != 9 {
+	if got := d.active; got != 9 {
 		t.Fatalf("after AddUsers(3): ActiveUsers = %d, want 9", got)
 	}
 	// Retired sessions stay retired and keep their ids; the three joiners
@@ -58,7 +58,7 @@ func TestDriverChurnAccounting(t *testing.T) {
 
 	// Over-removal retires everyone and stops at zero.
 	d.RemoveUsers(100)
-	if got := d.ActiveUsers(); got != 0 {
+	if got := d.active; got != 0 {
 		t.Fatalf("after over-removal: ActiveUsers = %d, want 0", got)
 	}
 
@@ -67,7 +67,7 @@ func TestDriverChurnAccounting(t *testing.T) {
 	k.Run(20)
 	before := d.completed
 	d.AddUsers(5, 0)
-	if got := d.ActiveUsers(); got != 5 {
+	if got := d.active; got != 5 {
 		t.Fatalf("after regrow: ActiveUsers = %d, want 5", got)
 	}
 	k.Run(40)

@@ -116,7 +116,7 @@ func TestDriverTimeoutAccounting(t *testing.T) {
 	d.BeginMeasurement()
 	k.Run(60)
 	d.EndMeasurement()
-	if d.Timeouts() == 0 {
+	if d.timeouts == 0 {
 		t.Fatalf("expected client timeouts under 2s service / 1s timeout")
 	}
 	// Timed-out requests must not pollute the success sample.
@@ -146,7 +146,7 @@ type measured struct {
 }
 
 func (c *completionTap) measured(d *Driver) measured {
-	return measured{done: c.done, issued: d.Issued(), errors: d.Errors()}
+	return measured{done: c.done, issued: d.issued, errors: d.Errors()}
 }
 
 func TestDriverMeasurementWindow(t *testing.T) {
@@ -212,7 +212,7 @@ func TestDriverDeterministicAcrossRuns(t *testing.T) {
 		d.BeginMeasurement()
 		k.Run(50)
 		d.EndMeasurement()
-		return d.Issued(), d.ResponseTimes().Mean()
+		return d.issued, d.ResponseTimes().Mean()
 	}
 	i1, m1 := run()
 	i2, m2 := run()
@@ -304,8 +304,8 @@ func TestDriverDynamicPopulation(t *testing.T) {
 	}
 	d := NewDriver(k, app, model, DriverConfig{Users: 20, RampUp: 1}, 9)
 	d.Start()
-	if d.ActiveUsers() != 20 {
-		t.Fatalf("active = %d", d.ActiveUsers())
+	if d.active != 20 {
+		t.Fatalf("active = %d", d.active)
 	}
 	k.Run(20)
 
@@ -319,8 +319,8 @@ func TestDriverDynamicPopulation(t *testing.T) {
 	x20 := measure(80)
 
 	d.AddUsers(40, 2)
-	if d.ActiveUsers() != 60 {
-		t.Fatalf("active after add = %d", d.ActiveUsers())
+	if d.active != 60 {
+		t.Fatalf("active after add = %d", d.active)
 	}
 	k.Run(k.Now() + 10) // settle
 	x60 := measure(80)
@@ -329,8 +329,8 @@ func TestDriverDynamicPopulation(t *testing.T) {
 	}
 
 	d.RemoveUsers(40)
-	if d.ActiveUsers() != 20 {
-		t.Fatalf("active after remove = %d", d.ActiveUsers())
+	if d.active != 20 {
+		t.Fatalf("active after remove = %d", d.active)
 	}
 	k.Run(k.Now() + 10)
 	xBack := measure(80)
@@ -346,16 +346,16 @@ func TestDriverRemoveMoreThanActive(t *testing.T) {
 	d := NewDriver(k, app, model, DriverConfig{Users: 3, RampUp: 0.1}, 9)
 	d.Start()
 	d.RemoveUsers(10)
-	if d.ActiveUsers() != 0 {
-		t.Fatalf("active = %d, want 0", d.ActiveUsers())
+	if d.active != 0 {
+		t.Fatalf("active = %d, want 0", d.active)
 	}
 	k.Run(20)
 	// All sessions retired: no measurement activity after settle.
-	issued := d.Issued()
+	issued := d.issued
 	d.BeginMeasurement()
 	k.Run(k.Now() + 10)
 	d.EndMeasurement()
-	if d.Issued() != issued || d.ResponseTimes().Count() != 0 || d.Errors() != 0 {
+	if d.issued != issued || d.ResponseTimes().Count() != 0 || d.Errors() != 0 {
 		t.Fatalf("retired users still issuing requests")
 	}
 }

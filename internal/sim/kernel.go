@@ -106,10 +106,6 @@ func NewKernel(seed uint64) *Kernel {
 // Now reports the current simulated time in seconds.
 func (k *Kernel) Now() float64 { return k.now }
 
-// Events reports how many events have fired so far, which the benchmarks
-// use as a work metric.
-func (k *Kernel) Events() int64 { return k.fired }
-
 // Rand exposes the kernel's deterministic random stream.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
@@ -329,16 +325,6 @@ func (k *Kernel) Run(until float64) {
 	if k.now < until {
 		k.now = until
 	}
-}
-
-// Step executes exactly one pending event and reports whether one existed.
-// It is intended for tests that need fine-grained control.
-func (k *Kernel) Step() bool {
-	if len(k.heap) == 0 && !k.refill() {
-		return false
-	}
-	k.dispatch(k.pop())
-	return true
 }
 
 // Pending reports the number of scheduled events not yet fired.

@@ -72,7 +72,7 @@ func TestKernelNestedScheduling(t *testing.T) {
 	if depth != 100 {
 		t.Fatalf("depth = %d, want 100", depth)
 	}
-	if got := k.Events(); got != 100 {
+	if got := k.fired; got != 100 {
 		t.Fatalf("fired = %d, want 100", got)
 	}
 }
@@ -328,9 +328,9 @@ func checkStableTimeOrder(t *testing.T, delayOf func(*rand.Rand, float64) float6
 			schedule(outside(rng))
 		}
 	}
-	if len(at) != total || len(fired) != total || k.Events() != total {
+	if len(at) != total || len(fired) != total || k.fired != total {
 		t.Fatalf("scheduled %d, fired %d (kernel counted %d), want %d each",
-			len(at), len(fired), k.Events(), total)
+			len(at), len(fired), k.fired, total)
 	}
 	want := make([]int, total)
 	for i := range want {
@@ -401,4 +401,14 @@ func BenchmarkSimKernelEvents(b *testing.B) {
 			})
 		}
 	}
+}
+
+// Step executes exactly one pending event and reports whether one existed.
+// It is intended for tests that need fine-grained control.
+func (k *Kernel) Step() bool {
+	if len(k.heap) == 0 && !k.refill() {
+		return false
+	}
+	k.dispatch(k.pop())
+	return true
 }

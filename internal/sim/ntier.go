@@ -88,11 +88,6 @@ type outcomeDone interface {
 	requestDone(Outcome)
 }
 
-// outcomeFunc adapts a func(Outcome) to outcomeDone without allocation.
-type outcomeFunc func(Outcome)
-
-func (f outcomeFunc) requestDone(o Outcome) { f(o) }
-
 // call is the pooled routing state of one in-flight request. Its stages
 // mirror the benchmarks' request path: web tier, then app tier, then one
 // database operation.
@@ -189,29 +184,11 @@ func (c *call) finish(o Outcome) {
 	done.requestDone(o)
 }
 
-// Serve routes one interaction through web → app → db and calls done with
-// the outcome, balancing the app tier per request.
-func (nt *NTier) Serve(it Interaction, done func(Outcome)) {
-	nt.ServeSession(-1, it, done)
-}
-
-// ServeSession routes one interaction for the given user session.
-// Response time is measured by the caller (the driver) from submit to
-// completion; ServeSession itself adds no hidden delays. When StickyApp
-// is set and session >= 0, the app tier uses the session's pinned server.
-func (nt *NTier) ServeSession(session int, it Interaction, done func(Outcome)) {
-	nt.serveSession(session, it, outcomeFunc(done), nil)
-}
-
-// ServeTraced is ServeSession with request-level tracing: one span per
-// tier hop is recorded into tr as the request traverses the pipeline.
-// A nil tr is equivalent to ServeSession.
-func (nt *NTier) ServeTraced(session int, it Interaction, done func(Outcome), tr *trace.Trace) {
-	nt.serveSession(session, it, outcomeFunc(done), tr)
-}
-
-// serveSession is the allocation-free form of ServeSession used by the
-// driver's closed loop. tr, when non-nil, receives one span per tier hop.
+// serveSession routes one interaction for the given user session through
+// web → app → db and reports its outcome to done. Response time is
+// measured by the caller (the driver) from submit to completion. When
+// StickyApp is set and session >= 0, the app tier uses the session's
+// pinned server. tr, when non-nil, receives one span per tier hop.
 func (nt *NTier) serveSession(session int, it Interaction, done outcomeDone, tr *trace.Trace) {
 	var c *call
 	if n := len(nt.pool); n > 0 {
@@ -235,10 +212,4 @@ func (nt *NTier) ResetAccounting() {
 	nt.Web.ResetAccounting()
 	nt.App.ResetAccounting()
 	nt.DB.ResetAccounting()
-}
-
-// Topology reports the (web, app, db) replica counts, the paper's w-a-d
-// triple.
-func (nt *NTier) Topology() (web, app, db int) {
-	return nt.Web.Size(), nt.App.Size(), nt.DB.Size()
 }

@@ -18,7 +18,7 @@ func TestServeRoutesAllTiers(t *testing.T) {
 	nt := buildApp(k, 1, 2, 1, 0)
 	done := 0
 	it := Interaction{Name: "x", WebDemand: 0.001, AppDemand: 0.002, DBDemand: 0.001}
-	nt.Serve(it, func(out Outcome) {
+	nt.ServeSession(-1, it, func(out Outcome) {
 		if out != OK {
 			t.Errorf("outcome = %v", out)
 		}
@@ -32,7 +32,7 @@ func TestServeRoutesAllTiers(t *testing.T) {
 		t.Fatalf("tiers not all visited: %d/%d/%d",
 			nt.Web.Completed(), nt.App.Completed(), nt.DB.Completed())
 	}
-	w, a, d := nt.Topology()
+	w, a, d := nt.Web.Size(), nt.App.Size(), nt.DB.Size()
 	if w != 1 || a != 2 || d != 1 {
 		t.Fatalf("topology = %d-%d-%d", w, a, d)
 	}
@@ -42,7 +42,7 @@ func TestServeWriteBroadcasts(t *testing.T) {
 	k := NewKernel(1)
 	nt := buildApp(k, 1, 1, 3, 0)
 	it := Interaction{Name: "w", AppDemand: 0.001, DBDemand: 0.001, Write: true}
-	nt.Serve(it, func(Outcome) {})
+	nt.ServeSession(-1, it, func(Outcome) {})
 	k.Run(1)
 	if nt.DB.Completed() != 3 {
 		t.Fatalf("write visited %d replicas, want 3", nt.DB.Completed())
@@ -131,3 +131,16 @@ func TestDriverStickyIntegration(t *testing.T) {
 			s[0].Completed(), s[1].Completed())
 	}
 }
+
+// ServeSession routes one interaction for the given user session.
+// Response time is measured by the caller (the driver) from submit to
+// completion; ServeSession itself adds no hidden delays. When StickyApp
+// is set and session >= 0, the app tier uses the session's pinned server.
+func (nt *NTier) ServeSession(session int, it Interaction, done func(Outcome)) {
+	nt.serveSession(session, it, outcomeFunc(done), nil)
+}
+
+// outcomeFunc adapts a func(Outcome) to outcomeDone without allocation.
+type outcomeFunc func(Outcome)
+
+func (f outcomeFunc) requestDone(o Outcome) { f(o) }

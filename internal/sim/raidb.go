@@ -240,19 +240,6 @@ func (r *RAIDb) writeJobTraced(demand float64, done jobDone, tr *trace.Trace) {
 	}
 }
 
-// Completed sums completed queries across replicas, including retired
-// ones (their work happened and still counts).
-func (r *RAIDb) Completed() int64 {
-	var n int64
-	for _, s := range r.replicas {
-		n += s.Completed()
-	}
-	for _, s := range r.retired {
-		n += s.Completed()
-	}
-	return n
-}
-
 // ResetAccounting resets counters on every replica.
 func (r *RAIDb) ResetAccounting() {
 	for _, s := range r.replicas {

@@ -150,3 +150,16 @@ func TestRAIDbScaleOutCapacity(t *testing.T) {
 		}
 	}
 }
+
+// Completed sums completed queries across replicas, including retired
+// ones (their work happened and still counts).
+func (r *RAIDb) Completed() int64 {
+	var n int64
+	for _, s := range r.replicas {
+		n += s.Completed()
+	}
+	for _, s := range r.retired {
+		n += s.Completed()
+	}
+	return n
+}

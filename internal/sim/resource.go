@@ -30,7 +30,6 @@ type Resource struct {
 	// accounting, mirroring Station's busy-time integral.
 	busyTime   float64
 	lastChange float64
-	completed  int64
 	queuedPeak int
 }
 
@@ -46,25 +45,7 @@ func NewResource(k *Kernel, name string, rate float64) *Resource {
 	return &Resource{k: k, name: name, rate: rate}
 }
 
-// Name reports the resource's identifier, e.g. "MYSQL1/disk".
-func (r *Resource) Name() string { return r.name }
-
-// Completed reports jobs served to completion.
-func (r *Resource) Completed() int64 { return r.completed }
-
-// QueuedPeak reports the largest queue length observed.
-func (r *Resource) QueuedPeak() int { return r.queuedPeak }
-
 func (r *Resource) queued() int { return r.queue.len() }
-
-// InFlight reports jobs currently queued or in service.
-func (r *Resource) InFlight() int {
-	n := r.queued()
-	if r.busy {
-		n++
-	}
-	return n
-}
 
 // submit offers a job with the given demand. done always completes with
 // ok=true: capacity limits and failures are modelled on the CPU station,
@@ -97,7 +78,6 @@ func (r *Resource) act(int32) {
 	r.cur = svcSlot{}
 	r.accumulate()
 	r.busy = false
-	r.completed++
 	if r.queue.len() > 0 {
 		r.start(r.queue.pop())
 	}
@@ -119,22 +99,11 @@ func (r *Resource) BusyTime() float64 {
 	return r.busyTime
 }
 
-// Utilization reports the mean busy fraction over [since, now].
-func (r *Resource) Utilization(since float64) float64 {
-	r.accumulate()
-	dt := r.k.Now() - since
-	if dt <= 0 {
-		return 0
-	}
-	return r.busyTime / dt
-}
-
 // ResetAccounting clears counters and the busy-time integral without
 // disturbing in-flight work, like Station.ResetAccounting.
 func (r *Resource) ResetAccounting() {
 	r.accumulate()
 	r.busyTime = 0
-	r.completed = 0
 	r.queuedPeak = r.queued()
 }
 

@@ -154,9 +154,6 @@ func NewStation(k *Kernel, cfg StationConfig) *Station {
 	}
 }
 
-// Name reports the station's identifier.
-func (s *Station) Name() string { return s.name }
-
 // Servers reports the number of parallel servers.
 func (s *Station) Servers() int { return s.servers }
 
@@ -169,12 +166,6 @@ func (s *Station) InFlight() int { return s.busy + s.queued() }
 // Completed reports the number of jobs served to completion.
 func (s *Station) Completed() int64 { return s.completed }
 
-// Rejected reports the number of jobs refused due to the capacity limit.
-func (s *Station) Rejected() int64 { return s.rejected }
-
-// QueuedPeak reports the largest queue length observed.
-func (s *Station) QueuedPeak() int { return s.queuedPeak }
-
 // Fail takes the station out of service: every subsequent submission is
 // refused until Recover. Jobs already queued or in service complete
 // normally, modelling a server whose accept queue is closed (crash-stop
@@ -184,9 +175,6 @@ func (s *Station) Fail() { s.failed = true }
 
 // Recover returns a failed station to service.
 func (s *Station) Recover() { s.failed = false }
-
-// Failed reports whether the station is out of service.
-func (s *Station) Failed() bool { return s.failed }
 
 // SetDegradation scales the station's effective speed by f for jobs that
 // start from now on: 1 restores full speed, values toward 0 model a
@@ -202,9 +190,6 @@ func (s *Station) SetDegradation(f float64) {
 	}
 	s.degr = f
 }
-
-// Degradation reports the current runtime degradation factor.
-func (s *Station) Degradation() float64 { return s.degr }
 
 // Submit offers a job with the given reference demand (seconds at the
 // reference frequency). done is invoked exactly once: immediately with
@@ -278,20 +263,6 @@ func (s *Station) accumulate() {
 	now := s.k.Now()
 	s.busyTime += float64(s.busy) * (now - s.lastChange)
 	s.lastChange = now
-}
-
-// Utilization reports the mean fraction of server capacity busy over
-// [since, now]. It is the signal a monitor's CPU sampler reads.
-func (s *Station) Utilization(since float64) float64 {
-	s.accumulate()
-	dt := s.k.Now() - since
-	if dt <= 0 {
-		return 0
-	}
-	// busyTime counts from t=0; the caller tracks its own window by
-	// sampling BusyTime deltas. Utilization(since) is a convenience for
-	// whole-run windows starting at `since` when no work predates it.
-	return s.busyTime / (dt * float64(s.servers))
 }
 
 // BusyTime reports the cumulative busy server-seconds, for windowed

@@ -52,9 +52,6 @@ func NewTier(k *Kernel, name string, policy BalancerPolicy, stations []*Station)
 	return &Tier{k: k, name: name, stations: stations, policy: policy}
 }
 
-// Name reports the tier name ("web", "app", "db").
-func (t *Tier) Name() string { return t.name }
-
 // Stations returns the tier's stations (shared, not copied).
 func (t *Tier) Stations() []*Station { return t.stations }
 
@@ -107,19 +104,6 @@ func (t *Tier) pick() *Station {
 	}
 }
 
-// Submit dispatches a job with the given reference demand to one station
-// chosen by the balancing policy.
-func (t *Tier) Submit(demand float64, done Completion) {
-	t.pick().submit(demand, completionFunc(done))
-}
-
-// SubmitPinned dispatches to the station assigned to affinity key pin,
-// as Apache mod_jk's sticky sessions pin a user's session to one
-// application server.
-func (t *Tier) SubmitPinned(pin int, demand float64, done Completion) {
-	t.pinned(pin).submit(demand, completionFunc(done))
-}
-
 // pinned selects the station assigned to affinity key pin. The request
 // router uses it so the traced path can note which station serves a hop
 // before submitting.
@@ -128,31 +112,6 @@ func (t *Tier) pinned(pin int) *Station {
 		pin = -pin
 	}
 	return t.stations[pin%len(t.stations)]
-}
-
-// Completed sums completed jobs across the tier's stations, including
-// retired ones (their work happened and still counts).
-func (t *Tier) Completed() int64 {
-	var n int64
-	for _, s := range t.stations {
-		n += s.Completed()
-	}
-	for _, s := range t.retired {
-		n += s.Completed()
-	}
-	return n
-}
-
-// Rejected sums rejected jobs across the tier's stations.
-func (t *Tier) Rejected() int64 {
-	var n int64
-	for _, s := range t.stations {
-		n += s.Rejected()
-	}
-	for _, s := range t.retired {
-		n += s.Rejected()
-	}
-	return n
 }
 
 // ResetAccounting resets counters on every station in the tier.

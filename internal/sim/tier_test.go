@@ -87,3 +87,41 @@ func TestTierPanicsOnEmpty(t *testing.T) {
 	}()
 	NewTier(NewKernel(1), "x", RoundRobin, nil)
 }
+
+// Submit dispatches a job with the given reference demand to one station
+// chosen by the balancing policy.
+func (t *Tier) Submit(demand float64, done Completion) {
+	t.pick().submit(demand, completionFunc(done))
+}
+
+// SubmitPinned dispatches to the station assigned to affinity key pin,
+// as Apache mod_jk's sticky sessions pin a user's session to one
+// application server.
+func (t *Tier) SubmitPinned(pin int, demand float64, done Completion) {
+	t.pinned(pin).submit(demand, completionFunc(done))
+}
+
+// Completed sums completed jobs across the tier's stations, including
+// retired ones (their work happened and still counts).
+func (t *Tier) Completed() int64 {
+	var n int64
+	for _, s := range t.stations {
+		n += s.Completed()
+	}
+	for _, s := range t.retired {
+		n += s.Completed()
+	}
+	return n
+}
+
+// Rejected sums rejected jobs across the tier's stations.
+func (t *Tier) Rejected() int64 {
+	var n int64
+	for _, s := range t.stations {
+		n += s.rejected
+	}
+	for _, s := range t.retired {
+		n += s.rejected
+	}
+	return n
+}

@@ -19,16 +19,6 @@ type Document struct {
 	Experiments []*Experiment
 }
 
-// Find returns the experiment with the given name.
-func (d *Document) Find(name string) (*Experiment, bool) {
-	for _, e := range d.Experiments {
-		if e.Name == name {
-			return e, true
-		}
-	}
-	return nil, false
-}
-
 // Range is an inclusive numeric sweep: Lo, Lo+Step, ..., Hi. A fixed
 // value is expressed as Lo == Hi with Step 0.
 type Range struct {
@@ -107,9 +97,6 @@ type Trial struct {
 	WarmupSec, RunSec, CooldownSec float64
 }
 
-// Total reports the trial's full wall-clock length in seconds.
-func (t Trial) Total() float64 { return t.WarmupSec + t.RunSec + t.CooldownSec }
-
 // SLO holds the experiment's service-level objectives in milliseconds;
 // zero values are unconstrained.
 type SLO struct {
@@ -130,16 +117,6 @@ type Monitor struct {
 	// Metrics lists the collected metric families: cpu, memory, network,
 	// disk.
 	Metrics []string
-}
-
-// Has reports whether a metric family is enabled.
-func (m Monitor) Has(name string) bool {
-	for _, x := range m.Metrics {
-		if x == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Fault schedules a fault window during each trial, for failure
@@ -180,11 +157,6 @@ type ResourceDemand struct {
 	// NetBytes is the payload carried into the tier per request over its
 	// ingress link, in bytes (0 = no network demand).
 	NetBytes float64
-}
-
-// Zero reports whether the demand declares nothing.
-func (d ResourceDemand) Zero() bool {
-	return d.CPUScale == 0 && d.DiskSec == 0 && d.NetBytes == 0
 }
 
 // Scaling is the TBL `scaling` clause: per-population trial-engine

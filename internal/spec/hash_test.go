@@ -36,10 +36,10 @@ func TestCanonicalHashRoundTripsShippedSpecs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: canonical form does not re-parse: %v", path, e.Name, err)
 			}
-			e2, ok := doc2.Find(e.Name)
-			if !ok {
+			if len(doc2.Experiments) != 1 || doc2.Experiments[0].Name != e.Name {
 				t.Fatalf("%s/%s: experiment lost in round trip", path, e.Name)
 			}
+			e2 := doc2.Experiments[0]
 			if got := e2.String(); got != canon {
 				t.Fatalf("%s/%s: String not a fixpoint:\nfirst:\n%s\nsecond:\n%s",
 					path, e.Name, canon, got)

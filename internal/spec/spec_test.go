@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -58,7 +59,7 @@ func TestParseFullExperiment(t *testing.T) {
 	if e.SLO.AvgMS != 1000 || e.SLO.P90MS != 2000 {
 		t.Fatalf("slo = %v", e.SLO)
 	}
-	if e.Monitor.IntervalSec != 5 || !e.Monitor.Has("disk") || e.Monitor.Has("gpu") {
+	if e.Monitor.IntervalSec != 5 || !slices.Contains(e.Monitor.Metrics, "disk") || slices.Contains(e.Monitor.Metrics, "gpu") {
 		t.Fatalf("monitor = %v", e.Monitor)
 	}
 	if e.Seed != 42 {
@@ -221,20 +222,6 @@ func TestRoundTripTopologies(t *testing.T) {
 	re := parseOne(t, e.String())
 	if len(re.Topologies) != 2 || re.Topologies[1] != e.Topologies[1] {
 		t.Fatalf("topologies did not round trip: %v", re.Topologies)
-	}
-}
-
-func TestDocumentFind(t *testing.T) {
-	doc, err := Parse(sampleTBL + `
-experiment "second" { benchmark rubbos; platform emulab; workload { users 10; } }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := doc.Find("second"); !ok {
-		t.Fatalf("Find missed experiment")
-	}
-	if _, ok := doc.Find("zzz"); ok {
-		t.Fatalf("Find matched nonexistent experiment")
 	}
 }
 

@@ -233,22 +233,6 @@ func (s *Store) Filter(pred func(Result) bool) []Result {
 // All returns every result in insertion order.
 func (s *Store) All() []Result { return s.Filter(func(Result) bool { return true }) }
 
-// Experiments lists distinct experiment names, sorted.
-func (s *Store) Experiments() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	seen := map[string]bool{}
-	for _, r := range s.results {
-		seen[r.Key.Experiment] = true
-	}
-	out := make([]string, 0, len(seen))
-	for e := range seen {
-		out = append(out, e)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Topologies lists distinct topologies for an experiment, sorted by
 // app-count then db-count (natural scale-out order).
 func (s *Store) Topologies(experiment string) []string {
@@ -303,21 +287,10 @@ func (s *Store) RTvsUsers(experiment, topology string, writeRatioPct float64) []
 	return s.extract(experiment, topology, writeRatioPct, func(r Result) float64 { return r.AvgRTms })
 }
 
-// ThroughputVsUsers extracts throughput against users (Table 7 rows).
-func (s *Store) ThroughputVsUsers(experiment, topology string, writeRatioPct float64) []SeriesPoint {
-	return s.extract(experiment, topology, writeRatioPct, func(r Result) float64 { return r.Throughput })
-}
-
 // TierCPUVsUsers extracts a tier's mean CPU utilization against users
 // (Figure 8's DB curves).
 func (s *Store) TierCPUVsUsers(experiment, topology, tier string, writeRatioPct float64) []SeriesPoint {
 	return s.extract(experiment, topology, writeRatioPct, func(r Result) float64 { return r.TierCPU[tier] })
-}
-
-// TierDiskVsUsers extracts a tier's mean disk utilization against users,
-// the disk-bound analogue of the Figure 8 curves.
-func (s *Store) TierDiskVsUsers(experiment, topology, tier string, writeRatioPct float64) []SeriesPoint {
-	return s.extract(experiment, topology, writeRatioPct, func(r Result) float64 { return r.TierDisk[tier] })
 }
 
 func (s *Store) extract(experiment, topology string, wr float64, y func(Result) float64) []SeriesPoint {
@@ -431,22 +404,6 @@ func (s *Store) MarshalJSON() ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return json.MarshalIndent(s.sortedResults(), "", "  ")
-}
-
-// LoadJSON replaces the store's contents with serialized results.
-func (s *Store) LoadJSON(data []byte) error {
-	var rs []*Result
-	if err := json.Unmarshal(data, &rs); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.results = rs
-	s.byKey = map[Key]*Result{}
-	for _, r := range rs {
-		s.byKey[r.Key] = r
-	}
-	return nil
 }
 
 // CSV renders all results as a flat CSV table in canonical key order.

@@ -21,15 +21,12 @@ func SeedFor(trialSeed uint64) uint64 {
 
 // Collector gathers the sampled traces of one trial. Like the simulation
 // kernel it serves, a collector is single-owner: one collector per trial,
-// no locks, so parallel trials never contend or interleave. Trace objects
-// are pooled so steady-state tracing allocates only when a trace's span
-// tree first grows.
+// no locks, so parallel trials never contend or interleave.
 type Collector struct {
 	seed uint64
 	rate float64
 
 	traces []*Trace
-	pool   []*Trace
 }
 
 // NewCollector creates a collector sampling each request with the given
@@ -77,20 +74,9 @@ func (c *Collector) Sample(req uint64) bool {
 	return float64(pcg.Uint64()>>11)/(1<<53) < c.rate
 }
 
-// Start begins a trace for one request, drawing from the trace pool.
+// Start begins a trace for one request.
 func (c *Collector) Start(interaction string, session int, issued float64, write bool) *Trace {
-	var t *Trace
-	if n := len(c.pool); n > 0 {
-		t = c.pool[n-1]
-		c.pool = c.pool[:n-1]
-	} else {
-		t = &Trace{}
-	}
-	t.Interaction = interaction
-	t.Session = session
-	t.Issued = issued
-	t.Write = write
-	return t
+	return &Trace{Interaction: interaction, Session: session, Issued: issued, Write: write}
 }
 
 // Commit finalizes a started trace with its end-to-end outcome and
@@ -102,25 +88,6 @@ func (c *Collector) Commit(t *Trace, rt float64, outcome string) {
 	c.traces = append(c.traces, t)
 }
 
-// Discard returns a started trace to the pool without recording it.
-func (c *Collector) Discard(t *Trace) {
-	t.reset()
-	c.pool = append(c.pool, t)
-}
-
 // Traces returns the committed traces in commit order (shared, not
 // copied — the collector is read after its trial's kernel stops).
 func (c *Collector) Traces() []*Trace { return c.traces }
-
-// Len reports the number of committed traces.
-func (c *Collector) Len() int { return len(c.traces) }
-
-// Reset releases every committed trace back to the pool, for reuse
-// across measurement windows.
-func (c *Collector) Reset() {
-	for _, t := range c.traces {
-		t.reset()
-		c.pool = append(c.pool, t)
-	}
-	c.traces = c.traces[:0]
-}

@@ -74,16 +74,6 @@ func (t *Trace) AddSpan(tier, station string, start, wait, service float64, ok b
 	})
 }
 
-// reset clears the trace for pool reuse, keeping the span backing array.
-func (t *Trace) reset() {
-	t.Interaction = ""
-	t.Session = 0
-	t.Issued, t.RT = 0, 0
-	t.Outcome = ""
-	t.Write = false
-	t.Spans = t.Spans[:0]
-}
-
 // Contribution is one tier's share of a request's response time, split
 // into its queue-wait and service components.
 type Contribution struct {

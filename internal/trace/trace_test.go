@@ -113,35 +113,6 @@ func TestSeedForStableAndDistinct(t *testing.T) {
 	}
 }
 
-func TestCollectorPoolingReusesTraces(t *testing.T) {
-	c := NewCollector(1, 1)
-	tr := c.Start("A", 1, 0.5, false)
-	tr.AddSpan(TierWeb, "WEB1", 0.5, 0.1, 0.2, true)
-	c.Commit(tr, 0.3, "ok")
-	if c.Len() != 1 {
-		t.Fatalf("committed traces = %d", c.Len())
-	}
-	c.Reset()
-	if c.Len() != 0 {
-		t.Fatalf("reset left %d traces", c.Len())
-	}
-	tr2 := c.Start("B", 2, 1.5, true)
-	if tr2 != tr {
-		t.Error("collector did not reuse the pooled trace")
-	}
-	if len(tr2.Spans) != 0 || tr2.Interaction != "B" || tr2.Outcome != "" {
-		t.Errorf("pooled trace not reset: %+v", tr2)
-	}
-	if cap(tr2.Spans) == 0 {
-		t.Error("pooled trace lost its span capacity")
-	}
-	// Discard also returns to the pool.
-	c.Discard(tr2)
-	if tr3 := c.Start("C", 3, 2.5, false); tr3 != tr2 {
-		t.Error("discarded trace was not pooled")
-	}
-}
-
 func TestDecomposeRowsAndStatistics(t *testing.T) {
 	var traces []*Trace
 	for i := 0; i < 10; i++ {
