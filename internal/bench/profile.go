@@ -52,10 +52,11 @@ func (p *Profile) NewSession(rng *rand.Rand) sim.Session {
 	return &markovSession{m: p.matrix, state: rng.IntN(p.matrix.Len())}
 }
 
-// Next advances the Markov chain and returns the interaction performed.
-func (s *markovSession) Next(rng *rand.Rand) sim.Interaction {
+// Next advances the Markov chain and returns the state entered, which
+// indexes the interaction performed in Interactions.
+func (s *markovSession) Next(rng *rand.Rand) int {
 	s.state = s.m.Next(s.state, rng)
-	return s.m.States()[s.state]
+	return s.state
 }
 
 // MeanDemands reports the stationary mean per-tier demands of the profile,

@@ -48,10 +48,10 @@ func TestProfileErrors(t *testing.T) {
 func TestProfileSessionWriteFraction(t *testing.T) {
 	p := testProfile(t, 0.25)
 	rng := rand.New(rand.NewPCG(42, 42))
-	sess := p.NewSession(rng)
+	sess, ixs := p.NewSession(rng), p.Interactions()
 	writes, n := 0, 50000
 	for i := 0; i < n; i++ {
-		if sess.Next(rng).Write {
+		if ixs[sess.Next(rng)].Write {
 			writes++
 		}
 	}

@@ -31,9 +31,9 @@ func TestReadOnlyIssuesNoWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(3, 3))
-	sess := p.NewSession(rng)
+	sess, ixs := p.NewSession(rng), p.Interactions()
 	for i := 0; i < 30000; i++ {
-		if it := sess.Next(rng); it.Write {
+		if it := ixs[sess.Next(rng)]; it.Write {
 			t.Fatalf("read-only mix issued write %s", it.Name)
 		}
 	}
@@ -115,11 +115,11 @@ func TestSubmissionReachesWriteStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(5, 5))
-	sess := p.NewSession(rng)
+	sess, ixs := p.NewSession(rng), p.Interactions()
 	writes := 0
 	n := 100000
 	for i := 0; i < n; i++ {
-		if sess.Next(rng).Write {
+		if ixs[sess.Next(rng)].Write {
 			writes++
 		}
 	}

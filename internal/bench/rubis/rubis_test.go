@@ -121,10 +121,10 @@ func TestSessionReachesAllInteractions(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(9, 9))
-	sess := p.NewSession(rng)
+	sess, ixs := p.NewSession(rng), p.Interactions()
 	seen := make(map[string]bool)
 	for i := 0; i < 200000; i++ {
-		seen[sess.Next(rng).Name] = true
+		seen[ixs[sess.Next(rng)].Name] = true
 	}
 	if len(seen) != NumInteractions {
 		missing := []string{}
@@ -143,9 +143,9 @@ func TestBrowseOnlyHasNoWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(1, 2))
-	sess := p.NewSession(rng)
+	sess, ixs := p.NewSession(rng), p.Interactions()
 	for i := 0; i < 20000; i++ {
-		if it := sess.Next(rng); it.Write {
+		if it := ixs[sess.Next(rng)]; it.Write {
 			t.Fatalf("browse-only mix issued write %s", it.Name)
 		}
 	}

@@ -35,10 +35,10 @@ func TestSessionCoversOperations(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(2, 2))
-	sess := p.NewSession(rng)
+	sess, ixs := p.NewSession(rng), p.Interactions()
 	seen := map[string]bool{}
 	for i := 0; i < 50000; i++ {
-		seen[sess.Next(rng).Name] = true
+		seen[ixs[sess.Next(rng)].Name] = true
 	}
 	if len(seen) != NumInteractions {
 		t.Fatalf("visited %d/%d operations", len(seen), NumInteractions)

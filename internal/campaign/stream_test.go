@@ -3,6 +3,7 @@ package campaign
 import (
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
 	"elba/internal/report"
@@ -34,8 +35,20 @@ var streamSpecs = []string{
 // monotonic Seq and running quantiles, then exactly one terminal status
 // event, then channel close.
 func TestStreamEventFlow(t *testing.T) {
-	svc := NewService(Config{Stream: true, Options: fastOptions()})
+	// Subscribe does not replay events already published, so the
+	// campaign must not commit a trial before the subscription is in
+	// place. A gate campaign ahead of it in the one worker's queue holds
+	// the worker in its first trial's OnTrial until then.
+	subscribed := make(chan struct{})
+	release := sync.OnceFunc(func() { close(subscribed) })
+	opts := fastOptions()
+	opts.OnTrial = func(store.Result) { <-subscribed }
+	svc := NewService(Config{Workers: 1, Stream: true, Options: opts})
 	defer svc.Close()
+	defer release()
+	if _, err := svc.Submit(streamSpecs[1]); err != nil {
+		t.Fatal(err)
+	}
 	c, err := svc.Submit(sweepA)
 	if err != nil {
 		t.Fatal(err)
@@ -45,6 +58,7 @@ func TestStreamEventFlow(t *testing.T) {
 	}
 	ch, cancel := c.Subscribe(256)
 	defer cancel()
+	release()
 
 	var trials, statuses int
 	lastSeq := 0

@@ -54,17 +54,21 @@ func rubisExperiment(t *testing.T, extra string) *spec.Experiment {
 	}`)
 }
 
+// TestModelFactory builds every built-in model. Each must name its
+// interactions uniquely: the driver keeps per-interaction summaries by
+// index and stores them by name.
 func TestModelFactory(t *testing.T) {
 	cases := []struct {
-		src      string
-		wr       float64
-		wantName string
+		src          string
+		wr           float64
+		wantName     string
+		interactions int
 	}{
-		{`experiment "a" { benchmark rubis; platform emulab; appserver jonas; workload { users 1; } }`, 15, "rubis/jonas/w=15%"},
-		{`experiment "b" { benchmark rubis; platform warp; appserver weblogic; workload { users 1; } }`, 0, "rubis/weblogic/w=0%"},
-		{`experiment "c" { benchmark rubbos; platform emulab; mix read-only; workload { users 1; } }`, 0, "rubbos/read-only"},
-		{`experiment "d" { benchmark rubbos; platform emulab; workload { users 1; } }`, 0, "rubbos/submission/w=15%"},
-		{`experiment "e" { benchmark tpcapp; platform rohan; workload { users 1; } }`, 0, "tpcapp"},
+		{`experiment "a" { benchmark rubis; platform emulab; appserver jonas; workload { users 1; } }`, 15, "rubis/jonas/w=15%", 26},
+		{`experiment "b" { benchmark rubis; platform warp; appserver weblogic; workload { users 1; } }`, 0, "rubis/weblogic/w=0%", 26},
+		{`experiment "c" { benchmark rubbos; platform emulab; mix read-only; workload { users 1; } }`, 0, "rubbos/read-only", 24},
+		{`experiment "d" { benchmark rubbos; platform emulab; workload { users 1; } }`, 0, "rubbos/submission/w=15%", 24},
+		{`experiment "e" { benchmark tpcapp; platform rohan; workload { users 1; } }`, 0, "tpcapp", 8},
 	}
 	for _, c := range cases {
 		e := parseExperiment(t, c.src)
@@ -75,6 +79,13 @@ func TestModelFactory(t *testing.T) {
 		}
 		if m.Name() != c.wantName {
 			t.Errorf("model name = %q, want %q", m.Name(), c.wantName)
+		}
+		names := map[string]bool{}
+		for _, it := range m.Interactions() {
+			names[it.Name] = true
+		}
+		if n := len(m.Interactions()); n != c.interactions || len(names) != n {
+			t.Errorf("%s: %d interactions with %d distinct names, want %d unique", c.wantName, n, len(names), c.interactions)
 		}
 	}
 }

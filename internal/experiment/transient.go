@@ -57,6 +57,7 @@ func runTransientTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Place
 		seed = mixRootSeed(seed, root, e.Name)
 	}
 	k := sim.NewKernel(seed)
+	defer k.Release()
 	nt, stationOf, err := buildNTier(k, e, d, p)
 	if err != nil {
 		return nil, err

@@ -229,7 +229,10 @@ func RunTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement, cfg
 		return nil, err
 	}
 	seed := trialSeed(e, d, cfg)
+	// The result and the monitor returned below hold nothing of the
+	// kernel's arena, so the kernel goes back to the pool on return.
 	k := sim.NewKernel(seed)
+	defer k.Release()
 	eng, err := newEngine(trialPlan{e: e, d: d, p: p, cfg: cfg, model: model, k: k, seed: seed,
 		warm: warm, ts: ts, rampUp: rampUp, maxSessions: maxSessions})
 	if err != nil {

@@ -42,10 +42,6 @@ func (s *Summary) Observe(x float64) {
 	s.m2 += delta * (x - s.mean)
 }
 
-// Reset returns the summary to its empty state so the hot path can reuse
-// pre-registered summaries across measurement windows without reallocating.
-func (s *Summary) Reset() { *s = Summary{} }
-
 // Count reports the number of observations.
 func (s *Summary) Count() int64 { return s.n }
 

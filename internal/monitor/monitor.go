@@ -264,8 +264,13 @@ func (m *Monitor) reserve(ticks int) {
 	}
 }
 
-// Stop halts sampling after the current interval.
-func (m *Monitor) Stop() { m.running = false }
+// Stop halts sampling after the current interval and lets go of the
+// kernel, which its owner may then release for another trial; the
+// collected series and files stay readable.
+func (m *Monitor) Stop() {
+	m.running = false
+	m.k = nil
+}
 
 func (m *Monitor) tick() {
 	if !m.running {

@@ -35,6 +35,7 @@ type Driver struct {
 	k     *Kernel
 	app   *NTier
 	model Model
+	ixs   []Interaction // model.Interactions(), which sessions index
 	cfg   DriverConfig
 	rng   *rand.Rand
 
@@ -42,7 +43,6 @@ type Driver struct {
 	issued    int64
 	completed int64
 	errors    int64
-	timeouts  int64
 
 	// errRate, when positive, fails each issued request with this
 	// probability before it reaches the application — a fault-injection
@@ -56,11 +56,14 @@ type Driver struct {
 	// index), so the traced subset is identical for any worker count.
 	tracer *trace.Collector
 
+	// users lists the sessions holding a connection slot, in the order
+	// they joined; refused sessions are not in it. The list, the users
+	// themselves, rtSample and perIx live in the kernel's trial arena.
 	users  []*user
 	active int
 
 	rtSample *metrics.Sample
-	perIx    map[string]*metrics.Summary
+	perIx    []metrics.Summary // indexed like ixs
 
 	// rtObs, when set, additionally observes every measured successful
 	// response time in completion order — the streaming path's tap for
@@ -80,16 +83,18 @@ const (
 // (for request completions), so a full think→request→response cycle
 // schedules no closures and allocates nothing in steady state.
 type user struct {
-	d       *Driver
-	sess    Session
-	id      int
-	stop    bool
-	refused bool
+	d    *Driver
+	sess Session
+	id   int
 
-	// in-flight request state; valid between issue and requestDone.
-	it       Interaction
+	// in-flight request state; valid between issue and requestDone. ix
+	// indexes Driver.ixs.
+	ix       int
 	issuedAt float64
 	tr       *trace.Trace
+
+	stop    bool
+	refused bool
 }
 
 // act handles the user's timer events.
@@ -101,16 +106,16 @@ func (u *user) act(tag int32) {
 	}
 	// Think period over: issue the session's next interaction.
 	if u.refused {
-		it := u.sess.Next(d.rng)
+		ix := u.sess.Next(d.rng)
 		d.issued++
-		d.complete(it, 0, Rejected)
+		d.complete(ix, 0, Rejected)
 		u.loop()
 		return
 	}
 	if u.stop {
 		return
 	}
-	it := u.sess.Next(d.rng)
+	ix := u.sess.Next(d.rng)
 	// Error-burst window: the request fails on the wire. The rng is only
 	// consulted while a burst is active, so fault-free runs keep their
 	// historical random stream bit-for-bit.
@@ -119,11 +124,12 @@ func (u *user) act(tag int32) {
 		if d.measuring {
 			d.injected++
 		}
-		d.complete(it, 0, Failed)
+		d.complete(ix, 0, Failed)
 		u.loop()
 		return
 	}
-	u.it = it
+	it := &d.ixs[ix]
+	u.ix = ix
 	u.issuedAt = d.k.Now()
 	d.issued++
 	if d.tracer != nil && d.measuring && d.tracer.Sample(uint64(d.issued)) {
@@ -142,7 +148,7 @@ func (u *user) requestDone(out Outcome) {
 		d.tracer.Commit(u.tr, rt, out.String())
 		u.tr = nil
 	}
-	d.complete(u.it, rt, out)
+	d.complete(u.ix, rt, out)
 	u.loop()
 }
 
@@ -159,23 +165,28 @@ func (u *user) loop() {
 
 // NewDriver creates a driver for users of the given workload model against
 // app. The driver draws all randomness from its own PCG stream seeded from
-// seed so concurrent trials never share state.
+// seed so concurrent trials never share state. Its users, success sample
+// and per-interaction summaries come from k's trial arena, so the driver
+// must not be used after k's Release.
 func NewDriver(k *Kernel, app *NTier, model Model, cfg DriverConfig, seed uint64) *Driver {
 	d := &Driver{
-		k:        k,
-		app:      app,
-		model:    model,
-		cfg:      cfg,
-		rng:      rand.New(rand.NewPCG(seed, seed^0xdeadbeefcafef00d)),
-		rtSample: metrics.NewSample(4096),
-		perIx:    make(map[string]*metrics.Summary),
+		k:     k,
+		app:   app,
+		model: model,
+		ixs:   model.Interactions(),
+		cfg:   cfg,
+		rng:   rand.New(rand.NewPCG(seed, seed^0xdeadbeefcafef00d)),
 	}
-	// Pre-register a summary per declared interaction so steady-state
-	// recording never allocates inside the measurement window.
-	for _, it := range model.Interactions() {
-		d.perIx[it.Name] = &metrics.Summary{}
-	}
+	k.arena.adoptDriver(d)
 	return d
+}
+
+// newUser places a new session in the kernel's arena, where it stays at
+// one address until the kernel is released.
+func (d *Driver) newUser(id int, refused bool) *user {
+	u := d.k.arena.users.next()
+	u.d, u.sess, u.id, u.refused = d, d.model.NewSession(d.rng), id, refused
+	return u
 }
 
 // Start launches all user sessions. Call before Kernel.Run.
@@ -187,11 +198,10 @@ func (d *Driver) Start() {
 		}
 		if d.cfg.MaxSessions > 0 && i >= d.cfg.MaxSessions {
 			// No connection slot: this user's requests are refused.
-			u := &user{d: d, sess: d.model.NewSession(d.rng), id: -1, refused: true}
-			d.k.scheduleAct(delay, u, tagUserStart)
+			d.k.scheduleAct(delay, d.newUser(-1, true), tagUserStart)
 			continue
 		}
-		u := &user{d: d, sess: d.model.NewSession(d.rng), id: len(d.users)}
+		u := d.newUser(len(d.users), false)
 		d.users = append(d.users, u)
 		d.active++
 		d.k.scheduleAct(delay, u, tagUserStart)
@@ -205,7 +215,7 @@ func (d *Driver) Start() {
 // instead.
 func (d *Driver) AddUsers(n int, rampUp float64) {
 	for i := 0; i < n; i++ {
-		u := &user{d: d, sess: d.model.NewSession(d.rng), id: len(d.users)}
+		u := d.newUser(len(d.users), false)
 		d.users = append(d.users, u)
 		d.active++
 		delay := 0.0
@@ -229,7 +239,8 @@ func (d *Driver) RemoveUsers(n int) {
 	}
 }
 
-func (d *Driver) complete(it Interaction, rt float64, out Outcome) {
+// complete records the outcome of a request for interaction ix.
+func (d *Driver) complete(ix int, rt float64, out Outcome) {
 	d.completed++
 	timedOut := d.cfg.Timeout > 0 && rt > d.cfg.Timeout
 	if d.measuring && out == OK && !timedOut {
@@ -237,19 +248,10 @@ func (d *Driver) complete(it Interaction, rt float64, out Outcome) {
 		if d.rtObs != nil {
 			d.rtObs.Observe(rt)
 		}
-		s := d.perIx[it.Name]
-		if s == nil {
-			// Interaction not declared by the model; register lazily.
-			s = &metrics.Summary{}
-			d.perIx[it.Name] = s
-		}
-		s.Observe(rt)
+		d.perIx[ix].Observe(rt)
 	}
 	if out != OK || timedOut {
 		d.errors++
-		if timedOut {
-			d.timeouts++
-		}
 	}
 }
 
@@ -259,11 +261,8 @@ func (d *Driver) complete(it Interaction, rt float64, out Outcome) {
 func (d *Driver) BeginMeasurement() {
 	d.measuring = true
 	d.rtSample.Reset()
-	for _, s := range d.perIx {
-		s.Reset()
-	}
+	clear(d.perIx)
 	d.errors = 0
-	d.timeouts = 0
 	d.injected = 0
 }
 
@@ -295,12 +294,13 @@ func (d *Driver) SetRTObserver(o metrics.Observer) { d.rtObs = o }
 func (d *Driver) ResponseTimes() *metrics.Sample { return d.rtSample }
 
 // PerInteraction returns response-time summaries keyed by interaction
-// name, for interactions observed during the measurement window.
+// name, for interactions observed during the measurement window. Names
+// are unique within a model (see Model), so each key has one summary.
 func (d *Driver) PerInteraction() map[string]*metrics.Summary {
 	out := make(map[string]*metrics.Summary, len(d.perIx))
-	for name, s := range d.perIx {
-		if s.Count() > 0 {
-			out[name] = s
+	for i := range d.perIx {
+		if s := &d.perIx[i]; s.Count() > 0 {
+			out[d.ixs[i].Name] = s
 		}
 	}
 	return out

@@ -12,13 +12,15 @@
 // fully deterministic for a given seed. Because a kernel is single-owner,
 // many trials can run concurrently on separate kernels without any
 // synchronization — the experiment runner's trial parallelism relies on
-// this.
+// this. A released kernel returns to a shared pool, and the next
+// NewKernel on any goroutine may take it over.
 package sim
 
 import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sync"
 )
 
 // event is one entry of the pending-event heap. Events at the same
@@ -76,6 +78,7 @@ func (f funcActor) act(int32) { f() }
 type Kernel struct {
 	now   float64
 	seq   int64
+	pcg   *rand.PCG
 	rng   *rand.Rand
 	fired int64
 
@@ -89,18 +92,75 @@ type Kernel struct {
 	// slab is the handler slab: slab[e.slot] holds the receiver of
 	// pending event e. A slot is released to the free list when its event
 	// fires, so the slab never holds more entries than the peak number of
-	// pending events.
+	// pending events of any trial the kernel has run.
 	slab []entry
 	free int32
+
+	arena    arena
+	released bool
 }
 
-// NewKernel creates a kernel whose random stream is seeded
-// deterministically from seed.
+// kernelPool holds released kernels for NewKernel to recycle.
+var kernelPool sync.Pool
+
+// NewKernel returns a kernel whose random stream is seeded
+// deterministically from seed. It recycles a kernel that an earlier
+// trial released when the pool holds one, reset to exactly a fresh
+// kernel's state: its clock, event tiers and slab are empty and its
+// stream is reseeded, so a trial fires the same events in the same order
+// on either. Only the capacity of the trial arena carries over (see
+// Release).
 func NewKernel(seed uint64) *Kernel {
-	return &Kernel{
-		rng:  rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
-		slab: make([]entry, 1),
+	k, _ := kernelPool.Get().(*Kernel)
+	if k == nil {
+		k = newKernel()
 	}
+	k.reset(seed)
+	return k
+}
+
+// newKernel allocates a kernel that has never run a trial.
+func newKernel() *Kernel {
+	pcg := &rand.PCG{}
+	return &Kernel{pcg: pcg, rng: rand.New(pcg), slab: make([]entry, 1)}
+}
+
+// reset returns k to a fresh kernel's state under seed, keeping the
+// capacity of its slab, event tiers and trial arena.
+func (k *Kernel) reset(seed uint64) {
+	k.clear()
+	k.pcg.Seed(seed, seed^0x9e3779b97f4a7c15)
+	k.now, k.seq, k.fired = 0, 0, 0
+	k.start, k.width, k.cur = 0, 0, 0
+	k.released = false
+}
+
+// clear empties the event tiers, the slab and the trial arena, dropping
+// every reference into the trial that ran on k: no pending monitor tick,
+// fault closure or user survives it.
+func (k *Kernel) clear() {
+	k.heap = k.heap[:0]
+	clear(k.buckets)
+	k.buckets = k.buckets[:0]
+	k.top = 0
+	clear(k.slab)
+	k.slab = k.slab[:1]
+	k.free = 0
+	k.arena.clear()
+}
+
+// Release ends k's trial and hands k to the pool NewKernel draws from,
+// where its trial arena keeps the capacity the trial grew instead of
+// leaving it to the garbage collector. Release empties the rings and
+// slots of every station built on k and the users and sample of its
+// driver; nothing built on k may run afterwards.
+func (k *Kernel) Release() {
+	if k.released {
+		panic("sim: kernel released twice")
+	}
+	k.clear()
+	k.released = true
+	kernelPool.Put(k)
 }
 
 // Now reports the current simulated time in seconds.

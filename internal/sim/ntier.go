@@ -33,10 +33,6 @@ type NTier struct {
 	// always has. The DB entry applies to reads; broadcast writes read
 	// RAIDb.Demand, which the builder sets to the same value.
 	Demands [3]TierDemand
-
-	// pool recycles per-request routing state so steady-state traffic
-	// allocates nothing while traversing the tiers.
-	pool []*call
 }
 
 // TierDemand is one tier's per-request demand on its node's contended
@@ -88,9 +84,11 @@ type outcomeDone interface {
 	requestDone(Outcome)
 }
 
-// call is the pooled routing state of one in-flight request. Its stages
-// mirror the benchmarks' request path: web tier, then app tier, then one
-// database operation.
+// call is the routing state of one in-flight request. Calls live in the
+// kernel's trial arena and return to its free list when their request
+// finishes, so steady-state traffic allocates nothing while traversing
+// the tiers. Its stages mirror the benchmarks' request path: web tier,
+// then app tier, then one database operation.
 //
 // When the request is traced (tr != nil) the call records one span per
 // tier hop: the serving station is noted at dispatch, and the hop's
@@ -98,6 +96,7 @@ type outcomeDone interface {
 // callback. Untraced requests skip every tracing branch, so the disabled
 // path stays allocation-free and byte-identical to historical behaviour.
 type call struct {
+	a                   *arena
 	nt                  *NTier
 	done                outcomeDone
 	session             int
@@ -180,7 +179,7 @@ func (c *call) finish(o Outcome) {
 	done := c.done
 	c.done = nil
 	c.tr = nil
-	c.nt.pool = append(c.nt.pool, c)
+	c.a.freeCalls = append(c.a.freeCalls, c)
 	done.requestDone(o)
 }
 
@@ -189,14 +188,9 @@ func (c *call) finish(o Outcome) {
 // measured by the caller (the driver) from submit to completion. When
 // StickyApp is set and session >= 0, the app tier uses the session's
 // pinned server. tr, when non-nil, receives one span per tier hop.
-func (nt *NTier) serveSession(session int, it Interaction, done outcomeDone, tr *trace.Trace) {
-	var c *call
-	if n := len(nt.pool); n > 0 {
-		c = nt.pool[n-1]
-		nt.pool = nt.pool[:n-1]
-	} else {
-		c = &call{nt: nt}
-	}
+func (nt *NTier) serveSession(session int, it *Interaction, done outcomeDone, tr *trace.Trace) {
+	c := nt.Web.k.arena.call()
+	c.nt = nt
 	c.done = done
 	c.session = session
 	c.stage = 0

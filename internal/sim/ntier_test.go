@@ -137,7 +137,7 @@ func TestDriverStickyIntegration(t *testing.T) {
 // completion; ServeSession itself adds no hidden delays. When StickyApp
 // is set and session >= 0, the app tier uses the session's pinned server.
 func (nt *NTier) ServeSession(session int, it Interaction, done func(Outcome)) {
-	nt.serveSession(session, it, outcomeFunc(done), nil)
+	nt.serveSession(session, &it, outcomeFunc(done), nil)
 }
 
 // outcomeFunc adapts a func(Outcome) to outcomeDone without allocation.

@@ -17,7 +17,6 @@ import "fmt"
 // moves a payload ten times slower than a gigabit one.
 type Resource struct {
 	k    *Kernel
-	name string
 	rate float64
 
 	busy  bool
@@ -30,22 +29,22 @@ type Resource struct {
 	// accounting, mirroring Station's busy-time integral.
 	busyTime   float64
 	lastChange float64
-	queuedPeak int
 }
 
 // NewResource creates a resource attached to kernel k. rate converts
 // demand units to seconds of service: a speed factor for disks (demand in
 // reference-disk seconds), bytes per second for links (demand in bytes).
-// A non-positive rate panics: resources are constructed from validated
+// Its queue ring comes from k's trial arena, like a station's. A
+// non-positive rate panics: resources are constructed from validated
 // platform capacities, so this indicates a bug.
 func NewResource(k *Kernel, name string, rate float64) *Resource {
 	if rate <= 0 {
 		panic(fmt.Sprintf("sim: resource %q needs positive rate", name))
 	}
-	return &Resource{k: k, name: name, rate: rate}
+	r := &Resource{k: k, rate: rate}
+	k.arena.adoptQueue(&r.queue)
+	return r
 }
-
-func (r *Resource) queued() int { return r.queue.len() }
 
 // submit offers a job with the given demand. done always completes with
 // ok=true: capacity limits and failures are modelled on the CPU station,
@@ -57,9 +56,6 @@ func (r *Resource) submit(demand float64, done jobDone) {
 		return
 	}
 	r.queue.push(j)
-	if q := r.queued(); q > r.queuedPeak {
-		r.queuedPeak = q
-	}
 }
 
 func (r *Resource) start(j pendingJob) {
@@ -104,7 +100,6 @@ func (r *Resource) BusyTime() float64 {
 func (r *Resource) ResetAccounting() {
 	r.accumulate()
 	r.busyTime = 0
-	r.queuedPeak = r.queued()
 }
 
 // resJob sequences one request's legs across a station's contended

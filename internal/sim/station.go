@@ -63,7 +63,6 @@ type Station struct {
 	lastChange float64
 	completed  int64
 	rejected   int64
-	queuedPeak int
 }
 
 type pendingJob struct {
@@ -74,8 +73,10 @@ type pendingJob struct {
 
 // fifo is the waiting line shared by stations and devices: a ring over a
 // power-of-two backing array that is reused as jobs drain, so a queue that
-// never empties during a trial stays within twice its peak length instead
-// of growing with every job ever queued.
+// never empties stays within twice its peak length instead of growing
+// with every job ever queued. The backing array comes from the kernel's
+// trial arena and outlives the trial, so the bound holds over all the
+// trials a kernel runs.
 type fifo struct {
 	buf  []pendingJob
 	head int
@@ -133,9 +134,11 @@ type StationConfig struct {
 	Deterministic bool
 }
 
-// NewStation creates a station attached to kernel k. Invalid configuration
-// (no servers, non-positive speed) panics: stations are constructed from
-// validated deployment plans, so this indicates a bug.
+// NewStation creates a station attached to kernel k. Its queue ring and
+// service slots come from k's trial arena, which takes them back at
+// Release. Invalid configuration (no servers, non-positive speed) panics:
+// stations are constructed from validated deployment plans, so this
+// indicates a bug.
 func NewStation(k *Kernel, cfg StationConfig) *Station {
 	if cfg.Servers <= 0 {
 		panic(fmt.Sprintf("sim: station %q needs at least one server", cfg.Name))
@@ -143,7 +146,7 @@ func NewStation(k *Kernel, cfg StationConfig) *Station {
 	if cfg.Speed <= 0 {
 		panic(fmt.Sprintf("sim: station %q needs positive speed", cfg.Name))
 	}
-	return &Station{
+	s := &Station{
 		k:       k,
 		name:    cfg.Name,
 		servers: cfg.Servers,
@@ -152,6 +155,8 @@ func NewStation(k *Kernel, cfg StationConfig) *Station {
 		detSvc:  cfg.Deterministic,
 		degr:    1,
 	}
+	k.arena.adoptStation(s)
+	return s
 }
 
 // Servers reports the number of parallel servers.
@@ -216,9 +221,6 @@ func (s *Station) submit(demand float64, done jobDone) {
 		return
 	}
 	s.queue.push(j)
-	if q := s.queued(); q > s.queuedPeak {
-		s.queuedPeak = q
-	}
 }
 
 func (s *Station) start(j pendingJob) {
@@ -280,7 +282,6 @@ func (s *Station) ResetAccounting() {
 	s.busyTime = 0
 	s.completed = 0
 	s.rejected = 0
-	s.queuedPeak = s.queued()
 	if s.disk != nil {
 		s.disk.ResetAccounting()
 	}

@@ -47,12 +47,14 @@ func TestStationFCFSQueueing(t *testing.T) {
 	s := detStation(k, 1, 1.0, 0)
 	var finishOrder []int
 	var waits []float64
+	peak := 0
 	for i := 0; i < 3; i++ {
 		i := i
 		s.Submit(1.0, func(_ bool, wait, _ float64) {
 			finishOrder = append(finishOrder, i)
 			waits = append(waits, wait)
 		})
+		peak = max(peak, s.queued())
 	}
 	k.Run(10)
 	for i, v := range finishOrder {
@@ -66,8 +68,8 @@ func TestStationFCFSQueueing(t *testing.T) {
 			t.Fatalf("wait[%d] = %g, want %d", i, w, i)
 		}
 	}
-	if s.queuedPeak != 2 {
-		t.Fatalf("queued peak = %d, want 2", s.queuedPeak)
+	if peak != 2 {
+		t.Fatalf("queued peak = %d, want 2", peak)
 	}
 }
 
@@ -217,7 +219,9 @@ func TestStationFailRecover(t *testing.T) {
 // saturated for a long run with a steady backlog: every completion
 // submits a replacement job, so the queue never drains. The shared FIFO
 // must reuse its backing array, staying within twice the peak queue
-// length instead of growing with every job ever queued.
+// length instead of growing with every job ever queued. Its kernels are
+// fresh ones: a recycled kernel's rings keep the capacity of its earlier
+// trials.
 func TestQueuesStayBoundedUnderSaturation(t *testing.T) {
 	const backlog, jobs = 100, 20000
 	check := func(name string, peak, capacity int) {
@@ -230,39 +234,47 @@ func TestQueuesStayBoundedUnderSaturation(t *testing.T) {
 		}
 	}
 
-	k := NewKernel(1)
+	k := freshKernel(1)
 	s := detStation(k, 1, 1.0, 0)
-	served := 0
+	served, peak := 0, 0
+	submit := func(done Completion) {
+		s.Submit(1, done)
+		peak = max(peak, s.queued())
+	}
 	var resubmit Completion
 	resubmit = func(bool, float64, float64) {
 		if served++; served+backlog < jobs {
-			s.Submit(1, resubmit)
+			submit(resubmit)
 		}
 	}
 	for i := 0; i <= backlog; i++ {
-		s.Submit(1, resubmit)
+		submit(resubmit)
 	}
 	k.Run(math.Inf(1))
 	if served != jobs {
 		t.Fatalf("station served %d jobs, want %d", served, jobs)
 	}
-	check("station", s.queuedPeak, cap(s.queue.buf))
+	check("station", peak, cap(s.queue.buf))
 
-	k = NewKernel(1)
+	k = freshKernel(1)
 	r := NewResource(k, "disk", 1)
-	served = 0
+	served, peak = 0, 0
 	var again completionFunc
 	again = func(bool, float64, float64) {
 		if served++; served+backlog < jobs {
 			r.submit(1, again)
+			peak = max(peak, r.queued())
 		}
 	}
 	for i := 0; i <= backlog; i++ {
 		r.submit(1, again)
+		peak = max(peak, r.queued())
 	}
 	k.Run(math.Inf(1))
 	if served != jobs {
 		t.Fatalf("resource served %d jobs, want %d", served, jobs)
 	}
-	check("resource", r.queuedPeak, cap(r.queue.buf))
+	check("resource", peak, cap(r.queue.buf))
 }
+
+func (r *Resource) queued() int { return r.queue.len() }

@@ -32,7 +32,6 @@ func (p BalancerPolicy) String() string {
 // the application-server tier with a app servers.
 type Tier struct {
 	k        *Kernel
-	name     string
 	stations []*Station
 	policy   BalancerPolicy
 	next     int
@@ -49,7 +48,7 @@ func NewTier(k *Kernel, name string, policy BalancerPolicy, stations []*Station)
 	if len(stations) == 0 {
 		panic(fmt.Sprintf("sim: tier %q needs at least one station", name))
 	}
-	return &Tier{k: k, name: name, stations: stations, policy: policy}
+	return &Tier{k: k, stations: stations, policy: policy}
 }
 
 // Stations returns the tier's stations (shared, not copied).

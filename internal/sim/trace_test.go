@@ -15,12 +15,10 @@ type mixModel struct{ think float64 }
 
 type mixSession struct{ n int }
 
-func (s *mixSession) Next(*rand.Rand) Interaction {
+// Next alternates read (index 0) and write (index 1).
+func (s *mixSession) Next(*rand.Rand) int {
 	s.n++
-	if s.n%2 == 0 {
-		return Interaction{Name: "write", WebDemand: 0.001, AppDemand: 0.004, DBDemand: 0.006, Write: true}
-	}
-	return Interaction{Name: "read", WebDemand: 0.001, AppDemand: 0.003, DBDemand: 0.004}
+	return 1 - s.n%2
 }
 
 func (m mixModel) Name() string                  { return "mix" }

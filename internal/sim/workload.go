@@ -25,9 +25,10 @@ type Interaction struct {
 // state machine. Implementations are typically Markov chains over the
 // benchmark's transition matrix.
 type Session interface {
-	// Next returns the next interaction the user performs. rng is the
-	// deterministic stream the session must use for all randomness.
-	Next(rng *rand.Rand) Interaction
+	// Next returns the index, into its model's Interactions, of the next
+	// interaction the user performs. rng is the deterministic stream the
+	// session must use for all randomness.
+	Next(rng *rand.Rand) int
 }
 
 // Model is a benchmark workload: it names itself, creates user sessions,
@@ -39,6 +40,9 @@ type Model interface {
 	NewSession(rng *rand.Rand) Session
 	// ThinkTime reports the mean think time in seconds.
 	ThinkTime() float64
-	// Interactions lists the distinct interaction types, for reports.
+	// Interactions lists the distinct interaction types. Sessions
+	// return indices into it, and the driver keeps one response-time
+	// summary per index and reports it under the interaction's name, so
+	// the names must be unique.
 	Interactions() []Interaction
 }
