@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -221,6 +222,12 @@ func TestCancelQueuedCampaign(t *testing.T) {
 	if p := queued.Progress(); p.DoneTrials != 0 {
 		t.Fatalf("queued campaign ran %d trials after cancellation", p.DoneTrials)
 	}
+	queued.mu.Lock()
+	doc := queued.doc
+	queued.mu.Unlock()
+	if doc != nil {
+		t.Fatal("campaign cancelled in the queue still holds its parsed document")
+	}
 	// Cancelling a terminal campaign is a no-op.
 	if ok, err := svc.Cancel(queued.ID()); err != nil || ok {
 		t.Fatalf("re-cancel: ok=%v err=%v, want false, nil", ok, err)
@@ -359,5 +366,49 @@ func TestFinishedCampaignReleasesCharacterizer(t *testing.T) {
 	}
 	if _, err := c.Report(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFinishedCampaignDropsDocument: a finished campaign keeps no parsed
+// document, and its results, report and progress, which come from what
+// it does keep, are those of the document's direct run.
+func TestFinishedCampaignDropsDocument(t *testing.T) {
+	src := sweepA + strings.Replace(sweepB, `"overlap"`, `"overlap-b"`, 1)
+	svc := NewService(Config{Options: fastOptions()})
+	defer svc.Close()
+	c, err := svc.Submit(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := campaignJSON(t, c)
+	c.mu.Lock()
+	doc := c.doc
+	c.mu.Unlock()
+	if doc != nil {
+		t.Fatal("finished campaign still holds its parsed document")
+	}
+	if !bytes.Equal(data, directStore(t, src)) {
+		t.Fatal("finished campaign's results differ from the direct run")
+	}
+	direct, err := core.New(fastOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := direct.RunTBL(src); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"overlap", "overlap-b"}
+	want, err := (&Campaign{names: names, status: StatusDone, results: direct.Results()}).Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Report()
+	if err != nil || got != want || !strings.Contains(got, `experiment "overlap-b"`) {
+		t.Fatalf("report (err %v):\n%s\nwant:\n%s", err, got, want)
+	}
+	p := c.Progress()
+	if p.Status != StatusDone || !reflect.DeepEqual(p.Experiments, names) ||
+		p.TotalTrials != 10 || p.DoneTrials != 10 || p.CacheMisses != 10 || p.Error != "" {
+		t.Fatalf("progress %+v", p)
 	}
 }

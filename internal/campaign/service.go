@@ -398,7 +398,8 @@ func (c *Campaign) noteTrial() int {
 }
 
 // finish publishes a terminal status exactly once, keeping the results
-// and final cache counts and releasing the characterizer.
+// and final cache counts and releasing the characterizer and the parsed
+// document.
 func (c *Campaign) finish(st Status, err error) {
 	c.mu.Lock()
 	if c.status.Terminal() {
@@ -407,6 +408,7 @@ func (c *Campaign) finish(st Status, err error) {
 	}
 	c.status = st
 	c.err = err
+	c.doc = nil // only execute reads it, before it finishes
 	if c.char != nil {
 		c.results = c.char.Results()
 		c.cacheHits, c.cacheMisses = c.cacheCounts()
@@ -428,6 +430,7 @@ func (c *Campaign) cancelNow() bool {
 	case c.status == StatusQueued:
 		c.status = StatusCancelled
 		c.err = context.Canceled
+		c.doc = nil
 		c.mu.Unlock()
 		c.closeStream(StatusCancelled)
 		c.cancel()

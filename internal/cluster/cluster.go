@@ -1,10 +1,11 @@
 // Package cluster provides the simulated testbed that stands in for the
 // paper's physical Warp, Rohan, and Emulab clusters. A Cluster
-// materializes nodes from a CIM platform description; each node tracks
-// the software lifecycle state (installed packages, written configuration
-// files, running services) that the deployment engine mutates while
-// executing Mulini-generated scripts. The simulation kernel consumes the
-// node's CPU characteristics through Speed and Cores.
+// materializes nodes from a CIM platform description, each the first time
+// an allocation needs it. Each node tracks the software lifecycle state
+// (installed packages, written configuration files, running services)
+// that the deployment engine mutates while executing Mulini-generated
+// scripts. The simulation kernel consumes the node's CPU characteristics
+// through Speed and Cores.
 package cluster
 
 import (
@@ -53,45 +54,16 @@ func (s ServiceState) String() string {
 	}
 }
 
-// Health is a node's hardware health state, set by fault injection and
-// consumed by the simulation kernel through EffectiveSpeed.
-type Health int
-
-// Node health states.
-const (
-	// Healthy nodes run at their pool's rated speed.
-	Healthy Health = iota
-	// Degraded nodes run at a fraction of their rated speed (a slow node:
-	// thermal throttling, a failing disk, noisy neighbours).
-	Degraded
-	// Down nodes are out of service entirely.
-	Down
-)
-
-// String names the health state.
-func (h Health) String() string {
-	switch h {
-	case Healthy:
-		return "healthy"
-	case Degraded:
-		return "degraded"
-	case Down:
-		return "down"
-	default:
-		return fmt.Sprintf("health(%d)", int(h))
-	}
-}
-
 // Node is one simulated machine.
 type Node struct {
 	name string
 	pool cim.NodePool
 
+	owner     *Cluster
 	allocated bool
 	role      string
 
-	health      Health
-	degradation float64 // effective-speed multiplier; 0 means unset (= 1)
+	degradation float64 // effective-speed multiplier in (0, 1); 0 means full speed
 
 	services map[string]ServiceState
 	versions map[string]string
@@ -109,16 +81,12 @@ func (n *Node) Pool() cim.NodePool { return n.pool }
 func (n *Node) Speed() float64 { return float64(n.pool.CPUMHz) / ReferenceMHz }
 
 // Degradation reports the node's effective-speed multiplier (1 = full
-// rated speed). Down nodes report 0.
+// rated speed).
 func (n *Node) Degradation() float64 {
-	switch {
-	case n.health == Down:
-		return 0
-	case n.degradation <= 0 || n.degradation > 1:
+	if n.degradation == 0 {
 		return 1
-	default:
-		return n.degradation
 	}
+	return n.degradation
 }
 
 // EffectiveSpeed is the speed the simulation kernel consumes: the rated
@@ -152,22 +120,19 @@ func (n *Node) NetBytesPerSec() float64 {
 	return float64(n.pool.NetworkMbps) * 1e6 / 8
 }
 
-// Degrade marks the node degraded with the given effective-speed factor
-// in (0, 1). Factors outside that range restore the node instead.
+// Degrade slows the node to the given effective-speed factor in (0, 1):
+// a slow node (thermal throttling, a failing disk, noisy neighbours).
+// Factors outside that range restore the node instead.
 func (n *Node) Degrade(factor float64) {
 	if factor <= 0 || factor >= 1 {
 		n.Restore()
 		return
 	}
-	n.health = Degraded
 	n.degradation = factor
 }
 
-// Restore returns the node to full health.
-func (n *Node) Restore() {
-	n.health = Healthy
-	n.degradation = 0
-}
+// Restore returns the node to its pool's rated speed.
+func (n *Node) Restore() { n.degradation = 0 }
 
 // Cores reports the number of CPUs.
 func (n *Node) Cores() int {
@@ -240,24 +205,26 @@ func (n *Node) ReadFile(path string) (string, bool) {
 	return c, ok
 }
 
-// reset returns the node to pristine state on release. Health is
+// reset returns the node to pristine state on release. Its speed is
 // restored too: a release models handing the machine back to the testbed
 // operator, who fixes it before the next allocation.
 func (n *Node) reset() {
 	n.allocated = false
 	n.role = ""
-	n.health = Healthy
 	n.degradation = 0
-	n.services = map[string]ServiceState{}
-	n.versions = map[string]string{}
-	n.files = map[string]string{}
+	clear(n.services)
+	clear(n.versions)
+	clear(n.files)
 }
 
-// Cluster is a set of nodes materialized from a CIM platform.
+// Cluster is a set of nodes materialized from a CIM platform. Nodes are
+// created on demand: node pool-NNN exists once an allocation has reached
+// it, and a node no allocation has reached is free and pristine, exactly
+// like a released one.
 type Cluster struct {
 	platform cim.Platform
-	nodes    []*Node
-	byName   map[string]*Node
+	size     int
+	created  [][]*Node // per pool, the nodes created so far, in index order
 }
 
 // New materializes a cluster from a platform description: one node per
@@ -266,40 +233,29 @@ func New(platform cim.Platform) (*Cluster, error) {
 	if len(platform.Pools) == 0 {
 		return nil, fmt.Errorf("cluster: platform %q has no node pools", platform.Name)
 	}
-	c := &Cluster{platform: platform, byName: map[string]*Node{}}
+	c := &Cluster{platform: platform, created: make([][]*Node, len(platform.Pools))}
 	for _, pool := range platform.Pools {
-		for i := 1; i <= pool.NodeCount; i++ {
-			n := &Node{
-				name:     fmt.Sprintf("%s-%03d", pool.Name, i),
-				pool:     pool,
-				services: map[string]ServiceState{},
-				versions: map[string]string{},
-				files:    map[string]string{},
-			}
-			c.nodes = append(c.nodes, n)
-			c.byName[n.name] = n
-		}
+		c.size += max(pool.NodeCount, 0)
 	}
 	return c, nil
 }
 
 // Size reports the total number of nodes.
-func (c *Cluster) Size() int { return len(c.nodes) }
+func (c *Cluster) Size() int { return c.size }
 
 // Allocate reserves the first free node of the given type ("" = any) and
 // assigns it a role. Allocation order is deterministic (pool declaration
 // order, then index).
 func (c *Cluster) Allocate(nodeType, role string) (*Node, error) {
-	for _, node := range c.nodes {
-		if node.allocated || node.health == Down {
+	for i, pool := range c.platform.Pools {
+		if nodeType != "" && pool.NodeType != nodeType {
 			continue
 		}
-		if nodeType != "" && node.pool.NodeType != nodeType {
-			continue
+		if node := c.firstFree(i); node != nil {
+			node.allocated = true
+			node.role = role
+			return node, nil
 		}
-		node.allocated = true
-		node.role = role
-		return node, nil
 	}
 	if nodeType == "" {
 		return nil, fmt.Errorf("cluster: %s: no free nodes", c.platform.Name)
@@ -307,9 +263,35 @@ func (c *Cluster) Allocate(nodeType, role string) (*Node, error) {
 	return nil, fmt.Errorf("cluster: %s: no free %q nodes", c.platform.Name, nodeType)
 }
 
+// firstFree returns pool i's free node of lowest index: a created one, or
+// else the next node, created now. It returns nil when every node of the
+// pool is allocated.
+func (c *Cluster) firstFree(i int) *Node {
+	for _, node := range c.created[i] {
+		if !node.allocated {
+			return node
+		}
+	}
+	pool := c.platform.Pools[i]
+	next := len(c.created[i]) + 1
+	if next > pool.NodeCount {
+		return nil
+	}
+	node := &Node{
+		name:     fmt.Sprintf("%s-%03d", pool.Name, next),
+		pool:     pool,
+		owner:    c,
+		services: map[string]ServiceState{},
+		versions: map[string]string{},
+		files:    map[string]string{},
+	}
+	c.created[i] = append(c.created[i], node)
+	return node
+}
+
 // Release returns a node to the pool and wipes its state.
 func (c *Cluster) Release(n *Node) {
-	if own, ok := c.byName[n.name]; !ok || own != n {
+	if n.owner != c {
 		return // not ours; ignore
 	}
 	n.reset()
@@ -318,9 +300,11 @@ func (c *Cluster) Release(n *Node) {
 // Allocated lists currently allocated nodes in allocation order.
 func (c *Cluster) Allocated() []*Node {
 	var out []*Node
-	for _, n := range c.nodes {
-		if n.allocated {
-			out = append(out, n)
+	for _, nodes := range c.created {
+		for _, n := range nodes {
+			if n.allocated {
+				out = append(out, n)
+			}
 		}
 	}
 	return out

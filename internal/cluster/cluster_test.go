@@ -26,6 +26,17 @@ func emulab(t *testing.T) *Cluster {
 	return c
 }
 
+// allocate reserves the first free node of a type, failing the test if
+// there is none.
+func allocate(t *testing.T, c *Cluster, nodeType string) *Node {
+	t.Helper()
+	n, err := c.Allocate(nodeType, "R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func TestClusterMaterialization(t *testing.T) {
 	c := emulab(t)
 	if c.Size() != 256 {
@@ -34,9 +45,9 @@ func TestClusterMaterialization(t *testing.T) {
 	if c.Free("low-end") != 128 || c.Free("high-end") != 128 {
 		t.Fatalf("free by type wrong: %d/%d", c.Free("low-end"), c.Free("high-end"))
 	}
-	n, ok := c.byName["emulab-low-001"]
-	if !ok {
-		t.Fatalf("node naming wrong")
+	n := allocate(t, c, "low-end")
+	if n.Name() != "emulab-low-001" {
+		t.Fatalf("node naming wrong: %s", n.Name())
 	}
 	if n.Pool().CPUMHz != 600 {
 		t.Fatalf("low-end node MHz = %d", n.Pool().CPUMHz)
@@ -45,8 +56,8 @@ func TestClusterMaterialization(t *testing.T) {
 
 func TestNodeSpeedScaling(t *testing.T) {
 	c := emulab(t)
-	low, _ := c.byName["emulab-low-001"]
-	high, _ := c.byName["emulab-high-001"]
+	low := allocate(t, c, "low-end")
+	high := allocate(t, c, "high-end")
 	if low.Speed() != 0.2 {
 		t.Fatalf("600 MHz speed = %g, want 0.2", low.Speed())
 	}
@@ -291,12 +302,18 @@ func (n *Node) Files() []string {
 }
 
 // Free reports the number of unallocated nodes, optionally filtered by
-// node type ("" = any).
+// node type ("" = any). Nodes not yet created are free.
 func (c *Cluster) Free(nodeType string) int {
 	n := 0
-	for _, node := range c.nodes {
-		if !node.allocated && (nodeType == "" || node.pool.NodeType == nodeType) {
-			n++
+	for i, pool := range c.platform.Pools {
+		if nodeType != "" && pool.NodeType != nodeType {
+			continue
+		}
+		n += max(pool.NodeCount, 0)
+		for _, node := range c.created[i] {
+			if node.allocated {
+				n--
+			}
 		}
 	}
 	return n

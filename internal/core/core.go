@@ -77,15 +77,18 @@ type Characterizer struct {
 	runner  *experiment.Runner
 	results *store.Store
 
-	mu        sync.Mutex     // guards collected (OnTrial may be concurrent)
-	collected map[string]int // experiment set → monitoring bytes
-	scales    map[string]mulini.ScaleReport
-	order     []string
+	mu        sync.Mutex         // guards collected (OnTrial may be concurrent) and ran
+	collected map[string]int     // experiment set → monitoring bytes
+	ran       []*spec.Experiment // every experiment run, in run order (Table 3)
 }
+
+// builtinCatalog parses the built-in MOF catalog once per process. Every
+// Characterizer shares the result, so nothing may write to it.
+var builtinCatalog = sync.OnceValues(cim.LoadCatalog)
 
 // New creates a Characterizer.
 func New(opts Options) (*Characterizer, error) {
-	cat, err := cim.LoadCatalog()
+	cat, err := builtinCatalog()
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +130,6 @@ func New(opts Options) (*Characterizer, error) {
 		runner:    runner,
 		results:   st,
 		collected: map[string]int{},
-		scales:    map[string]mulini.ScaleReport{},
 	}
 	runner.OnTrial = func(r store.Result) {
 		c.mu.Lock()
@@ -140,7 +142,9 @@ func New(opts Options) (*Characterizer, error) {
 	return c, nil
 }
 
-// Catalog exposes the CIM catalog (Tables 1–2).
+// Catalog exposes the CIM catalog (Tables 1–2). It is the built-in
+// catalog, parsed once per process and shared by every Characterizer:
+// read it, never write to it.
 func (c *Characterizer) Catalog() *cim.Catalog { return c.catalog }
 
 // Results exposes the accumulated result store.
@@ -171,7 +175,7 @@ func (c *Characterizer) RunTBLContext(ctx context.Context, src string) error {
 }
 
 // RunExperiment generates, deploys, and sweeps one experiment, recording
-// both the results and the Table 3 generation accounting.
+// the results and the experiment for Table 3.
 func (c *Characterizer) RunExperiment(e *spec.Experiment) error {
 	return c.RunExperimentContext(context.Background(), e)
 }
@@ -180,14 +184,9 @@ func (c *Characterizer) RunExperiment(e *spec.Experiment) error {
 // the sweep stops cleanly between trials when ctx is cancelled, keeping
 // every completed trial in the store.
 func (c *Characterizer) RunExperimentContext(ctx context.Context, e *spec.Experiment) error {
-	deployments, err := c.runner.Generator().Generate(e)
-	if err != nil {
-		return err
-	}
-	if _, seen := c.scales[e.Name]; !seen {
-		c.order = append(c.order, e.Name)
-	}
-	c.scales[e.Name] = mulini.Scale(e, deployments)
+	c.mu.Lock()
+	c.ran = append(c.ran, e)
+	c.mu.Unlock()
 	return c.runner.RunExperimentContext(ctx, e)
 }
 
@@ -204,12 +203,27 @@ func (c *Characterizer) ScaleOut(e *spec.Experiment, opts experiment.ScaleOutOpt
 }
 
 // ScaleRows assembles Table 3's rows for every experiment run so far, in
-// execution order.
+// execution order. It renders each run experiment's deployments to count
+// them, so only a caller that reads Table 3 pays for it. A set run more
+// than once shows its last run that generates; a set none of whose runs
+// generates is left out.
 func (c *Characterizer) ScaleRows(figureOf func(set string) string) []report.ScaleRow {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	scales := map[string]mulini.ScaleReport{}
+	var order []string
+	for _, e := range c.ran {
+		deployments, err := c.runner.Generator().Generate(e)
+		if err != nil {
+			continue
+		}
+		if _, seen := scales[e.Name]; !seen {
+			order = append(order, e.Name)
+		}
+		scales[e.Name] = mulini.Scale(e, deployments)
+	}
 	var rows []report.ScaleRow
-	for _, name := range c.order {
+	for _, name := range order {
 		fig := ""
 		if figureOf != nil {
 			fig = figureOf(name)
@@ -217,7 +231,7 @@ func (c *Characterizer) ScaleRows(figureOf func(set string) string) []report.Sca
 		rows = append(rows, report.ScaleRow{
 			Set:            name,
 			Figure:         fig,
-			Scale:          c.scales[name],
+			Scale:          scales[name],
 			CollectedBytes: c.collected[name],
 		})
 	}

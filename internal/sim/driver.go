@@ -41,7 +41,6 @@ type Driver struct {
 
 	measuring bool
 	issued    int64
-	completed int64
 	errors    int64
 
 	// errRate, when positive, fails each issued request with this
@@ -241,7 +240,6 @@ func (d *Driver) RemoveUsers(n int) {
 
 // complete records the outcome of a request for interaction ix.
 func (d *Driver) complete(ix int, rt float64, out Outcome) {
-	d.completed++
 	timedOut := d.cfg.Timeout > 0 && rt > d.cfg.Timeout
 	if d.measuring && out == OK && !timedOut {
 		d.rtSample.Observe(rt)

@@ -63,17 +63,19 @@ func TestDriverChurnAccounting(t *testing.T) {
 	}
 
 	// Regrowth after a full drain: new sessions are live and make
-	// progress — the drained driver is not a dead driver.
+	// progress — the drained driver is not a dead driver. The tap sees
+	// every success measured from the regrowth on.
 	k.Run(20)
-	before := d.completed
+	tap := &completionTap{k: k}
+	d.SetRTObserver(tap)
+	d.BeginMeasurement()
 	d.AddUsers(5, 0)
 	if got := d.active; got != 5 {
 		t.Fatalf("after regrow: ActiveUsers = %d, want 5", got)
 	}
 	k.Run(40)
-	if d.completed <= before {
-		t.Fatalf("regrown population completed no requests (%d before, %d after)",
-			before, d.completed)
+	if len(tap.done) == 0 {
+		t.Fatal("regrown population completed no requests")
 	}
 }
 
