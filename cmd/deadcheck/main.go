@@ -1,5 +1,6 @@
-// Command deadcheck lists the functions and methods that no non-test code
-// in the repository uses, so that code deleted as unused stays deleted.
+// Command deadcheck lists the functions, methods and package-level
+// constants, variables and types that no non-test code in the repository
+// uses, so that code deleted as unused stays deleted.
 //
 // Usage:
 //
@@ -7,12 +8,14 @@
 //
 // It type-checks the non-test files of every module under dir (default
 // "."), so uses from any package of any module count, and prints one line
-// per unused function. It exits 1 when it prints any, or when an allowlist
-// entry matches none. These count as used: every declaration of the
-// package at the root of dir's module (the public facade), main and init,
-// methods that make their type satisfy an interface declared in a scanned
-// package or in a package one of them imports, and the names in allow.go.
-// A use from inside the function's own body does not count.
+// per unused declaration. It exits 1 when it prints any, or when an
+// allowlist entry matches none. These count as used: every declaration of
+// the package at the root of dir's module (the public facade), main and
+// init, blank (_) names, methods that make their type satisfy an
+// interface declared in a scanned package or in a package one of them
+// imports, and the names in allow.go. A use from inside the declaration
+// itself (a function's body, a constant's or variable's initializer, a
+// type's definition) does not count.
 package main
 
 import (
@@ -54,24 +57,28 @@ func main() {
 	}
 }
 
-// A hit is one unused function, or one allowlist entry that matched none.
+// A hit is one unused declaration, or one allowlist entry that matched
+// none.
 type hit struct {
 	pos   string // file:line relative to the scanned root
-	name  string // import path, then Func or Type.Method
+	name  string // import path, then Name or Type.Method
 	lines int    // declaration lines including its doc comment
 	stale bool
 }
 
 func (h hit) String() string {
 	if h.stale {
-		return "allowlist entry " + h.name + " matches no unused function"
+		return "allowlist entry " + h.name + " matches no unused declaration"
 	}
 	return fmt.Sprintf("%s: %s is unused (%d lines)", h.pos, h.name, h.lines)
 }
 
-// decl is one function or method declaration in a scanned package.
+// decl is one package-level declaration in a scanned package: a function
+// or method, or one constant, variable or type spec. Uses inside node
+// do not count; doc starts its line count.
 type decl struct {
-	node *ast.FuncDecl
+	node ast.Node
+	doc  *ast.CommentGroup
 	pkg  string
 }
 
@@ -158,53 +165,77 @@ func scan(root string, allow map[string]string) ([]hit, error) {
 	}
 	sort.Strings(paths)
 
-	decls := map[*types.Func]*decl{}
-	var order []*types.Func
+	decls := map[types.Object]*decl{}
+	var order []types.Object
+	add := func(path string, id *ast.Ident, node ast.Node, doc *ast.CommentGroup) {
+		if id.Name == "_" {
+			return
+		}
+		obj := l.infos[path].Defs[id]
+		decls[obj] = &decl{node: node, doc: doc, pkg: path}
+		order = append(order, obj)
+	}
 	for _, path := range paths {
 		for _, f := range l.files[path] {
 			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					add(path, d.Name, d, d.Doc)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						var ids []*ast.Ident
+						var doc *ast.CommentGroup
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							ids, doc = []*ast.Ident{spec.Name}, spec.Doc
+						case *ast.ValueSpec:
+							ids, doc = spec.Names, spec.Doc
+						}
+						// An ungrouped spec's doc comment sits on its
+						// declaration.
+						if !d.Lparen.IsValid() {
+							doc = d.Doc
+						}
+						for _, id := range ids {
+							add(path, id, spec, doc)
+						}
+					}
 				}
-				fn := l.infos[path].Defs[fd.Name].(*types.Func)
-				decls[fn] = &decl{node: fd, pkg: path}
-				order = append(order, fn)
 			}
 		}
 	}
 
-	used := map[*types.Func]bool{}
+	used := map[types.Object]bool{}
 	for _, path := range paths {
 		for id, obj := range l.infos[path].Uses {
-			fn, ok := obj.(*types.Func)
-			if !ok {
-				continue
+			if fn, ok := obj.(*types.Func); ok {
+				obj = fn.Origin()
 			}
-			fn = fn.Origin()
-			if d := decls[fn]; d != nil && id.Pos() >= d.node.Pos() && id.Pos() < d.node.End() {
-				continue // a use inside the function's own declaration
+			if d := decls[obj]; d != nil && id.Pos() >= d.node.Pos() && id.Pos() < d.node.End() {
+				continue // a use inside the object's own declaration
 			}
-			used[fn] = true
+			used[obj] = true
 		}
 	}
 	markInterfaceMethods(l, paths, used)
 
 	var hits []hit
 	matched := map[string]bool{}
-	for _, fn := range order {
-		d := decls[fn]
-		name := d.pkg + "." + fn.Name()
-		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-			t := recv.Type()
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
+	for _, obj := range order {
+		d := decls[obj]
+		name := d.pkg + "." + obj.Name()
+		if fn, ok := obj.(*types.Func); ok {
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				t := recv.Type()
+				if p, ok := t.(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				name = d.pkg + "." + t.(*types.Named).Obj().Name() + "." + fn.Name()
+			} else if fn.Name() == "init" || (fn.Name() == "main" && fn.Pkg().Name() == "main") {
+				continue
 			}
-			name = d.pkg + "." + t.(*types.Named).Obj().Name() + "." + fn.Name()
-		} else if fn.Name() == "init" || (fn.Name() == "main" && fn.Pkg().Name() == "main") {
-			continue
 		}
-		if d.pkg == facade || used[fn] {
+		if d.pkg == facade || used[obj] {
 			continue
 		}
 		if key := allowKey(allow, name); key != "" {
@@ -212,8 +243,8 @@ func scan(root string, allow map[string]string) ([]hit, error) {
 			continue
 		}
 		start := d.node.Pos()
-		if d.node.Doc != nil {
-			start = d.node.Doc.Pos()
+		if d.doc != nil {
+			start = d.doc.Pos()
 		}
 		p := fset.Position(d.node.Pos())
 		rel, err := filepath.Rel(root, p.Filename)
@@ -257,7 +288,7 @@ func allowKey(allow map[string]string, name string) string {
 // through which a named type of a scanned package satisfies an interface
 // that a scanned package declares or uses, or that a package one of them
 // imports declares.
-func markInterfaceMethods(l *loader, paths []string, used map[*types.Func]bool) {
+func markInterfaceMethods(l *loader, paths []string, used map[types.Object]bool) {
 	ifaces := map[*types.Interface]bool{}
 	addScope := func(s *types.Scope) {
 		for _, n := range s.Names() {

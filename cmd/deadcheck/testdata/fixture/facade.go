@@ -5,3 +5,6 @@ import "fixture/lib"
 
 // Facade has no caller.
 func Facade() string { return lib.Called() }
+
+// Version has no reader.
+const Version = 1

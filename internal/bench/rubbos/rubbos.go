@@ -115,9 +115,6 @@ var rubbosStates = []state{
 		nextSub: map[string]float64{"StoriesOfTheDay": 5, "ViewStory": 5}},
 }
 
-// NumInteractions is the number of RUBBoS interaction states.
-const NumInteractions = 24
-
 func buildStates() []sim.Interaction {
 	out := make([]sim.Interaction, len(rubbosStates))
 	for i, s := range rubbosStates {

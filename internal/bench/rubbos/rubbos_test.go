@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// NumInteractions is the number of RUBBoS interaction states.
+const NumInteractions = 24
+
 func TestInteractionCount(t *testing.T) {
 	p, err := NewSubmission(DefaultWriteRatio)
 	if err != nil {

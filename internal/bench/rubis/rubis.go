@@ -158,9 +158,6 @@ var rubisStates = []state{
 	}},
 }
 
-// NumInteractions is the number of RUBiS interaction types.
-const NumInteractions = 26
-
 // DefaultWriteRatio is the bidding mix's write fraction (paper §III.B:
 // "bidding interactions that cause 15% writes to the database").
 const DefaultWriteRatio = 0.15

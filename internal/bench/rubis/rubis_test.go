@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// NumInteractions is the number of RUBiS interaction types.
+const NumInteractions = 26
+
 func TestNewValidatesWriteRatio(t *testing.T) {
 	for _, w := range []float64{-0.1, 0.91, 1.5} {
 		if _, err := New(JOnAS, w); err == nil {

@@ -30,9 +30,6 @@ const (
 	writeDB   = 0.0022
 )
 
-// NumInteractions is the number of modelled TPC-App operations.
-const NumInteractions = 8
-
 type op struct {
 	name      string
 	write     bool

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// NumInteractions is the number of modelled TPC-App operations.
+const NumInteractions = 8
+
 func TestNewBuilds(t *testing.T) {
 	p, err := New()
 	if err != nil {

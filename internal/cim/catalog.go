@@ -207,7 +207,6 @@ type SoftwarePackage struct {
 
 // Catalog bundles the typed views of the built-in resource model.
 type Catalog struct {
-	repo      *Repository
 	Platforms []Platform
 	Software  []SoftwarePackage
 }
@@ -226,7 +225,7 @@ func LoadCatalog() (*Catalog, error) {
 // defines the Elba classes, allowing user-supplied MOF to replace or
 // extend the built-in environment.
 func CatalogFromRepository(repo *Repository) (*Catalog, error) {
-	c := &Catalog{repo: repo}
+	c := &Catalog{}
 	pools := map[string][]NodePool{}
 	for _, in := range repo.InstancesOf("Elba_NodePool") {
 		p := NodePool{

@@ -109,9 +109,6 @@ func TestCatalogLookupMisses(t *testing.T) {
 	if got := c.SoftwareForTier("rubis", "cache"); got != nil {
 		t.Errorf("unknown tier returned packages: %v", got)
 	}
-	if c.repo == nil {
-		t.Errorf("repository accessor nil")
-	}
 }
 
 func TestCatalogFromCustomRepository(t *testing.T) {

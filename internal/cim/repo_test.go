@@ -136,11 +136,15 @@ func TestWriteMOFRoundTrip(t *testing.T) {
 
 // TestBuiltInCatalogRoundTrips serializes the whole built-in catalog.
 func TestBuiltInCatalogRoundTrips(t *testing.T) {
-	cat, err := LoadCatalog()
+	repo := NewRepository()
+	if err := repo.LoadMOF(catalogMOF); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := CatalogFromRepository(repo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := cat.repo.WriteMOF()
+	text := repo.WriteMOF()
 	r2 := NewRepository()
 	if err := r2.LoadMOF(text); err != nil {
 		t.Fatalf("catalog round trip failed: %v", err)

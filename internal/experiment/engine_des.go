@@ -183,7 +183,8 @@ func (de *desEngine) counters(p monitor.Probe, _ int, _ *cluster.Node) (monitor.
 func (de *desEngine) advance(t float64) { de.k.Run(t) }
 
 // measure resets the stations' accounting when the run opens, so the
-// run's busy integrals start at zero.
+// run's busy integrals start at zero. Opening restarts the driver's
+// success sample, so the next window reads it from the start.
 func (de *desEngine) measure(on bool) {
 	if !on {
 		de.driver.EndMeasurement()
@@ -191,6 +192,7 @@ func (de *desEngine) measure(on bool) {
 	}
 	de.nt.ResetAccounting()
 	de.driver.BeginMeasurement()
+	de.seen = 0
 }
 
 // stations reports a tier's active and retired station lists.

@@ -282,6 +282,9 @@ func (h *exprHooks) runWindows(eng engine) {
 	obs := windowObserver{warm: h.warm, ts: h.ts}
 	// The reading at run start only opens the first window.
 	obs.env(eng)
+	// Evaluation escapes env to the heap; one variable serves every
+	// window.
+	var env expr.Env
 	end := h.warm + h.run
 	for now := h.warm; end-now > 1e-9; {
 		next := now + h.windowSec
@@ -289,7 +292,7 @@ func (h *exprHooks) runWindows(eng engine) {
 			next = end
 		}
 		eng.advance(next)
-		env := obs.env(eng)
+		env = obs.env(eng)
 		h.observeSLO(&env, (now-h.warm)/h.ts)
 		for _, g := range h.guards {
 			if g.shouldFire(&env, next) {

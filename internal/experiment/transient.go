@@ -3,10 +3,10 @@ package experiment
 import (
 	"fmt"
 
-	"elba/internal/deploy"
-	"elba/internal/mulini"
+	"elba/internal/expr"
 	"elba/internal/sim"
 	"elba/internal/spec"
+	"elba/internal/store"
 )
 
 // PopulationPhase is one step of a transient workload schedule.
@@ -31,12 +31,15 @@ type PhaseResult struct {
 	AppCPU, DBCPU float64
 }
 
-// runTransientTrial runs a transient schedule on placement p of d (see
-// RunTransientAt). root is the runner's root seed, mixed into the derived
-// trial seed (0 = historical derivation).
-func runTransientTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement,
-	schedule []PopulationPhase, timeScale float64, root uint64) ([]PhaseResult, error) {
-
+// RunTransientAt deploys a topology, drives it through a time-varying
+// population schedule — the "workload evolves" situation the paper's
+// introduction motivates — tears down, and reports per-phase statistics.
+// The schedule runs on the engine and fault plan the runner resolves for
+// a trial at the first phase's population. Unlike the steady-state trial
+// protocol, every phase is measured (there is no warm-up: the first phase
+// doubles as its own, and fault times count from the schedule's start),
+// so early phases show transient effects by design.
+func (r *Runner) RunTransientAt(e *spec.Experiment, topo spec.Topology, schedule []PopulationPhase) ([]PhaseResult, error) {
 	if len(schedule) == 0 {
 		return nil, fmt.Errorf("experiment: transient trial needs at least one phase")
 	}
@@ -45,113 +48,54 @@ func runTransientTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Place
 			return nil, fmt.Errorf("experiment: phase %d needs non-negative users and positive duration", i)
 		}
 	}
-	if timeScale <= 0 {
-		timeScale = 1.0
-	}
-	model, err := Model(e, e.Workload.WriteRatioPct.Lo)
-	if err != nil {
-		return nil, err
-	}
-	seed := deriveSeed(e.Seed, d.Topology.String(), schedule[0].Users, e.Workload.WriteRatioPct.Lo)
-	if root != 0 {
-		seed = mixRootSeed(seed, root, e.Name)
-	}
-	k := sim.NewKernel(seed)
-	defer k.Release()
-	nt, stationOf, err := buildNTier(k, e, d, p)
-	if err != nil {
-		return nil, err
-	}
-	driver := sim.NewDriver(k, nt, model, sim.DriverConfig{
-		Users:       schedule[0].Users,
-		Timeout:     e.Workload.TimeoutSec,
-		RampUp:      5 * timeScale,
-		MaxSessions: sessionCapacity(d, p),
-	}, seed^0x7ea)
-
-	// Fault windows apply to transient trials too. There is no warm-up
-	// period here — the first phase measures its own transient — so fault
-	// times are relative to the schedule's start, and when-guards are not
-	// consulted.
-	faults, err := specFaults(e, d, stationOf)
-	if err != nil {
-		return nil, err
-	}
-	for _, ev := range faults {
-		scheduleFault(k, driver, stationOf, ev, 0, timeScale)
-	}
-
-	driver.Start()
-
-	appBusy := func() float64 {
-		var b float64
-		for _, s := range nt.App.Stations() {
-			b += s.BusyTime()
-		}
-		return b
-	}
-	dbBusy := func() float64 {
-		var b float64
-		for _, s := range nt.DB.Replicas() {
-			b += s.BusyTime()
-		}
-		return b
-	}
-	appServers, dbServers := 0, 0
-	for _, s := range nt.App.Stations() {
-		appServers += s.Servers()
-	}
-	for _, s := range nt.DB.Replicas() {
-		dbServers += s.Servers()
-	}
-
-	var out []PhaseResult
-	for i, ph := range schedule {
-		if i > 0 {
-			delta := ph.Users - schedule[i-1].Users
-			switch {
-			case delta > 0:
-				driver.AddUsers(delta, 5*timeScale)
-			case delta < 0:
-				driver.RemoveUsers(-delta)
-			}
-		}
-		startApp, startDB := appBusy(), dbBusy()
-		driver.BeginMeasurement()
-		start := k.Now()
-		dur := ph.DurationSec * timeScale
-		k.Run(start + dur)
-		driver.EndMeasurement()
-
-		rts := driver.ResponseTimes()
-		pr := PhaseResult{
-			Phase:  ph,
-			Errors: driver.Errors(),
-			AppCPU: (appBusy() - startApp) / (dur * float64(appServers)) * 100,
-			DBCPU:  (dbBusy() - startDB) / (dur * float64(dbServers)) * 100,
-		}
-		if rts.Count() > 0 {
-			pr.AvgRTms = rts.Mean() * 1000
-			pr.P90ms = rts.Percentile(90) * 1000
-			pr.Throughput = float64(rts.Count()) / dur
-		}
-		out = append(out, pr)
-	}
-	return out, nil
-}
-
-// RunTransientAt deploys a topology, drives it through a time-varying
-// population schedule — the "workload evolves" situation the paper's
-// introduction motivates — tears down, and reports per-phase statistics.
-// Unlike the steady-state trial protocol, every phase is measured (the
-// first phase doubles as its own warm-up), so early phases show transient
-// effects by design.
-func (r *Runner) RunTransientAt(e *spec.Experiment, topo spec.Topology, schedule []PopulationPhase) ([]PhaseResult, error) {
 	var out []PhaseResult
 	err := r.withDeployment(e, topo, "", func(dep *deployed) error {
 		var err error
-		out, err = runTransientTrial(e, dep.d, dep.placement, schedule, r.TimeScale, r.Seed)
+		out, err = runTransientTrial(dep, r.trialConfig(dep, schedule[0].Users, e.Workload.WriteRatioPct.Lo), schedule)
 		return err
 	})
 	return out, err
+}
+
+// runTransientTrial runs schedule on dep with the set-up RunTrial
+// shares. Each phase retargets the population at its start (users
+// arrive at once, as a users expression's do), opens the measurement,
+// and reads the engine's window at both ends: request statistics from
+// the engine's fill, utilization from the busy integrals.
+func runTransientTrial(dep *deployed, cfg TrialConfig, schedule []PopulationPhase) ([]PhaseResult, error) {
+	pl, err := planTrial(dep.e, dep.d, dep.placement, cfg)
+	if err != nil {
+		return nil, err
+	}
+	pl.rampUp = 5 * pl.ts
+	k := sim.NewKernel(pl.seed)
+	defer k.Release()
+	eng, err := pl.newEngine(k)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]PhaseResult, len(schedule))
+	for i, ph := range schedule {
+		if i > 0 {
+			eng.retarget(ph.Users)
+		}
+		eng.measure(true)
+		start := eng.observe()
+		dur := ph.DurationSec * pl.ts
+		eng.advance(start.now + dur)
+		end := eng.observe()
+		eng.measure(false)
+		res := eng.fill(store.Result{})
+		cpu := func(ti int) float64 {
+			busy := end.busy[ti][expr.ResCPU] - start.busy[ti][expr.ResCPU]
+			return busy / (dur * end.units[ti][expr.ResCPU]) * 100
+		}
+		out[i] = PhaseResult{Phase: ph, Errors: res.Errors,
+			AppCPU: cpu(expr.TierApp), DBCPU: cpu(expr.TierDB)}
+		if res.Requests > 0 {
+			out[i].AvgRTms, out[i].P90ms = res.AvgRTms, res.P90ms
+			out[i].Throughput = float64(res.Requests) / dur
+		}
+	}
+	return out, nil
 }

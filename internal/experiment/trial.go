@@ -197,48 +197,31 @@ func RunTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement, cfg
 	if cfg.Users <= 0 {
 		return nil, fmt.Errorf("experiment: trial needs at least one user")
 	}
-	newEngine := newDESEngine
-	switch cfg.Engine {
-	case "", EngineDES:
-	case EngineFluid:
-		newEngine = newFluidEngine
-	default:
-		return nil, fmt.Errorf("experiment: unknown trial engine %q", cfg.Engine)
-	}
-	ts := cfg.TimeScale
-	if ts <= 0 {
-		ts = 1.0
-	}
-	model, err := cfg.model(e)
+	pl, err := planTrial(e, d, p, cfg)
 	if err != nil {
 		return nil, err
 	}
+	ts := pl.ts
 	warm := e.Trial.WarmupSec * ts
 	run := e.Trial.RunSec * ts
 	cool := e.Trial.CooldownSec * ts
-	rampUp := warm / 2
-	if rampUp > 10 {
-		rampUp = 10
-	}
-	maxSessions := sessionCapacity(d, p)
+	pl.warm, pl.rampUp = warm, min(warm/2, 10)
 
 	// Expression hooks: nil for expression-free specs, which therefore run
 	// the measured period in one step.
-	hooks, err := newExprHooks(e, warm, run, ts, e.Monitor.IntervalSec*ts, maxSessions)
+	hooks, err := newExprHooks(e, warm, run, ts, e.Monitor.IntervalSec*ts, pl.maxSessions)
 	if err != nil {
 		return nil, err
 	}
-	seed := trialSeed(e, d, cfg)
 	// The result and the monitor returned below hold nothing of the
 	// kernel's arena, so the kernel goes back to the pool on return.
-	k := sim.NewKernel(seed)
+	k := sim.NewKernel(pl.seed)
 	defer k.Release()
-	eng, err := newEngine(trialPlan{e: e, d: d, p: p, cfg: cfg, model: model, k: k, seed: seed,
-		warm: warm, ts: ts, rampUp: rampUp, maxSessions: maxSessions})
+	eng, err := pl.newEngine(k)
 	if err != nil {
 		return nil, err
 	}
-	probes, hostOf := buildProbes(d, p, model, eng)
+	probes, hostOf := buildProbes(d, p, pl.model, eng)
 	mon, err := monitor.New(k, monitor.Config{
 		IntervalSec: e.Monitor.IntervalSec * ts,
 		Metrics:     e.Monitor.Metrics,
@@ -268,6 +251,37 @@ func RunTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement, cfg
 		hooks.record(&res)
 	}
 	return &TrialOutcome{Result: res, Monitor: mon, RunWindow: [2]float64{runStart, runEnd}}, nil
+}
+
+// planTrial resolves the set-up every trial protocol shares: cfg's
+// engine, the time scale, the workload model, the session capacity and
+// the seed. The caller sets the warm-up and ramp-up.
+func planTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement, cfg TrialConfig) (trialPlan, error) {
+	switch cfg.Engine {
+	case "", EngineDES, EngineFluid:
+	default:
+		return trialPlan{}, fmt.Errorf("experiment: unknown trial engine %q", cfg.Engine)
+	}
+	ts := cfg.TimeScale
+	if ts <= 0 {
+		ts = 1.0
+	}
+	model, err := cfg.model(e)
+	if err != nil {
+		return trialPlan{}, err
+	}
+	return trialPlan{e: e, d: d, p: p, cfg: cfg, model: model, seed: trialSeed(e, d, cfg),
+		ts: ts, maxSessions: sessionCapacity(d, p)}, nil
+}
+
+// newEngine builds the plan's engine on kernel k, which the caller
+// releases when the trial ends.
+func (pl trialPlan) newEngine(k *sim.Kernel) (engine, error) {
+	pl.k = k
+	if pl.cfg.Engine == EngineFluid {
+		return newFluidEngine(pl)
+	}
+	return newDESEngine(pl)
 }
 
 // trialSeed is the seed of a trial's random universe: cfg.Seed when set,

@@ -8,7 +8,7 @@ var benchSink float64
 // BenchmarkExprEval measures the steady-state cost of the trial hot
 // path: one compiled program evaluated per measurement window. CI gates
 // this benchmark at 0 allocs/op — the whole point of pre-bound slots
-// and the fixed-array value stack.
+// and a tree walk that keeps its values on the goroutine stack.
 func BenchmarkExprEval(b *testing.B) {
 	prog, err := Compile("100 + 900*ramp(t/300s) + min(x(), 1000)*clamp(util(db, disk), 0, 1)")
 	if err != nil {
@@ -48,7 +48,7 @@ func BenchmarkExprCompile(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchSink = float64(len(p.code))
+		benchSink = float64(len(p.Source()))
 	}
 }
 

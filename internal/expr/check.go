@@ -3,10 +3,9 @@ package expr
 // Check type-checks an expression and returns its result type. The
 // checker is what makes the language unit-aware: durations and floats
 // are distinct, comparisons need matching operand types, and the
-// boolean connectives need booleans. A checked expression is guaranteed
-// to compile, and a compiled program is guaranteed not to over- or
-// underflow the VM's value stack (the compiler verifies the static
-// stack depth a second time).
+// boolean connectives need booleans. It also binds every builtin call
+// to its function and environment slot, so a checked tree evaluates
+// without looking up a name.
 func Check(e Expr) (Kind, error) {
 	return checkExpr(e, 0)
 }
@@ -144,11 +143,36 @@ func ResourceIndex(name string) (int, bool) {
 	return 0, false
 }
 
-// checkCall validates a builtin invocation. Three builtins take symbolic
-// arguments — bare identifiers naming an observation slot, not values —
-// which the checker resolves here so the compiler can bind them to
-// fixed environment slots.
+// builtin is the function a checked call evaluates; the zero value
+// marks a call Check has not bound.
+type builtin uint8
+
+const (
+	fnX builtin = iota + 1
+	fnP50
+	fnP90
+	fnP99
+	fnUtil
+	fnReplicas
+	fnRamp
+	fnSin
+	fnMin
+	fnMax
+	fnClamp
+)
+
+// builtins maps each function name to its builtin.
+var builtins = map[string]builtin{
+	"x": fnX, "p50": fnP50, "p90": fnP90, "p99": fnP99, "util": fnUtil, "replicas": fnReplicas,
+	"ramp": fnRamp, "sin": fnSin, "min": fnMin, "max": fnMax, "clamp": fnClamp,
+}
+
+// checkCall validates a builtin invocation and binds it. Three builtins
+// take symbolic arguments — bare identifiers naming an observation slot,
+// not values — which the checker resolves here to fixed environment
+// slots.
 func checkCall(n *Call, depth int) (Kind, error) {
+	n.fn = builtins[n.Fn]
 	switch n.Fn {
 	case "x":
 		if len(n.Args) != 0 {
@@ -172,14 +196,14 @@ func checkCall(n *Call, depth int) (Kind, error) {
 		if !ok {
 			return 0, errAt(n.Args[0].Pos(), "util's first argument names a tier: web, app, or db")
 		}
-		if _, ok := TierIndex(tid.Name); !ok {
+		if n.tier, ok = TierIndex(tid.Name); !ok {
 			return 0, errAt(tid.At, "unknown tier %q (want web, app, or db)", tid.Name)
 		}
 		rid, ok := n.Args[1].(*Ident)
 		if !ok {
 			return 0, errAt(n.Args[1].Pos(), "util's second argument names a resource: cpu, disk, or net")
 		}
-		if _, ok := ResourceIndex(rid.Name); !ok {
+		if n.res, ok = ResourceIndex(rid.Name); !ok {
 			return 0, errAt(rid.At, "unknown resource %q (want cpu, disk, or net)", rid.Name)
 		}
 		return Float, nil
@@ -191,7 +215,7 @@ func checkCall(n *Call, depth int) (Kind, error) {
 		if !ok {
 			return 0, errAt(n.Args[0].Pos(), "replicas' argument names a tier: web, app, or db")
 		}
-		if _, ok := TierIndex(tid.Name); !ok {
+		if n.tier, ok = TierIndex(tid.Name); !ok {
 			return 0, errAt(tid.At, "unknown tier %q (want web, app, or db)", tid.Name)
 		}
 		return Float, nil

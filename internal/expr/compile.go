@@ -4,9 +4,9 @@ import "math"
 
 // Env is the observation environment an expression evaluates against:
 // the clock plus the most recent measurement window's statistics. It is
-// a flat struct of pre-bound slots — the compiler turns every variable
-// and observation builtin into a direct field read, so evaluation does
-// no map lookups and boxes no interfaces.
+// a flat struct of pre-bound slots — the checker binds every variable
+// and observation builtin to a direct field read, so evaluation does no
+// map lookups and boxes no interfaces.
 type Env struct {
 	// T is the clock: protocol seconds since the run period began
 	// (time-scale–invariant, like every other TBL time).
@@ -24,60 +24,13 @@ type Env struct {
 	Replicas [NumTiers]float64
 }
 
-// opcodes. Every builtin gets a dedicated opcode: the eval loop is a
-// single switch with no function-value indirection.
-type opcode uint8
-
-const (
-	opConst    opcode = iota // push consts[a]
-	opT                      // push env.T
-	opX                      // push env.X
-	opP50                    // push env.P50
-	opP90                    // push env.P90
-	opP99                    // push env.P99
-	opUtil                   // push env.Util[a/NumResources][a%NumResources]
-	opReplicas               // push env.Replicas[a]
-	opAdd
-	opSub
-	opMul
-	opDiv
-	opNeg
-	opNot
-	opLT
-	opLE
-	opGT
-	opGE
-	opEQ
-	opNE
-	opRamp
-	opSin
-	opMin
-	opMax
-	opClamp
-	// opAndJump implements `a && b` short-circuit: with a on top of the
-	// stack, jump to target a (keeping the false) when a is false, else
-	// pop and fall through into b's code. opOrJump is the dual.
-	opAndJump
-	opOrJump
-)
-
-type instr struct {
-	op opcode
-	a  uint16
-}
-
-// maxStackSlots is the VM's fixed value-stack size. The compiler
-// verifies every program's static stack need fits; maxDepth bounds the
-// AST so the check cannot be reached with a deeper tree.
-const maxStackSlots = maxDepth + 2
-
-// Program is a compiled expression: bytecode, a constant pool, and the
-// static metadata the host needs (result type, canonical source).
+// Program is a compiled expression: the checked tree, which evaluates
+// itself, and the static metadata the host needs (result type,
+// canonical source).
 type Program struct {
-	code   []instr
-	consts []float64
-	kind   Kind
-	src    string
+	root Expr
+	kind Kind
+	src  string
 }
 
 // Kind reports the program's result type.
@@ -86,10 +39,8 @@ func (p *Program) Kind() Kind { return p.kind }
 // Source reports the canonical rendering of the compiled expression.
 func (p *Program) Source() string { return p.src }
 
-// Compile runs the full front end on one expression source: parse,
-// type-check, constant-fold, and emit bytecode. The result evaluates
-// allocation-free. Compilation is deterministic: the same source always
-// produces the same program.
+// Compile runs the full front end on one expression source: parse and
+// type-check. The result evaluates allocation-free.
 func Compile(src string) (*Program, error) {
 	ast, err := Parse(src)
 	if err != nil {
@@ -98,200 +49,32 @@ func Compile(src string) (*Program, error) {
 	return CompileAST(ast)
 }
 
-// CompileAST checks, folds, and compiles an already-parsed expression.
+// CompileAST checks an already-parsed expression and wraps it as a
+// program. The program evaluates ast itself, so the caller must not
+// modify ast afterwards.
 func CompileAST(ast Expr) (*Program, error) {
 	kind, err := Check(ast)
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{kind: kind, src: String(ast)}
-	folded := Fold(ast)
-	if err := p.emit(folded); err != nil {
-		return nil, err
-	}
-	// The checker bounds nesting, so a checked expression always fits
-	// the fixed eval stack; verify anyway so a compiler bug panics here,
-	// at compile time, never in the trial hot path.
-	if need := p.stackNeed(); need > maxStackSlots {
-		return nil, errAt(ast.Pos(), "expression needs %d stack slots (max %d)", need, maxStackSlots)
-	}
-	return p, nil
+	return &Program{root: ast, kind: kind, src: String(ast)}, nil
 }
 
-func (p *Program) constIndex(v float64) (uint16, error) {
-	for i, c := range p.consts {
-		if math.Float64bits(c) == math.Float64bits(v) {
-			return uint16(i), nil
-		}
-	}
-	if len(p.consts) >= 1<<16 {
-		return 0, errAt(Pos{1, 1}, "constant pool overflow")
-	}
-	p.consts = append(p.consts, v)
-	return uint16(len(p.consts) - 1), nil
-}
+// Eval runs the program against env and returns the raw value: seconds
+// for durations, 0/1 for booleans. It walks the checked tree, whose
+// nodes read env's slots directly and keep intermediate values on the
+// goroutine stack, so evaluation performs zero heap allocations — the
+// property BenchmarkExprEval pins.
+func (p *Program) Eval(env *Env) float64 { return p.root.eval(env) }
 
-func (p *Program) emit(e Expr) error {
-	switch n := e.(type) {
-	case *Lit:
-		i, err := p.constIndex(n.Val)
-		if err != nil {
-			return err
-		}
-		p.code = append(p.code, instr{op: opConst, a: i})
-		return nil
-	case *Ident:
-		// The checker admits exactly one bare variable.
-		p.code = append(p.code, instr{op: opT})
-		return nil
-	case *Unary:
-		if err := p.emit(n.X); err != nil {
-			return err
-		}
-		if n.Op == OpNeg {
-			p.code = append(p.code, instr{op: opNeg})
-		} else {
-			p.code = append(p.code, instr{op: opNot})
-		}
-		return nil
-	case *Binary:
-		return p.emitBinary(n)
-	case *Call:
-		return p.emitCall(n)
-	}
-	return errAt(e.Pos(), "invalid expression node")
-}
+// EvalBool evaluates a Bool-typed program as a truth value.
+func (p *Program) EvalBool(env *Env) bool { return p.Eval(env) != 0 }
 
-func (p *Program) emitBinary(n *Binary) error {
-	if n.Op == OpAnd || n.Op == OpOr {
-		if err := p.emit(n.X); err != nil {
-			return err
-		}
-		jmp := len(p.code)
-		op := opAndJump
-		if n.Op == OpOr {
-			op = opOrJump
-		}
-		p.code = append(p.code, instr{op: op})
-		if err := p.emit(n.Y); err != nil {
-			return err
-		}
-		if len(p.code) > 1<<16 {
-			return errAt(n.At, "expression compiles to too much code")
-		}
-		p.code[jmp].a = uint16(len(p.code))
-		return nil
-	}
-	if err := p.emit(n.X); err != nil {
-		return err
-	}
-	if err := p.emit(n.Y); err != nil {
-		return err
-	}
-	var op opcode
-	switch n.Op {
-	case OpAdd:
-		op = opAdd
-	case OpSub:
-		op = opSub
-	case OpMul:
-		op = opMul
-	case OpDiv:
-		op = opDiv
-	case OpLT:
-		op = opLT
-	case OpLE:
-		op = opLE
-	case OpGT:
-		op = opGT
-	case OpGE:
-		op = opGE
-	case OpEQ:
-		op = opEQ
-	case OpNE:
-		op = opNE
-	default:
-		return errAt(n.At, "invalid binary operator %s", n.Op)
-	}
-	p.code = append(p.code, instr{op: op})
-	return nil
-}
-
-func (p *Program) emitCall(n *Call) error {
-	switch n.Fn {
-	case "x":
-		p.code = append(p.code, instr{op: opX})
-		return nil
-	case "p50":
-		p.code = append(p.code, instr{op: opP50})
-		return nil
-	case "p90":
-		p.code = append(p.code, instr{op: opP90})
-		return nil
-	case "p99":
-		p.code = append(p.code, instr{op: opP99})
-		return nil
-	case "util":
-		ti, _ := TierIndex(n.Args[0].(*Ident).Name)
-		ri, _ := ResourceIndex(n.Args[1].(*Ident).Name)
-		p.code = append(p.code, instr{op: opUtil, a: uint16(ti*NumResources + ri)})
-		return nil
-	case "replicas":
-		ti, _ := TierIndex(n.Args[0].(*Ident).Name)
-		p.code = append(p.code, instr{op: opReplicas, a: uint16(ti)})
-		return nil
-	}
-	for _, a := range n.Args {
-		if err := p.emit(a); err != nil {
-			return err
-		}
-	}
-	switch n.Fn {
-	case "ramp":
-		p.code = append(p.code, instr{op: opRamp})
-	case "sin":
-		p.code = append(p.code, instr{op: opSin})
-	case "min":
-		p.code = append(p.code, instr{op: opMin})
-	case "max":
-		p.code = append(p.code, instr{op: opMax})
-	case "clamp":
-		p.code = append(p.code, instr{op: opClamp})
-	default:
-		return errAt(n.At, "unknown function %q", n.Fn)
-	}
-	return nil
-}
-
-// stackNeed simulates the bytecode's stack height and returns the peak.
-func (p *Program) stackNeed() int {
-	depth, peak := 0, 0
-	for _, in := range p.code {
-		switch in.op {
-		case opConst, opT, opX, opP50, opP90, opP99, opUtil, opReplicas:
-			depth++
-		case opAdd, opSub, opMul, opDiv, opLT, opLE, opGT, opGE, opEQ, opNE, opMin, opMax:
-			depth--
-		case opClamp:
-			depth -= 2
-		case opAndJump, opOrJump:
-			// Worst case keeps the operand (jump taken); fall-through
-			// pops it before the right side pushes, so the peak is the
-			// same either way.
-			depth--
-		}
-		if depth > peak {
-			peak = depth
-		}
-	}
-	return peak
-}
-
-// Shared evaluation semantics. The bytecode VM and the reference
-// tree-walking interpreter (test code) both call these helpers, so a
-// differential mismatch can only come from structural compiler bugs —
-// exactly what the differential battery is for — never from two
-// hand-copied implementations of the same builtin drifting apart.
+// Shared evaluation semantics. The tree evaluator and the reference
+// interpreter (test code) both call these helpers, so a differential
+// mismatch can only come from a structural evaluator bug — exactly what
+// the differential battery is for — never from two hand-copied
+// implementations of the same builtin drifting apart.
 
 func b2f(b bool) float64 {
 	if b {
@@ -331,104 +114,83 @@ func notF(x float64) float64 {
 	return 0
 }
 
-// Eval runs the program against env and returns the raw value: seconds
-// for durations, 0/1 for booleans. The value stack is a fixed-size
-// array on the goroutine stack, so evaluation performs zero heap
-// allocations — the property BenchmarkExprEval pins.
-func (p *Program) Eval(env *Env) float64 {
-	var stack [maxStackSlots]float64
-	sp := 0
-	code := p.code
-	for pc := 0; pc < len(code); pc++ {
-		in := code[pc]
-		switch in.op {
-		case opConst:
-			stack[sp] = p.consts[in.a]
-			sp++
-		case opT:
-			stack[sp] = env.T
-			sp++
-		case opX:
-			stack[sp] = env.X
-			sp++
-		case opP50:
-			stack[sp] = env.P50
-			sp++
-		case opP90:
-			stack[sp] = env.P90
-			sp++
-		case opP99:
-			stack[sp] = env.P99
-			sp++
-		case opUtil:
-			stack[sp] = env.Util[in.a/NumResources][in.a%NumResources]
-			sp++
-		case opReplicas:
-			stack[sp] = env.Replicas[in.a]
-			sp++
-		case opAdd:
-			sp--
-			stack[sp-1] += stack[sp]
-		case opSub:
-			sp--
-			stack[sp-1] -= stack[sp]
-		case opMul:
-			sp--
-			stack[sp-1] *= stack[sp]
-		case opDiv:
-			sp--
-			stack[sp-1] /= stack[sp]
-		case opNeg:
-			stack[sp-1] = -stack[sp-1]
-		case opNot:
-			stack[sp-1] = notF(stack[sp-1])
-		case opLT:
-			sp--
-			stack[sp-1] = b2f(stack[sp-1] < stack[sp])
-		case opLE:
-			sp--
-			stack[sp-1] = b2f(stack[sp-1] <= stack[sp])
-		case opGT:
-			sp--
-			stack[sp-1] = b2f(stack[sp-1] > stack[sp])
-		case opGE:
-			sp--
-			stack[sp-1] = b2f(stack[sp-1] >= stack[sp])
-		case opEQ:
-			sp--
-			stack[sp-1] = b2f(stack[sp-1] == stack[sp])
-		case opNE:
-			sp--
-			stack[sp-1] = b2f(stack[sp-1] != stack[sp])
-		case opRamp:
-			stack[sp-1] = rampF(stack[sp-1])
-		case opSin:
-			stack[sp-1] = math.Sin(stack[sp-1])
-		case opMin:
-			sp--
-			stack[sp-1] = minF(stack[sp-1], stack[sp])
-		case opMax:
-			sp--
-			stack[sp-1] = maxF(stack[sp-1], stack[sp])
-		case opClamp:
-			sp -= 2
-			stack[sp-1] = clampF(stack[sp-1], stack[sp], stack[sp+1])
-		case opAndJump:
-			if stack[sp-1] == 0 {
-				pc = int(in.a) - 1
-			} else {
-				sp--
-			}
-		case opOrJump:
-			if stack[sp-1] != 0 {
-				pc = int(in.a) - 1
-			} else {
-				sp--
-			}
-		}
+func (e *Lit) eval(*Env) float64 { return e.Val }
+
+// eval reads the clock: the checker admits exactly one bare variable.
+func (e *Ident) eval(env *Env) float64 { return env.T }
+
+func (e *Unary) eval(env *Env) float64 {
+	x := e.X.eval(env)
+	if e.Op == OpNeg {
+		return -x
 	}
-	return stack[0]
+	return notF(x)
 }
 
-// EvalBool evaluates a Bool-typed program as a truth value.
-func (p *Program) EvalBool(env *Env) bool { return p.Eval(env) != 0 }
+// eval short-circuits && and ||: booleans are exactly 0 or 1, so the
+// left operand is the result whenever it decides the connective.
+func (e *Binary) eval(env *Env) float64 {
+	switch e.Op {
+	case OpAnd:
+		if x := e.X.eval(env); x == 0 {
+			return x
+		}
+		return e.Y.eval(env)
+	case OpOr:
+		if x := e.X.eval(env); x != 0 {
+			return x
+		}
+		return e.Y.eval(env)
+	}
+	x, y := e.X.eval(env), e.Y.eval(env)
+	switch e.Op {
+	case OpAdd:
+		return x + y
+	case OpSub:
+		return x - y
+	case OpMul:
+		return x * y
+	case OpDiv:
+		return x / y
+	case OpLT:
+		return b2f(x < y)
+	case OpLE:
+		return b2f(x <= y)
+	case OpGT:
+		return b2f(x > y)
+	case OpGE:
+		return b2f(x >= y)
+	case OpEQ:
+		return b2f(x == y)
+	}
+	return b2f(x != y) // OpNE
+}
+
+// eval dispatches on the builtin the checker bound the call to.
+func (e *Call) eval(env *Env) float64 {
+	switch e.fn {
+	case fnX:
+		return env.X
+	case fnP50:
+		return env.P50
+	case fnP90:
+		return env.P90
+	case fnP99:
+		return env.P99
+	case fnUtil:
+		return env.Util[e.tier][e.res]
+	case fnReplicas:
+		return env.Replicas[e.tier]
+	case fnRamp:
+		return rampF(e.Args[0].eval(env))
+	case fnSin:
+		return math.Sin(e.Args[0].eval(env))
+	case fnMin:
+		return minF(e.Args[0].eval(env), e.Args[1].eval(env))
+	case fnMax:
+		return maxF(e.Args[0].eval(env), e.Args[1].eval(env))
+	case fnClamp:
+		return clampF(e.Args[0].eval(env), e.Args[1].eval(env), e.Args[2].eval(env))
+	}
+	panic("expr: evaluating unchecked call to " + e.Fn)
+}

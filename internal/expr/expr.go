@@ -5,16 +5,16 @@
 //	users 100 + 900*ramp(t/300s);
 //	slo { assert p99(rt) < 500ms && util(db, disk) < 0.9; }
 //
-// compiles once per trial (lex → Pratt parse → type check → constant
-// fold → bytecode) and then evaluates allocation-free in the hot path:
-// a fixed-size value stack, pre-bound environment slots (no map lookups,
-// no interface boxing), and dedicated opcodes for every builtin.
+// compiles once per trial (lex → Pratt parse → type check) and then
+// evaluates allocation-free at every observation window: each node of the
+// checked tree evaluates itself, reading environment slots the checker
+// bound (no map lookups, no interface boxing).
 //
 // Expressions are pure functions of the observation environment (window
-// statistics and the clock); they draw no randomness and compile
-// deterministically, so adding an expression to a spec never perturbs
-// the random streams of the trial engines, and evaluating the same
-// expression over the same window state is bit-for-bit reproducible.
+// statistics and the clock); they draw no randomness, so adding an
+// expression to a spec never perturbs the random streams of the trial
+// engines, and evaluating the same expression over the same window state
+// is bit-for-bit reproducible.
 //
 // The three value types are Float (a bare number), Duration (a number
 // with an s or ms unit, carried in seconds), and Bool. Unit awareness is
@@ -26,7 +26,6 @@ package expr
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -109,17 +108,19 @@ type Expr interface {
 	// print renders the node into b with minimal parentheses; prec is
 	// the binding power of the surrounding context.
 	print(b *strings.Builder, prec int)
+	// eval evaluates a checked node against env (see Program.Eval).
+	eval(env *Env) float64
 }
 
 // Lit is a numeric literal, possibly carrying a duration unit. Val holds
 // the canonical value (seconds for durations); Text preserves the
 // literal exactly as written so rendering round-trips without float
-// dust. Folded literals have empty Text and render from Val.
+// dust.
 type Lit struct {
 	At   Pos
 	Val  float64
 	Unit string // "", "s", or "ms"
-	Text string // source text including the unit; "" for folded nodes
+	Text string // source text including the unit
 }
 
 // Ident is a bare name: the clock variable `t`, or a symbolic argument
@@ -148,6 +149,11 @@ type Call struct {
 	At   Pos // position of the function name
 	Fn   string
 	Args []Expr
+
+	// Check binds the call: the builtin Fn names and, for util and
+	// replicas, the environment slot the symbolic arguments name.
+	fn        builtin
+	tier, res int
 }
 
 func (e *Lit) Pos() Pos    { return e.At }
@@ -194,24 +200,7 @@ func String(e Expr) string {
 	return b.String()
 }
 
-func (e *Lit) print(b *strings.Builder, _ int) {
-	if e.Text != "" {
-		b.WriteString(e.Text)
-		return
-	}
-	// Folded literal: render the canonical value. Durations render in
-	// seconds (unit multiplier 1), so the text re-parses to the same
-	// float. Negative folds render through a unary minus.
-	v := e.Val
-	if v < 0 {
-		b.WriteByte('-')
-		v = -v
-	}
-	b.WriteString(strconv.FormatFloat(v, 'f', -1, 64))
-	if e.Unit != "" {
-		b.WriteByte('s')
-	}
-}
+func (e *Lit) print(b *strings.Builder, _ int) { b.WriteString(e.Text) }
 
 func (e *Ident) print(b *strings.Builder, _ int) { b.WriteString(e.Name) }
 

@@ -66,7 +66,7 @@ func TestEvalBasics(t *testing.T) {
 
 func TestShortCircuit(t *testing.T) {
 	// 1/0 inside the unevaluated arm must not poison the result: the
-	// VM's jump opcodes skip the right side entirely.
+	// evaluator skips the right side entirely.
 	env := &Env{}
 	if got := mustCompile(t, "1 < 2 || 1/0 > 0").Eval(env); got != 1 {
 		t.Fatalf("|| did not short-circuit: got %v", got)
@@ -203,23 +203,6 @@ func TestCanonicalPrinting(t *testing.T) {
 		}
 		if got2 := String(e2); got2 != got {
 			t.Errorf("canonical form not a fixpoint: %q -> %q", got, got2)
-		}
-	}
-}
-
-func TestFoldProducesConstants(t *testing.T) {
-	// Fully constant expressions compile to a single constant load.
-	for _, src := range []string{"1 + 2*3", "ramp(0.5) * 100", "min(1s, 2s) / 500ms", "1 < 2 && 3 < 4"} {
-		p := mustCompile(t, src)
-		if len(p.code) != 1 || p.code[0].op != opConst {
-			t.Errorf("Compile(%q) emitted %d instrs, want single constant", src, len(p.code))
-		}
-	}
-	// Folding a constant left arm erases the short-circuit entirely.
-	p := mustCompile(t, "1 < 2 && x() > 0")
-	for _, in := range p.code {
-		if in.op == opAndJump {
-			t.Errorf("constant && arm not folded away")
 		}
 	}
 }

@@ -52,13 +52,13 @@ func FuzzParseExpr(f *testing.F) {
 		}
 		for _, env := range genEnvs() {
 			env := env
-			vm := prog.Eval(&env)
+			got := prog.Eval(&env)
 			ref := evalRef(ast, &env)
-			if !sameBits(vm, ref) {
-				t.Fatalf("VM diverges from interpreter on fuzzed %q: vm=%v ref=%v", canon, vm, ref)
+			if !sameBits(got, ref) {
+				t.Fatalf("Eval diverges from interpreter on fuzzed %q: eval=%v ref=%v", canon, got, ref)
 			}
-			if kind == Bool && vm != 0 && vm != 1 {
-				t.Fatalf("bool expression %q evaluated to %v, want 0 or 1", canon, vm)
+			if kind == Bool && got != 0 && got != 1 {
+				t.Fatalf("bool expression %q evaluated to %v, want 0 or 1", canon, got)
 			}
 		}
 	})

@@ -16,7 +16,7 @@ var genTiers = []string{"web", "app", "db"}
 var genResources = []string{"cpu", "disk", "net"}
 
 // litValues is the leaf value pool. It deliberately includes 0 (divide
-// by zero → IEEE Inf/NaN must match bit-for-bit across VM and
+// by zero → IEEE Inf/NaN must match bit-for-bit across Eval and the
 // interpreter) and values on both sides of the ramp/clamp knees.
 var litValues = []float64{0, 0.25, 0.5, 0.9, 1, 2, 3.25, 10, 100, 900}
 

@@ -2,13 +2,14 @@ package expr
 
 import "math"
 
-// evalRef is the reference tree-walking interpreter the differential
-// battery runs against the bytecode VM. It lives in test code only and
-// deliberately shares the semantic helpers (b2f, rampF, clampF, minF,
-// maxF, notF) with the VM: the two implementations differ in *structure*
-// (recursive walk vs. flat bytecode loop), which is exactly the axis the
-// differential tests probe, while the leaf arithmetic is common so a
-// mismatch always means a compiler or VM bug.
+// evalRef is the reference interpreter the differential battery runs
+// against Program.Eval. It lives in test code only and deliberately
+// shares the semantic helpers (b2f, rampF, clampF, minF, maxF, notF)
+// with the evaluator: the two differ in *structure* (one type switch
+// that resolves builtins and slots by name vs. per-node methods reading
+// the slots Check bound), which is exactly the axis the differential
+// tests probe, while the leaf arithmetic is common so a mismatch always
+// means a checker or evaluator bug.
 func evalRef(e Expr, env *Env) float64 {
 	switch n := e.(type) {
 	case *Lit:

@@ -2,7 +2,7 @@ package expr
 
 // maxDepth bounds expression nesting so adversarial inputs (fuzzed
 // megabyte paren towers) fail fast instead of exhausting the goroutine
-// stack in the recursive parser, checker, and compiler.
+// stack in the recursive parser, checker, and evaluator.
 const maxDepth = 64
 
 // Parse reads one expression and requires it to consume the whole

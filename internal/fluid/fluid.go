@@ -106,7 +106,6 @@ const (
 // a tier are interchangeable under round-robin balancing, so per-node
 // quantities are tier totals divided by the node count.
 type tierState struct {
-	name  string
 	nodes int
 	cores int     // servers per node, for the M/M/c wait
 	cap   float64 // service capacity in completions/s (min over legs)
@@ -239,7 +238,6 @@ func svcFor(c Class, i int, scale, speed float64) float64 {
 // visit all of them and complete at the slowest.
 func (s *Solver) deriveTier(i int, spec TierSpec, classes []Class, wsum float64, d int) error {
 	t := &s.tiers[i]
-	t.name = spec.Name
 	t.nodes = len(spec.Nodes)
 
 	// Tier-aggregate hardware: per-node cores and core-weighted mean

@@ -9,6 +9,13 @@ import (
 	"elba/internal/spec"
 )
 
+// EmulabSpeeds are the paper's Emulab allocation: 3 GHz single-CPU web
+// and app nodes, a 600 MHz single-CPU database node (§IV.A).
+var EmulabSpeeds = TierSpeeds{
+	WebSpeed: 1.0, AppSpeed: 1.0, DBSpeed: 0.2,
+	WebCores: 1, AppCores: 1, DBCores: 1,
+}
+
 func TestSingleStationMatchesClosedForm(t *testing.T) {
 	// One M/M/1 station, no think time: exact MVA gives
 	// R(N) = N·D (all customers queue at the single station).

@@ -59,16 +59,3 @@ func max1(n int) int {
 	}
 	return n
 }
-
-// EmulabSpeeds are the paper's Emulab allocation: 3 GHz single-CPU web
-// and app nodes, a 600 MHz single-CPU database node (§IV.A).
-var EmulabSpeeds = TierSpeeds{
-	WebSpeed: 1.0, AppSpeed: 1.0, DBSpeed: 0.2,
-	WebCores: 1, AppCores: 1, DBCores: 1,
-}
-
-// WarpSpeeds are the Warp blades: 3.06 GHz dual-CPU everywhere.
-var WarpSpeeds = TierSpeeds{
-	WebSpeed: 1.02, AppSpeed: 1.02, DBSpeed: 1.02,
-	WebCores: 2, AppCores: 2, DBCores: 2,
-}

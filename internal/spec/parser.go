@@ -27,7 +27,6 @@ type tok struct {
 	text string
 	line int
 	col  int // 1-based column of the token's first byte
-	off  int // byte offset of the token's first byte in the document
 }
 
 type lexer struct {
@@ -66,7 +65,7 @@ func (l *lexer) next() (tok, error) {
 			return l.scan()
 		}
 	}
-	return tok{kind: tEOF, line: l.line, col: l.colAt(l.pos), off: l.pos}, nil
+	return tok{kind: tEOF, line: l.line, col: l.colAt(l.pos)}, nil
 }
 
 func (l *lexer) scan() (tok, error) {
@@ -74,7 +73,7 @@ func (l *lexer) scan() (tok, error) {
 	start := l.pos
 	line, col := l.line, l.colAt(start)
 	mk := func(kind tokKind, text string) tok {
-		return tok{kind: kind, text: text, line: line, col: col, off: start}
+		return tok{kind: kind, text: text, line: line, col: col}
 	}
 	switch {
 	case c == '"':
