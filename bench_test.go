@@ -101,7 +101,7 @@ func BenchmarkTable3ExperimentScale(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			lines += mulini.Scale(e, ds).ScriptLines
+			lines += mulini.Scale(ds).ScriptLines
 		}
 	}
 	b.ReportMetric(float64(lines), "script-lines")
@@ -696,8 +696,8 @@ func BenchmarkStationPipeline(b *testing.B) {
 func BenchmarkStationMultiResource(b *testing.B) {
 	k := sim.NewKernel(1)
 	s := sim.NewStation(k, sim.StationConfig{Name: "S", Servers: 2, Speed: 1})
-	s.AttachDisk(sim.NewResource(k, "S/disk", 1))
-	s.AttachNet(sim.NewResource(k, "S/net", 1e6))
+	s.AttachDisk(sim.NewStation(k, sim.StationConfig{Name: "S/disk", Servers: 1, Speed: 1, Deterministic: true}))
+	s.AttachNet(sim.NewStation(k, sim.StationConfig{Name: "S/net", Servers: 1, Speed: 1e6, Deterministic: true}))
 	remaining := b.N
 	var feed func()
 	feed = func() {

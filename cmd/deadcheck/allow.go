@@ -1,9 +1,10 @@
 package main
 
-// allow names the declarations that stay although no non-test code uses
-// them, each with its reason. A key is an import path followed by the
-// name of a function, constant, variable or type (a type's key also
-// covers every method of that type), or by Type.Method.
+// allow names the declarations and fields that stay although no non-test
+// code uses them, each with its reason. A key is an import path followed
+// by the name of a function, constant, variable or type (a type's key
+// also covers every method and field of that type), by Type.Method, or by
+// Type.field.
 var allow = map[string]string{
 	"elba/benchmark.tinyScale":                   "the harness's own test runs it; benchmark/ changes only with the benchmark",
 	"elba/internal/bench/rubis.Bidding":          "the ablation benchmarks and mva's tests build the bidding mix with it",
@@ -14,9 +15,11 @@ var allow = map[string]string{
 	"elba/internal/metrics.TDigest.MaxCentroids": "report's TestFolderMemoryBounded checks the merged sketch against the cap with it",
 	"elba/internal/metrics.TimeSeries.Points":    "monitor's tests read sampled series with it",
 	"elba/internal/monitor.ParseFile":            "monitor's and experiment's tests read monitor files back with it",
+	"elba/internal/monitor.Record":               "the records ParseFile returns; the tests that read monitor files back check their times, hosts and devices",
 	"elba/internal/sim.NewPSStation":             "constructs the processor-sharing reference of BenchmarkAblationDiscipline",
 	"elba/internal/sim.PSStation":                "the processor-sharing reference of BenchmarkAblationDiscipline",
 	"elba/internal/sim.RAIDb.Read":               "BenchmarkAblationDBReplication drives the replicated database with it",
+	"elba/internal/sim.NTier.StickyApp":          "BenchmarkAblationStickySessions turns session affinity on to compare it with per-request balancing",
 	"elba/internal/sim.RAIDb.Write":              "BenchmarkAblationDBReplication drives the replicated database with it",
 	"elba/internal/sim.Station.Submit":           "the ablation benchmarks and monitor's tests drive a bare station with it",
 	"elba/internal/sim.Station.SubmitRes":        "BenchmarkStationMultiResource drives a station's disk and link with it",

@@ -1,6 +1,7 @@
 // Command deadcheck lists the functions, methods and package-level
 // constants, variables and types that no non-test code in the repository
-// uses, so that code deleted as unused stays deleted.
+// uses, and the struct fields that no non-test code reads or sets, so
+// that code deleted as unused stays deleted.
 //
 // Usage:
 //
@@ -8,14 +9,23 @@
 //
 // It type-checks the non-test files of every module under dir (default
 // "."), so uses from any package of any module count, and prints one line
-// per unused declaration. It exits 1 when it prints any, or when an
-// allowlist entry matches none. These count as used: every declaration of
-// the package at the root of dir's module (the public facade), main and
-// init, blank (_) names, methods that make their type satisfy an
+// per unused declaration or field. It exits 1 when it prints any, or when
+// an allowlist entry matches none. These count as used: every declaration
+// of the package at the root of dir's module (the public facade), main
+// and init, blank (_) names, methods that make their type satisfy an
 // interface declared in a scanned package or in a package one of them
 // imports, and the names in allow.go. A use from inside the declaration
 // itself (a function's body, a constant's or variable's initializer, a
 // type's definition) does not count.
+//
+// A field fails when nothing reads it, and, unless its type is a struct
+// or an array, when nothing sets it (a knob only tests turn). Storing
+// into a field or an element of it is no read, and neither is naming the
+// field on the right of an assignment to it. A field counts as read when
+// its struct is a map key or an == or != operand, when it is exported and
+// encoding/json's Marshal, MarshalIndent or Encode can reach it from the
+// static type of its argument, or when it carries a tag. Embedded fields,
+// the facade's fields and the fields of an unused type are not checked.
 package main
 
 import (
@@ -57,20 +67,22 @@ func main() {
 	}
 }
 
-// A hit is one unused declaration, or one allowlist entry that matched
-// none.
+// A hit is one unused declaration or field, or one allowlist entry that
+// matched none.
 type hit struct {
-	pos   string // file:line relative to the scanned root
-	name  string // import path, then Name or Type.Method
+	file  string // relative to the scanned root
+	line  int
+	name  string // import path, then Name, Type.Method or Type.field
+	what  string // "unused", "never read" or "never set"
 	lines int    // declaration lines including its doc comment
 	stale bool
 }
 
 func (h hit) String() string {
 	if h.stale {
-		return "allowlist entry " + h.name + " matches no unused declaration"
+		return "allowlist entry " + h.name + " matches no unused declaration or field"
 	}
-	return fmt.Sprintf("%s: %s is unused (%d lines)", h.pos, h.name, h.lines)
+	return fmt.Sprintf("%s:%d: %s is %s (%d lines)", h.file, h.line, h.name, h.what, h.lines)
 }
 
 // decl is one package-level declaration in a scanned package: a function
@@ -221,6 +233,30 @@ func scan(root string, allow map[string]string) ([]hit, error) {
 
 	var hits []hit
 	matched := map[string]bool{}
+	report := func(name, what string, node ast.Node, doc *ast.CommentGroup) bool {
+		if key := allowKey(allow, name); key != "" {
+			matched[key] = true
+			return false
+		}
+		start := node.Pos()
+		if doc != nil {
+			start = doc.Pos()
+		}
+		p := fset.Position(node.Pos())
+		rel, err := filepath.Rel(root, p.Filename)
+		if err != nil {
+			rel = p.Filename
+		}
+		hits = append(hits, hit{
+			file:  filepath.ToSlash(rel),
+			line:  p.Line,
+			name:  name,
+			what:  what,
+			lines: fset.Position(node.End()).Line - fset.Position(start).Line + 1,
+		})
+		return true
+	}
+	unusedType := map[types.Object]bool{}
 	for _, obj := range order {
 		d := decls[obj]
 		name := d.pkg + "." + obj.Name()
@@ -235,28 +271,48 @@ func scan(root string, allow map[string]string) ([]hit, error) {
 				continue
 			}
 		}
-		if d.pkg == facade || used[obj] {
-			continue
+		if d.pkg != facade && !used[obj] {
+			unusedType[obj] = report(name, "unused", d.node, d.doc)
 		}
-		if key := allowKey(allow, name); key != "" {
-			matched[key] = true
-			continue
-		}
-		start := d.node.Pos()
-		if d.doc != nil {
-			start = d.doc.Pos()
-		}
-		p := fset.Position(d.node.Pos())
-		rel, err := filepath.Rel(root, p.Filename)
-		if err != nil {
-			rel = p.Filename
-		}
-		hits = append(hits, hit{
-			pos:   fmt.Sprintf("%s:%d", filepath.ToSlash(rel), p.Line),
-			name:  name,
-			lines: fset.Position(d.node.End()).Line - fset.Position(start).Line + 1,
-		})
 	}
+
+	u := &fieldUses{read: map[*types.Var]bool{}, set: map[*types.Var]bool{}, seen: map[walked]bool{}}
+	for _, path := range paths {
+		u.mark(l.infos[path], l.files[path])
+	}
+	for _, path := range paths {
+		if path == facade {
+			continue
+		}
+		for _, f := range declaredFields(path, l.infos[path], l.files[path]) {
+			// A struct or array field is set in place through its
+			// fields or elements, so only the read rule applies to it.
+			aggregate := false
+			switch f.obj.Type().Underlying().(type) {
+			case *types.Struct, *types.Array:
+				aggregate = true
+			}
+			what := ""
+			switch {
+			case unusedType[f.owner]:
+			case !u.read[f.obj] && !u.set[f.obj] && !aggregate:
+				what = "unused"
+			case !u.read[f.obj]:
+				what = "never read"
+			case !u.set[f.obj] && !aggregate:
+				what = "never set"
+			}
+			if what != "" {
+				report(f.name, what, f.node, f.node.Doc)
+			}
+		}
+	}
+	sort.SliceStable(hits, func(i, j int) bool {
+		if hits[i].file != hits[j].file {
+			return hits[i].file < hits[j].file
+		}
+		return hits[i].line < hits[j].line
+	})
 	var stale []string
 	for key := range allow {
 		if !matched[key] {
@@ -271,17 +327,18 @@ func scan(root string, allow map[string]string) ([]hit, error) {
 }
 
 // allowKey returns the allowlist entry that covers name: the name itself,
-// or its type for a method.
+// or the type that declares the method or field.
 func allowKey(allow map[string]string, name string) string {
-	if _, ok := allow[name]; ok {
-		return name
-	}
-	if i := strings.LastIndexByte(name, '.'); i > 0 {
-		if _, ok := allow[name[:i]]; ok {
-			return name[:i]
+	for {
+		if _, ok := allow[name]; ok {
+			return name
 		}
+		i := strings.LastIndexByte(name, '.')
+		if i < strings.LastIndexByte(name, '/') || i < 0 {
+			return ""
+		}
+		name = name[:i]
 	}
-	return ""
 }
 
 // markInterfaceMethods marks as used every method, declared or promoted,

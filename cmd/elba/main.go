@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 
 	"elba/internal/bottleneck"
@@ -195,53 +196,18 @@ func run(args []string) error {
 			cache.Dir(), cache.Stats(), c.Runner().CacheHits(), c.Runner().CacheMisses())
 	}
 
-	// Render the availability table for every experiment that ran under a
-	// fault profile (via -faults or its own TBL declaration).
-	for _, e := range doc.Experiments {
-		faulted := c.Results().Filter(func(r store.Result) bool {
-			return r.Key.Experiment == e.Name && r.FaultProfile != ""
-		})
-		if len(faulted) > 0 {
-			fmt.Println()
-			fmt.Print(report.TableAvailability(c.Results(), e.Name))
+	// Render each conditional table for every experiment whose results
+	// carry its observations, table by table; the autoscaling timeline
+	// only with -policies.
+	for _, t := range report.PostRunTables {
+		if t.Name == "scaling" && !*policies {
+			continue
 		}
-	}
-
-	// Render the engine-provenance table for every experiment with at
-	// least one trial handled by a non-default engine (via -scaling or the
-	// spec's own scaling clause).
-	for _, e := range doc.Experiments {
-		tagged := c.Results().Filter(func(r store.Result) bool {
-			return r.Key.Experiment == e.Name && r.Engine != ""
-		})
-		if len(tagged) > 0 {
-			fmt.Println()
-			fmt.Print(report.TableEngineSummary(c.Results(), e.Name))
-		}
-	}
-
-	// Render the SLO-verdict table for every experiment whose spec carries
-	// an assert expression.
-	for _, e := range doc.Experiments {
-		asserted := c.Results().Filter(func(r store.Result) bool {
-			return r.Key.Experiment == e.Name && r.SLOAssert != ""
-		})
-		if len(asserted) > 0 {
-			fmt.Println()
-			fmt.Print(report.TableSLO(c.Results(), e.Name))
-		}
-	}
-
-	// Render the autoscaling timeline for every experiment whose trials
-	// recorded policy firings.
-	if *policies {
 		for _, e := range doc.Experiments {
-			scaled := c.Results().Filter(func(r store.Result) bool {
-				return r.Key.Experiment == e.Name && len(r.ScaleEvents) > 0
-			})
-			if len(scaled) > 0 {
+			results := c.Results().Filter(func(r store.Result) bool { return r.Key.Experiment == e.Name })
+			if slices.ContainsFunc(results, t.Has) {
 				fmt.Println()
-				fmt.Print(report.TableScaling(c.Results(), e.Name))
+				fmt.Print(t.Render(c.Results(), e.Name))
 			}
 		}
 	}

@@ -9,11 +9,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"elba/internal/campaign"
 	"elba/internal/core"
+	"elba/internal/store"
 )
 
 // testServer stands up the full service behind an httptest server at
@@ -30,6 +32,26 @@ func testServer(t *testing.T, workers int) (*httptest.Server, *campaign.Service)
 		svc.Close()
 	})
 	return ts, svc
+}
+
+// heldServer stands up a one-worker service whose worker stops in the
+// first trial it commits until release is called, so a campaign the
+// test submits first holds the worker and the next one stays queued.
+func heldServer(t *testing.T) (ts *httptest.Server, release func()) {
+	t.Helper()
+	hold := make(chan struct{})
+	release = sync.OnceFunc(func() { close(hold) })
+	svc := campaign.NewService(campaign.Config{
+		Workers: 1,
+		Options: core.Options{TimeScale: 0.1, OnTrial: func(store.Result) { <-hold }},
+	})
+	ts = httptest.NewServer(newMux(svc))
+	t.Cleanup(func() {
+		release()
+		ts.Close()
+		svc.Close()
+	})
+	return ts, release
 }
 
 func postSpec(t *testing.T, base, src string) campaign.Progress {
@@ -188,13 +210,19 @@ func TestSubmitRejectsBadTBLWithPosition(t *testing.T) {
 // TestResultsGatedUntilDone: result endpoints answer 409 with live
 // progress while the campaign runs, and unknown campaigns answer 404.
 func TestResultsGatedUntilDone(t *testing.T) {
-	ts, _ := testServer(t, 1)
+	// A blocker campaign holds the one worker, so the campaign under test
+	// is still queued when its results are first fetched.
+	ts, release := heldServer(t)
+	postSpec(t, ts.URL, `experiment "blocker" {
+		benchmark rubis; platform emulab; appserver jonas;
+		workload { users 100; writeratio 15; }
+	}`)
 	p := postSpec(t, ts.URL, `experiment "gate" {
 		benchmark rubis; platform emulab; appserver jonas;
 		workload { users 100 to 1000 step 100; writeratio 15; }
 	}`)
-	// Immediately after submission the campaign is queued or running.
 	code, body := get(t, ts.URL+"/campaigns/"+p.ID+"/results")
+	release()
 	if code != http.StatusConflict {
 		t.Fatalf("early results fetch: %d\n%s", code, body)
 	}
@@ -217,13 +245,17 @@ func TestResultsGatedUntilDone(t *testing.T) {
 
 // TestCancelEndpointStopsCampaign cancels over HTTP mid-sweep and
 // checks the campaign lands terminal as cancelled with a kept prefix.
+// The campaign is its own blocker: the worker stops in its first trial
+// until the cancel is in, so it is still queued or running then, and the
+// list holds no other campaign.
 func TestCancelEndpointStopsCampaign(t *testing.T) {
-	ts, _ := testServer(t, 1)
+	ts, release := heldServer(t)
 	p := postSpec(t, ts.URL, `experiment "abort" {
 		benchmark rubis; platform emulab; appserver jonas;
 		workload { users 100 to 5000 step 100; writeratio 15; }
 	}`)
 	resp, err := http.Post(ts.URL+"/campaigns/"+p.ID+"/cancel", "", nil)
+	release()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,8 +42,7 @@ type artifact struct {
 
 // context carries the shared state for rendering.
 type context struct {
-	c       *core.Characterizer
-	reduced bool
+	c *core.Characterizer
 }
 
 func run(args []string) error {
@@ -89,7 +88,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	ctx := &context{c: c, reduced: *reduced}
+	ctx := &context{c: c}
 
 	// Run the union of needed experiment sets once.
 	needed := map[string]bool{}

@@ -101,7 +101,7 @@ func run(args []string) error {
 				return err
 			}
 		}
-		scale := mulini.Scale(e, deployments)
+		scale := mulini.Scale(deployments)
 		fmt.Printf("experiment %q (%s backend): %d configuration(s), %d machines, %d script lines, %d config lines\n",
 			e.Name, gen.Backend(), scale.Configurations, scale.MachineCount,
 			scale.ScriptLines, scale.ConfigLines)

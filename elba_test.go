@@ -121,8 +121,8 @@ func TestPublicPrediction(t *testing.T) {
 	if rel < -0.15 || rel > 0.15 {
 		t.Fatalf("prediction off: %.2f vs %.2f req/s", pred.Throughput, obs.Throughput)
 	}
-	if pred.BottleneckTier != "app" {
-		t.Fatalf("predicted bottleneck = %q", pred.BottleneckTier)
+	if u := pred.TierUtilization; u["app"] <= u["web"] || u["app"] <= u["db"] {
+		t.Fatalf("predicted utilization %v: app is not the bottleneck", u)
 	}
 }
 

@@ -116,7 +116,7 @@ func Load(path string) (*Report, error) {
 // Delta is one benchmark's change versus a baseline.
 type Delta struct {
 	Name        string
-	Base, Cur   Benchmark
+	Cur         Benchmark
 	InBaseline  bool
 	NsRatio     float64
 	AllocsDelta float64
@@ -133,7 +133,7 @@ func Compare(base, cur *Report) []Delta {
 	for _, c := range cur.Benchmarks {
 		d := Delta{Name: c.Name, Cur: c}
 		if b, ok := byName[c.Name]; ok {
-			d.Base, d.InBaseline = b, true
+			d.InBaseline = true
 			if b.NsPerOp > 0 {
 				d.NsRatio = c.NsPerOp / b.NsPerOp
 			}

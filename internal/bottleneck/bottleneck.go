@@ -39,9 +39,6 @@ type Verdict struct {
 	// "disk", or "net". Empty for failure verdicts (sessions, outage) and
 	// for trials with no utilization observations.
 	Resource string
-	// Utilization is the diagnosed tier's mean utilization percent on the
-	// diagnosed resource.
-	Utilization float64
 	// Saturated reports whether the tier crossed the saturation
 	// threshold.
 	Saturated bool
@@ -129,17 +126,17 @@ func Detect(r store.Result, th Thresholds) Verdict {
 	switch {
 	case top.util >= th.SaturationCPU:
 		return Verdict{
-			Tier: top.tier, Resource: top.res, Utilization: top.util, Saturated: true,
+			Tier: top.tier, Resource: top.res, Saturated: true,
 			Reason: fmt.Sprintf("%s tier %s at %.1f%% (saturated)", top.tier, label, top.util),
 		}
 	case top.util >= th.NearSaturationCPU:
 		return Verdict{
-			Tier: top.tier, Resource: top.res, Utilization: top.util, Saturated: false,
+			Tier: top.tier, Resource: top.res, Saturated: false,
 			Reason: fmt.Sprintf("%s tier %s at %.1f%% (approaching saturation)", top.tier, label, top.util),
 		}
 	default:
 		return Verdict{
-			Tier: "none", Resource: top.res, Utilization: top.util,
+			Tier: "none", Resource: top.res,
 			Reason: fmt.Sprintf("highest tier %s is %s at %.1f%%; system unsaturated", label, top.tier, top.util),
 		}
 	}

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -10,10 +11,9 @@ import (
 )
 
 // Report renders the campaign's tables once it is done: the paper's
-// throughput grid per (experiment, write ratio), plus the availability,
-// engine-provenance, SLO-verdict, and autoscaling tables for every
-// experiment whose results carry the corresponding observations — the
-// same conditional rendering the elba CLI performs after a run.
+// throughput grid per (experiment, write ratio), plus the conditional
+// tables of report.PostRunTables for every experiment whose results carry
+// their observations — the list the elba CLI renders after a run.
 func (c *Campaign) Report() (string, error) {
 	st, err := c.Results()
 	if err != nil {
@@ -36,33 +36,14 @@ func (c *Campaign) Report() (string, error) {
 			fmt.Fprintf(&b, "experiment %q, write ratio %g%%\n", name, wr)
 			b.WriteString(report.Table7Throughput(st, name, wr, topologies, loads))
 		}
-		if anyResult(results, func(r store.Result) bool { return r.FaultProfile != "" }) {
-			b.WriteString("\n")
-			b.WriteString(report.TableAvailability(st, name))
-		}
-		if anyResult(results, func(r store.Result) bool { return r.Engine != "" }) {
-			b.WriteString("\n")
-			b.WriteString(report.TableEngineSummary(st, name))
-		}
-		if anyResult(results, func(r store.Result) bool { return r.SLOAssert != "" }) {
-			b.WriteString("\n")
-			b.WriteString(report.TableSLO(st, name))
-		}
-		if anyResult(results, func(r store.Result) bool { return len(r.ScaleEvents) > 0 }) {
-			b.WriteString("\n")
-			b.WriteString(report.TableScaling(st, name))
+		for _, t := range report.PostRunTables {
+			if slices.ContainsFunc(results, t.Has) {
+				b.WriteString("\n")
+				b.WriteString(t.Render(st, name))
+			}
 		}
 	}
 	return b.String(), nil
-}
-
-func anyResult(rs []store.Result, pred func(store.Result) bool) bool {
-	for _, r := range rs {
-		if pred(r) {
-			return true
-		}
-	}
-	return false
 }
 
 func distinctInts(rs []store.Result, f func(store.Result) int) []int {

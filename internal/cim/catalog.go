@@ -189,10 +189,8 @@ type NodePool struct {
 
 // Platform is a typed view of an Elba_Platform instance with its pools.
 type Platform struct {
-	Name   string
-	OS     string
-	Kernel string
-	Pools  []NodePool
+	Name  string
+	Pools []NodePool
 }
 
 // SoftwarePackage is a typed view of an Elba_SoftwarePackage instance.
@@ -250,12 +248,7 @@ func CatalogFromRepository(repo *Repository) (*Catalog, error) {
 	}
 	for _, in := range repo.InstancesOf("Elba_Platform") {
 		name := in.GetString("Name")
-		c.Platforms = append(c.Platforms, Platform{
-			Name:   name,
-			OS:     in.GetString("OS"),
-			Kernel: in.GetString("KernelVersion"),
-			Pools:  pools[name],
-		})
+		c.Platforms = append(c.Platforms, Platform{Name: name, Pools: pools[name]})
 	}
 	for _, in := range repo.InstancesOf("Elba_SoftwarePackage") {
 		var benches []string

@@ -61,12 +61,10 @@ type Node struct {
 
 	owner     *Cluster
 	allocated bool
-	role      string
 
 	degradation float64 // effective-speed multiplier in (0, 1); 0 means full speed
 
 	services map[string]ServiceState
-	versions map[string]string
 	files    map[string]string
 }
 
@@ -149,12 +147,11 @@ func (n *Node) Allocated() bool { return n.allocated }
 func (n *Node) State(service string) ServiceState { return n.services[service] }
 
 // Install places a software package on the node.
-func (n *Node) Install(pkg, version string) error {
+func (n *Node) Install(pkg string) error {
 	if n.services[pkg] != Absent {
 		return fmt.Errorf("cluster: %s: %s already installed", n.name, pkg)
 	}
 	n.services[pkg] = Installed
-	n.versions[pkg] = version
 	return nil
 }
 
@@ -210,10 +207,8 @@ func (n *Node) ReadFile(path string) (string, bool) {
 // operator, who fixes it before the next allocation.
 func (n *Node) reset() {
 	n.allocated = false
-	n.role = ""
 	n.degradation = 0
 	clear(n.services)
-	clear(n.versions)
 	clear(n.files)
 }
 
@@ -243,17 +238,15 @@ func New(platform cim.Platform) (*Cluster, error) {
 // Size reports the total number of nodes.
 func (c *Cluster) Size() int { return c.size }
 
-// Allocate reserves the first free node of the given type ("" = any) and
-// assigns it a role. Allocation order is deterministic (pool declaration
-// order, then index).
-func (c *Cluster) Allocate(nodeType, role string) (*Node, error) {
+// Allocate reserves the first free node of the given type ("" = any).
+// Allocation order is deterministic (pool declaration order, then index).
+func (c *Cluster) Allocate(nodeType string) (*Node, error) {
 	for i, pool := range c.platform.Pools {
 		if nodeType != "" && pool.NodeType != nodeType {
 			continue
 		}
 		if node := c.firstFree(i); node != nil {
 			node.allocated = true
-			node.role = role
 			return node, nil
 		}
 	}
@@ -282,7 +275,6 @@ func (c *Cluster) firstFree(i int) *Node {
 		pool:     pool,
 		owner:    c,
 		services: map[string]ServiceState{},
-		versions: map[string]string{},
 		files:    map[string]string{},
 	}
 	c.created[i] = append(c.created[i], node)

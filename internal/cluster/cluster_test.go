@@ -30,7 +30,7 @@ func emulab(t *testing.T) *Cluster {
 // there is none.
 func allocate(t *testing.T, c *Cluster, nodeType string) *Node {
 	t.Helper()
-	n, err := c.Allocate(nodeType, "R")
+	n, err := c.Allocate(nodeType)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,16 +69,16 @@ func TestNodeSpeedScaling(t *testing.T) {
 	}
 }
 
-func TestAllocateByTypeAndRole(t *testing.T) {
+func TestAllocateByType(t *testing.T) {
 	c := emulab(t)
-	db, err := c.Allocate("low-end", "DB1")
+	db, err := c.Allocate("low-end")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.Pool().NodeType != "low-end" || db.role != "DB1" || !db.Allocated() {
+	if db.Pool().NodeType != "low-end" || !db.Allocated() {
 		t.Fatalf("allocation wrong: %+v", db)
 	}
-	app, err := c.Allocate("high-end", "APP1")
+	app, err := c.Allocate("high-end")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,22 +101,22 @@ func TestAllocateExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 56; i++ {
-		if _, err := c.Allocate("", "N"); err != nil {
+		if _, err := c.Allocate(""); err != nil {
 			t.Fatalf("allocation %d failed: %v", i, err)
 		}
 	}
-	if _, err := c.Allocate("", "N"); err == nil {
+	if _, err := c.Allocate(""); err == nil {
 		t.Fatalf("57th allocation on 56-node Warp should fail")
 	}
-	if _, err := c.Allocate("hyper-end", "N"); err == nil {
+	if _, err := c.Allocate("hyper-end"); err == nil {
 		t.Fatalf("unknown node type should fail")
 	}
 }
 
 func TestAllocationDeterminism(t *testing.T) {
 	a, b := emulab(t), emulab(t)
-	n1, _ := a.Allocate("high-end", "X")
-	n2, _ := b.Allocate("high-end", "X")
+	n1, _ := a.Allocate("high-end")
+	n2, _ := b.Allocate("high-end")
 	if n1.Name() != n2.Name() {
 		t.Fatalf("allocation order not deterministic: %s vs %s", n1.Name(), n2.Name())
 	}
@@ -124,7 +124,7 @@ func TestAllocationDeterminism(t *testing.T) {
 
 func TestServiceLifecycle(t *testing.T) {
 	c := emulab(t)
-	n, _ := c.Allocate("high-end", "APP1")
+	n, _ := c.Allocate("high-end")
 
 	if err := n.Configure("tomcat"); err == nil {
 		t.Fatalf("configure before install should fail")
@@ -132,10 +132,10 @@ func TestServiceLifecycle(t *testing.T) {
 	if err := n.Start("tomcat"); err == nil {
 		t.Fatalf("start before install should fail")
 	}
-	if err := n.Install("tomcat", "5.5"); err != nil {
+	if err := n.Install("tomcat"); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Install("tomcat", "5.5"); err == nil {
+	if err := n.Install("tomcat"); err == nil {
 		t.Fatalf("double install should fail")
 	}
 	if err := n.Start("tomcat"); err == nil {
@@ -169,14 +169,11 @@ func TestServiceLifecycle(t *testing.T) {
 	if got := n.Running(); len(got) != 1 || got[0] != "tomcat" {
 		t.Fatalf("running = %v", got)
 	}
-	if n.versions["tomcat"] != "5.5" {
-		t.Fatalf("version = %q", n.versions["tomcat"])
-	}
 }
 
 func TestNodeFiles(t *testing.T) {
 	c := emulab(t)
-	n, _ := c.Allocate("high-end", "WEB1")
+	n, _ := c.Allocate("high-end")
 	n.WriteFile("/etc/apache/workers2.properties", "worker.list=app1")
 	content, ok := n.ReadFile("/etc/apache/workers2.properties")
 	if !ok || !strings.Contains(content, "app1") {
@@ -192,8 +189,8 @@ func TestNodeFiles(t *testing.T) {
 
 func TestReleaseWipesState(t *testing.T) {
 	c := emulab(t)
-	n, _ := c.Allocate("high-end", "APP1")
-	if err := n.Install("tomcat", "5.5"); err != nil {
+	n, _ := c.Allocate("high-end")
+	if err := n.Install("tomcat"); err != nil {
 		t.Fatal(err)
 	}
 	n.WriteFile("/tmp/x", "y")
@@ -234,7 +231,7 @@ func TestAllocationInvariantProperty(t *testing.T) {
 		for _, op := range ops {
 			if op%3 != 0 || len(held) == 0 {
 				types := []string{"low-end", "high-end", ""}
-				n, err := c.Allocate(types[int(op)%len(types)], "R")
+				n, err := c.Allocate(types[int(op)%len(types)])
 				if err == nil {
 					held = append(held, n)
 				}

@@ -37,7 +37,7 @@ func TestDegradeOutOfRangeRestores(t *testing.T) {
 
 func TestReleaseRestoresHealth(t *testing.T) {
 	c := emulab(t)
-	n, err := c.Allocate("high-end", "APP1")
+	n, err := c.Allocate("high-end")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,6 @@ func newEagerCluster(p cim.Platform) *eagerCluster {
 				name:     fmt.Sprintf("%s-%03d", pool.Name, i),
 				pool:     pool,
 				services: map[string]ServiceState{},
-				versions: map[string]string{},
 				files:    map[string]string{},
 			})
 		}
@@ -33,13 +32,12 @@ func newEagerCluster(p cim.Platform) *eagerCluster {
 	return e
 }
 
-func (e *eagerCluster) allocate(nodeType, role string) (*Node, error) {
+func (e *eagerCluster) allocate(nodeType string) (*Node, error) {
 	for _, n := range e.nodes {
 		if n.allocated || (nodeType != "" && n.pool.NodeType != nodeType) {
 			continue
 		}
 		n.allocated = true
-		n.role = role
 		return n, nil
 	}
 	if nodeType == "" {
@@ -55,7 +53,6 @@ func (e *eagerCluster) release(n *Node) {
 				name:     n.name,
 				pool:     n.pool,
 				services: map[string]ServiceState{},
-				versions: map[string]string{},
 				files:    map[string]string{},
 			}
 			return
@@ -76,7 +73,6 @@ func (e *eagerCluster) allocated() []*Node {
 // nodeView is what a caller can observe of an allocated node.
 type nodeView struct {
 	Name        string
-	Role        string
 	Degradation float64
 	Files       []string
 }
@@ -84,7 +80,7 @@ type nodeView struct {
 func views(nodes []*Node) []nodeView {
 	out := make([]nodeView, len(nodes))
 	for i, n := range nodes {
-		out[i] = nodeView{n.name, n.role, n.Degradation(), n.Files()}
+		out[i] = nodeView{n.name, n.Degradation(), n.Files()}
 	}
 	return out
 }
@@ -133,9 +129,8 @@ func TestOnDemandMatchesEagerCluster(t *testing.T) {
 			switch {
 			case op < allocShare || len(held) == 0:
 				nt := types[rng.Intn(len(types))]
-				role := fmt.Sprintf("R%d", step)
-				n, err := lazy.Allocate(nt, role)
-				rn, rerr := ref.allocate(nt, role)
+				n, err := lazy.Allocate(nt)
+				rn, rerr := ref.allocate(nt)
 				if errText(err) != errText(rerr) {
 					t.Fatalf("seed %d step %d: Allocate(%q) error %q, eager %q", seed, step, nt, errText(err), errText(rerr))
 				}

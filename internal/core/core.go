@@ -220,7 +220,7 @@ func (c *Characterizer) ScaleRows(figureOf func(set string) string) []report.Sca
 		if _, seen := scales[e.Name]; !seen {
 			order = append(order, e.Name)
 		}
-		scales[e.Name] = mulini.Scale(e, deployments)
+		scales[e.Name] = mulini.Scale(deployments)
 	}
 	var rows []report.ScaleRow
 	for _, name := range order {

@@ -80,7 +80,7 @@ func TestMVACrossValidation(t *testing.T) {
 				// model systematically over-predicts its utilization as
 				// load grows. A relative band catches demand-accounting
 				// drift without pinning that known modelling gap.
-				bt := pred.BottleneckTier
+				bt := busiestTier(pred)
 				AssertWithin(t, obs.TierCPU[bt], pred.TierUtilization[bt], 0.35,
 					"u=%d %s utilization (observed vs predicted)", users, bt)
 			}

@@ -21,10 +21,6 @@ type Prediction struct {
 	Throughput float64
 	// TierUtilization maps tier → predicted utilization percent.
 	TierUtilization map[string]float64
-	// BottleneckTier is the asymptotic bottleneck ("web", "app", "db").
-	BottleneckTier string
-	// SaturationUsers is the asymptotic knee population N*.
-	SaturationUsers float64
 }
 
 // Predict solves the exact MVA model of one experiment configuration.
@@ -53,18 +49,13 @@ func (c *Characterizer) Predict(e *spec.Experiment, topo spec.Topology, writeRat
 	if err != nil {
 		return Prediction{}, err
 	}
-	tiers := []string{"web", "app", "db"}
 	p := Prediction{
 		ResponseTimeMS:  r.ResponseTime * 1000,
 		Throughput:      r.Throughput,
 		TierUtilization: map[string]float64{},
-		SaturationUsers: nw.SaturationPopulation(),
 	}
-	for i, tier := range tiers {
+	for i, tier := range []string{"web", "app", "db"} {
 		p.TierUtilization[tier] = r.Utilization[i] * 100
-	}
-	if b := nw.BottleneckStation(); b >= 0 && b < len(tiers) {
-		p.BottleneckTier = tiers[b]
 	}
 	return p, nil
 }

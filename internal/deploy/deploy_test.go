@@ -120,32 +120,31 @@ func TestDeployTwiceReusesCluster(t *testing.T) {
 	}
 }
 
-func TestEngineAuditTrail(t *testing.T) {
+// TestEngineAppliesEveryVerb executes a generated 1-1-1 bundle and checks
+// each elbactl verb's effect on the cluster: four roles allocated, every
+// node's monitor installed, configured and started, and configuration
+// files pushed.
+func TestEngineAppliesEveryVerb(t *testing.T) {
 	c, d := testSetup(t, "1-1-1")
 	eng := NewEngine(c)
 	if err := eng.Execute(d.Bundle, "run.sh"); err != nil {
 		t.Fatal(err)
 	}
-	audit := eng.audit
-	if len(audit) == 0 {
-		t.Fatalf("no actions recorded")
+	// 4 allocations (web, app, db, client).
+	if len(eng.roles) != 4 || len(c.Allocated()) != 4 {
+		t.Fatalf("roles = %d, allocated nodes = %d, want 4", len(eng.roles), len(c.Allocated()))
 	}
-	verbs := map[string]int{}
-	for _, a := range audit {
-		verbs[a.Verb]++
-		if a.Script == "" || a.Line == 0 {
-			t.Fatalf("action missing provenance: %+v", a)
+	web, ok := eng.Node("APACHE1")
+	if !ok {
+		t.Fatalf("APACHE1 not bound")
+	}
+	for role, n := range eng.roles {
+		if n.State("sysstat") != cluster.Running {
+			t.Errorf("%s: sysstat %s, want running", role, n.State("sysstat"))
 		}
 	}
-	// 4 allocations (web, app, db, client).
-	if verbs["allocate"] != 4 {
-		t.Errorf("allocations = %d", verbs["allocate"])
-	}
-	if verbs["install"] == 0 || verbs["configure"] == 0 || verbs["start"] == 0 || verbs["push"] == 0 {
-		t.Errorf("verb coverage wrong: %v", verbs)
-	}
-	if got := eng.Roles(); len(got) != 4 || got[0] != "APACHE1" {
-		t.Errorf("roles = %v", got)
+	if _, ok := web.ReadFile("/etc/httpd/conf/workers2.properties"); !ok {
+		t.Errorf("workers2.properties not pushed to the web node")
 	}
 }
 
@@ -236,19 +235,6 @@ func (p *Placement) TierNodes(tier string) []*cluster.Node {
 	for _, role := range p.Deployment.Roles(tier) {
 		if n, ok := p.Nodes[role]; ok {
 			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// Roles lists bound roles in allocation order via the audit trail.
-func (e *Engine) Roles() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, a := range e.audit {
-		if a.Verb == "allocate" && !seen[a.Role] {
-			seen[a.Role] = true
-			out = append(out, a.Role)
 		}
 	}
 	return out

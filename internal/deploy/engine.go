@@ -18,19 +18,6 @@ import (
 	"elba/internal/mulini"
 )
 
-// Action records one executed elbactl command for audit and tests.
-type Action struct {
-	// Verb is the elbactl verb.
-	Verb string
-	// Role is the deployment role acted on.
-	Role string
-	// Arg carries the verb's object: package, service, or file path.
-	Arg string
-	// Script and Line locate the command in the generated bundle.
-	Script string
-	Line   int
-}
-
 // RetryPolicy bounds the engine's per-step retry behaviour. The zero
 // policy keeps the historical pure set -e semantics: one attempt per
 // step, the first failure aborts.
@@ -64,7 +51,6 @@ var errTransient = errors.New("transient failure injected (step timed out)")
 type Engine struct {
 	cluster  *cluster.Cluster
 	roles    map[string]*cluster.Node
-	audit    []Action
 	maxDepth int
 
 	policy  RetryPolicy
@@ -140,8 +126,7 @@ func (e *Engine) executeScript(b *mulini.Bundle, path string, depth int) error {
 // lines fail immediately; well-formed steps run under the engine's retry
 // policy, with injected transient failures consuming attempts before the
 // verb executes (the model is an ssh or mirror timeout: the command never
-// ran, so retrying is safe). Audit entries are recorded only for steps
-// that succeed.
+// ran, so retrying is safe).
 func (e *Engine) execElbactl(b *mulini.Bundle, line, script string, lineNo int) error {
 	words, err := splitWords(line)
 	if err != nil {
@@ -174,13 +159,8 @@ func (e *Engine) execElbactl(b *mulini.Bundle, line, script string, lineNo int) 
 		var stepErr error
 		if attempt <= glitches {
 			stepErr = errTransient
-		} else {
-			var arg string
-			arg, stepErr = e.applyVerb(b, verb, role, flags)
-			if stepErr == nil {
-				e.audit = append(e.audit, Action{Verb: verb, Role: role, Arg: arg, Script: script, Line: lineNo})
-				return nil
-			}
+		} else if stepErr = e.applyVerb(b, verb, role, flags); stepErr == nil {
+			return nil
 		}
 		if attempt >= attempts {
 			return fmt.Errorf("deploy: step %d (%s --role %s on %s) failed after %d attempt(s): %w",
@@ -201,71 +181,71 @@ func (e *Engine) nodeName(role string) string {
 	return "unbound"
 }
 
-// applyVerb performs one elbactl verb and returns the audit argument.
-func (e *Engine) applyVerb(b *mulini.Bundle, verb, role string, flags map[string]string) (string, error) {
+// applyVerb performs one elbactl verb.
+func (e *Engine) applyVerb(b *mulini.Bundle, verb, role string, flags map[string]string) error {
 	switch verb {
 	case "allocate":
 		if _, dup := e.roles[role]; dup {
-			return "", fmt.Errorf("deploy: role %s already allocated", role)
+			return fmt.Errorf("deploy: role %s already allocated", role)
 		}
-		node, err := e.cluster.Allocate(flags["type"], role)
+		node, err := e.cluster.Allocate(flags["type"])
 		if err != nil {
-			return "", err
+			return err
 		}
 		e.roles[role] = node
-		return flags["type"], nil
+		return nil
 	case "release":
 		node, ok := e.roles[role]
 		if !ok {
-			return "", fmt.Errorf("deploy: release of unbound role %s", role)
+			return fmt.Errorf("deploy: release of unbound role %s", role)
 		}
 		e.cluster.Release(node)
 		delete(e.roles, role)
-		return "", nil
+		return nil
 	}
 
 	node, ok := e.roles[role]
 	if !ok {
-		return "", fmt.Errorf("deploy: role %s not allocated before %s", role, verb)
+		return fmt.Errorf("deploy: role %s not allocated before %s", role, verb)
 	}
 	switch verb {
 	case "install":
 		pkg := flags["package"]
 		if pkg == "" {
-			return "", fmt.Errorf("deploy: install requires --package")
+			return fmt.Errorf("deploy: install requires --package")
 		}
-		return pkg, node.Install(pkg, flags["version"])
+		return node.Install(pkg)
 	case "configure":
 		pkg := flags["package"]
 		if pkg == "" {
-			return "", fmt.Errorf("deploy: configure requires --package")
+			return fmt.Errorf("deploy: configure requires --package")
 		}
-		return pkg, node.Configure(pkg)
+		return node.Configure(pkg)
 	case "push":
 		dest, artifact := flags["file"], flags["artifact"]
 		if dest == "" || artifact == "" {
-			return "", fmt.Errorf("deploy: push requires --file and --artifact")
+			return fmt.Errorf("deploy: push requires --file and --artifact")
 		}
 		src, ok := b.Get(artifact)
 		if !ok {
-			return "", fmt.Errorf("deploy: push references missing artifact %q", artifact)
+			return fmt.Errorf("deploy: push references missing artifact %q", artifact)
 		}
 		node.WriteFile(dest, src.Content)
-		return dest, nil
+		return nil
 	case "start":
 		svc := flags["service"]
 		if svc == "" {
-			return "", fmt.Errorf("deploy: start requires --service")
+			return fmt.Errorf("deploy: start requires --service")
 		}
-		return svc, node.Start(svc)
+		return node.Start(svc)
 	case "stop":
 		svc := flags["service"]
 		if svc == "" {
-			return "", fmt.Errorf("deploy: stop requires --service")
+			return fmt.Errorf("deploy: stop requires --service")
 		}
-		return svc, node.Stop(svc)
+		return node.Stop(svc)
 	default:
-		return "", fmt.Errorf("deploy: unknown elbactl verb %q", verb)
+		return fmt.Errorf("deploy: unknown elbactl verb %q", verb)
 	}
 }
 

@@ -21,8 +21,7 @@ import (
 // desEngine is the exact discrete-event engine: one Markov emulator per
 // user session driving a queueing network built from the deployed nodes.
 // Beyond the shared seam it alone has accounting reset at the end of
-// warm-up, fault windows, request traces, response-time sketches and the
-// live RT observer.
+// warm-up, fault windows, request traces and response-time sketches.
 type desEngine struct {
 	k         *sim.Kernel
 	e         *spec.Experiment
@@ -33,7 +32,7 @@ type desEngine struct {
 
 	tracer    *trace.Collector
 	exemplars int
-	sketch    *metrics.TDigest
+	sketchRT  bool
 
 	seen int       // successes already folded into earlier windows
 	rts  []float64 // window scratch, reused across windows
@@ -51,16 +50,16 @@ type desEngine struct {
 	serial [expr.NumTiers]int
 }
 
-// newDESEngine builds the queueing network and the client driver, taps
-// the response-time stream, schedules the clock-driven faults, sizes the
-// spare pools and starts the sessions.
+// newDESEngine builds the queueing network and the client driver,
+// schedules the clock-driven faults, sizes the spare pools and starts the
+// sessions.
 func newDESEngine(pl trialPlan) (engine, error) {
 	e, d, cfg, k := pl.e, pl.d, pl.cfg, pl.k
 	nt, stationOf, err := buildNTier(k, e, d, pl.p)
 	if err != nil {
 		return nil, err
 	}
-	de := &desEngine{k: k, e: e, nt: nt, stationOf: stationOf, users: cfg.Users}
+	de := &desEngine{k: k, e: e, nt: nt, stationOf: stationOf, users: cfg.Users, sketchRT: cfg.SketchRT}
 	de.driver = sim.NewDriver(k, nt, pl.model, sim.DriverConfig{
 		Users:       cfg.Users,
 		Timeout:     e.Workload.TimeoutSec,
@@ -76,28 +75,6 @@ func newDESEngine(pl trialPlan) (engine, error) {
 		de.tracer = trace.NewCollector(trace.SeedFor(pl.seed), cfg.TraceRate)
 		de.exemplars = cfg.TraceExemplars
 		de.driver.SetTracer(de.tracer)
-	}
-
-	// Response-time tap: a per-trial sketch (milliseconds, to match the
-	// stored percentile fields) and/or the caller's live observer. The tap
-	// sees exactly the measurement stream in completion order, which is a
-	// pure function of the trial seed — so the sketch is byte-reproducible
-	// for any worker count.
-	if cfg.SketchRT || cfg.RTObserver != nil {
-		var obs metrics.MultiObserver
-		if cfg.SketchRT {
-			sk := metrics.NewTDigest(metrics.DefaultTDigestCompression)
-			de.sketch = sk
-			obs = append(obs, metrics.ObserverFunc(func(rt float64) { sk.Observe(rt * 1000) }))
-		}
-		if cfg.RTObserver != nil {
-			obs = append(obs, cfg.RTObserver)
-		}
-		if len(obs) == 1 {
-			de.driver.SetRTObserver(obs[0])
-		} else {
-			de.driver.SetRTObserver(obs)
-		}
 	}
 
 	// Schedule fault injection: outages are specified relative to the run
@@ -307,7 +284,7 @@ func (de *desEngine) addOne(ti int) bool {
 	}
 	name := tierNames[ti]
 	role := fmt.Sprintf("%s-scale-%d", name, de.serial[ti]+1)
-	node, err := cl.Allocate("", role)
+	node, err := cl.Allocate("")
 	if err != nil {
 		return false
 	}
@@ -358,6 +335,19 @@ func (de *desEngine) fill(res store.Result) store.Result {
 	rts := de.driver.ResponseTimes()
 	res.Requests = int64(rts.Count())
 	res.Errors = de.driver.Errors()
+	// The sketch (milliseconds, to match the stored percentile fields)
+	// folds the success sample in completion order, which is a pure
+	// function of the trial seed, so it is byte-reproducible for any
+	// worker count. It must fold before the percentiles below reorder the
+	// sample.
+	if de.sketchRT && rts.Count() > 0 {
+		sk := metrics.NewTDigest(metrics.DefaultTDigestCompression)
+		for _, rt := range rts.Since(0) {
+			sk.Observe(rt * 1000)
+		}
+		sk.Compress()
+		res.RTSketch = sk
+	}
 	if rts.Count() > 0 {
 		res.AvgRTms = rts.Mean() * 1000
 		res.P50ms = rts.Percentile(50) * 1000
@@ -372,10 +362,6 @@ func (de *desEngine) fill(res store.Result) store.Result {
 		}
 	}
 	res.InjectedErrors = de.driver.InjectedErrors()
-	if de.sketch != nil && de.sketch.Count() > 0 {
-		de.sketch.Compress()
-		res.RTSketch = de.sketch
-	}
 	if de.tracer != nil {
 		res.Trace = trace.BuildReport(de.tracer, de.exemplars)
 	}
@@ -491,11 +477,11 @@ func newStation(k *sim.Kernel, role string, node *cluster.Node, td spec.Resource
 		if ds <= 0 {
 			ds = node.DiskSpeed()
 		}
-		st.AttachDisk(sim.NewResource(k, role+"/disk", ds))
+		st.AttachDisk(sim.NewStation(k, sim.StationConfig{Name: role + "/disk", Servers: 1, Speed: ds, Deterministic: true}))
 	}
 	if td.NetBytes > 0 {
 		if bps := node.NetBytesPerSec(); bps > 0 {
-			st.AttachNet(sim.NewResource(k, role+"/net", bps))
+			st.AttachNet(sim.NewStation(k, sim.StationConfig{Name: role + "/net", Servers: 1, Speed: bps, Deterministic: true}))
 		}
 	}
 	return st

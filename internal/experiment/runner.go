@@ -13,7 +13,6 @@ import (
 	"elba/internal/cluster"
 	"elba/internal/deploy"
 	"elba/internal/fault"
-	"elba/internal/metrics"
 	"elba/internal/mulini"
 	"elba/internal/spec"
 	"elba/internal/store"
@@ -83,12 +82,6 @@ type Runner struct {
 	// trial's stored result (Result.RTSketch). Off by default: sketch-free
 	// results serialize byte-identically to historical output.
 	SketchRT bool
-	// OnRTSample, when set, observes every measured successful response
-	// time of every DES trial (seconds, completion order), tagged with
-	// the trial's grid key. It may fire from multiple goroutines when
-	// Parallel or TrialParallel exceed 1; workload points served from
-	// the trial cache run no simulation and never fire it.
-	OnRTSample func(k store.Key, rt float64)
 	// ScalingEngine, when non-empty, overrides the experiment's scaling
 	// clause: "des", "fluid", or "auto" (with ScalingThreshold).
 	ScalingEngine string
@@ -202,17 +195,6 @@ func (r *Runner) RunExperimentContext(ctx context.Context, e *spec.Experiment) e
 		return errs[i] != nil && ctx.Err() != nil
 	}, func(int) {})
 	return errors.Join(errs...)
-}
-
-// rtObserverFor adapts the runner's OnRTSample hook to a per-trial
-// observer carrying the grid key. Nil hook (the default) yields a nil
-// observer, leaving the trial's tap wiring entirely untouched.
-func (r *Runner) rtObserverFor(experiment, topo string, users int, wr float64) metrics.Observer {
-	if r.OnRTSample == nil {
-		return nil
-	}
-	k := store.Key{Experiment: experiment, Topology: topo, Users: users, WriteRatioPct: wr}
-	return metrics.ObserverFunc(func(rt float64) { r.OnRTSample(k, rt) })
 }
 
 // profileFor resolves the fault profile for an experiment: the runner's
@@ -464,8 +446,8 @@ func ordered(n, workers int, work func(i int) (stop bool), commit func(i int)) {
 }
 
 // trialConfig builds the TrialConfig of one workload point on dep: the
-// runner's knobs and shared workload models plus the point's engine, RT
-// observer and fault plan.
+// runner's knobs and shared workload models plus the point's engine and
+// fault plan.
 func (r *Runner) trialConfig(dep *deployed, users int, writeRatioPct float64) TrialConfig {
 	e, prof := dep.e, dep.prof
 	topo := dep.d.Topology.String()
@@ -478,7 +460,6 @@ func (r *Runner) trialConfig(dep *deployed, users int, writeRatioPct float64) Tr
 		TraceRate:      r.TraceRate,
 		TraceExemplars: r.TraceExemplars,
 		SketchRT:       r.SketchRT,
-		RTObserver:     r.rtObserverFor(e.Name, topo, users, writeRatioPct),
 		models:         &r.models,
 	}
 	if prof.Enabled() {

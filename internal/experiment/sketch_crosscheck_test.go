@@ -3,28 +3,70 @@ package experiment
 import (
 	"math"
 	"os"
-	"sync"
 	"testing"
 
 	"elba/internal/metrics"
+	"elba/internal/sim"
 	"elba/internal/spec"
 	"elba/internal/store"
 )
 
-// rtTap accumulates one trial's measured response-time stream two ways:
-// exact order statistics and an independently-built t-digest.
-type rtTap struct {
-	sample *metrics.Sample
-	digest *metrics.TDigest
+// desSample re-runs the DES trial behind res on the engine seam, with
+// RunTrial's protocol up to the end of the measured run, and returns the
+// engine's success sample in completion order (milliseconds) and the
+// request statistics the engine fills from it. The monitor and the
+// cool-down, which RunTrial adds, draw nothing from the trial's random
+// streams and record nothing after the run, so the sample is the one the
+// stored result was built from; the caller checks that against the
+// stored percentiles.
+func desSample(t *testing.T, r *Runner, e *spec.Experiment, res store.Result) ([]float64, store.Result) {
+	t.Helper()
+	var sample []float64
+	var filled store.Result
+	for _, topo := range e.AllTopologies() {
+		if topo.String() != res.Key.Topology {
+			continue
+		}
+		err := r.withDeployment(e, topo, "", func(dep *deployed) error {
+			pl, err := planTrial(dep.e, dep.d, dep.placement, r.trialConfig(dep, res.Key.Users, res.Key.WriteRatioPct))
+			if err != nil {
+				return err
+			}
+			warm, run := e.Trial.WarmupSec*pl.ts, e.Trial.RunSec*pl.ts
+			pl.warm, pl.rampUp = warm, min(warm/2, 10)
+			k := sim.NewKernel(pl.seed)
+			defer k.Release()
+			eng, err := pl.newEngine(k)
+			if err != nil {
+				return err
+			}
+			de := eng.(*desEngine)
+			de.advance(warm)
+			de.measure(true)
+			de.advance(warm + run)
+			de.measure(false)
+			for _, rt := range de.driver.ResponseTimes().Since(0) {
+				sample = append(sample, rt*1000)
+			}
+			filled = de.fill(store.Result{})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sample == nil {
+		t.Fatalf("%v: no DES sample", res.Key)
+	}
+	return sample, filled
 }
 
 // TestSketchCrosscheckRubbosBaseline folds the real per-request RT
-// streams of the paper's RUBBoS baseline spec and cross-checks every
-// estimator against the exact sample at p50/p90/p99:
+// streams of the paper's RUBBoS baseline spec and cross-checks the stored
+// sketch against the exact sample at p50/p90/p99:
 //
-//   - the stored Result.RTSketch must equal an independently-built
-//     digest fed the same stream — the tap is the measurement, not a
-//     shadow of it;
+//   - the stored Result.RTSketch must equal a digest fed the engine's
+//     success sample in completion order, and fold every value of it;
 //   - the digest must land inside the exact sample's rank-error window
 //     ε(q) = max(4·sqrt(q(1−q)), ½)/δ.
 func TestSketchCrosscheckRubbosBaseline(t *testing.T) {
@@ -37,26 +79,8 @@ func TestSketchCrosscheckRubbosBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var mu sync.Mutex
-	taps := map[store.Key]*rtTap{}
 	r := testRunner(t)
 	r.SketchRT = true
-	r.OnRTSample = func(k store.Key, rt float64) {
-		mu.Lock()
-		defer mu.Unlock()
-		tp := taps[k]
-		if tp == nil {
-			tp = &rtTap{
-				sample: metrics.NewSample(4096),
-				digest: metrics.NewTDigest(metrics.DefaultTDigestCompression),
-			}
-			taps[k] = tp
-		}
-		ms := rt * 1000
-		tp.sample.Observe(ms)
-		tp.digest.Observe(ms)
-	}
-
 	for _, e := range doc.Experiments {
 		// The full paper grid runs to 5000 users; two populations per
 		// experiment exercise the same code at test cost.
@@ -65,8 +89,9 @@ func TestSketchCrosscheckRubbosBaseline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(taps) == 0 {
-		t.Fatal("RT observer never fired")
+	byName := map[string]*spec.Experiment{}
+	for _, e := range doc.Experiments {
+		byName[e.Name] = e
 	}
 
 	// Value-space slack, in ms, for comparing the sketch with the stored
@@ -74,25 +99,35 @@ func TestSketchCrosscheckRubbosBaseline(t *testing.T) {
 	const slackMs = 5.0
 	checked := 0
 	for _, res := range r.results.All() {
-		tp := taps[res.Key]
-		if tp == nil || res.RTSketch == nil {
-			t.Fatalf("no tap or sketch for %v", res.Key)
+		if res.RTSketch == nil {
+			t.Fatalf("no sketch for %v", res.Key)
 		}
-		if got, want := res.RTSketch.Count(), uint64(tp.sample.Count()); got != want {
-			t.Fatalf("%v: sketch folded %d observations, tap saw %d", res.Key, got, want)
+		ms, filled := desSample(t, r, byName[res.Key.Experiment], res)
+		exact := metrics.NewSample(len(ms))
+		digest := metrics.NewTDigest(metrics.DefaultTDigestCompression)
+		for _, v := range ms {
+			exact.Observe(v)
+			digest.Observe(v)
 		}
-		tp.digest.Compress()
+		digest.Compress()
+		if got, want := res.RTSketch.Count(), uint64(exact.Count()); got != want {
+			t.Fatalf("%v: sketch folded %d observations, the sample holds %d", res.Key, got, want)
+		}
+		if filled.Requests != res.Requests || filled.P50ms != res.P50ms || filled.P99ms != res.P99ms {
+			t.Fatalf("%v: the re-run trial measured %d requests, p50 %g, p99 %g; stored %d, %g, %g",
+				res.Key, filled.Requests, filled.P50ms, filled.P99ms, res.Requests, res.P50ms, res.P99ms)
+		}
 		for _, q := range []float64{0.50, 0.90, 0.99} {
 			stored := res.RTSketch.Quantile(q)
-			if independent := tp.digest.Quantile(q); stored != independent {
-				t.Errorf("%v q=%g: stored sketch %g != independent digest %g — the tap diverged from the measurement",
+			if independent := digest.Quantile(q); stored != independent {
+				t.Errorf("%v q=%g: stored sketch %g != a digest of the engine's sample %g",
 					res.Key, q, stored, independent)
 			}
 			// Rank-error window: the digest's q-quantile must lie between
 			// the exact quantiles at q±ε.
 			eps := math.Max(4*math.Sqrt(q*(1-q)), 0.5) / float64(res.RTSketch.Compression())
-			lo := tp.sample.Quantile(math.Max(0, q-eps))
-			hi := tp.sample.Quantile(math.Min(1, q+eps))
+			lo := exact.Quantile(math.Max(0, q-eps))
+			hi := exact.Quantile(math.Min(1, q+eps))
 			if stored < lo || stored > hi {
 				t.Errorf("%v q=%g: sketch %g outside exact rank window [%g, %g] (ε=%g)",
 					res.Key, q, stored, lo, hi, eps)
@@ -110,8 +145,8 @@ func TestSketchCrosscheckRubbosBaseline(t *testing.T) {
 				continue
 			}
 			eps := math.Max(4*math.Sqrt(pair.q*(1-pair.q)), 0.5) / float64(res.RTSketch.Compression())
-			lo := tp.sample.Quantile(math.Max(0, pair.q-eps))
-			hi := tp.sample.Quantile(math.Min(1, pair.q+eps))
+			lo := exact.Quantile(math.Max(0, pair.q-eps))
+			hi := exact.Quantile(math.Min(1, pair.q+eps))
 			slack := (hi - lo) + slackMs
 			if d := math.Abs(res.RTSketch.Quantile(pair.q) - pair.column); d > slack {
 				t.Errorf("%v q=%g: sketch %g vs stored column %g differ by %g (> %g)",

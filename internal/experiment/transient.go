@@ -25,10 +25,8 @@ type PhaseResult struct {
 	P90ms   float64
 	// Throughput is successful requests/second during the phase.
 	Throughput float64
-	// Errors counts failed requests in the phase.
-	Errors int64
-	// AppCPU and DBCPU are the tiers' mean utilization percent.
-	AppCPU, DBCPU float64
+	// AppCPU is the app tier's mean utilization percent.
+	AppCPU float64
 }
 
 // RunTransientAt deploys a topology, drives it through a time-varying
@@ -86,12 +84,8 @@ func runTransientTrial(dep *deployed, cfg TrialConfig, schedule []PopulationPhas
 		end := eng.observe()
 		eng.measure(false)
 		res := eng.fill(store.Result{})
-		cpu := func(ti int) float64 {
-			busy := end.busy[ti][expr.ResCPU] - start.busy[ti][expr.ResCPU]
-			return busy / (dur * end.units[ti][expr.ResCPU]) * 100
-		}
-		out[i] = PhaseResult{Phase: ph, Errors: res.Errors,
-			AppCPU: cpu(expr.TierApp), DBCPU: cpu(expr.TierDB)}
+		busy := end.busy[expr.TierApp][expr.ResCPU] - start.busy[expr.TierApp][expr.ResCPU]
+		out[i] = PhaseResult{Phase: ph, AppCPU: busy / (dur * end.units[expr.TierApp][expr.ResCPU]) * 100}
 		if res.Requests > 0 {
 			out[i].AvgRTms, out[i].P90ms = res.AvgRTms, res.P90ms
 			out[i].Throughput = float64(res.Requests) / dur

@@ -8,7 +8,6 @@ import (
 	"elba/internal/deploy"
 	"elba/internal/expr"
 	"elba/internal/fault"
-	"elba/internal/metrics"
 	"elba/internal/monitor"
 	"elba/internal/mulini"
 	"elba/internal/sim"
@@ -72,17 +71,12 @@ type TrialConfig struct {
 	TraceExemplars int
 	// SketchRT, when true, folds the measured successful response times
 	// into a mergeable t-digest attached to the stored result
-	// (Result.RTSketch, milliseconds). The sketch taps exactly the stream
-	// the exact percentiles are computed from and never touches the
-	// trial's random streams, so every other field of the result is
-	// byte-identical with the knob off. The fluid engine has no
-	// per-request stream and records no sketch.
+	// (Result.RTSketch, milliseconds). The sketch folds exactly the sample
+	// the exact percentiles are computed from, in completion order, and
+	// never touches the trial's random streams, so every other field of
+	// the result is byte-identical with the knob off. The fluid engine has
+	// no per-request stream and records no sketch.
 	SketchRT bool
-	// RTObserver, when set, observes every measured successful response
-	// time (seconds, completion order) as the trial runs — the streaming
-	// path's live tap and the differential tests' window into real trial
-	// streams. Ignored by the fluid engine.
-	RTObserver metrics.Observer
 
 	// models, set by a Runner, supplies the workload model the runner's
 	// trials share; nil builds one for this trial.
@@ -102,12 +96,9 @@ func (cfg *TrialConfig) model(e *spec.Experiment) (*bench.Profile, error) {
 type TrialOutcome struct {
 	Result  store.Result
 	Monitor *monitor.Monitor
-	// RunWindow is the [start, end) simulated-time window of the
-	// measurement period, for windowed series queries.
-	RunWindow [2]float64
 	// FromCache marks a result served from the runner's trial cache: no
-	// simulation ran, so Monitor is nil and RunWindow is zero, but
-	// Result is byte-identical to what the trial would have measured.
+	// simulation ran, so Monitor is nil, but Result is byte-identical to
+	// what the trial would have measured.
 	FromCache bool
 }
 
@@ -250,7 +241,7 @@ func RunTrial(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement, cfg
 	if hooks != nil {
 		hooks.record(&res)
 	}
-	return &TrialOutcome{Result: res, Monitor: mon, RunWindow: [2]float64{runStart, runEnd}}, nil
+	return &TrialOutcome{Result: res, Monitor: mon}, nil
 }
 
 // planTrial resolves the set-up every trial protocol shares: cfg's

@@ -710,14 +710,12 @@ type ClassMean struct {
 // Stats is one measurement window's aggregate observation, mirroring what
 // the DES driver reports for the same window.
 type Stats struct {
-	DurationSec     float64
-	Requests        float64 // successful, in-deadline completions
-	Errors          float64 // rejections plus timeouts
-	TimeoutFraction float64
-	ThroughputRPS   float64
-	MeanRTms        float64
-	P50ms, P90ms    float64
-	P99ms, MaxRTms  float64
+	DurationSec    float64
+	Requests       float64 // successful, in-deadline completions
+	Errors         float64 // rejections plus timeouts
+	MeanRTms       float64
+	P50ms, P90ms   float64
+	P99ms, MaxRTms float64
 	// TierWaitSec is the window's mean queueing delay per tier (Little's
 	// law residence minus the no-wait service latency).
 	TierWaitSec [numTiers]float64
@@ -757,10 +755,8 @@ func (s *Solver) StatsBetween(a, b Snapshot) Stats {
 			timeoutFrac = 0
 		}
 	}
-	st.TimeoutFraction = timeoutFrac
 	st.Requests = comps * (1 - timeoutFrac)
 	st.Errors = rejected + comps*timeoutFrac
-	st.ThroughputRPS = st.Requests / st.DurationSec
 
 	sumW := 0.0
 	for _, w := range st.TierWaitSec {
@@ -903,9 +899,13 @@ func waitDist(m, shape float64) []float64 {
 // it, so a CDF evaluation calls math.Exp once per distinct rate. Each
 // branch then subtracts its αᵢ·e terms in stage order and clamps to
 // [0, 1]: the same float operations, in the same order, as evaluating the
-// branch on its own, and math.Exp is deterministic, so the result is
-// bit-identical to that. The solver owns one mixture and rebuilds it in
-// place, so rebuilding it allocates nothing once its buffers have grown.
+// branch on its own. math.Exp returns the same bits for the same input on
+// one CPU, so the result is bit-identical to the per-branch evaluation on
+// that CPU. Across CPUs the bits can differ (amd64 takes an FMA path in
+// math.Exp only where the CPU has FMA), so stored fluid bytes can too;
+// ROADMAP's host-independence item tracks that. The solver owns one
+// mixture and rebuilds it in place, so rebuilding it allocates nothing
+// once its buffers have grown.
 type mixture struct {
 	rates    []float64        // distinct stage rates
 	exps     [][lanes]float64 // e^(−rate·x) per table entry and lane, refilled by cdfs

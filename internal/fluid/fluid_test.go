@@ -57,7 +57,7 @@ func TestDeterminism(t *testing.T) {
 	}
 	a, b := mk(), mk()
 	for i := range a {
-		if a[i].Requests != b[i].Requests || a[i].ThroughputRPS != b[i].ThroughputRPS ||
+		if a[i].Requests != b[i].Requests ||
 			a[i].P50ms != b[i].P50ms || a[i].P99ms != b[i].P99ms ||
 			a[i].MeanRTms != b[i].MeanRTms || a[i].Errors != b[i].Errors {
 			t.Fatalf("window %d: runs diverge: %+v vs %+v", i, a[i], b[i])
@@ -71,10 +71,11 @@ func TestThroughputMonotone(t *testing.T) {
 	prev := -1.0
 	for _, n := range []int{1, 5, 25, 100, 250, 500, 1000, 2500, 5000, 20000} {
 		st := runWindow(t, testConfig(n), 120, 300)
-		if st.ThroughputRPS < prev-1e-9 {
-			t.Fatalf("X(%d) = %.4f < previous %.4f: throughput not monotone", n, st.ThroughputRPS, prev)
+		x := st.Requests / st.DurationSec
+		if x < prev-1e-9 {
+			t.Fatalf("X(%d) = %.4f < previous %.4f: throughput not monotone", n, x, prev)
 		}
-		prev = st.ThroughputRPS
+		prev = x
 	}
 }
 
@@ -93,8 +94,8 @@ func TestSubSaturationFixedPoint(t *testing.T) {
 		}
 		x = 100 / (cfg.ThinkSec + r)
 	}
-	if rel := math.Abs(st.ThroughputRPS-x) / x; rel > 0.005 {
-		t.Fatalf("X(100) = %.4f, fixed point predicts %.4f (rel %.4f)", st.ThroughputRPS, x, rel)
+	if got := st.Requests / st.DurationSec; math.Abs(got-x)/x > 0.005 {
+		t.Fatalf("X(100) = %.4f, fixed point predicts %.4f (rel %.4f)", got, x, math.Abs(got-x)/x)
 	}
 }
 
@@ -133,7 +134,7 @@ func TestSaturationCapacity(t *testing.T) {
 // window, with zeroed response statistics.
 func TestZeroPopulation(t *testing.T) {
 	st := runWindow(t, testConfig(0), 60, 300)
-	if st.Requests != 0 || st.Errors != 0 || st.ThroughputRPS != 0 {
+	if st.Requests != 0 || st.Errors != 0 {
 		t.Fatalf("zero population produced activity: %+v", st)
 	}
 	if st.P50ms != 0 || st.MeanRTms != 0 {
@@ -180,23 +181,28 @@ func TestRampUp(t *testing.T) {
 
 // TestTimeoutFraction: with a timeout far above any plausible response
 // time, no requests time out below saturation; deep overload with a tight
-// timeout converts completions into errors.
+// timeout converts completions into errors. The timed-out fraction is the
+// share of a window's completions it does not count as successes.
 func TestTimeoutFraction(t *testing.T) {
+	timedOut := func(cfg Config, warm, run float64) (float64, Stats) {
+		s, _ := New(cfg)
+		s.Advance(warm)
+		a := s.Snapshot()
+		s.Advance(warm + run)
+		b := s.Snapshot()
+		st := s.StatsBetween(a, b)
+		return 1 - st.Requests/(b.Done-a.Done), st
+	}
 	cfg := testConfig(100)
 	cfg.TimeoutSec = 30
-	st := runWindow(t, cfg, 120, 300)
-	if st.TimeoutFraction != 0 {
-		t.Fatalf("sub-knee timeout fraction = %g, want exactly 0", st.TimeoutFraction)
+	if f, _ := timedOut(cfg, 120, 300); f != 0 {
+		t.Fatalf("sub-knee timeout fraction = %g, want exactly 0", f)
 	}
 	over := testConfig(50000)
 	over.TimeoutSec = 5
-	s, _ := New(over)
-	s.Advance(2000)
-	a := s.Snapshot()
-	s.Advance(2300)
-	ost := s.StatsBetween(a, s.Snapshot())
-	if ost.TimeoutFraction < 0.98 {
-		t.Fatalf("deep overload with 5s timeout: fraction = %g, want ≈ 1", ost.TimeoutFraction)
+	f, ost := timedOut(over, 2000, 300)
+	if f < 0.98 {
+		t.Fatalf("deep overload with 5s timeout: fraction = %g, want ≈ 1", f)
 	}
 	if ost.Requests > ost.Errors {
 		t.Fatalf("deep overload should be error-dominated: %+v", ost)

@@ -378,18 +378,19 @@ func TestSolverWindowsMatchReference(t *testing.T) {
 				probs = append(probs, pWait[i])
 			}
 		}
-		if len(stages) == numTiers && st.TimeoutFraction > 0 {
-			overload++
-		} else if st.TimeoutFraction == 0 {
-			subKnee++
-		}
 		ref := refWindow(s.classes, stages, probs)
 		shift := s.detSvc
 		timeoutFrac := 1 - mixtureCDF(ref, s.cfg.TimeoutSec-shift)
 		if timeoutFrac < 1e-12 {
 			timeoutFrac = 0
 		}
-		same(win, "timeout fraction", st.TimeoutFraction, timeoutFrac)
+		if len(stages) == numTiers && timeoutFrac > 0 {
+			overload++
+		} else if timeoutFrac == 0 {
+			subKnee++
+		}
+		same(win, "requests", st.Requests, comps*(1-timeoutFrac))
+		same(win, "errors", st.Errors, snap.Rejected-prev.Rejected+comps*timeoutFrac)
 		same(win, "p50", st.P50ms, (shift+mixtureQuantile(ref, 0.50))*1000)
 		same(win, "p90", st.P90ms, (shift+mixtureQuantile(ref, 0.90))*1000)
 		same(win, "p99", st.P99ms, (shift+mixtureQuantile(ref, 0.99))*1000)

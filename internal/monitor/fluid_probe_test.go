@@ -8,7 +8,7 @@ import (
 	"elba/internal/sim"
 )
 
-// The fluid engine has no sim.Station or sim.Resource objects: its hosts
+// The fluid engine has no sim.Station objects: its hosts
 // expose cumulative busy-time and level functions instead. These tests
 // pin the Fn-based probe path — the same sysstat rows must come out, the
 // disk/net %util rows must appear exactly when a busy-time source is
@@ -91,7 +91,7 @@ func TestMonitorFluidFnProbes(t *testing.T) {
 // TestMonitorFluidUtilRowsGatedOnAttachment: a fluid host with no
 // declared disk or network demand attaches no busy-time source, and the
 // monitor must not emit %util rows for resources that do not exist —
-// matching the station path, where absent sim.Resources suppress rows.
+// matching the station path, where absent device stations suppress rows.
 func TestMonitorFluidUtilRowsGatedOnAttachment(t *testing.T) {
 	k := sim.NewKernel(1)
 	m, err := New(k, Config{IntervalSec: 5, Metrics: []string{"cpu", "network", "disk"}},

@@ -35,17 +35,17 @@ type Probe struct {
 	NetBytes func() float64
 	// DiskOps cumulatively counts disk operations (nil = none).
 	DiskOps func() float64
-	// Disk is the host's contended disk resource, when the experiment
+	// Disk is the host's contended disk device, when the experiment
 	// declares disk demands (nil = none). Its busy-time integral yields the
 	// %util column of the disk rows.
-	Disk *sim.Resource
+	Disk *sim.Station
 	// NetRes is the host's contended network link, when the experiment
 	// declares payload demands (nil = none).
-	NetRes *sim.Resource
+	NetRes *sim.Station
 
 	// Function-based counter sources, for engines that model hosts without
 	// sim stations (the fluid approximation). Each is the cumulative
-	// busy-time or level equivalent of the station/resource reading above
+	// busy-time or level equivalent of the station reading above
 	// and is consulted only when the corresponding object is nil.
 	//
 	// CPUBusyFn returns cumulative CPU busy-seconds for the host.

@@ -48,9 +48,6 @@ type Artifact struct {
 	Path string
 	// Kind classifies the artifact.
 	Kind ArtifactKind
-	// Role names the deployment role the artifact belongs to ("" for
-	// experiment-wide files such as run.sh).
-	Role string
 	// Comment is a one-line description, mirroring the paper's Tables 4–5.
 	Comment string
 	// Content is the file body.

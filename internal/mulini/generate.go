@@ -126,15 +126,12 @@ func (g *Generator) checkPlatformCapacity(e *spec.Experiment) error {
 // ScaleReport summarizes the generation scale of an experiment set, the
 // data behind the paper's Table 3 row for that set.
 type ScaleReport struct {
-	// Experiment names the set.
-	Experiment string
 	// Configurations counts the topologies generated.
 	Configurations int
 	// MachineCount sums machines across all configurations.
 	MachineCount int
-	// ScriptLines and ScriptFiles count generated executable code.
+	// ScriptLines counts generated executable code.
 	ScriptLines int
-	ScriptFiles int
 	// ConfigLines and ConfigFiles count the vendor configuration files
 	// Mulini creates or modifies.
 	ConfigLines int
@@ -142,15 +139,14 @@ type ScaleReport struct {
 }
 
 // Scale computes the scale report for a generated experiment set.
-func Scale(e *spec.Experiment, deployments []*Deployment) ScaleReport {
-	r := ScaleReport{Experiment: e.Name, Configurations: len(deployments)}
+func Scale(deployments []*Deployment) ScaleReport {
+	r := ScaleReport{Configurations: len(deployments)}
 	for _, d := range deployments {
 		r.MachineCount += d.MachineCount()
 		if d.Bundle == nil {
 			continue
 		}
 		r.ScriptLines += d.Bundle.TotalLines(Script)
-		r.ScriptFiles += len(d.Bundle.ByKind(Script))
 		r.ConfigLines += d.Bundle.TotalLines(Config) + d.Bundle.TotalLines(Data)
 		r.ConfigFiles += len(d.Bundle.ByKind(Config)) + len(d.Bundle.ByKind(Data))
 	}

@@ -264,7 +264,7 @@ func TestGenerateSweepProducesPerTopologyBundles(t *testing.T) {
 		t.Errorf("bigger topology should yield more artifacts: %d vs %d",
 			ds[0].Bundle.Len(), ds[2].Bundle.Len())
 	}
-	rep := Scale(e, ds)
+	rep := Scale(ds)
 	if rep.Configurations != 3 {
 		t.Errorf("scale configurations = %d", rep.Configurations)
 	}

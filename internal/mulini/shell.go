@@ -64,8 +64,8 @@ func (ShellBackend) Render(d *Deployment) (*Bundle, error) {
 	}
 	for _, a := range d.Assignments {
 		if err := add(Artifact{
-			Path: fmt.Sprintf("monitor_%s.properties", strings.ToLower(a.Role)),
-			Kind: Config, Role: a.Role,
+			Path:    fmt.Sprintf("monitor_%s.properties", strings.ToLower(a.Role)),
+			Kind:    Config,
 			Comment: fmt.Sprintf("Host-customized monitor configuration for %s", a.Role),
 			Content: renderHostMonitor(d, a),
 		}); err != nil {
@@ -74,7 +74,7 @@ func (ShellBackend) Render(d *Deployment) (*Bundle, error) {
 		switch a.Tier {
 		case "app":
 			if err := add(Artifact{
-				Path: a.Role + "_server.properties", Kind: Config, Role: a.Role,
+				Path: a.Role + "_server.properties", Kind: Config,
 				Comment: fmt.Sprintf("Configures %s application server", a.Role),
 				Content: renderAppServerConf(d, a),
 			}); err != nil {
@@ -82,7 +82,7 @@ func (ShellBackend) Render(d *Deployment) (*Bundle, error) {
 			}
 		case "db":
 			if err := add(Artifact{
-				Path: a.Role + "_my.cnf", Kind: Config, Role: a.Role,
+				Path: a.Role + "_my.cnf", Kind: Config,
 				Comment: fmt.Sprintf("Configures MySQL backend %s", a.Role),
 				Content: renderMySQLConf(d, a),
 			}); err != nil {
@@ -91,7 +91,7 @@ func (ShellBackend) Render(d *Deployment) (*Bundle, error) {
 		}
 	}
 	if err := add(Artifact{
-		Path: d.Experiment.Benchmark + "_client.properties", Kind: Data, Role: "CLIENT1",
+		Path: d.Experiment.Benchmark + "_client.properties", Kind: Data,
 		Comment: "Parameterizes the generated workload driver",
 		Content: renderDriverProperties(d),
 	}); err != nil {
@@ -156,7 +156,7 @@ func roleScripts(d *Deployment, a Assignment) []Artifact {
 	}
 	footer(&b)
 	out = append(out, Artifact{
-		Path: a.Role + "_install.sh", Kind: Script, Role: a.Role,
+		Path: a.Role + "_install.sh", Kind: Script,
 		Comment: fmt.Sprintf("Installs %s server #%d", pkgLabel(a), a.Index),
 		Content: b.String(),
 	})
@@ -173,7 +173,7 @@ func roleScripts(d *Deployment, a Assignment) []Artifact {
 	}
 	footer(&b)
 	out = append(out, Artifact{
-		Path: a.Role + "_configure.sh", Kind: Script, Role: a.Role,
+		Path: a.Role + "_configure.sh", Kind: Script,
 		Comment: fmt.Sprintf("Configures %s server #%d", pkgLabel(a), a.Index),
 		Content: b.String(),
 	})
@@ -186,7 +186,7 @@ func roleScripts(d *Deployment, a Assignment) []Artifact {
 	}
 	footer(&b)
 	out = append(out, Artifact{
-		Path: a.Role + "_ignition.sh", Kind: Script, Role: a.Role,
+		Path: a.Role + "_ignition.sh", Kind: Script,
 		Comment: fmt.Sprintf("Starts %s server #%d", pkgLabel(a), a.Index),
 		Content: b.String(),
 	})
@@ -199,7 +199,7 @@ func roleScripts(d *Deployment, a Assignment) []Artifact {
 	}
 	footer(&b)
 	out = append(out, Artifact{
-		Path: a.Role + "_stop.sh", Kind: Script, Role: a.Role,
+		Path: a.Role + "_stop.sh", Kind: Script,
 		Comment: fmt.Sprintf("Stops %s server #%d", pkgLabel(a), a.Index),
 		Content: b.String(),
 	})
@@ -213,7 +213,7 @@ func roleScripts(d *Deployment, a Assignment) []Artifact {
 	fmt.Fprintf(&b, "elbactl configure --role %s --package sysstat\n", a.Role)
 	footer(&b)
 	out = append(out, Artifact{
-		Path: "SYS_MON_" + a.Role + "_install.sh", Kind: Script, Role: a.Role,
+		Path: "SYS_MON_" + a.Role + "_install.sh", Kind: Script,
 		Comment: fmt.Sprintf("Installs system monitoring tools on %s", a.Role),
 		Content: b.String(),
 	})
@@ -223,7 +223,7 @@ func roleScripts(d *Deployment, a Assignment) []Artifact {
 	fmt.Fprintf(&b, "elbactl start --role %s --service sysstat\n", a.Role)
 	footer(&b)
 	out = append(out, Artifact{
-		Path: "SYS_MON_" + a.Role + "_ignition.sh", Kind: Script, Role: a.Role,
+		Path: "SYS_MON_" + a.Role + "_ignition.sh", Kind: Script,
 		Comment: fmt.Sprintf("Starts system monitoring tools on %s", a.Role),
 		Content: b.String(),
 	})

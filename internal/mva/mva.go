@@ -33,16 +33,11 @@ type Station struct {
 
 // Result is the MVA solution for one population size.
 type Result struct {
-	// Population is the number of customers (users).
-	Population int
 	// Throughput is the system throughput in customers/second.
 	Throughput float64
 	// ResponseTime is the mean end-to-end response time excluding think
 	// time, in seconds.
 	ResponseTime float64
-	// QueueLength holds the mean number of customers at each station,
-	// indexed like the input stations.
-	QueueLength []float64
 	// Utilization holds each station's utilization in [0, 1] (per
 	// server), indexed like the input stations.
 	Utilization []float64
@@ -104,15 +99,12 @@ func (nw *Network) SolveRange(n int) ([]Result, error) {
 		}
 		x := float64(pop) / (nw.think + total)
 		res := Result{
-			Population:   pop,
 			Throughput:   x,
 			ResponseTime: total,
-			QueueLength:  make([]float64, k),
 			Utilization:  make([]float64, k),
 		}
 		for i, s := range nw.stations {
 			queue[i] = x * resid[i]
-			res.QueueLength[i] = queue[i]
 			u := x * s.Demand / float64(s.Servers)
 			if u > 1 {
 				u = 1
@@ -122,35 +114,4 @@ func (nw *Network) SolveRange(n int) ([]Result, error) {
 		out = append(out, res)
 	}
 	return out, nil
-}
-
-// SaturationPopulation estimates the knee population N* = (Z + D) / D_max
-// from asymptotic bounds, where D is the total demand and D_max the
-// per-request demand of the slowest station (per server).
-func (nw *Network) SaturationPopulation() float64 {
-	var total, dmax float64
-	for _, s := range nw.stations {
-		total += s.Demand
-		eff := s.Demand / float64(s.Servers)
-		if eff > dmax {
-			dmax = eff
-		}
-	}
-	if dmax == 0 {
-		return math.Inf(1)
-	}
-	return (nw.think + total) / dmax
-}
-
-// BottleneckStation returns the index of the station with the highest
-// per-server demand (the asymptotic bottleneck).
-func (nw *Network) BottleneckStation() int {
-	best, bestEff := -1, -1.0
-	for i, s := range nw.stations {
-		eff := s.Demand / float64(s.Servers)
-		if eff > bestEff {
-			best, bestEff = i, eff
-		}
-	}
-	return best
 }

@@ -191,8 +191,8 @@ func TestFromProfileValidation(t *testing.T) {
 	}
 }
 
-// Property: utilizations stay in [0,1] and queue lengths sum to ≈ the
-// population minus thinkers.
+// Property: utilizations stay in [0,1] and, by Little's law, the
+// customers in service (X·R) sum to ≈ the population minus thinkers.
 func TestInvariantsProperty(t *testing.T) {
 	f := func(d1, d2 uint16, nRaw uint8) bool {
 		demand1 := 0.001 + float64(d1%1000)/10000
@@ -209,13 +209,12 @@ func TestInvariantsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var inService float64
-		for i, u := range r.Utilization {
+		for _, u := range r.Utilization {
 			if u < 0 || u > 1.0000001 {
 				return false
 			}
-			inService += r.QueueLength[i]
 		}
+		inService := r.Throughput * r.ResponseTime
 		thinkers := r.Throughput * 1.0
 		total := inService + thinkers
 		return math.Abs(total-float64(n)) < 1e-6
@@ -223,4 +222,35 @@ func TestInvariantsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// SaturationPopulation estimates the knee population N* = (Z + D) / D_max
+// from asymptotic bounds, where D is the total demand and D_max the
+// per-request demand of the slowest station (per server).
+func (nw *Network) SaturationPopulation() float64 {
+	var total, dmax float64
+	for _, s := range nw.stations {
+		total += s.Demand
+		eff := s.Demand / float64(s.Servers)
+		if eff > dmax {
+			dmax = eff
+		}
+	}
+	if dmax == 0 {
+		return math.Inf(1)
+	}
+	return (nw.think + total) / dmax
+}
+
+// BottleneckStation returns the index of the station with the highest
+// per-server demand (the asymptotic bottleneck).
+func (nw *Network) BottleneckStation() int {
+	best, bestEff := -1, -1.0
+	for i, s := range nw.stations {
+		eff := s.Demand / float64(s.Servers)
+		if eff > bestEff {
+			best, bestEff = i, eff
+		}
+	}
+	return best
 }

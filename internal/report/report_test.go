@@ -76,7 +76,7 @@ func TestTable3(t *testing.T) {
 		Set: "rubis-baseline", Figure: "Figure 1",
 		Scale: mulini.ScaleReport{
 			Configurations: 1, MachineCount: 4,
-			ScriptLines: 2500, ScriptFiles: 26,
+			ScriptLines: 2500,
 			ConfigLines: 150, ConfigFiles: 9,
 		},
 		CollectedBytes: 3 << 20,

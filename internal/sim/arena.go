@@ -20,18 +20,17 @@ type arena struct {
 	calls     stable[call]
 	freeCalls []*call
 
-	// queues and stations list the queue rings and stations built since
-	// clear, in creation order. rings and slots keep their storage
-	// between trials: the i-th queue built takes the i-th ring.
-	queues   []*fifo
-	rings    [][]pendingJob
+	// stations lists the stations built since clear, in creation order.
+	// stores keeps their storage between trials: the i-th station built
+	// takes the i-th store.
 	stations []*Station
-	slots    []slotStore
+	stores   []stationStore
 }
 
-// slotStore is a station's service slots and free-slot stack, kept
-// between trials.
-type slotStore struct {
+// stationStore is a station's queue ring, service slots and free-slot
+// stack, kept between trials.
+type stationStore struct {
+	ring  []pendingJob
 	slots []svcSlot
 	free  []int32
 }
@@ -69,26 +68,17 @@ func (a *arena) call() *call {
 	return c
 }
 
-// adoptQueue gives a new queue the ring of its creation order.
-func (a *arena) adoptQueue(q *fifo) {
-	if i := len(a.queues); i < len(a.rings) {
-		q.buf = a.rings[i]
-	}
-	a.queues = append(a.queues, q)
-}
-
 // adoptStation gives a new station the queue ring and service slots of
 // its creation order.
 func (a *arena) adoptStation(s *Station) {
-	if i := len(a.stations); i < len(a.slots) {
-		s.slots, s.free = a.slots[i].slots, a.slots[i].free
+	if i := len(a.stations); i < len(a.stores) {
+		s.queue.buf, s.slots, s.free = a.stores[i].ring, a.stores[i].slots, a.stores[i].free
 	}
 	a.stations = append(a.stations, s)
-	a.adoptQueue(&s.queue)
 }
 
-// clear takes back the storage the trial's driver, queues and stations
-// grew, empties it, and leaves them pointing at none of it.
+// clear takes back the storage the trial's driver and stations grew,
+// empties it, and leaves them pointing at none of it.
 func (a *arena) clear() {
 	if d := a.driver; d != nil {
 		clear(d.users)
@@ -101,23 +91,14 @@ func (a *arena) clear() {
 	clear(a.freeCalls)
 	a.freeCalls = a.freeCalls[:0]
 
-	for i, q := range a.queues {
-		if i == len(a.rings) {
-			a.rings = append(a.rings, nil)
-		}
-		clear(q.buf)
-		a.rings[i] = q.buf
-		*q = fifo{}
-	}
-	clear(a.queues)
-	a.queues = a.queues[:0]
 	for i, s := range a.stations {
-		if i == len(a.slots) {
-			a.slots = append(a.slots, slotStore{})
+		if i == len(a.stores) {
+			a.stores = append(a.stores, stationStore{})
 		}
+		clear(s.queue.buf)
 		clear(s.slots)
-		a.slots[i] = slotStore{slots: s.slots[:0], free: s.free[:0]}
-		s.slots, s.free = nil, nil
+		a.stores[i] = stationStore{ring: s.queue.buf, slots: s.slots[:0], free: s.free[:0]}
+		s.queue, s.slots, s.free = fifo{}, nil, nil
 	}
 	clear(a.stations)
 	a.stations = a.stations[:0]

@@ -27,14 +27,14 @@ type replayed struct {
 }
 
 // replayWorkload runs a small read/write workload with a disk leg on the
-// database replicas, so it queues on station rings, resource rings and
-// service slots, and broadcasts writes.
+// database replicas, so it queues on station and disk rings and service
+// slots, and broadcasts writes.
 func replayWorkload(k *Kernel) replayed {
-	nt := buildApp(k, 1, 2, 2, 0)
+	nt := buildApp(k, 1, 2, 2)
 	nt.Demands[2] = TierDemand{DiskSec: 0.002}
 	nt.DB.Demand = nt.Demands[2]
 	for _, st := range nt.DB.Replicas() {
-		st.AttachDisk(NewResource(k, "disk", 1))
+		st.AttachDisk(NewStation(k, StationConfig{Name: "disk", Servers: 1, Speed: 1, Deterministic: true}))
 	}
 	d := NewDriver(k, nt, mixModel{think: 0.02}, DriverConfig{Users: 40, RampUp: 0.2}, 11)
 	var out replayed
@@ -76,7 +76,7 @@ func TestResetKernelReplaysLikeFresh(t *testing.T) {
 	}
 
 	k := freshKernel(3)
-	nt := buildApp(k, 2, 3, 3, 0)
+	nt := buildApp(k, 2, 3, 3)
 	d := NewDriver(k, nt, mixModel{think: 0.01}, DriverConfig{Users: 600, RampUp: 0.5}, 5)
 	d.Start()
 	ticks := 0
@@ -137,7 +137,7 @@ func TestResetKernelReplaysLikeFresh(t *testing.T) {
 // and stations none into the arena, and that a second Release panics.
 func TestReleaseDropsTrialReferences(t *testing.T) {
 	k := freshKernel(1)
-	nt := buildApp(k, 1, 1, 1, 0)
+	nt := buildApp(k, 1, 1, 1)
 	d := NewDriver(k, nt, mixModel{think: 0.01}, DriverConfig{Users: 50, RampUp: 0.1}, 1)
 	d.Start()
 	k.Schedule(50, func() {})
@@ -162,8 +162,8 @@ func TestReleaseDropsTrialReferences(t *testing.T) {
 	if d.users != nil || d.rtSample != nil || d.perIx != nil || st.queue.buf != nil || st.slots != nil {
 		t.Fatalf("driver or station still points into the arena")
 	}
-	for _, ring := range k.arena.rings {
-		for _, j := range ring {
+	for _, st := range k.arena.stores {
+		for _, j := range st.ring {
 			if j.done != nil {
 				t.Fatalf("a kept ring still holds a job")
 			}

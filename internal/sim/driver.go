@@ -58,17 +58,10 @@ type Driver struct {
 	// users lists the sessions holding a connection slot, in the order
 	// they joined; refused sessions are not in it. The list, the users
 	// themselves, rtSample and perIx live in the kernel's trial arena.
-	users  []*user
-	active int
+	users []*user
 
 	rtSample *metrics.Sample
 	perIx    []metrics.Summary // indexed like ixs
-
-	// rtObs, when set, additionally observes every measured successful
-	// response time in completion order — the streaming path's tap for
-	// per-trial quantile sketches and differential tests. Nil costs
-	// nothing and never touches the random streams.
-	rtObs metrics.Observer
 }
 
 // Event tags for the per-user state machine.
@@ -132,7 +125,7 @@ func (u *user) act(tag int32) {
 	u.issuedAt = d.k.Now()
 	d.issued++
 	if d.tracer != nil && d.measuring && d.tracer.Sample(uint64(d.issued)) {
-		u.tr = d.tracer.Start(it.Name, u.id, u.issuedAt, it.Write)
+		u.tr = d.tracer.Start(it.Name, u.id, u.issuedAt)
 	}
 	d.app.serveSession(u.id, it, u, u.tr)
 }
@@ -202,7 +195,6 @@ func (d *Driver) Start() {
 		}
 		u := d.newUser(len(d.users), false)
 		d.users = append(d.users, u)
-		d.active++
 		d.k.scheduleAct(delay, u, tagUserStart)
 	}
 }
@@ -216,7 +208,6 @@ func (d *Driver) AddUsers(n int, rampUp float64) {
 	for i := 0; i < n; i++ {
 		u := d.newUser(len(d.users), false)
 		d.users = append(d.users, u)
-		d.active++
 		delay := 0.0
 		if rampUp > 0 {
 			delay = d.rng.Float64() * rampUp
@@ -232,7 +223,6 @@ func (d *Driver) RemoveUsers(n int) {
 	for i := len(d.users) - 1; i >= 0 && n > 0; i-- {
 		if u := d.users[i]; !u.stop {
 			u.stop = true
-			d.active--
 			n--
 		}
 	}
@@ -243,9 +233,6 @@ func (d *Driver) complete(ix int, rt float64, out Outcome) {
 	timedOut := d.cfg.Timeout > 0 && rt > d.cfg.Timeout
 	if d.measuring && out == OK && !timedOut {
 		d.rtSample.Observe(rt)
-		if d.rtObs != nil {
-			d.rtObs.Observe(rt)
-		}
 		d.perIx[ix].Observe(rt)
 	}
 	if out != OK || timedOut {
@@ -273,14 +260,6 @@ func (d *Driver) EndMeasurement() { d.measuring = false }
 // to disable. Tracing never touches the driver's random streams, so a
 // traced run issues the identical request sequence as an untraced one.
 func (d *Driver) SetTracer(c *trace.Collector) { d.tracer = c }
-
-// SetRTObserver attaches an additional observer for measured successful
-// response times (seconds, completion order). The observer sees exactly
-// the stream rtSample records, so a sketch fed through it summarizes the
-// same multiset the exact quantiles are computed from. Call with nil to
-// detach. Observation never consults the driver's random streams, so an
-// observed run issues the identical request sequence as an unobserved one.
-func (d *Driver) SetRTObserver(o metrics.Observer) { d.rtObs = o }
 
 // ResponseTimes returns the sample of successful, in-deadline response
 // times measured in the current window. Values are appended in completion

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -21,18 +22,18 @@ func (m fixedModel) NewSession(*rand.Rand) Session { return fixedSession{} }
 func (m fixedModel) ThinkTime() float64            { return m.think }
 func (m fixedModel) Interactions() []Interaction   { return []Interaction{m.it} }
 
-func buildApp(k *Kernel, web, app, db int, appMax int) *NTier {
-	mk := func(name string, n, maxJobs int) []*Station {
+func buildApp(k *Kernel, web, app, db int) *NTier {
+	mk := func(name string, n int) []*Station {
 		out := make([]*Station, n)
 		for i := range out {
-			out[i] = NewStation(k, StationConfig{Name: name, Servers: 1, Speed: 1, MaxJobs: maxJobs})
+			out[i] = NewStation(k, StationConfig{Name: name, Servers: 1, Speed: 1})
 		}
 		return out
 	}
 	return &NTier{
-		Web: NewTier(k, "web", RoundRobin, mk("WEB", web, 0)),
-		App: NewTier(k, "app", RoundRobin, mk("APP", app, appMax)),
-		DB:  NewRAIDb(k, RoundRobin, mk("DB", db, 0)),
+		Web: NewTier(k, "web", RoundRobin, mk("WEB", web)),
+		App: NewTier(k, "app", RoundRobin, mk("APP", app)),
+		DB:  NewRAIDb(k, RoundRobin, mk("DB", db)),
 	}
 }
 
@@ -40,7 +41,7 @@ func TestDriverClosedLoopThroughput(t *testing.T) {
 	// Closed-loop law: X = N / (Z + R). With light load, R ≈ sum of
 	// demands, so throughput should be close to N/(Z+D).
 	k := NewKernel(3)
-	app := buildApp(k, 1, 4, 1, 0)
+	app := buildApp(k, 1, 4, 1)
 	model := fixedModel{
 		it:    Interaction{Name: "ix", WebDemand: 0.001, AppDemand: 0.010, DBDemand: 0.002},
 		think: 1.0,
@@ -63,7 +64,7 @@ func TestDriverClosedLoopThroughput(t *testing.T) {
 func TestDriverResponseTimeGrowsWithLoad(t *testing.T) {
 	rt := func(users int) float64 {
 		k := NewKernel(5)
-		app := buildApp(k, 1, 1, 1, 0)
+		app := buildApp(k, 1, 1, 1)
 		model := fixedModel{
 			it:    Interaction{Name: "ix", WebDemand: 0.001, AppDemand: 0.030, DBDemand: 0.004},
 			think: 1.0,
@@ -84,7 +85,7 @@ func TestDriverResponseTimeGrowsWithLoad(t *testing.T) {
 
 func TestDriverRejectionCountsAsError(t *testing.T) {
 	k := NewKernel(5)
-	app := buildApp(k, 1, 1, 1, 2) // tiny app connection pool
+	app := buildApp(k, 1, 1, 1)
 	model := fixedModel{
 		it:    Interaction{Name: "ix", AppDemand: 0.5},
 		think: 0.05,
@@ -92,21 +93,18 @@ func TestDriverRejectionCountsAsError(t *testing.T) {
 	d := NewDriver(k, app, model, DriverConfig{Users: 30, RampUp: 0.1}, 7)
 	d.Start()
 	k.Run(5)
+	app.App.Stations()[0].Fail() // the app server refuses every request
 	d.BeginMeasurement()
 	k.Run(k.Now() + 30)
 	d.EndMeasurement()
 	if d.Errors() == 0 {
-		t.Fatalf("overloaded pool produced no errors")
-	}
-	rejected := app.App.Rejected()
-	if rejected == 0 {
-		t.Fatalf("app tier recorded no rejections")
+		t.Fatalf("refusing app server produced no errors")
 	}
 }
 
 func TestDriverTimeoutAccounting(t *testing.T) {
 	k := NewKernel(5)
-	app := buildApp(k, 1, 1, 1, 0)
+	app := buildApp(k, 1, 1, 1)
 	model := fixedModel{
 		it:    Interaction{Name: "slow", AppDemand: 2.0},
 		think: 0.01,
@@ -127,40 +125,31 @@ func TestDriverTimeoutAccounting(t *testing.T) {
 	}
 }
 
-// completionTap is a SetRTObserver tap: it logs every measured success as
-// its completion time and response time, in completion order.
-type completionTap struct {
-	k    *Kernel
-	done []completion
-}
-
-type completion struct{ at, rt float64 }
-
-func (c *completionTap) Observe(rt float64) {
-	c.done = append(c.done, completion{at: c.k.Now(), rt: rt})
-}
-
-// measured is what a driver measured: every success in completion order,
-// with its request and error counters.
+// measured is what a driver measured: its success sample in completion
+// order, the kernel's fired events, and its request and error counters.
 type measured struct {
-	done           []completion
+	rts            []float64
+	fired          int64
 	issued, errors int64
 }
 
-func (c *completionTap) measured(d *Driver) measured {
-	return measured{done: c.done, issued: d.issued, errors: d.Errors()}
+func measurementOf(k *Kernel, d *Driver) measured {
+	return measured{
+		rts:    slices.Clone(d.ResponseTimes().Since(0)),
+		fired:  k.fired,
+		issued: d.issued,
+		errors: d.Errors(),
+	}
 }
 
 func TestDriverMeasurementWindow(t *testing.T) {
 	k := NewKernel(5)
-	app := buildApp(k, 1, 1, 1, 0)
+	app := buildApp(k, 1, 1, 1)
 	model := fixedModel{it: Interaction{Name: "ix", AppDemand: 0.01}, think: 0.1}
 	d := NewDriver(k, app, model, DriverConfig{Users: 5, RampUp: 0.1}, 7)
-	tap := &completionTap{k: k}
-	d.SetRTObserver(tap)
 	d.Start()
 	k.Run(10) // warm-up: nothing recorded
-	if len(tap.done) != 0 || d.ResponseTimes().Count() != 0 || len(d.PerInteraction()) != 0 {
+	if d.ResponseTimes().Count() != 0 || len(d.PerInteraction()) != 0 {
 		t.Fatalf("requests captured before measurement began")
 	}
 	d.BeginMeasurement()
@@ -170,27 +159,24 @@ func TestDriverMeasurementWindow(t *testing.T) {
 	if n == 0 {
 		t.Fatalf("no requests captured during measurement")
 	}
-	if len(tap.done) != n || d.PerInteraction()["ix"].Count() != int64(n) {
-		t.Fatalf("tap saw %d successes, sample %d, summary %d",
-			len(tap.done), n, d.PerInteraction()["ix"].Count())
+	if d.PerInteraction()["ix"].Count() != int64(n) {
+		t.Fatalf("sample holds %d successes, summary %d", n, d.PerInteraction()["ix"].Count())
 	}
 	k.Run(30) // cool-down: nothing more recorded
-	if d.ResponseTimes().Count() != n || len(tap.done) != n {
+	if d.ResponseTimes().Count() != n {
 		t.Fatalf("requests captured after measurement ended")
 	}
-	for _, c := range tap.done {
-		if c.at < 10 || c.at > 20 {
-			t.Fatalf("completion at %g recorded outside the [10, 20] window", c.at)
-		}
-		if issued := c.at - c.rt; issued < 10 {
-			t.Fatalf("request issued during warm-up (at %g) leaked into measurement", issued)
+	// Every success completed inside the 10 s window, so none took longer.
+	for _, rt := range d.ResponseTimes().Since(0) {
+		if rt > 10 {
+			t.Fatalf("response time %g s exceeds the measurement window", rt)
 		}
 	}
 }
 
 func TestDriverPerInteractionStats(t *testing.T) {
 	k := NewKernel(5)
-	app := buildApp(k, 1, 1, 1, 0)
+	app := buildApp(k, 1, 1, 1)
 	model := fixedModel{it: Interaction{Name: "only", AppDemand: 0.01}, think: 0.1}
 	d := NewDriver(k, app, model, DriverConfig{Users: 3, RampUp: 0.1}, 7)
 	d.Start()
@@ -207,7 +193,7 @@ func TestDriverPerInteractionStats(t *testing.T) {
 func TestDriverDeterministicAcrossRuns(t *testing.T) {
 	run := func() (int64, float64) {
 		k := NewKernel(5)
-		app := buildApp(k, 1, 2, 1, 0)
+		app := buildApp(k, 1, 2, 1)
 		model := fixedModel{it: Interaction{Name: "ix", AppDemand: 0.02}, think: 0.5}
 		d := NewDriver(k, app, model, DriverConfig{Users: 10, RampUp: 1}, 123)
 		d.Start()
@@ -225,7 +211,7 @@ func TestDriverDeterministicAcrossRuns(t *testing.T) {
 
 func TestDriverMaxSessionsCausesRefusals(t *testing.T) {
 	k := NewKernel(5)
-	app := buildApp(k, 1, 1, 1, 0)
+	app := buildApp(k, 1, 1, 1)
 	model := fixedModel{it: Interaction{Name: "ix", AppDemand: 0.005}, think: 0.5}
 	d := NewDriver(k, app, model, DriverConfig{Users: 100, MaxSessions: 80, RampUp: 0.5}, 7)
 	d.Start()
@@ -256,7 +242,7 @@ func TestDriverMaxSessionsCausesRefusals(t *testing.T) {
 
 func TestDriverMaxSessionsUnlimitedByDefault(t *testing.T) {
 	k := NewKernel(5)
-	app := buildApp(k, 1, 1, 1, 0)
+	app := buildApp(k, 1, 1, 1)
 	model := fixedModel{it: Interaction{Name: "ix", AppDemand: 0.005}, think: 0.5}
 	d := NewDriver(k, app, model, DriverConfig{Users: 50, RampUp: 0.5}, 7)
 	d.Start()
@@ -273,7 +259,7 @@ func TestDriverMaxSessionsUnlimitedByDefault(t *testing.T) {
 func TestLittlesLaw(t *testing.T) {
 	for _, users := range []int{10, 50, 150} {
 		k := NewKernel(uint64(users))
-		app := buildApp(k, 1, 2, 1, 0)
+		app := buildApp(k, 1, 2, 1)
 		model := fixedModel{
 			it:    Interaction{Name: "ix", WebDemand: 0.001, AppDemand: 0.02, DBDemand: 0.003},
 			think: 2.0,
@@ -299,15 +285,15 @@ func TestLittlesLaw(t *testing.T) {
 // and checks throughput follows the closed-loop law at each level.
 func TestDriverDynamicPopulation(t *testing.T) {
 	k := NewKernel(5)
-	app := buildApp(k, 1, 4, 1, 0)
+	app := buildApp(k, 1, 4, 1)
 	model := fixedModel{
 		it:    Interaction{Name: "ix", WebDemand: 0.001, AppDemand: 0.005, DBDemand: 0.001},
 		think: 1.0,
 	}
 	d := NewDriver(k, app, model, DriverConfig{Users: 20, RampUp: 1}, 9)
 	d.Start()
-	if d.active != 20 {
-		t.Fatalf("active = %d", d.active)
+	if liveUsers(d) != 20 {
+		t.Fatalf("active = %d", liveUsers(d))
 	}
 	k.Run(20)
 
@@ -321,8 +307,8 @@ func TestDriverDynamicPopulation(t *testing.T) {
 	x20 := measure(80)
 
 	d.AddUsers(40, 2)
-	if d.active != 60 {
-		t.Fatalf("active after add = %d", d.active)
+	if liveUsers(d) != 60 {
+		t.Fatalf("active after add = %d", liveUsers(d))
 	}
 	k.Run(k.Now() + 10) // settle
 	x60 := measure(80)
@@ -331,8 +317,8 @@ func TestDriverDynamicPopulation(t *testing.T) {
 	}
 
 	d.RemoveUsers(40)
-	if d.active != 20 {
-		t.Fatalf("active after remove = %d", d.active)
+	if liveUsers(d) != 20 {
+		t.Fatalf("active after remove = %d", liveUsers(d))
 	}
 	k.Run(k.Now() + 10)
 	xBack := measure(80)
@@ -343,13 +329,13 @@ func TestDriverDynamicPopulation(t *testing.T) {
 
 func TestDriverRemoveMoreThanActive(t *testing.T) {
 	k := NewKernel(5)
-	app := buildApp(k, 1, 1, 1, 0)
+	app := buildApp(k, 1, 1, 1)
 	model := fixedModel{it: Interaction{Name: "ix", AppDemand: 0.01}, think: 0.5}
 	d := NewDriver(k, app, model, DriverConfig{Users: 3, RampUp: 0.1}, 9)
 	d.Start()
 	d.RemoveUsers(10)
-	if d.active != 0 {
-		t.Fatalf("active = %d, want 0", d.active)
+	if liveUsers(d) != 0 {
+		t.Fatalf("active = %d, want 0", liveUsers(d))
 	}
 	k.Run(20)
 	// All sessions retired: no measurement activity after settle.

@@ -11,7 +11,7 @@ import (
 func TestStationDegradationScalesService(t *testing.T) {
 	serve := func(setup func(*Station)) float64 {
 		k := NewKernel(1)
-		s := detStation(k, 1, 1.0, 0)
+		s := detStation(k, 1, 1.0)
 		if setup != nil {
 			setup(s)
 		}
@@ -39,7 +39,7 @@ func TestStationDegradationScalesService(t *testing.T) {
 // factors above one never speed a station up.
 func TestStationDegradationClamped(t *testing.T) {
 	k := NewKernel(1)
-	s := detStation(k, 1, 1.0, 0)
+	s := detStation(k, 1, 1.0)
 	var svc float64
 	s.SetDegradation(0)
 	s.Submit(0.001, func(_ bool, _, service float64) { svc = service })
@@ -48,7 +48,7 @@ func TestStationDegradationClamped(t *testing.T) {
 		t.Fatalf("zero degradation produced service %g", svc)
 	}
 	k2 := NewKernel(1)
-	s2 := detStation(k2, 1, 1.0, 0)
+	s2 := detStation(k2, 1, 1.0)
 	s2.SetDegradation(5)
 	s2.Submit(1.0, func(_ bool, _, service float64) { svc = service })
 	k2.Run(10)
@@ -63,7 +63,7 @@ func TestStationDegradationClamped(t *testing.T) {
 // stops once the rate returns to zero.
 func TestDriverErrorRateInjection(t *testing.T) {
 	k := NewKernel(11)
-	app := buildApp(k, 1, 2, 1, 0)
+	app := buildApp(k, 1, 2, 1)
 	model := fixedModel{
 		it:    Interaction{Name: "ix", WebDemand: 0.001, AppDemand: 0.005, DBDemand: 0.002},
 		think: 0.5,
@@ -104,7 +104,7 @@ func TestDriverErrorRateInjection(t *testing.T) {
 // range rates clamp to [0,1] rather than corrupting the draw.
 func TestDriverErrorRateClamped(t *testing.T) {
 	k := NewKernel(2)
-	app := buildApp(k, 1, 1, 1, 0)
+	app := buildApp(k, 1, 1, 1)
 	model := fixedModel{
 		it:    Interaction{Name: "ix", WebDemand: 0.001, AppDemand: 0.005, DBDemand: 0.002},
 		think: 0.5,

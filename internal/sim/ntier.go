@@ -54,8 +54,9 @@ func (d TierDemand) zero() bool { return d.CPUScale == 0 && d.DiskSec == 0 && d.
 // Outcome reports how a request ended.
 type Outcome int
 
-// Request outcomes. Rejected requests were refused by a connection pool;
-// Failed requests had a replica error during a broadcast write.
+// Request outcomes. Rejected requests were refused, by a full connection
+// pool (the driver's MaxSessions) or a failed server; Failed requests had
+// a replica error during a broadcast write.
 const (
 	OK Outcome = iota
 	Rejected

@@ -15,7 +15,7 @@ func TestServeOutcomeStrings(t *testing.T) {
 
 func TestServeRoutesAllTiers(t *testing.T) {
 	k := NewKernel(1)
-	nt := buildApp(k, 1, 2, 1, 0)
+	nt := buildApp(k, 1, 2, 1)
 	done := 0
 	it := Interaction{Name: "x", WebDemand: 0.001, AppDemand: 0.002, DBDemand: 0.001}
 	nt.ServeSession(-1, it, func(out Outcome) {
@@ -40,7 +40,7 @@ func TestServeRoutesAllTiers(t *testing.T) {
 
 func TestServeWriteBroadcasts(t *testing.T) {
 	k := NewKernel(1)
-	nt := buildApp(k, 1, 1, 3, 0)
+	nt := buildApp(k, 1, 1, 3)
 	it := Interaction{Name: "w", AppDemand: 0.001, DBDemand: 0.001, Write: true}
 	nt.ServeSession(-1, it, func(Outcome) {})
 	k.Run(1)
@@ -51,7 +51,7 @@ func TestServeWriteBroadcasts(t *testing.T) {
 
 func TestStickySessionsPinUsers(t *testing.T) {
 	k := NewKernel(1)
-	nt := buildApp(k, 1, 3, 1, 0)
+	nt := buildApp(k, 1, 3, 1)
 	nt.StickyApp = true
 	it := Interaction{Name: "x", AppDemand: 0.001}
 	// Session 1 always lands on station 1.
@@ -74,7 +74,7 @@ func TestStickyFailureIsolatesCohort(t *testing.T) {
 	// stickiness, round-robin spreads the errors over everyone.
 	run := func(sticky bool) (errsEven, errsOdd int) {
 		k := NewKernel(3)
-		nt := buildApp(k, 1, 2, 1, 0)
+		nt := buildApp(k, 1, 2, 1)
 		nt.StickyApp = sticky
 		nt.App.Stations()[1].Fail()
 		it := Interaction{Name: "x", AppDemand: 0.001}
@@ -117,7 +117,7 @@ func TestSubmitPinnedNegativeKey(t *testing.T) {
 
 func TestDriverStickyIntegration(t *testing.T) {
 	k := NewKernel(5)
-	nt := buildApp(k, 1, 2, 1, 0)
+	nt := buildApp(k, 1, 2, 1)
 	nt.StickyApp = true
 	model := fixedModel{it: Interaction{Name: "ix", AppDemand: 0.005}, think: 0.2}
 	d := NewDriver(k, nt, model, DriverConfig{Users: 2, RampUp: 0.1}, 7)

@@ -15,10 +15,8 @@ import "fmt"
 // version counter invalidates stale completion events.
 type PSStation struct {
 	k       *Kernel
-	name    string
 	servers int
 	speed   float64
-	maxJobs int
 
 	active  []*psJob
 	version int64
@@ -26,7 +24,6 @@ type PSStation struct {
 	lastAdvance float64
 	busyTime    float64
 	completed   int64
-	rejected    int64
 }
 
 type psJob struct {
@@ -43,23 +40,11 @@ func NewPSStation(k *Kernel, cfg StationConfig) *PSStation {
 	if cfg.Speed <= 0 {
 		panic(fmt.Sprintf("sim: ps station %q needs positive speed", cfg.Name))
 	}
-	return &PSStation{k: k, name: cfg.Name, servers: cfg.Servers, speed: cfg.Speed, maxJobs: cfg.MaxJobs}
+	return &PSStation{k: k, servers: cfg.Servers, speed: cfg.Speed}
 }
-
-// Name reports the station's identifier.
-func (s *PSStation) Name() string { return s.name }
-
-// Servers reports the number of parallel servers.
-func (s *PSStation) Servers() int { return s.servers }
-
-// InFlight reports currently active jobs.
-func (s *PSStation) InFlight() int { return len(s.active) }
 
 // Completed reports jobs served to completion.
 func (s *PSStation) Completed() int64 { return s.completed }
-
-// Rejected reports jobs refused by the capacity limit.
-func (s *PSStation) Rejected() int64 { return s.rejected }
 
 // rate is the service rate each active job receives, in demand-seconds
 // per simulated second.
@@ -101,11 +86,6 @@ func (s *PSStation) advance() {
 // Submit offers a job with the given reference demand. PS stations serve
 // demands deterministically (the sharing itself provides the variance).
 func (s *PSStation) Submit(demand float64, done Completion) {
-	if s.maxJobs > 0 && len(s.active) >= s.maxJobs {
-		s.rejected++
-		done(false, 0, 0)
-		return
-	}
 	s.advance()
 	s.active = append(s.active, &psJob{remaining: demand, arrived: s.k.Now(), done: done})
 	s.reschedule()
@@ -166,5 +146,4 @@ func (s *PSStation) ResetAccounting() {
 	s.advance()
 	s.busyTime = 0
 	s.completed = 0
-	s.rejected = 0
 }

@@ -93,21 +93,6 @@ func TestPSSpeedScaling(t *testing.T) {
 	}
 }
 
-func TestPSRejection(t *testing.T) {
-	k := NewKernel(1)
-	s := NewPSStation(k, StationConfig{Name: "PS", Servers: 1, Speed: 1, MaxJobs: 1})
-	s.Submit(1.0, func(bool, float64, float64) {})
-	rejected := false
-	s.Submit(1.0, func(ok bool, _, _ float64) { rejected = !ok })
-	if !rejected || s.Rejected() != 1 {
-		t.Fatalf("capacity limit not enforced")
-	}
-	k.Run(10)
-	if s.Completed() != 1 {
-		t.Fatalf("completed = %d", s.Completed())
-	}
-}
-
 func TestPSBusyTimeAccounting(t *testing.T) {
 	k := NewKernel(1)
 	s := NewPSStation(k, StationConfig{Name: "PS", Servers: 1, Speed: 1})

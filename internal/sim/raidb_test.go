@@ -61,11 +61,10 @@ func TestRAIDbWriteWaitsForSlowest(t *testing.T) {
 
 func TestRAIDbWriteRejectionPropagates(t *testing.T) {
 	k := NewKernel(1)
-	full := NewStation(k, StationConfig{Name: "DB1", Servers: 1, Speed: 1, MaxJobs: 1, Deterministic: true})
+	down := NewStation(k, StationConfig{Name: "DB1", Servers: 1, Speed: 1, Deterministic: true})
 	ok1 := NewStation(k, StationConfig{Name: "DB2", Servers: 1, Speed: 1, Deterministic: true})
-	db := NewRAIDb(k, RoundRobin, []*Station{full, ok1})
-	// Fill the first replica.
-	full.Submit(100, func(bool, float64, float64) {})
+	db := NewRAIDb(k, RoundRobin, []*Station{down, ok1})
+	down.Fail()
 	var gotOK *bool
 	db.Write(1.0, func(ok bool, _, _ float64) { gotOK = &ok })
 	k.Run(10)

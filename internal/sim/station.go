@@ -3,8 +3,8 @@ package sim
 import "fmt"
 
 // Completion receives the outcome of a submitted job. ok is false when the
-// station rejected the job (queue limit exceeded); wait and service report
-// the time the job spent queued and in service, in seconds.
+// station refused the job because it has failed (see Fail); wait and
+// service report the time the job spent queued and in service, in seconds.
 type Completion func(ok bool, wait, service float64)
 
 // jobDone is the allocation-free form of Completion: hot-path callers
@@ -28,17 +28,14 @@ func (f completionFunc) jobFinished(ok bool, wait, service float64) { f(ok, wait
 // 600 MHz node (speed 0.2 against a 3 GHz reference) serves the same
 // demand five times slower.
 //
-// A station optionally enforces a capacity limit on concurrently held
-// jobs (in service + queued), modelling a server's connection/thread pool;
-// jobs arriving beyond the limit are rejected. This is what makes
-// overload experiments fail to complete, as the paper observes for small
-// configurations at high load (Table 7's missing squares).
+// A node's disk spindle and network link are stations too: one server,
+// deterministic service, and a speed that converts their demand units to
+// seconds (see AttachDisk).
 type Station struct {
 	k       *Kernel
 	name    string
 	servers int
 	speed   float64
-	maxJobs int // 0 = unlimited
 	detSvc  bool
 
 	busy   int
@@ -54,15 +51,14 @@ type Station struct {
 	// disk and net are the node's optional contended devices; requests
 	// with disk/net demands queue on them around CPU service (see
 	// submitRes). rpool recycles the multi-leg job trackers.
-	disk  *Resource
-	net   *Resource
+	disk  *Station
+	net   *Station
 	rpool []*resJob
 
 	// accounting
 	busyTime   float64 // integral of busy servers over time, in server-seconds
 	lastChange float64
 	completed  int64
-	rejected   int64
 }
 
 type pendingJob struct {
@@ -71,12 +67,12 @@ type pendingJob struct {
 	done    jobDone
 }
 
-// fifo is the waiting line shared by stations and devices: a ring over a
-// power-of-two backing array that is reused as jobs drain, so a queue that
-// never empties stays within twice its peak length instead of growing
-// with every job ever queued. The backing array comes from the kernel's
-// trial arena and outlives the trial, so the bound holds over all the
-// trials a kernel runs.
+// fifo is a station's waiting line: a ring over a power-of-two backing
+// array that is reused as jobs drain, so a queue that never empties stays
+// within twice its peak length instead of growing with every job ever
+// queued. The backing array comes from the kernel's trial arena and
+// outlives the trial, so the bound holds over all the trials a kernel
+// runs.
 type fifo struct {
 	buf  []pendingJob
 	head int
@@ -127,10 +123,8 @@ type StationConfig struct {
 	Servers int
 	// Speed is the node's CPU frequency relative to the 3 GHz reference.
 	Speed float64
-	// MaxJobs caps concurrently held jobs (0 = unlimited).
-	MaxJobs int
 	// Deterministic disables exponential service-time sampling; demands
-	// are served exactly. Used by tests and by ablation benches.
+	// are served exactly, as on a disk or link device.
 	Deterministic bool
 }
 
@@ -151,7 +145,6 @@ func NewStation(k *Kernel, cfg StationConfig) *Station {
 		name:    cfg.Name,
 		servers: cfg.Servers,
 		speed:   cfg.Speed,
-		maxJobs: cfg.MaxJobs,
 		detSvc:  cfg.Deterministic,
 		degr:    1,
 	}
@@ -198,7 +191,8 @@ func (s *Station) SetDegradation(f float64) {
 
 // Submit offers a job with the given reference demand (seconds at the
 // reference frequency). done is invoked exactly once: immediately with
-// ok=false on rejection, or at service completion with ok=true.
+// ok=false when the station has failed, or at service completion with
+// ok=true.
 func (s *Station) Submit(demand float64, done Completion) {
 	s.submit(demand, completionFunc(done))
 }
@@ -206,12 +200,6 @@ func (s *Station) Submit(demand float64, done Completion) {
 // submit is the allocation-free entry point used inside the package.
 func (s *Station) submit(demand float64, done jobDone) {
 	if s.failed {
-		s.rejected++
-		done.jobFinished(false, 0, 0)
-		return
-	}
-	if s.maxJobs > 0 && s.busy+s.queued() >= s.maxJobs {
-		s.rejected++
 		done.jobFinished(false, 0, 0)
 		return
 	}
@@ -281,7 +269,6 @@ func (s *Station) ResetAccounting() {
 	s.accumulate()
 	s.busyTime = 0
 	s.completed = 0
-	s.rejected = 0
 	if s.disk != nil {
 		s.disk.ResetAccounting()
 	}

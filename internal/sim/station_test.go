@@ -5,15 +5,15 @@ import (
 	"testing"
 )
 
-func detStation(k *Kernel, servers int, speed float64, maxJobs int) *Station {
+func detStation(k *Kernel, servers int, speed float64) *Station {
 	return NewStation(k, StationConfig{
-		Name: "S", Servers: servers, Speed: speed, MaxJobs: maxJobs, Deterministic: true,
+		Name: "S", Servers: servers, Speed: speed, Deterministic: true,
 	})
 }
 
 func TestStationSingleJob(t *testing.T) {
 	k := NewKernel(1)
-	s := detStation(k, 1, 1.0, 0)
+	s := detStation(k, 1, 1.0)
 	var done bool
 	var svc float64
 	s.Submit(0.5, func(ok bool, wait, service float64) {
@@ -33,7 +33,7 @@ func TestStationSingleJob(t *testing.T) {
 
 func TestStationSpeedScaling(t *testing.T) {
 	k := NewKernel(1)
-	s := detStation(k, 1, 0.2, 0) // 600 MHz vs 3 GHz reference
+	s := detStation(k, 1, 0.2) // 600 MHz vs 3 GHz reference
 	var svc float64
 	s.Submit(1.0, func(_ bool, _, service float64) { svc = service })
 	k.Run(10)
@@ -44,7 +44,7 @@ func TestStationSpeedScaling(t *testing.T) {
 
 func TestStationFCFSQueueing(t *testing.T) {
 	k := NewKernel(1)
-	s := detStation(k, 1, 1.0, 0)
+	s := detStation(k, 1, 1.0)
 	var finishOrder []int
 	var waits []float64
 	peak := 0
@@ -75,7 +75,7 @@ func TestStationFCFSQueueing(t *testing.T) {
 
 func TestStationMultiServerParallelism(t *testing.T) {
 	k := NewKernel(1)
-	s := detStation(k, 2, 1.0, 0)
+	s := detStation(k, 2, 1.0)
 	var finished []float64
 	for i := 0; i < 4; i++ {
 		s.Submit(1.0, func(_ bool, _, _ float64) { finished = append(finished, k.Now()) })
@@ -90,35 +90,9 @@ func TestStationMultiServerParallelism(t *testing.T) {
 	}
 }
 
-func TestStationRejection(t *testing.T) {
-	k := NewKernel(1)
-	s := detStation(k, 1, 1.0, 2)
-	results := make([]bool, 0, 3)
-	for i := 0; i < 3; i++ {
-		s.Submit(1.0, func(ok bool, _, _ float64) { results = append(results, ok) })
-	}
-	// Third job must be rejected synchronously.
-	if len(results) != 1 || results[0] != false {
-		t.Fatalf("expected immediate rejection of third job, got %v", results)
-	}
-	k.Run(10)
-	if s.rejected != 1 {
-		t.Fatalf("rejected = %d, want 1", s.rejected)
-	}
-	okCount := 0
-	for _, r := range results {
-		if r {
-			okCount++
-		}
-	}
-	if okCount != 2 {
-		t.Fatalf("ok completions = %d, want 2", okCount)
-	}
-}
-
 func TestStationUtilizationAccounting(t *testing.T) {
 	k := NewKernel(1)
-	s := detStation(k, 1, 1.0, 0)
+	s := detStation(k, 1, 1.0)
 	s.Submit(2.0, func(bool, float64, float64) {})
 	k.Run(4) // busy 0..2, idle 2..4
 	if bt := s.BusyTime(); math.Abs(bt-2.0) > 1e-9 {
@@ -128,7 +102,7 @@ func TestStationUtilizationAccounting(t *testing.T) {
 
 func TestStationResetAccounting(t *testing.T) {
 	k := NewKernel(1)
-	s := detStation(k, 1, 1.0, 0)
+	s := detStation(k, 1, 1.0)
 	s.Submit(1.0, func(bool, float64, float64) {})
 	k.Run(2)
 	s.ResetAccounting()
@@ -186,7 +160,7 @@ func TestStationStochasticServiceMean(t *testing.T) {
 
 func TestStationFailRecover(t *testing.T) {
 	k := NewKernel(1)
-	s := detStation(k, 1, 1.0, 0)
+	s := detStation(k, 1, 1.0)
 	// A job in service survives the failure.
 	var survived bool
 	s.Submit(1.0, func(ok bool, _, _ float64) { survived = ok })
@@ -210,32 +184,19 @@ func TestStationFailRecover(t *testing.T) {
 	if !after {
 		t.Fatalf("recovered station should serve again")
 	}
-	if s.rejected != 1 {
-		t.Fatalf("rejected = %d", s.rejected)
-	}
 }
 
-// TestQueuesStayBoundedUnderSaturation keeps a station and a device
-// saturated for a long run with a steady backlog: every completion
-// submits a replacement job, so the queue never drains. The shared FIFO
-// must reuse its backing array, staying within twice the peak queue
-// length instead of growing with every job ever queued. Its kernels are
-// fresh ones: a recycled kernel's rings keep the capacity of its earlier
-// trials.
+// TestQueuesStayBoundedUnderSaturation keeps a one-server deterministic
+// station (the shape of a disk or link device) saturated for a long run
+// with a steady backlog: every completion submits a replacement job, so
+// the queue never drains. The FIFO must reuse its backing array, staying
+// within twice the peak queue length instead of growing with every job
+// ever queued. Its kernel is a fresh one: a recycled kernel's rings keep
+// the capacity of its earlier trials.
 func TestQueuesStayBoundedUnderSaturation(t *testing.T) {
 	const backlog, jobs = 100, 20000
-	check := func(name string, peak, capacity int) {
-		t.Helper()
-		if peak != backlog {
-			t.Fatalf("%s: queued peak %d, want the %d-job backlog", name, peak, backlog)
-		}
-		if capacity > 2*peak {
-			t.Fatalf("%s: queue backing array holds %d jobs for a peak of %d", name, capacity, peak)
-		}
-	}
-
 	k := freshKernel(1)
-	s := detStation(k, 1, 1.0, 0)
+	s := detStation(k, 1, 1.0)
 	served, peak := 0, 0
 	submit := func(done Completion) {
 		s.Submit(1, done)
@@ -254,27 +215,10 @@ func TestQueuesStayBoundedUnderSaturation(t *testing.T) {
 	if served != jobs {
 		t.Fatalf("station served %d jobs, want %d", served, jobs)
 	}
-	check("station", peak, cap(s.queue.buf))
-
-	k = freshKernel(1)
-	r := NewResource(k, "disk", 1)
-	served, peak = 0, 0
-	var again completionFunc
-	again = func(bool, float64, float64) {
-		if served++; served+backlog < jobs {
-			r.submit(1, again)
-			peak = max(peak, r.queued())
-		}
+	if peak != backlog {
+		t.Fatalf("queued peak %d, want the %d-job backlog", peak, backlog)
 	}
-	for i := 0; i <= backlog; i++ {
-		r.submit(1, again)
-		peak = max(peak, r.queued())
+	if c := cap(s.queue.buf); c > 2*peak {
+		t.Fatalf("queue backing array holds %d jobs for a peak of %d", c, peak)
 	}
-	k.Run(math.Inf(1))
-	if served != jobs {
-		t.Fatalf("resource served %d jobs, want %d", served, jobs)
-	}
-	check("resource", peak, cap(r.queue.buf))
 }
-
-func (r *Resource) queued() int { return r.queue.len() }

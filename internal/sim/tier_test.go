@@ -113,15 +113,3 @@ func (t *Tier) Completed() int64 {
 	}
 	return n
 }
-
-// Rejected sums rejected jobs across the tier's stations.
-func (t *Tier) Rejected() int64 {
-	var n int64
-	for _, s := range t.stations {
-		n += s.rejected
-	}
-	for _, s := range t.retired {
-		n += s.rejected
-	}
-	return n
-}

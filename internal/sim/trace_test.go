@@ -35,7 +35,7 @@ func (m mixModel) Interactions() []Interaction {
 func runTraced(t *testing.T, seed uint64, webN, appN, dbN int) *trace.Collector {
 	t.Helper()
 	k := NewKernel(seed)
-	nt := buildApp(k, webN, appN, dbN, 0)
+	nt := buildApp(k, webN, appN, dbN)
 	d := NewDriver(k, nt, mixModel{think: 0.05}, DriverConfig{Users: 8, RampUp: 0.2}, seed)
 	tc := trace.NewCollector(trace.SeedFor(seed), 1)
 	d.SetTracer(tc)
@@ -60,7 +60,7 @@ func TestTracedSpansSumToRT(t *testing.T) {
 		if math.Abs(sum-tr.RT) > 1e-9 {
 			t.Fatalf("%s trace: spans sum to %.9f, RT %.9f", tr.Interaction, sum, tr.RT)
 		}
-		if tr.Write {
+		if tr.Interaction == "write" {
 			writes++
 			// Broadcast write: one web span, one app span, one db span per
 			// replica.
@@ -108,10 +108,8 @@ func TestTracingNeverPerturbsRequests(t *testing.T) {
 	// from the driver's or kernel's.
 	run := func(traced bool) measured {
 		k := NewKernel(31)
-		nt := buildApp(k, 1, 2, 2, 0)
+		nt := buildApp(k, 1, 2, 2)
 		d := NewDriver(k, nt, mixModel{think: 0.05}, DriverConfig{Users: 6, RampUp: 0.2}, 31)
-		tap := &completionTap{k: k}
-		d.SetRTObserver(tap)
 		if traced {
 			d.SetTracer(trace.NewCollector(trace.SeedFor(31), 0.5))
 		}
@@ -120,21 +118,21 @@ func TestTracingNeverPerturbsRequests(t *testing.T) {
 		d.BeginMeasurement()
 		k.Run(6)
 		d.EndMeasurement()
-		return tap.measured(d)
+		return measurementOf(k, d)
 	}
 	plain, traced := run(false), run(true)
-	if len(plain.done) == 0 {
+	if len(plain.rts) == 0 {
 		t.Fatalf("untraced run measured no requests")
 	}
 	if !reflect.DeepEqual(plain, traced) {
 		t.Fatalf("tracing perturbed the run: %d successes, %d issued, %d errors untraced; %d, %d, %d traced",
-			len(plain.done), plain.issued, plain.errors, len(traced.done), traced.issued, traced.errors)
+			len(plain.rts), plain.issued, plain.errors, len(traced.rts), traced.issued, traced.errors)
 	}
 }
 
 func TestTracingDisabledAddsNoAllocations(t *testing.T) {
 	k := NewKernel(7)
-	nt := buildApp(k, 1, 2, 2, 0)
+	nt := buildApp(k, 1, 2, 2)
 	d := NewDriver(k, nt, mixModel{think: 0.02}, DriverConfig{Users: 8, RampUp: 0.2}, 7)
 	d.Start()
 	// Warm up so call/writeCall pools and the event queue reach steady state.

@@ -75,8 +75,8 @@ func (c *Collector) Sample(req uint64) bool {
 }
 
 // Start begins a trace for one request.
-func (c *Collector) Start(interaction string, session int, issued float64, write bool) *Trace {
-	return &Trace{Interaction: interaction, Session: session, Issued: issued, Write: write}
+func (c *Collector) Start(interaction string, session int, issued float64) *Trace {
+	return &Trace{Interaction: interaction, Session: session, Issued: issued}
 }
 
 // Commit finalizes a started trace with its end-to-end outcome and

@@ -60,8 +60,6 @@ type Trace struct {
 	// Outcome is the request's final disposition ("ok", "rejected",
 	// "failed"), as reported by the router.
 	Outcome string
-	// Write marks interactions that issued a broadcast database write.
-	Write bool
 	// Spans are the tier hops in completion order.
 	Spans []Span
 }

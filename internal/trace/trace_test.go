@@ -25,7 +25,6 @@ func TestTierContributionsSequentialAndFanOut(t *testing.T) {
 		Span{Tier: TierDB, Station: "MYSQL2", Wait: 0.02, Service: 0.05},
 		Span{Tier: TierDB, Station: "MYSQL3", Wait: 0.00, Service: 0.12},
 	)
-	tr.Write = true
 	web, app, db := tr.TierContributions()
 	if web.WaitSec != 0.01 || web.ServiceSec != 0.02 {
 		t.Errorf("web contribution = %+v", web)
@@ -254,7 +253,7 @@ func TestBuildReportAndJSONRoundTrip(t *testing.T) {
 	c := NewCollector(9, 1)
 	rng := rand.New(rand.NewPCG(1, 2))
 	for i := 0; i < 50; i++ {
-		tr := c.Start("Browse", i, float64(i), false)
+		tr := c.Start("Browse", i, float64(i))
 		tr.AddSpan(TierWeb, "WEB1", float64(i), 0.001*rng.Float64(), 0.002, true)
 		tr.AddSpan(TierApp, "JONAS1", float64(i)+0.01, 0.05*rng.Float64(), 0.01, true)
 		tr.AddSpan(TierDB, "MYSQL1", float64(i)+0.05, 0.002, 0.005, true)
