@@ -14,9 +14,11 @@
 // of the package at the root of dir's module (the public facade), main
 // and init, blank (_) names, methods that make their type satisfy an
 // interface declared in a scanned package or in a package one of them
-// imports, and the names in allow.go. A use from inside the declaration
+// imports, and the names in allow.go; a type's name there covers the type
+// alone, not its methods and fields. A use from inside the declaration
 // itself (a function's body, a constant's or variable's initializer, a
-// type's definition) does not count.
+// type's definition) does not count, and neither does a method receiver's
+// use of its own type.
 //
 // A field fails when nothing reads it, and, unless its type is a struct
 // or an array, when nothing sets it (a knob only tests turn). Storing
@@ -179,6 +181,7 @@ func scan(root string, allow map[string]string) ([]hit, error) {
 
 	decls := map[types.Object]*decl{}
 	var order []types.Object
+	recvs := map[*ast.Ident]bool{} // the type names of method receivers
 	add := func(path string, id *ast.Ident, node ast.Node, doc *ast.CommentGroup) {
 		if id.Name == "_" {
 			return
@@ -193,6 +196,9 @@ func scan(root string, allow map[string]string) ([]hit, error) {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
 					add(path, d.Name, d, d.Doc)
+					if d.Recv != nil {
+						recvs[receiverType(d.Recv.List[0].Type)] = true
+					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
 						var ids []*ast.Ident
@@ -226,6 +232,9 @@ func scan(root string, allow map[string]string) ([]hit, error) {
 			if d := decls[obj]; d != nil && id.Pos() >= d.node.Pos() && id.Pos() < d.node.End() {
 				continue // a use inside the object's own declaration
 			}
+			if recvs[id] {
+				continue // a method's receiver names its own type
+			}
 			used[obj] = true
 		}
 	}
@@ -234,8 +243,8 @@ func scan(root string, allow map[string]string) ([]hit, error) {
 	var hits []hit
 	matched := map[string]bool{}
 	report := func(name, what string, node ast.Node, doc *ast.CommentGroup) bool {
-		if key := allowKey(allow, name); key != "" {
-			matched[key] = true
+		if _, ok := allow[name]; ok {
+			matched[name] = true
 			return false
 		}
 		start := node.Pos()
@@ -326,18 +335,24 @@ func scan(root string, allow map[string]string) ([]hit, error) {
 	return hits, nil
 }
 
-// allowKey returns the allowlist entry that covers name: the name itself,
-// or the type that declares the method or field.
-func allowKey(allow map[string]string, name string) string {
+// receiverType returns the type name in a method's receiver type:
+// T, *T, T[P] or *T[P].
+func receiverType(e ast.Expr) *ast.Ident {
 	for {
-		if _, ok := allow[name]; ok {
-			return name
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x
+		default:
+			return nil
 		}
-		i := strings.LastIndexByte(name, '.')
-		if i < strings.LastIndexByte(name, '/') || i < 0 {
-			return ""
-		}
-		name = name[:i]
 	}
 }
 

@@ -17,10 +17,14 @@ import (
 // fmt.Stringer and a local interface, an allowlisted function and field,
 // used constants, variables and types, a blank variable, the fields of a
 // map key and of an == operand, the exported fields json.Marshal reaches,
-// a tagged field, and the fields of the unused type.
+// a tagged field, and the fields of the unused type. An allowlisted
+// type's key covers the type alone: its unused method and field are
+// flagged, its Stringer method passes, and its methods' receivers do not
+// make the key stale.
 func TestScanFixture(t *testing.T) {
 	hits, err := scan("testdata/fixture", map[string]string{
 		"fixture/lib.Allowed":    "kept on purpose",
+		"fixture/lib.Listed":     "kept on purpose",
 		"fixture/lib.Gone":       "no longer exists",
 		"fixture/lib.kept.spare": "kept on purpose",
 		"fixture/lib.kept.gone":  "no longer exists",
@@ -45,6 +49,8 @@ func TestScanFixture(t *testing.T) {
 		"lib/lib.go:32: fixture/lib.UnusedConst is unused (1 lines)",
 		"lib/lib.go:39: fixture/lib.unusedVar is unused (3 lines)",
 		"lib/lib.go:43: fixture/lib.list is unused (1 lines)",
+		"lib/listed.go:6: fixture/lib.Listed.spare is unused (1 lines)",
+		"lib/listed.go:10: fixture/lib.Listed.Unused is unused (1 lines)",
 		"allowlist entry fixture/lib.Gone matches no unused declaration or field",
 		"allowlist entry fixture/lib.kept.gone matches no unused declaration or field",
 	}

@@ -14,8 +14,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -71,10 +73,15 @@ type CacheStats struct {
 }
 
 // Cache is the content-addressed trial memo shared by every campaign a
-// service runs. Entries are stored as the result's canonical JSON bytes,
-// which gives two properties at once: a hit can never alias a cached
-// result's maps or slices into a caller, and a result replayed from the
-// cache serializes byte-identically to the run that produced it.
+// service runs. A fresh entry is stored as the result's canonical JSON
+// bytes. Its first hit decodes them and keeps the decoded result in their
+// place, and that hit and every later one get a deep copy of it
+// (cloneResult): a hit can never alias a cached result's maps or slices
+// into a caller, and since the kept result is the decoded canonical JSON,
+// a result replayed from the cache serializes byte-identically to the run
+// that produced it. An entry whose result carries a response-time sketch
+// or a trace report stays as bytes and is decoded on every hit, so those
+// large decoded forms are never kept.
 //
 // Do is single-flight: however many campaigns request a key at once,
 // exactly one computes it and the rest wait for that computation — which
@@ -91,7 +98,7 @@ type Cache struct {
 	dir string // "" = memory only
 
 	mu      sync.Mutex
-	entries map[string][]byte // KeyID → canonical result JSON
+	entries map[string]cacheEntry // by KeyID
 	flights map[string]chan struct{}
 
 	hits   atomic.Uint64
@@ -102,9 +109,16 @@ type Cache struct {
 // NewCache creates a memory-only cache.
 func NewCache() *Cache {
 	return &Cache{
-		entries: map[string][]byte{},
+		entries: map[string]cacheEntry{},
 		flights: map[string]chan struct{}{},
 	}
+}
+
+// cacheEntry is one memoized trial: the result's canonical JSON until
+// its first hit, then, unless keepsBytes, the decoded result instead.
+type cacheEntry struct {
+	data []byte        // nil once decoded
+	res  *store.Result // never handed to a caller; hits get a clone
 }
 
 // diskEntry is the on-disk form of one memoized trial: the full key for
@@ -141,7 +155,7 @@ func OpenCache(dir string) (*Cache, error) {
 		if id+".json" != filepath.Base(name) || len(ent.Result) == 0 {
 			continue
 		}
-		c.entries[id] = append([]byte(nil), ent.Result...)
+		c.entries[id] = cacheEntry{data: append([]byte(nil), ent.Result...)}
 		c.loaded++
 	}
 	return c, nil
@@ -169,11 +183,11 @@ func (c *Cache) Do(k experiment.TrialKey, compute func() (store.Result, error)) 
 	id := KeyID(k)
 	for {
 		c.mu.Lock()
-		if data, ok := c.entries[id]; ok {
+		if e, ok := c.entries[id]; ok {
 			c.mu.Unlock()
-			var res store.Result
-			if err := json.Unmarshal(data, &res); err != nil {
-				return store.Result{}, false, fmt.Errorf("campaign: corrupt cache entry %s: %w", id, err)
+			res, err := c.hit(id, e)
+			if err != nil {
+				return store.Result{}, false, err
 			}
 			c.hits.Add(1)
 			return res, true, nil
@@ -198,7 +212,7 @@ func (c *Cache) Do(k experiment.TrialKey, compute func() (store.Result, error)) 
 		c.mu.Lock()
 		delete(c.flights, id)
 		if err == nil {
-			c.entries[id] = data
+			c.entries[id] = cacheEntry{data: data}
 		}
 		c.mu.Unlock()
 		close(done)
@@ -213,6 +227,52 @@ func (c *Cache) Do(k experiment.TrialKey, compute func() (store.Result, error)) 
 		}
 		return res, false, nil
 	}
+}
+
+// hit serves entry e of key id as a result the caller owns.
+func (c *Cache) hit(id string, e cacheEntry) (store.Result, error) {
+	if e.res != nil {
+		return cloneResult(e.res), nil
+	}
+	res := new(store.Result)
+	if err := json.Unmarshal(e.data, res); err != nil {
+		return store.Result{}, fmt.Errorf("campaign: corrupt cache entry %s: %w", id, err)
+	}
+	if keepsBytes(res) {
+		return *res, nil
+	}
+	// First hits racing on one key each decode and store an equal result;
+	// whichever is stored last is kept.
+	c.mu.Lock()
+	c.entries[id] = cacheEntry{res: res}
+	c.mu.Unlock()
+	return cloneResult(res), nil
+}
+
+// keepsBytes reports whether r's entry stays as bytes: a decoded
+// t-digest holds about 19 KB of buffers, far more than its JSON, and a
+// trace report nests slices that a deep copy would have to walk.
+func keepsBytes(r *store.Result) bool {
+	return r.RTSketch != nil || r.Trace != nil
+}
+
+// cloneResult deep-copies r. Its maps and slices are copied; the
+// strings in them are immutable and shared. Every other reference field
+// of store.Result keeps its entry on the byte path (keepsBytes);
+// TestCloneResultCoversEveryField fails when a new one does neither.
+func cloneResult(r *store.Result) store.Result {
+	out := *r
+	out.TierCPU = maps.Clone(r.TierCPU)
+	out.HostCPU = maps.Clone(r.HostCPU)
+	out.TierDisk = maps.Clone(r.TierDisk)
+	out.TierNet = maps.Clone(r.TierNet)
+	out.HostDisk = maps.Clone(r.HostDisk)
+	out.HostNet = maps.Clone(r.HostNet)
+	out.PerInteraction = maps.Clone(r.PerInteraction)
+	out.FaultEvents = slices.Clone(r.FaultEvents)
+	out.SLOViolatedAt = slices.Clone(r.SLOViolatedAt)
+	out.ScaleEvents = slices.Clone(r.ScaleEvents)
+	return out
 }
 
 // persist writes one entry file atomically: a same-directory temp file
