@@ -16,21 +16,23 @@ func (ShellBackend) Name() string { return "shell" }
 
 // header emits the common script prologue.
 func header(b *strings.Builder, path, purpose string) {
-	fmt.Fprintf(b, "#!/bin/bash\n")
-	fmt.Fprintf(b, "# %s\n", path)
-	fmt.Fprintf(b, "# %s\n", purpose)
-	fmt.Fprintf(b, "# Generated by Mulini — DO NOT EDIT; regenerate from the TBL spec.\n")
-	fmt.Fprintf(b, "set -e\n")
-	fmt.Fprintf(b, "set -o pipefail\n")
-	fmt.Fprintf(b, "ELBA_HOME=${ELBA_HOME:-/opt/elba}\n")
-	fmt.Fprintf(b, "LOG=$ELBA_HOME/log/$(basename \"$0\").log\n")
-	fmt.Fprintf(b, "exec > >(tee -a \"$LOG\") 2>&1\n")
-	fmt.Fprintf(b, "echo \"[elba] $(date) starting $0\"\n")
+	b.WriteString("#!/bin/bash\n# ")
+	b.WriteString(path)
+	b.WriteString("\n# ")
+	b.WriteString(purpose)
+	b.WriteString(`
+# Generated by Mulini — DO NOT EDIT; regenerate from the TBL spec.
+set -e
+set -o pipefail
+ELBA_HOME=${ELBA_HOME:-/opt/elba}
+LOG=$ELBA_HOME/log/$(basename "$0").log
+exec > >(tee -a "$LOG") 2>&1
+echo "[elba] $(date) starting $0"
+`)
 }
 
 func footer(b *strings.Builder) {
-	fmt.Fprintf(b, "echo \"[elba] $(date) finished $0\"\n")
-	fmt.Fprintf(b, "exit 0\n")
+	b.WriteString("echo \"[elba] $(date) finished $0\"\nexit 0\n")
 }
 
 // Render produces the deployment's script and configuration bundle.

@@ -7,14 +7,15 @@
 package store
 
 import (
-	"encoding/json"
+	"encoding/csv"
+	"fmt"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
 
 	"elba/internal/metrics"
 	"elba/internal/trace"
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
 )
 
 // Key identifies one trial: an experiment set, a w-a-d configuration, and
@@ -399,25 +400,39 @@ func (s *Store) sortedResults() []*Result {
 	return out
 }
 
-// MarshalJSON serializes the whole store in canonical key order.
+// MarshalJSON serializes the whole store in canonical key order: the
+// bytes of json.MarshalIndent(results, "", "  "), written in one pass by
+// appendResults.
 func (s *Store) MarshalJSON() ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return json.MarshalIndent(s.sortedResults(), "", "  ")
+	return appendResults(make([]byte, 0, 2+resultSizeHint*len(s.results)), s.sortedResults())
 }
 
-// CSV renders all results as a flat CSV table in canonical key order.
+// resultSizeHint is about the encoded size of a RUBiS result with its
+// per-interaction breakdown, so a store's JSON is mostly written into
+// one allocation.
+const resultSizeHint = 2048
+
+// CSV renders all results as a flat CSV table in canonical key order,
+// quoting a field as RFC 4180 requires (an experiment name may hold a
+// comma, a quote or a line break).
 func (s *Store) CSV() string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var b strings.Builder
-	b.WriteString("experiment,topology,users,write_ratio_pct,completed,avg_rt_ms,p90_ms,throughput_rps,requests,errors,web_cpu,app_cpu,db_cpu\n")
+	w := csv.NewWriter(&b)
+	w.Write([]string{"experiment", "topology", "users", "write_ratio_pct", "completed", "avg_rt_ms",
+		"p90_ms", "throughput_rps", "requests", "errors", "web_cpu", "app_cpu", "db_cpu"})
+	fixed := func(f float64, prec int) string { return strconv.FormatFloat(f, 'f', prec, 64) }
 	for _, r := range s.sortedResults() {
-		fmt.Fprintf(&b, "%s,%s,%d,%g,%t,%.2f,%.2f,%.2f,%d,%d,%.1f,%.1f,%.1f\n",
-			r.Key.Experiment, r.Key.Topology, r.Key.Users, r.Key.WriteRatioPct,
-			r.Completed, r.AvgRTms, r.P90ms, r.Throughput, r.Requests, r.Errors,
-			r.TierCPU["web"], r.TierCPU["app"], r.TierCPU["db"])
+		w.Write([]string{r.Key.Experiment, r.Key.Topology, strconv.Itoa(r.Key.Users),
+			strconv.FormatFloat(r.Key.WriteRatioPct, 'g', -1, 64), strconv.FormatBool(r.Completed),
+			fixed(r.AvgRTms, 2), fixed(r.P90ms, 2), fixed(r.Throughput, 2),
+			strconv.FormatInt(r.Requests, 10), strconv.FormatInt(r.Errors, 10),
+			fixed(r.TierCPU["web"], 1), fixed(r.TierCPU["app"], 1), fixed(r.TierCPU["db"], 1)})
 	}
+	w.Flush() // writes to b cannot fail
 	return b.String()
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -179,6 +180,36 @@ func TestCSV(t *testing.T) {
 	}
 	if !strings.Contains(csv, "exp,1-2-1,100,15,true,123.40") {
 		t.Fatalf("csv row wrong:\n%s", csv)
+	}
+}
+
+// TestCSVQuotesFields reads back rows whose experiment names hold a
+// comma, a quote and a line break: each must keep the header's 13
+// fields and its name intact.
+func TestCSVQuotesFields(t *testing.T) {
+	names := []string{"a,b <x>", `say "hi"`, "two\nlines"}
+	s := New()
+	for _, name := range names {
+		r := mkResult("1-2-1", 100, 15, 123.4, true)
+		r.Key.Experiment = name
+		s.Put(r)
+	}
+	rows, err := csv.NewReader(strings.NewReader(s.CSV())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1+len(names) {
+		t.Fatalf("%d rows, want %d", len(rows), 1+len(names))
+	}
+	for i, row := range rows {
+		if len(row) != 13 {
+			t.Fatalf("row %d has %d fields, want 13: %q", i, len(row), row)
+		}
+	}
+	for i, name := range names { // already in canonical order
+		if got := rows[1+i][0]; got != name {
+			t.Fatalf("row %d experiment = %q, want %q", 1+i, got, name)
+		}
 	}
 }
 
