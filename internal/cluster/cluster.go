@@ -54,6 +54,45 @@ func (s ServiceState) String() string {
 	}
 }
 
+// Next is the service lifecycle: it reports the state a verb moves the
+// package pkg in state s to, and an error when s does not allow the verb.
+// A package installs once; it configures after installing, again
+// whenever it is not running (scripts reconfigure between trials);
+// starts when configured or stopped; and stops when running. The state
+// is the verb's target even with an error, so a static checker can
+// carry on as if the step had run.
+func (s ServiceState) Next(verb, pkg string) (ServiceState, error) {
+	switch verb {
+	case "install":
+		if s != Absent {
+			return Installed, fmt.Errorf("%s already installed", pkg)
+		}
+		return Installed, nil
+	case "configure":
+		switch s {
+		case Absent:
+			return Configured, fmt.Errorf("cannot configure %s before installing it", pkg)
+		case Running:
+			return Configured, fmt.Errorf("cannot configure %s while it is running", pkg)
+		}
+		return Configured, nil
+	case "start":
+		switch s {
+		case Configured, Stopped:
+			return Running, nil
+		case Running:
+			return Running, fmt.Errorf("%s is already running", pkg)
+		}
+		return Running, fmt.Errorf("cannot start %s from state %s", pkg, s)
+	case "stop":
+		if s != Running {
+			return Stopped, fmt.Errorf("cannot stop %s from state %s", pkg, s)
+		}
+		return Stopped, nil
+	}
+	return s, fmt.Errorf("%q is not a lifecycle verb", verb)
+}
+
 // Node is one simulated machine.
 type Node struct {
 	name string
@@ -146,47 +185,15 @@ func (n *Node) Allocated() bool { return n.allocated }
 // State reports a service's lifecycle state.
 func (n *Node) State(service string) ServiceState { return n.services[service] }
 
-// Install places a software package on the node.
-func (n *Node) Install(pkg string) error {
-	if n.services[pkg] != Absent {
-		return fmt.Errorf("cluster: %s: %s already installed", n.name, pkg)
+// Apply moves a package through its lifecycle by a verb (see
+// ServiceState.Next), and leaves it as it was when the verb is not
+// allowed.
+func (n *Node) Apply(verb, pkg string) error {
+	next, err := n.services[pkg].Next(verb, pkg)
+	if err != nil {
+		return fmt.Errorf("cluster: %s: %w", n.name, err)
 	}
-	n.services[pkg] = Installed
-	return nil
-}
-
-// Configure marks a package configured. Configuration may be repeated
-// (scripts reconfigure between trials) but requires prior installation.
-func (n *Node) Configure(pkg string) error {
-	switch n.services[pkg] {
-	case Absent:
-		return fmt.Errorf("cluster: %s: cannot configure %s before installing it", n.name, pkg)
-	case Running:
-		return fmt.Errorf("cluster: %s: cannot configure %s while it is running", n.name, pkg)
-	}
-	n.services[pkg] = Configured
-	return nil
-}
-
-// Start ignites a configured service.
-func (n *Node) Start(pkg string) error {
-	switch n.services[pkg] {
-	case Configured, Stopped:
-		n.services[pkg] = Running
-		return nil
-	case Running:
-		return fmt.Errorf("cluster: %s: %s is already running", n.name, pkg)
-	default:
-		return fmt.Errorf("cluster: %s: cannot start %s from state %s", n.name, pkg, n.services[pkg])
-	}
-}
-
-// Stop halts a running service.
-func (n *Node) Stop(pkg string) error {
-	if n.services[pkg] != Running {
-		return fmt.Errorf("cluster: %s: cannot stop %s from state %s", n.name, pkg, n.services[pkg])
-	}
-	n.services[pkg] = Stopped
+	n.services[pkg] = next
 	return nil
 }
 

@@ -122,49 +122,40 @@ func TestAllocationDeterminism(t *testing.T) {
 	}
 }
 
+// TestServiceLifecycle walks a package through every allowed and
+// refused move, pinning the text of each refusal, and checks that a
+// refused move leaves the state alone.
 func TestServiceLifecycle(t *testing.T) {
 	c := emulab(t)
 	n, _ := c.Allocate("high-end")
-
-	if err := n.Configure("tomcat"); err == nil {
-		t.Fatalf("configure before install should fail")
-	}
-	if err := n.Start("tomcat"); err == nil {
-		t.Fatalf("start before install should fail")
-	}
-	if err := n.Install("tomcat"); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Install("tomcat"); err == nil {
-		t.Fatalf("double install should fail")
-	}
-	if err := n.Start("tomcat"); err == nil {
-		t.Fatalf("start before configure should fail")
-	}
-	if err := n.Configure("tomcat"); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Start("tomcat"); err != nil {
-		t.Fatal(err)
-	}
-	if n.State("tomcat") != Running {
-		t.Fatalf("state = %s", n.State("tomcat"))
-	}
-	if err := n.Start("tomcat"); err == nil {
-		t.Fatalf("double start should fail")
-	}
-	if err := n.Configure("tomcat"); err == nil {
-		t.Fatalf("configure while running should fail")
-	}
-	if err := n.Stop("tomcat"); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Stop("tomcat"); err == nil {
-		t.Fatalf("double stop should fail")
-	}
-	// restart from stopped is allowed
-	if err := n.Start("tomcat"); err != nil {
-		t.Fatalf("restart failed: %v", err)
+	for i, step := range []struct {
+		verb string
+		want ServiceState
+		err  string
+	}{
+		{"configure", Absent, "cannot configure tomcat before installing it"},
+		{"start", Absent, "cannot start tomcat from state absent"},
+		{"install", Installed, ""},
+		{"install", Installed, "tomcat already installed"},
+		{"start", Installed, "cannot start tomcat from state installed"},
+		{"configure", Configured, ""},
+		{"start", Running, ""},
+		{"start", Running, "tomcat is already running"},
+		{"configure", Running, "cannot configure tomcat while it is running"},
+		{"stop", Stopped, ""},
+		{"stop", Stopped, "cannot stop tomcat from state stopped"},
+		{"start", Running, ""}, // restart from stopped
+		{"frob", Running, `"frob" is not a lifecycle verb`},
+	} {
+		err := n.Apply(step.verb, "tomcat")
+		switch {
+		case step.err == "" && err != nil:
+			t.Fatalf("step %d (%s): %v", i, step.verb, err)
+		case step.err != "" && (err == nil || err.Error() != "cluster: "+n.Name()+": "+step.err):
+			t.Fatalf("step %d (%s): error %v, want %q", i, step.verb, err, step.err)
+		case n.State("tomcat") != step.want:
+			t.Fatalf("step %d (%s): state %s, want %s", i, step.verb, n.State("tomcat"), step.want)
+		}
 	}
 	if got := n.Running(); len(got) != 1 || got[0] != "tomcat" {
 		t.Fatalf("running = %v", got)
@@ -190,7 +181,7 @@ func TestNodeFiles(t *testing.T) {
 func TestReleaseWipesState(t *testing.T) {
 	c := emulab(t)
 	n, _ := c.Allocate("high-end")
-	if err := n.Install("tomcat"); err != nil {
+	if err := n.Apply("install", "tomcat"); err != nil {
 		t.Fatal(err)
 	}
 	n.WriteFile("/tmp/x", "y")

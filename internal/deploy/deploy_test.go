@@ -10,7 +10,7 @@ import (
 	"elba/internal/spec"
 )
 
-func testSetup(t *testing.T, topologies string) (*cluster.Cluster, *mulini.Deployment) {
+func testSetup(t testing.TB, topologies string) (*cluster.Cluster, *mulini.Deployment) {
 	t.Helper()
 	cat, err := cim.LoadCatalog()
 	if err != nil {
@@ -210,22 +210,6 @@ func TestEngineErrorIncludesProvenance(t *testing.T) {
 	err := NewEngine(c).Execute(b, "run.sh")
 	if err == nil || !strings.Contains(err.Error(), "run.sh:2") {
 		t.Fatalf("error should cite run.sh:2, got %v", err)
-	}
-}
-
-func TestSplitWords(t *testing.T) {
-	words, err := splitWords(`elbactl install --version "4.1 Max" --x y`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"elbactl", "install", "--version", "4.1 Max", "--x", "y"}
-	if len(words) != len(want) {
-		t.Fatalf("words = %v", words)
-	}
-	for i := range want {
-		if words[i] != want[i] {
-			t.Fatalf("words[%d] = %q, want %q", i, words[i], want[i])
-		}
 	}
 }
 

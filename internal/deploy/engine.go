@@ -1,18 +1,13 @@
 // Package deploy executes Mulini-generated deployment bundles against the
-// simulated cluster. The engine interprets the generated shell scripts
-// directly: `bash <script>` lines recurse into other bundle artifacts and
-// `elbactl <verb> ...` lines perform the actual actions (allocate,
-// install, push, configure, start, stop, release), so the generated text
-// is load-bearing, exactly as the paper's scripts are on a real testbed.
-// Any other line is shell boilerplate and is ignored, mirroring how a
-// real shell would execute echo/mkdir chatter without affecting the
-// deployed system's logical state.
+// simulated cluster. The engine runs the steps mulini.Walk reads from the
+// generated scripts (allocate, install, push, configure, start, stop,
+// release) in execution order, so the generated text is load-bearing,
+// exactly as the paper's scripts are on a real testbed.
 package deploy
 
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"elba/internal/cluster"
 	"elba/internal/mulini"
@@ -49,9 +44,8 @@ var errTransient = errors.New("transient failure injected (step timed out)")
 
 // Engine interprets deployment bundles against a cluster.
 type Engine struct {
-	cluster  *cluster.Cluster
-	roles    map[string]*cluster.Node
-	maxDepth int
+	cluster *cluster.Cluster
+	roles   map[string]*cluster.Node
 
 	policy  RetryPolicy
 	faultFn StepFault
@@ -63,7 +57,7 @@ type Engine struct {
 
 // NewEngine creates an engine bound to a cluster.
 func NewEngine(c *cluster.Cluster) *Engine {
-	return &Engine{cluster: c, roles: map[string]*cluster.Node{}, maxDepth: 16}
+	return &Engine{cluster: c, roles: map[string]*cluster.Node{}}
 }
 
 // SetRetryPolicy installs a per-step retry policy.
@@ -87,69 +81,29 @@ func (e *Engine) Node(role string) (*cluster.Node, bool) {
 }
 
 // Execute runs a bundle starting from the entry script (normally
-// "run.sh"). Execution has set -e semantics: the first failing elbactl
-// command aborts with script/line context.
+// "run.sh"). Execution has set -e semantics: the first failing step
+// aborts with script/line context.
 func (e *Engine) Execute(b *mulini.Bundle, entry string) error {
-	return e.executeScript(b, entry, 0)
+	return mulini.Walk(b, entry, func(s mulini.Step) error { return e.run(b, s) })
 }
 
-func (e *Engine) executeScript(b *mulini.Bundle, path string, depth int) error {
-	if depth > e.maxDepth {
-		return fmt.Errorf("deploy: script nesting too deep at %q", path)
+// run executes one step. A malformed line fails at once; a well-formed
+// elbactl step runs under the engine's retry policy, with injected
+// transient failures consuming attempts before the verb executes (the
+// model is an ssh or mirror timeout: the command never ran, so retrying
+// is safe).
+func (e *Engine) run(b *mulini.Bundle, s mulini.Step) error {
+	if s.Err != nil {
+		return fmt.Errorf("deploy: %w", s.Err)
 	}
-	art, ok := b.Get(path)
-	if !ok {
-		return fmt.Errorf("deploy: bundle has no script %q", path)
+	if s.Call != "" {
+		return nil
 	}
-	if art.Kind != mulini.Script {
-		return fmt.Errorf("deploy: artifact %q is %s, not a script", path, art.Kind)
-	}
-	lines := strings.Split(art.Content, "\n")
-	for i, raw := range lines {
-		line := strings.TrimSpace(raw)
-		switch {
-		case strings.HasPrefix(line, "bash "):
-			sub := strings.TrimSpace(strings.TrimPrefix(line, "bash "))
-			if err := e.executeScript(b, sub, depth+1); err != nil {
-				return fmt.Errorf("%s:%d: %w", path, i+1, err)
-			}
-		case line == "elbactl" || strings.HasPrefix(line, "elbactl "):
-			if err := e.execElbactl(b, line, path, i+1); err != nil {
-				return fmt.Errorf("%s:%d: %w", path, i+1, err)
-			}
-		}
-	}
-	return nil
-}
-
-// execElbactl parses and executes one elbactl command line. Malformed
-// lines fail immediately; well-formed steps run under the engine's retry
-// policy, with injected transient failures consuming attempts before the
-// verb executes (the model is an ssh or mirror timeout: the command never
-// ran, so retrying is safe).
-func (e *Engine) execElbactl(b *mulini.Bundle, line, script string, lineNo int) error {
-	words, err := splitWords(line)
-	if err != nil {
-		return err
-	}
-	if len(words) < 2 {
-		return fmt.Errorf("deploy: malformed elbactl line %q", line)
-	}
-	verb := words[1]
-	flags, err := parseFlags(words[2:])
-	if err != nil {
-		return err
-	}
-	role := flags["role"]
-	if role == "" {
-		return fmt.Errorf("deploy: elbactl %s requires --role", verb)
-	}
-
 	step := e.steps
 	e.steps++
 	glitches := 0
 	if e.faultFn != nil {
-		glitches = e.faultFn(script, lineNo, verb, role)
+		glitches = e.faultFn(s.Script, s.Line, s.Verb, s.Role)
 	}
 	attempts := e.policy.MaxAttempts
 	if attempts < 1 {
@@ -159,12 +113,12 @@ func (e *Engine) execElbactl(b *mulini.Bundle, line, script string, lineNo int) 
 		var stepErr error
 		if attempt <= glitches {
 			stepErr = errTransient
-		} else if stepErr = e.applyVerb(b, verb, role, flags); stepErr == nil {
+		} else if stepErr = e.applyVerb(b, s); stepErr == nil {
 			return nil
 		}
 		if attempt >= attempts {
 			return fmt.Errorf("deploy: step %d (%s --role %s on %s) failed after %d attempt(s): %w",
-				step, verb, role, e.nodeName(role), attempt, stepErr)
+				step, s.Verb, s.Role, e.nodeName(s.Role), attempt, stepErr)
 		}
 		// The attempt timed out or failed: charge the step timeout plus a
 		// doubling backoff before the next try, in simulated seconds.
@@ -181,121 +135,44 @@ func (e *Engine) nodeName(role string) string {
 	return "unbound"
 }
 
-// applyVerb performs one elbactl verb.
-func (e *Engine) applyVerb(b *mulini.Bundle, verb, role string, flags map[string]string) error {
-	switch verb {
+// applyVerb performs one elbactl step.
+func (e *Engine) applyVerb(b *mulini.Bundle, s mulini.Step) error {
+	switch s.Verb {
 	case "allocate":
-		if _, dup := e.roles[role]; dup {
-			return fmt.Errorf("deploy: role %s already allocated", role)
+		if _, dup := e.roles[s.Role]; dup {
+			return fmt.Errorf("deploy: role %s already allocated", s.Role)
 		}
-		node, err := e.cluster.Allocate(flags["type"])
+		node, err := e.cluster.Allocate(s.Type)
 		if err != nil {
 			return err
 		}
-		e.roles[role] = node
+		e.roles[s.Role] = node
 		return nil
 	case "release":
-		node, ok := e.roles[role]
+		node, ok := e.roles[s.Role]
 		if !ok {
-			return fmt.Errorf("deploy: release of unbound role %s", role)
+			return fmt.Errorf("deploy: release of unbound role %s", s.Role)
 		}
 		e.cluster.Release(node)
-		delete(e.roles, role)
+		delete(e.roles, s.Role)
 		return nil
 	}
 
-	node, ok := e.roles[role]
+	node, ok := e.roles[s.Role]
 	if !ok {
-		return fmt.Errorf("deploy: role %s not allocated before %s", role, verb)
+		return fmt.Errorf("deploy: role %s not allocated before %s", s.Role, s.Verb)
 	}
-	switch verb {
-	case "install":
-		pkg := flags["package"]
-		if pkg == "" {
-			return fmt.Errorf("deploy: install requires --package")
-		}
-		return node.Install(pkg)
-	case "configure":
-		pkg := flags["package"]
-		if pkg == "" {
-			return fmt.Errorf("deploy: configure requires --package")
-		}
-		return node.Configure(pkg)
+	switch s.Verb {
 	case "push":
-		dest, artifact := flags["file"], flags["artifact"]
-		if dest == "" || artifact == "" {
-			return fmt.Errorf("deploy: push requires --file and --artifact")
-		}
-		src, ok := b.Get(artifact)
+		src, ok := b.Get(s.Artifact)
 		if !ok {
-			return fmt.Errorf("deploy: push references missing artifact %q", artifact)
+			return fmt.Errorf("deploy: push references missing artifact %q", s.Artifact)
 		}
-		node.WriteFile(dest, src.Content)
+		node.WriteFile(s.File, src.Content)
 		return nil
-	case "start":
-		svc := flags["service"]
-		if svc == "" {
-			return fmt.Errorf("deploy: start requires --service")
-		}
-		return node.Start(svc)
-	case "stop":
-		svc := flags["service"]
-		if svc == "" {
-			return fmt.Errorf("deploy: stop requires --service")
-		}
-		return node.Stop(svc)
-	default:
-		return fmt.Errorf("deploy: unknown elbactl verb %q", verb)
+	case "install", "configure":
+		return node.Apply(s.Verb, s.Package)
+	default: // start or stop
+		return node.Apply(s.Verb, s.Service)
 	}
-}
-
-// splitWords splits a shell-ish command line honoring double quotes.
-func splitWords(line string) ([]string, error) {
-	var out []string
-	var cur strings.Builder
-	inQuote := false
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
-		}
-	}
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		switch {
-		case c == '"':
-			inQuote = !inQuote
-		case c == ' ' || c == '\t':
-			if inQuote {
-				cur.WriteByte(c)
-			} else {
-				flush()
-			}
-		default:
-			cur.WriteByte(c)
-		}
-	}
-	if inQuote {
-		return nil, fmt.Errorf("deploy: unterminated quote in %q", line)
-	}
-	flush()
-	return out, nil
-}
-
-// parseFlags converts --key value pairs into a map.
-func parseFlags(words []string) (map[string]string, error) {
-	flags := map[string]string{}
-	for i := 0; i < len(words); i++ {
-		w := words[i]
-		if !strings.HasPrefix(w, "--") {
-			return nil, fmt.Errorf("deploy: expected flag, found %q", w)
-		}
-		key := strings.TrimPrefix(w, "--")
-		if i+1 >= len(words) {
-			return nil, fmt.Errorf("deploy: flag --%s has no value", key)
-		}
-		i++
-		flags[key] = words[i]
-	}
-	return flags, nil
 }

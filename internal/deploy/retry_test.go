@@ -171,3 +171,21 @@ func TestEngineZeroPolicyKeepsSetESemantics(t *testing.T) {
 		t.Fatalf("zero policy performed retries: %d (%gs)", eng.Retries(), eng.ElapsedSec())
 	}
 }
+
+// TestEngineMalformedLineFailsBeforeRetry checks that a line the parser
+// rejects fails at once: it is no step, so the fault injector is not
+// consulted and the retry policy spends nothing on it.
+func TestEngineMalformedLineFailsBeforeRetry(t *testing.T) {
+	eng := NewEngine(warpCluster(t))
+	eng.SetRetryPolicy(DefaultRetryPolicy)
+	consulted := 0
+	eng.SetStepFault(func(string, int, string, string) int { consulted++; return 1 })
+	err := eng.Execute(badBundle(t, `elbactl allocate --role A`, `elbactl install --role A`), "run.sh")
+	if err == nil || !strings.Contains(err.Error(), "run.sh:2: deploy: elbactl install requires --package") {
+		t.Fatalf("error = %v, want the parse error at run.sh:2", err)
+	}
+	if consulted != 1 || eng.Retries() != 1 || eng.steps != 1 {
+		t.Fatalf("fault injector consulted %d times, %d retries, %d steps; want 1, 1, 1 (the allocate alone)",
+			consulted, eng.Retries(), eng.steps)
+	}
+}

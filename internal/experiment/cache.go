@@ -1,10 +1,6 @@
 package experiment
 
-import (
-	"sync"
-
-	"elba/internal/store"
-)
+import "elba/internal/store"
 
 // TrialKey identifies one trial as a pure function of its inputs: the
 // trial-invariant canonical spec hash, the grid coordinates, and every
@@ -79,37 +75,4 @@ func (r *Runner) trialKey(hash, topo string, cfg TrialConfig) TrialKey {
 		TraceExemplars: cfg.TraceExemplars,
 		SketchRT:       cfg.SketchRT,
 	}
-}
-
-// ephemeralTrialCache is the in-process fallback cache: a plain keyed
-// map with no persistence and no cross-goroutine coalescing. The knee
-// search installs one per sweep when the runner has no shared cache, so
-// repeated populations (the bisection anchors after a collapsed
-// bracket) reuse the recorded result instead of re-spending a trial —
-// the successor of the old probe-level memoization, now keyed by the
-// full trial coordinates.
-type ephemeralTrialCache struct {
-	mu sync.Mutex
-	m  map[TrialKey]store.Result
-}
-
-func newEphemeralTrialCache() *ephemeralTrialCache {
-	return &ephemeralTrialCache{m: map[TrialKey]store.Result{}}
-}
-
-func (c *ephemeralTrialCache) Do(k TrialKey, compute func() (store.Result, error)) (store.Result, bool, error) {
-	c.mu.Lock()
-	if res, ok := c.m[k]; ok {
-		c.mu.Unlock()
-		return res, true, nil
-	}
-	c.mu.Unlock()
-	res, err := compute()
-	if err != nil {
-		return store.Result{}, false, err
-	}
-	c.mu.Lock()
-	c.m[k] = res
-	c.mu.Unlock()
-	return res, false, nil
 }

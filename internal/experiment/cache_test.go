@@ -8,6 +8,34 @@ import (
 	"elba/internal/store"
 )
 
+// mapTrialCache is a TrialCache fake: a plain keyed map with no
+// persistence and no cross-goroutine coalescing.
+type mapTrialCache struct {
+	mu sync.Mutex
+	m  map[TrialKey]store.Result
+}
+
+func newMapTrialCache() *mapTrialCache {
+	return &mapTrialCache{m: map[TrialKey]store.Result{}}
+}
+
+func (c *mapTrialCache) Do(k TrialKey, compute func() (store.Result, error)) (store.Result, bool, error) {
+	c.mu.Lock()
+	if res, ok := c.m[k]; ok {
+		c.mu.Unlock()
+		return res, true, nil
+	}
+	c.mu.Unlock()
+	res, err := compute()
+	if err != nil {
+		return store.Result{}, false, err
+	}
+	c.mu.Lock()
+	c.m[k] = res
+	c.mu.Unlock()
+	return res, false, nil
+}
+
 // keyRecorder is a TrialCache that records every key it is asked for and
 // never hits.
 type keyRecorder struct {

@@ -290,7 +290,7 @@ func TestGridCommitsStreamWithTheGrid(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		r := testRunner(t)
 		r.TrialParallel = workers
-		hold := &holdCache{TrialCache: newEphemeralTrialCache(), users: 400, release: make(chan struct{})}
+		hold := &holdCache{TrialCache: newMapTrialCache(), users: 400, release: make(chan struct{})}
 		r.TrialCache = hold
 		var release sync.Once
 		var seen []int
@@ -383,7 +383,7 @@ func TestRunnerCancellationStopsTheGrid(t *testing.T) {
 		r := testRunner(t)
 		r.TrialParallel = workers
 		ctx, cancel := context.WithCancel(context.Background())
-		r.TrialCache = cancelCache{TrialCache: newEphemeralTrialCache(), ctx: ctx, cancel: cancel, users: 150}
+		r.TrialCache = cancelCache{TrialCache: newMapTrialCache(), ctx: ctx, cancel: cancel, users: 150}
 		err := r.RunExperimentContext(ctx, rubisExperiment(t, `workload { users 50 to 800 step 50; writeratio 15; }`))
 		cancel()
 		if !errors.Is(err, context.Canceled) {

@@ -14,9 +14,8 @@ type KneeSearchResult struct {
 	// ViolationUsers is the smallest tested population violating it.
 	ViolationUsers int
 	// Trials counts the experiments the search actually spent: probes
-	// served from the trial cache (repeated populations within a sweep,
-	// or points computed by an earlier sweep sharing the runner's cache)
-	// cost nothing and are not counted.
+	// served from the runner's trial cache (points computed by an earlier
+	// search or sweep sharing it) cost nothing and are not counted.
 	Trials int
 	// Probes records every executed (users, avgRTms, completed)
 	// measurement; cache-served probes do not appear.
@@ -49,13 +48,10 @@ type KneeProbe struct {
 //
 // Probes run through the runner's trial cache when one is attached, so
 // a re-anchored search (new bracket, same spec) reuses every previously
-// measured population; without a shared cache an ephemeral per-sweep
-// cache still dedupes repeated populations — bisection over a shrinking
-// bracket never revisits a population on its own, but the anchor points
-// sit outside the loop, and a collapsed interval (hi - lo <= resolution)
-// ends the search right back on them. Either way the trial budget per
-// sweep is independent of how the probing strategy lands. Errors are
-// never cached: a failed testbed run may be retried.
+// measured population. A search never probes a population twice on its
+// own: after the two anchors every bisection probe lies strictly inside
+// the current bracket. Errors are never cached: a failed testbed run may
+// be retried.
 func (r *Runner) KneeSearch(e *spec.Experiment, topo spec.Topology,
 	writeRatioPct, sloMS float64, lo, hi, resolution int) (KneeSearchResult, error) {
 
@@ -65,14 +61,10 @@ func (r *Runner) KneeSearch(e *spec.Experiment, topo spec.Topology,
 	if err := checkBracket(lo, hi); err != nil {
 		return KneeSearchResult{}, err
 	}
-	cache := r.TrialCache
-	if cache == nil {
-		cache = newEphemeralTrialCache()
-	}
 	res := KneeSearchResult{}
-	err := r.withDeployment(e, topo, specHash(e, cache), func(dep *deployed) error {
+	err := r.withDeployment(e, topo, specHash(e, r.TrialCache), func(dep *deployed) error {
 		probe := func(users int) (bool, error) {
-			out, err := r.trialOn(cache, dep, users, writeRatioPct)
+			out, err := r.trialOn(r.TrialCache, dep, users, writeRatioPct)
 			if err != nil {
 				return false, err
 			}

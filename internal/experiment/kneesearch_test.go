@@ -12,7 +12,6 @@ import (
 
 	"elba/internal/fault"
 	"elba/internal/spec"
-	"elba/internal/store"
 )
 
 // countingProbe wraps a synthetic acceptance predicate, recording probe
@@ -142,31 +141,11 @@ func TestKneeBisectResolutionClamped(t *testing.T) {
 	}
 }
 
-// cachedProbe adapts a synthetic predicate through a TrialCache exactly
-// the way KneeSearch routes real probes through the runner's trial
-// cache: each population's verdict is computed once and replayed from
-// the cache on repeats, with errors left uncached.
-func cachedProbe(cache TrialCache, probe func(int) (bool, error)) func(int) (bool, error) {
-	return func(users int) (bool, error) {
-		res, _, err := cache.Do(TrialKey{Users: users}, func() (store.Result, error) {
-			ok, err := probe(users)
-			if err != nil {
-				return store.Result{}, err
-			}
-			return store.Result{Completed: ok}, nil
-		})
-		if err != nil {
-			return false, err
-		}
-		return res.Completed, nil
-	}
-}
-
-// TestKneeSearchTrialBudgetPerSweep is the regression for the
-// re-probed-anchor bug: every sweep's trial count is pinned exactly, and
-// no population may be measured twice. A collapsed bisect interval
-// (hi - lo <= resolution) used to land the search back on the anchor; the
-// trial cache makes that a cache hit instead of a re-run.
+// TestKneeSearchTrialBudgetPerSweep pins every sweep's trial count
+// exactly and checks that the bisection, with no cache in front of it,
+// never measures a population twice: a collapsed bracket (hi - lo <=
+// resolution) ends the search on its two anchors without probing them
+// again.
 func TestKneeSearchTrialBudgetPerSweep(t *testing.T) {
 	const knee = 737
 	sweeps := []struct {
@@ -197,7 +176,7 @@ func TestKneeSearchTrialBudgetPerSweep(t *testing.T) {
 	for _, s := range sweeps {
 		t.Run(s.name, func(t *testing.T) {
 			probe, probed := countingProbe(s.ok)
-			users, violation, err := kneeBisect(cachedProbe(newEphemeralTrialCache(), probe), s.lo, s.hi, s.res)
+			users, violation, err := kneeBisect(probe, s.lo, s.hi, s.res)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,45 +197,6 @@ func TestKneeSearchTrialBudgetPerSweep(t *testing.T) {
 				t.Fatalf("anchors should be probed first: %v", *probed)
 			}
 		})
-	}
-}
-
-// TestEphemeralTrialCacheDedupes exercises the fallback cache directly:
-// a repeated population must reuse the verdict without touching the
-// underlying probe, and errors must stay retryable.
-func TestEphemeralTrialCacheDedupes(t *testing.T) {
-	probe, probed := countingProbe(func(u int) bool { return u <= 10 })
-	m := cachedProbe(newEphemeralTrialCache(), probe)
-	for _, u := range []int{5, 20, 5, 20, 5} {
-		ok, err := m(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok != (u <= 10) {
-			t.Fatalf("cached verdict for %d flipped to %v", u, ok)
-		}
-	}
-	if len(*probed) != 2 {
-		t.Fatalf("underlying probe ran %d times, want 2: %v", len(*probed), *probed)
-	}
-
-	// Errors are not cached: the same population may be retried.
-	calls := 0
-	flaky := cachedProbe(newEphemeralTrialCache(), func(int) (bool, error) {
-		calls++
-		if calls == 1 {
-			return false, fmt.Errorf("testbed hiccup")
-		}
-		return true, nil
-	})
-	if _, err := flaky(7); err == nil {
-		t.Fatal("first call should surface the error")
-	}
-	if ok, err := flaky(7); err != nil || !ok {
-		t.Fatalf("retry after error: ok=%v err=%v", ok, err)
-	}
-	if ok, err := flaky(7); err != nil || !ok || calls != 2 {
-		t.Fatalf("third call should hit the cache: ok=%v err=%v calls=%d", ok, err, calls)
 	}
 }
 
@@ -281,7 +221,7 @@ func TestKneeBisectPropagatesProbeErrors(t *testing.T) {
 func referenceKneeSearch(r *Runner, e *spec.Experiment, topo spec.Topology,
 	writeRatioPct, sloMS float64, lo, hi, resolution int) (KneeSearchResult, error) {
 
-	r.TrialCache = newEphemeralTrialCache()
+	r.TrialCache = newMapTrialCache()
 	res := KneeSearchResult{}
 	probe := func(users int) (bool, error) {
 		out, err := r.RunTrialAt(e, topo, users, writeRatioPct)

@@ -6,7 +6,7 @@ import (
 )
 
 // ShellBackend renders a deployment into bash-style scripts whose
-// operative lines speak the elbactl protocol (see package deploy). This
+// operative lines speak the elbactl protocol (see Step and Walk). This
 // is the paper's primary target language: "typical shell-style scripting
 // languages such as bash shell script for Unix systems" (§II).
 type ShellBackend struct{}

@@ -1,11 +1,12 @@
 // Package staging statically validates Mulini-generated deployment
 // bundles before they run. The Elba project's original application was
 // "validation of staging deployment scripts" (paper §VI); this package is
-// that idea for our bundles: it walks the generated scripts without
-// executing them and reports structural defects — dangling script or
-// artifact references, lifecycle violations (start before install,
-// configure while running), leaked allocations, unreachable artifacts —
-// with script/line provenance.
+// that idea for our bundles: it checks the steps mulini.Walk reads from
+// the generated scripts without executing them and reports structural
+// defects — malformed lines, dangling script or artifact references,
+// lifecycle violations (start before install, configure while running),
+// leaked allocations, unreachable artifacts — with script/line
+// provenance.
 //
 // The deploy engine would also surface most of these, but only at the
 // first failing step of an actual run; staging finds every issue at once,
@@ -15,8 +16,8 @@ package staging
 import (
 	"fmt"
 	"sort"
-	"strings"
 
+	"elba/internal/cluster"
 	"elba/internal/mulini"
 )
 
@@ -57,27 +58,15 @@ func (i Issue) String() string {
 	return fmt.Sprintf("%s:%d: %s: %s", i.Script, i.Line, i.Severity, i.Message)
 }
 
-// svcState mirrors the cluster lifecycle for static tracking.
-type svcState int
-
-const (
-	absent svcState = iota
-	installed
-	configured
-	running
-	stopped
-)
-
-// validator walks scripts accumulating simulated state.
+// validator checks steps accumulating simulated state.
 type validator struct {
 	bundle *mulini.Bundle
 	issues []Issue
 
 	allocated map[string]bool
-	services  map[string]map[string]svcState // role → pkg → state
-	visited   map[string]bool                // scripts reached from the entry
-	usedArts  map[string]bool                // artifacts referenced by pushes
-	depth     int
+	services  map[string]map[string]cluster.ServiceState // role → pkg → state
+	visited   map[string]bool                            // scripts reached from the entry
+	usedArts  map[string]bool                            // artifacts referenced by pushes
 }
 
 // Validate statically checks a bundle starting from entry (normally
@@ -88,7 +77,7 @@ func Validate(b *mulini.Bundle, entry string) []Issue {
 	v := &validator{
 		bundle:    b,
 		allocated: map[string]bool{},
-		services:  map[string]map[string]svcState{},
+		services:  map[string]map[string]cluster.ServiceState{},
 		visited:   map[string]bool{},
 		usedArts:  map[string]bool{},
 	}
@@ -99,8 +88,8 @@ func Validate(b *mulini.Bundle, entry string) []Issue {
 	// Everything ignited by run.sh should be running at its end.
 	for role, pkgs := range v.services {
 		for pkg, st := range pkgs {
-			if st != running {
-				v.errf("", 0, "after %s: %s on %s is %s, expected running", entry, pkg, role, stateName(st))
+			if st != cluster.Running {
+				v.errf("", 0, "after %s: %s on %s is %s, expected running", entry, pkg, role, st)
 			}
 		}
 	}
@@ -113,7 +102,7 @@ func Validate(b *mulini.Bundle, entry string) []Issue {
 		}
 		for role, pkgs := range v.services {
 			for pkg, st := range pkgs {
-				if st == running {
+				if st == cluster.Running {
 					v.errf("", 0, "after teardown.sh: %s on %s still running", pkg, role)
 				}
 			}
@@ -145,10 +134,6 @@ func Validate(b *mulini.Bundle, entry string) []Issue {
 	return v.issues
 }
 
-func stateName(s svcState) string {
-	return [...]string{"absent", "installed", "configured", "running", "stopped"}[s]
-}
-
 func (v *validator) errf(script string, line int, format string, args ...interface{}) {
 	v.issues = append(v.issues, Issue{Severity: Error, Script: script, Line: line,
 		Message: fmt.Sprintf(format, args...)})
@@ -159,142 +144,66 @@ func (v *validator) warnf(script string, line int, format string, args ...interf
 		Message: fmt.Sprintf(format, args...)})
 }
 
-func (v *validator) walk(path string) {
-	if v.depth > 16 {
-		v.errf(path, 0, "script nesting exceeds 16 levels (recursion?)")
-		return
-	}
-	art, ok := v.bundle.Get(path)
-	if !ok {
-		return // caller reports the dangling reference with its location
-	}
-	v.visited[path] = true
-	v.depth++
-	defer func() { v.depth-- }()
-	for i, raw := range strings.Split(art.Content, "\n") {
-		line := strings.TrimSpace(raw)
-		lineNo := i + 1
-		switch {
-		case strings.HasPrefix(line, "bash "):
-			sub := strings.TrimSpace(strings.TrimPrefix(line, "bash "))
-			if sa, ok := v.bundle.Get(sub); !ok {
-				v.errf(path, lineNo, "references missing script %q", sub)
-			} else if sa.Kind != mulini.Script {
-				v.errf(path, lineNo, "invokes non-script artifact %q", sub)
-			} else {
-				v.walk(sub)
-			}
-		case line == "elbactl" || strings.HasPrefix(line, "elbactl "):
-			v.checkElbactl(path, lineNo, line)
-		}
+// walk checks every step reached from entry.
+func (v *validator) walk(entry string) {
+	v.visited[entry] = true
+	if err := mulini.Walk(v.bundle, entry, v.check); err != nil {
+		v.errf("", 0, "%v", err) // entry is not a script; check never fails
 	}
 }
 
-func (v *validator) checkElbactl(script string, lineNo int, line string) {
-	fields := strings.Fields(line)
-	if len(fields) < 2 {
-		v.errf(script, lineNo, "malformed elbactl command")
-		return
+// check records one step's effect on the simulated state, and an issue
+// for each defect it shows. It never stops the walk.
+func (v *validator) check(s mulini.Step) error {
+	if s.Err != nil {
+		v.errf(s.Script, s.Line, "%v", s.Err)
+		return nil
 	}
-	verb := fields[1]
-	flags := map[string]string{}
-	for i := 2; i+1 < len(fields); i += 2 {
-		flags[strings.TrimPrefix(fields[i], "--")] = strings.Trim(fields[i+1], `"`)
+	if s.Call != "" {
+		v.visited[s.Call] = true
+		return nil
 	}
-	role := flags["role"]
-	if role == "" {
-		v.errf(script, lineNo, "elbactl %s without --role", verb)
-		return
-	}
-	state := func(pkg string) svcState {
-		if v.services[role] == nil {
-			return absent
-		}
-		return v.services[role][pkg]
-	}
-	setState := func(pkg string, st svcState) {
-		if v.services[role] == nil {
-			v.services[role] = map[string]svcState{}
-		}
-		v.services[role][pkg] = st
-	}
-	switch verb {
+	switch s.Verb {
 	case "allocate":
-		if v.allocated[role] {
-			v.errf(script, lineNo, "role %s allocated twice", role)
+		if v.allocated[s.Role] {
+			v.errf(s.Script, s.Line, "role %s allocated twice", s.Role)
 		}
-		v.allocated[role] = true
+		v.allocated[s.Role] = true
 	case "release":
-		if !v.allocated[role] {
-			v.errf(script, lineNo, "release of unallocated role %s", role)
+		if !v.allocated[s.Role] {
+			v.errf(s.Script, s.Line, "release of unallocated role %s", s.Role)
 		}
-		v.allocated[role] = false
-	case "install":
-		if !v.allocated[role] {
-			v.errf(script, lineNo, "install on unallocated role %s", role)
-		}
-		pkg := flags["package"]
-		if pkg == "" {
-			v.errf(script, lineNo, "install without --package")
-			return
-		}
-		if state(pkg) != absent {
-			v.errf(script, lineNo, "%s already installed on %s", pkg, role)
-		}
-		setState(pkg, installed)
-	case "configure":
-		pkg := flags["package"]
-		if pkg == "" {
-			v.errf(script, lineNo, "configure without --package")
-			return
-		}
-		switch state(pkg) {
-		case absent:
-			v.errf(script, lineNo, "configure of %s on %s before install", pkg, role)
-		case running:
-			v.errf(script, lineNo, "configure of %s on %s while running", pkg, role)
-		}
-		setState(pkg, configured)
-	case "start":
-		svc := flags["service"]
-		if svc == "" {
-			v.errf(script, lineNo, "start without --service")
-			return
-		}
-		switch state(svc) {
-		case configured, stopped:
-		case running:
-			v.errf(script, lineNo, "%s on %s started twice", svc, role)
-		default:
-			v.errf(script, lineNo, "start of %s on %s from state %s", svc, role, stateName(state(svc)))
-		}
-		setState(svc, running)
-	case "stop":
-		svc := flags["service"]
-		if svc == "" {
-			v.errf(script, lineNo, "stop without --service")
-			return
-		}
-		if state(svc) != running {
-			v.errf(script, lineNo, "stop of %s on %s which is %s", svc, role, stateName(state(svc)))
-		}
-		setState(svc, stopped)
+		v.allocated[s.Role] = false
 	case "push":
-		artName := flags["artifact"]
-		if artName == "" || flags["file"] == "" {
-			v.errf(script, lineNo, "push needs --file and --artifact")
-			return
+		if _, ok := v.bundle.Get(s.Artifact); !ok {
+			v.errf(s.Script, s.Line, "push references missing artifact %q", s.Artifact)
+			return nil
 		}
-		if _, ok := v.bundle.Get(artName); !ok {
-			v.errf(script, lineNo, "push references missing artifact %q", artName)
-			return
+		v.usedArts[s.Artifact] = true
+		v.checkAllocated(s)
+	default: // install, configure, start or stop
+		v.checkAllocated(s)
+		pkg := s.Package
+		if s.Verb == "start" || s.Verb == "stop" {
+			pkg = s.Service
 		}
-		v.usedArts[artName] = true
-		if !v.allocated[role] {
-			v.errf(script, lineNo, "push to unallocated role %s", role)
+		svcs := v.services[s.Role]
+		if svcs == nil {
+			svcs = map[string]cluster.ServiceState{}
+			v.services[s.Role] = svcs
 		}
-	default:
-		v.errf(script, lineNo, "unknown elbactl verb %q", verb)
+		next, err := svcs[pkg].Next(s.Verb, pkg)
+		if err != nil {
+			v.errf(s.Script, s.Line, "%s: %v", s.Role, err)
+		}
+		svcs[pkg] = next
+	}
+	return nil
+}
+
+func (v *validator) checkAllocated(s mulini.Step) {
+	if !v.allocated[s.Role] {
+		v.errf(s.Script, s.Line, "%s on unallocated role %s", s.Verb, s.Role)
 	}
 }
 

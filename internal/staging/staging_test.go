@@ -101,7 +101,7 @@ func TestValidateLifecycleViolations(t *testing.T) {
 			"already installed"},
 		{"double start",
 			"elbactl allocate --role A\nelbactl install --role A --package x\nelbactl configure --role A --package x\nelbactl start --role A --service x\nelbactl start --role A --service x\n",
-			"started twice"},
+			"already running"},
 		{"install unallocated",
 			"elbactl install --role A --package x\n",
 			"unallocated role"},
