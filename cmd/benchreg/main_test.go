@@ -98,6 +98,30 @@ func TestRunStrictAllocs(t *testing.T) {
 	}
 }
 
+// TestRunStrictAllocsRepeated reads the output of -count=5: a
+// collection-inflated count in one line of five passes -strict-allocs,
+// and a count one higher in all five fails it.
+func TestRunStrictAllocsRepeated(t *testing.T) {
+	for _, c := range []struct {
+		grown int // lines whose count is one higher
+		fail  bool
+	}{{0, false}, {1, false}, {4, false}, {5, true}} {
+		var in strings.Builder
+		for i := 0; i < 5; i++ {
+			lines := benchOutput(1.0)
+			if i < c.grown {
+				lines = strings.Replace(lines, " 3941 allocs/op", " 3942 allocs/op", 1)
+			}
+			in.WriteString(lines)
+		}
+		var out strings.Builder
+		err := run([]string{"-baseline", repoFixture(t), "-strict-allocs"}, strings.NewReader(in.String()), &out)
+		if (err != nil) != c.fail {
+			t.Errorf("%d of 5 lines one alloc higher: error %v, want failure %v\n%s", c.grown, err, c.fail, out.String())
+		}
+	}
+}
+
 // TestRunWritesReport: -out writes a JSON report that a later run can
 // load back as its baseline.
 func TestRunWritesReport(t *testing.T) {

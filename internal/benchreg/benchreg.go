@@ -34,8 +34,15 @@ type Report struct {
 // results (package headers, PASS, ok) are ignored. The trailing -N
 // GOMAXPROCS suffix is stripped from names so reports compare across
 // machines.
+//
+// A benchmark run with -count N prints N lines, which become one row:
+// the median of their ns/op, runs and custom metrics, and the minimum
+// of their allocs/op and B/op. A collection that empties a sync.Pool
+// mid-run inflates one line's allocations; a change to the code raises
+// them in every line, so the minimum drops the first and keeps the
+// second.
 func Parse(r io.Reader) (*Report, error) {
-	rep := &Report{}
+	lines := map[string][]Benchmark{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -74,15 +81,55 @@ func Parse(r io.Reader) (*Report, error) {
 				b.Extra[unit] = v
 			}
 		}
-		rep.Benchmarks = append(rep.Benchmarks, b)
+		lines[b.Name] = append(lines[b.Name], b)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	rep := &Report{}
+	for _, runs := range lines {
+		rep.Benchmarks = append(rep.Benchmarks, merge(runs))
 	}
 	sort.Slice(rep.Benchmarks, func(i, j int) bool {
 		return rep.Benchmarks[i].Name < rep.Benchmarks[j].Name
 	})
 	return rep, nil
+}
+
+// merge folds one benchmark's lines into its row (see Parse).
+func merge(runs []Benchmark) Benchmark {
+	b := runs[0]
+	var ns, n []float64
+	extra := map[string][]float64{}
+	for _, r := range runs {
+		ns = append(ns, r.NsPerOp)
+		n = append(n, float64(r.Runs))
+		b.AllocsOp = min(b.AllocsOp, r.AllocsOp)
+		b.BytesOp = min(b.BytesOp, r.BytesOp)
+		for unit, v := range r.Extra {
+			extra[unit] = append(extra[unit], v)
+		}
+	}
+	b.NsPerOp, b.Runs = median(ns), int64(median(n))
+	b.Extra = nil
+	for unit, vs := range extra {
+		if b.Extra == nil {
+			b.Extra = map[string]float64{}
+		}
+		b.Extra[unit] = median(vs)
+	}
+	return b
+}
+
+// median returns the median of vs, which it sorts; of an even number of
+// values, the mean of the middle two.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // trimProcSuffix drops the "-8" GOMAXPROCS suffix go test appends.

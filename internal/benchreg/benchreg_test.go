@@ -113,3 +113,29 @@ func TestParseEmpty(t *testing.T) {
 		t.Fatalf("parsed phantom benchmarks: %+v", rep.Benchmarks)
 	}
 }
+
+// TestParseRepeatedLines folds the five lines of a -count=5 run into one
+// row: the median ns/op, runs and custom metric, and the minimum
+// allocs/op and B/op.
+func TestParseRepeatedLines(t *testing.T) {
+	const out = `BenchmarkPipeline-2   100   500 ns/op   7 trials   2048 B/op   1038 allocs/op
+BenchmarkPipeline-2   120   300 ns/op   9 trials   1024 B/op   1037 allocs/op
+BenchmarkPipeline-2   110   900 ns/op   8 trials   1024 B/op   1037 allocs/op
+BenchmarkPipeline-2    90   400 ns/op   8 trials   1024 B/op   1037 allocs/op
+BenchmarkPipeline-2   130   200 ns/op   8 trials   1024 B/op   1037 allocs/op
+`
+	rep, err := Parse(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 1 {
+		t.Fatalf("parsed %d rows, want 1: %+v", len(rep.Benchmarks), rep.Benchmarks)
+	}
+	b := rep.Benchmarks[0]
+	if b.NsPerOp != 400 || b.Runs != 110 || b.Extra["trials"] != 8 {
+		t.Errorf("medians wrong: %+v", b)
+	}
+	if b.AllocsOp != 1037 || b.BytesOp != 1024 {
+		t.Errorf("minimums wrong: %+v", b)
+	}
+}

@@ -149,11 +149,19 @@ func (de *desEngine) sizeSpares(d *mulini.Deployment, p *deploy.Placement) error
 	return nil
 }
 
+// counters reads the role's station: its CPU busy integral and queue,
+// and the busy integrals of its disk and link devices when it has them.
 func (de *desEngine) counters(p monitor.Probe, _ int, _ *cluster.Node) (monitor.Probe, func() float64) {
 	st := de.stationOf[p.Role]
-	p.Station = st
-	p.Disk = st.Disk()
-	p.NetRes = st.Net()
+	p.CPUBusy = st.BusyTime
+	p.CPUServers = st.Servers()
+	p.Jobs = func() float64 { return float64(st.InFlight()) }
+	if d := st.Disk(); d != nil {
+		p.DiskBusy = d.BusyTime
+	}
+	if n := st.Net(); n != nil {
+		p.NetBusy = n.BusyTime
+	}
 	return p, func() float64 { return float64(st.Completed()) }
 }
 
@@ -170,18 +178,6 @@ func (de *desEngine) measure(on bool) {
 	de.nt.ResetAccounting()
 	de.driver.BeginMeasurement()
 	de.seen = 0
-}
-
-// stations reports a tier's active and retired station lists.
-func (de *desEngine) stations(ti int) (active, retired []*sim.Station) {
-	switch ti {
-	case expr.TierWeb:
-		return de.nt.Web.Stations(), de.nt.Web.Retired()
-	case expr.TierApp:
-		return de.nt.App.Stations(), de.nt.App.Retired()
-	default:
-		return de.nt.DB.Replicas(), de.nt.DB.Retired()
-	}
 }
 
 // observe reads the window from the DES's own measured signals: the tail
@@ -210,9 +206,9 @@ func (de *desEngine) observe() windowReading {
 		}
 	}
 	for ti := range w.busy {
-		active, retired := de.stations(ti)
+		t := de.nt.Tier(ti)
 		busy, units := &w.busy[ti], &w.units[ti]
-		for _, st := range active {
+		for _, st := range t.Stations() {
 			busy[expr.ResCPU] += st.BusyTime()
 			units[expr.ResCPU] += float64(st.Servers())
 			if d := st.Disk(); d != nil {
@@ -224,7 +220,7 @@ func (de *desEngine) observe() windowReading {
 				units[expr.ResNet]++
 			}
 		}
-		for _, st := range retired {
+		for _, st := range t.Retired() {
 			busy[expr.ResCPU] += st.BusyTime()
 			if d := st.Disk(); d != nil {
 				busy[expr.ResDisk] += d.BusyTime()
@@ -249,16 +245,7 @@ func (de *desEngine) retarget(n int) {
 	de.users = n
 }
 
-func (de *desEngine) replicas(ti int) int {
-	switch ti {
-	case expr.TierWeb:
-		return de.nt.Web.Size()
-	case expr.TierApp:
-		return de.nt.App.Size()
-	default:
-		return de.nt.DB.Size()
-	}
-}
+func (de *desEngine) replicas(ti int) int { return de.nt.Tier(ti).Size() }
 
 // scale moves a tier's active count toward target one station at a time.
 func (de *desEngine) scale(ti, target int) int {
@@ -291,14 +278,7 @@ func (de *desEngine) addOne(ti int) bool {
 	de.serial[ti]++
 	st := newStation(de.k, role, node, de.e.Demands[name])
 	de.nodeOf[st] = node
-	switch ti {
-	case expr.TierWeb:
-		de.nt.Web.AddStation(st)
-	case expr.TierApp:
-		de.nt.App.AddStation(st)
-	default:
-		de.nt.DB.AddReplica(st)
-	}
+	de.nt.Tier(ti).AddStation(st)
 	return true
 }
 
@@ -308,15 +288,7 @@ func (de *desEngine) addOne(ti int) bool {
 // Originally deployed stations have no node to return — their hardware
 // belongs to the runner's cluster for the whole trial.
 func (de *desEngine) removeOne(ti int) bool {
-	var st *sim.Station
-	switch ti {
-	case expr.TierWeb:
-		st = de.nt.Web.RemoveStation()
-	case expr.TierApp:
-		st = de.nt.App.RemoveStation()
-	default:
-		st = de.nt.DB.RemoveReplica()
-	}
+	st := de.nt.Tier(ti).RemoveStation()
 	if st == nil {
 		return false
 	}
@@ -452,13 +424,10 @@ func buildNTier(k *sim.Kernel, e *spec.Experiment, d *mulini.Deployment,
 		App: sim.NewTier(k, "app", sim.RoundRobin, tiers[expr.TierApp]),
 		DB:  sim.NewRAIDb(k, sim.RoundRobin, tiers[expr.TierDB]),
 	}
-	conv := func(d spec.ResourceDemand) sim.TierDemand {
-		return sim.TierDemand{CPUScale: d.CPUScale, DiskSec: d.DiskSec, NetBytes: d.NetBytes}
+	for ti, name := range tierNames {
+		d := e.Demands[name]
+		nt.Tier(ti).Demand = sim.TierDemand{CPUScale: d.CPUScale, DiskSec: d.DiskSec, NetBytes: d.NetBytes}
 	}
-	nt.Demands = [3]sim.TierDemand{
-		conv(e.Demands["web"]), conv(e.Demands["app"]), conv(e.Demands["db"]),
-	}
-	nt.DB.Demand = nt.Demands[2]
 	return nt, stationOf, nil
 }
 

@@ -119,15 +119,15 @@ func fluidTier(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement, ti
 func (fe *fluidEngine) counters(p monitor.Probe, ti int, node *cluster.Node) (monitor.Probe, func() float64) {
 	s, k := fe.solver, fe.k
 	sync := func() { s.Advance(k.Now()) }
-	p.CPUBusyFn = func() float64 { sync(); return s.NodeCPUBusy(ti) }
+	p.CPUBusy = func() float64 { sync(); return s.NodeCPUBusy(ti) }
 	p.CPUServers = node.Cores()
-	p.JobsFn = func() float64 { sync(); return s.NodeJobs(ti) }
+	p.Jobs = func() float64 { sync(); return s.NodeJobs(ti) }
 	td := fe.e.Demands[tierNames[ti]]
 	if td.DiskSec > 0 {
-		p.DiskBusyFn = func() float64 { sync(); return s.NodeDiskBusy(ti) }
+		p.DiskBusy = func() float64 { sync(); return s.NodeDiskBusy(ti) }
 	}
 	if td.NetBytes > 0 && node.NetBytesPerSec() > 0 {
-		p.NetBusyFn = func() float64 { sync(); return s.NodeNetBusy(ti) }
+		p.NetBusy = func() float64 { sync(); return s.NodeNetBusy(ti) }
 	}
 	return p, func() float64 { sync(); return s.NodeOps(ti) }
 }

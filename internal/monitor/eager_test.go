@@ -56,8 +56,8 @@ func newEager(k *sim.Kernel, cfg Config, probes []Probe) *eagerMonitor {
 			mem:      has("memory"),
 			net:      has("network") && p.NetBytes != nil,
 			disk:     has("disk") && p.DiskOps != nil,
-			diskUtil: has("disk") && (p.Disk != nil || p.DiskBusyFn != nil),
-			netUtil:  has("network") && (p.NetRes != nil || p.NetBusyFn != nil),
+			diskUtil: has("disk") && p.DiskBusy != nil,
+			netUtil:  has("network") && p.NetBusy != nil,
 		}
 	}
 	return m
@@ -67,10 +67,8 @@ func (m *eagerMonitor) Start() {
 	m.running = true
 	for i := range m.probes {
 		p, st := &m.probes[i], &m.state[i]
-		if p.Station != nil {
-			st.lastBusy = p.Station.BusyTime()
-		} else if p.CPUBusyFn != nil {
-			st.lastBusy = p.CPUBusyFn()
+		if p.CPUBusy != nil {
+			st.lastBusy = p.CPUBusy()
 		}
 		if p.NetBytes != nil {
 			st.lastNet = p.NetBytes()
@@ -78,15 +76,11 @@ func (m *eagerMonitor) Start() {
 		if p.DiskOps != nil {
 			st.lastDisk = p.DiskOps()
 		}
-		if p.Disk != nil {
-			st.lastDiskBusy = p.Disk.BusyTime()
-		} else if p.DiskBusyFn != nil {
-			st.lastDiskBusy = p.DiskBusyFn()
+		if p.DiskBusy != nil {
+			st.lastDiskBusy = p.DiskBusy()
 		}
-		if p.NetRes != nil {
-			st.lastNetBusy = p.NetRes.BusyTime()
-		} else if p.NetBusyFn != nil {
-			st.lastNetBusy = p.NetBusyFn()
+		if p.NetBusy != nil {
+			st.lastNetBusy = p.NetBusy()
 		}
 	}
 	m.k.Schedule(m.cfg.IntervalSec, m.tick)
@@ -109,17 +103,11 @@ func (m *eagerMonitor) sample(p *Probe, st *eagerState, now float64) {
 	b := m.buf[:0]
 	if st.cpu {
 		util := 0.0
-		if p.Station != nil || p.CPUBusyFn != nil {
-			var busy float64
+		if p.CPUBusy != nil {
+			busy := p.CPUBusy()
 			servers := 1
-			if p.Station != nil {
-				busy = p.Station.BusyTime()
-				servers = p.Station.Servers()
-			} else {
-				busy = p.CPUBusyFn()
-				if p.CPUServers > 1 {
-					servers = p.CPUServers
-				}
+			if p.CPUServers > 1 {
+				servers = p.CPUServers
 			}
 			delta := busy - st.lastBusy
 			st.lastBusy = busy
@@ -144,10 +132,8 @@ func (m *eagerMonitor) sample(p *Probe, st *eagerState, now float64) {
 	}
 	if st.mem {
 		used := p.BaseMemMB
-		if p.Station != nil {
-			used += float64(p.Station.InFlight()) * p.MemPerJobMB
-		} else if p.JobsFn != nil {
-			used += p.JobsFn() * p.MemPerJobMB
+		if p.Jobs != nil {
+			used += p.Jobs() * p.MemPerJobMB
 		}
 		if p.TotalMemMB > 0 && used > p.TotalMemMB {
 			used = p.TotalMemMB
@@ -185,12 +171,7 @@ func (m *eagerMonitor) sample(p *Probe, st *eagerState, now float64) {
 		b = append(b, '\n')
 	}
 	if st.diskUtil {
-		busy := 0.0
-		if p.Disk != nil {
-			busy = p.Disk.BusyTime()
-		} else {
-			busy = p.DiskBusyFn()
-		}
+		busy := p.DiskBusy()
 		delta := busy - st.lastDiskBusy
 		st.lastDiskBusy = busy
 		util := delta / m.cfg.IntervalSec
@@ -205,12 +186,7 @@ func (m *eagerMonitor) sample(p *Probe, st *eagerState, now float64) {
 		b = append(b, '\n')
 	}
 	if st.netUtil {
-		busy := 0.0
-		if p.NetRes != nil {
-			busy = p.NetRes.BusyTime()
-		} else {
-			busy = p.NetBusyFn()
-		}
+		busy := p.NetBusy()
 		delta := busy - st.lastNetBusy
 		st.lastNetBusy = busy
 		util := delta / m.cfg.IntervalSec
@@ -380,10 +356,10 @@ func (c monitorCase) build(k *sim.Kernel) []Probe {
 		p := Probe{
 			Host: pc.host, Role: pc.role,
 			TotalMemMB: pc.totalMem, BaseMemMB: pc.baseMem, MemPerJobMB: pc.perJob,
-			CPUBusyFn: reader(pc.cpu), CPUServers: pc.servers,
-			JobsFn:   reader(pc.jobs),
+			CPUBusy: reader(pc.cpu), CPUServers: pc.servers,
+			Jobs:     reader(pc.jobs),
 			NetBytes: reader(pc.net), DiskOps: reader(pc.disk),
-			DiskBusyFn: reader(pc.dBusy), NetBusyFn: reader(pc.nBusy),
+			DiskBusy: reader(pc.dBusy), NetBusy: reader(pc.nBusy),
 		}
 		if pc.station {
 			s := sim.NewStation(k, sim.StationConfig{Name: pc.role, Servers: 1 + pc.servers, Speed: 1, Deterministic: true})
@@ -394,7 +370,7 @@ func (c monitorCase) build(k *sim.Kernel) []Probe {
 				k.Schedule(gap, feed)
 			}
 			k.Schedule(0, feed)
-			p.Station = s
+			p = onStation(p, s)
 		}
 		probes = append(probes, p)
 	}

@@ -26,10 +26,10 @@ func TestMonitorFluidFnProbes(t *testing.T) {
 		[]Probe{{
 			Host: "fluid-app", Role: "APP1",
 			TotalMemMB: 512, BaseMemMB: 100, MemPerJobMB: 2,
-			CPUBusyFn:  fluidBusy(k, 0.6),
-			JobsFn:     func() float64 { return 25 },
-			DiskBusyFn: fluidBusy(k, 0.3),
-			NetBusyFn:  fluidBusy(k, 0.1),
+			CPUBusy:  fluidBusy(k, 0.6),
+			Jobs:     func() float64 { return 25 },
+			DiskBusy: fluidBusy(k, 0.3),
+			NetBusy:  fluidBusy(k, 0.1),
 		}})
 	if err != nil {
 		t.Fatal(err)
@@ -53,14 +53,14 @@ func TestMonitorFluidFnProbes(t *testing.T) {
 	}
 	du, ok := m.Series("fluid-app", "disk-util")
 	if !ok {
-		t.Fatal("disk-util series missing despite DiskBusyFn")
+		t.Fatal("disk-util series missing despite DiskBusy")
 	}
 	if mean, _ := du.MeanIn(0, 100); math.Abs(mean-30) > 1 {
 		t.Fatalf("fn-probe disk util = %.1f%%, want 30%%", mean)
 	}
 	nu, ok := m.Series("fluid-app", "net-util")
 	if !ok {
-		t.Fatal("net-util series missing despite NetBusyFn")
+		t.Fatal("net-util series missing despite NetBusy")
 	}
 	if mean, _ := nu.MeanIn(0, 100); math.Abs(mean-10) > 1 {
 		t.Fatalf("fn-probe net util = %.1f%%, want 10%%", mean)
@@ -97,7 +97,7 @@ func TestMonitorFluidUtilRowsGatedOnAttachment(t *testing.T) {
 	m, err := New(k, Config{IntervalSec: 5, Metrics: []string{"cpu", "network", "disk"}},
 		[]Probe{{
 			Host: "fluid-web", Role: "HTTPD1",
-			CPUBusyFn: fluidBusy(k, 0.4),
+			CPUBusy: fluidBusy(k, 0.4),
 		}})
 	if err != nil {
 		t.Fatal(err)
@@ -105,10 +105,10 @@ func TestMonitorFluidUtilRowsGatedOnAttachment(t *testing.T) {
 	m.Start()
 	k.Run(50)
 	if _, ok := m.Series("fluid-web", "disk-util"); ok {
-		t.Error("disk-util series exists without a DiskBusyFn attachment")
+		t.Error("disk-util series exists without a DiskBusy attachment")
 	}
 	if _, ok := m.Series("fluid-web", "net-util"); ok {
-		t.Error("net-util series exists without a NetBusyFn attachment")
+		t.Error("net-util series exists without a NetBusy attachment")
 	}
 	text, _ := m.File("fluid-web")
 	if strings.Contains(text, "%util") {
@@ -127,7 +127,7 @@ func TestMonitorFluidMultiCoreDivisor(t *testing.T) {
 	m, err := New(k, Config{IntervalSec: 5, Metrics: []string{"cpu"}},
 		[]Probe{{
 			Host: "fluid-warp", Role: "APP1",
-			CPUBusyFn:  fluidBusy(k, 1.2),
+			CPUBusy:    fluidBusy(k, 1.2),
 			CPUServers: 2,
 		}})
 	if err != nil {
@@ -150,10 +150,10 @@ func TestMonitorFluidZeroPopulation(t *testing.T) {
 		[]Probe{{
 			Host: "fluid-idle", Role: "MYSQL1",
 			TotalMemMB: 256, BaseMemMB: 80, MemPerJobMB: 2,
-			CPUBusyFn:  func() float64 { return 0 },
-			JobsFn:     func() float64 { return 0 },
-			DiskBusyFn: func() float64 { return 0 },
-			NetBusyFn:  func() float64 { return 0 },
+			CPUBusy:  func() float64 { return 0 },
+			Jobs:     func() float64 { return 0 },
+			DiskBusy: func() float64 { return 0 },
+			NetBusy:  func() float64 { return 0 },
 		}})
 	if err != nil {
 		t.Fatal(err)

@@ -70,12 +70,12 @@ func BenchmarkMonitorSample(b *testing.B) {
 		probes = append(probes, Probe{
 			Host: fmt.Sprintf("node%d", i+1), Role: role,
 			TotalMemMB: 2048, BaseMemMB: 300, MemPerJobMB: 1.5,
-			CPUBusyFn: rate(util), CPUServers: 1,
-			JobsFn:     func() float64 { return 40 * util },
-			NetBytes:   rate(3.7e6 * util),
-			DiskOps:    rate(120 * util),
-			DiskBusyFn: rate(util / 3),
-			NetBusyFn:  rate(util / 7),
+			CPUBusy: rate(util), CPUServers: 1,
+			Jobs:     func() float64 { return 40 * util },
+			NetBytes: rate(3.7e6 * util),
+			DiskOps:  rate(120 * util),
+			DiskBusy: rate(util / 3),
+			NetBusy:  rate(util / 7),
 		})
 	}
 	const interval = 1.0

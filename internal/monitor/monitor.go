@@ -15,16 +15,14 @@ import (
 	"elba/internal/sim"
 )
 
-// Probe describes one monitored host: where its CPU signal comes from and
-// how its memory, network, and disk counters are derived.
+// Probe describes one monitored host: the counters its rows are derived
+// from. Each counter is a function the trial engine supplies, whatever
+// models the host; a nil counter is a signal the host does not have.
 type Probe struct {
 	// Host is the node hostname the monitor runs on.
 	Host string
 	// Role is the deployment role (APP1, MYSQL2, ...).
 	Role string
-	// Station supplies the CPU busy-time integral and queue depth. May be
-	// nil for hosts that run no modelled service (the client node).
-	Station *sim.Station
 	// TotalMemMB is the node's physical memory.
 	TotalMemMB float64
 	// BaseMemMB is the resident set of the installed software at idle.
@@ -35,30 +33,22 @@ type Probe struct {
 	NetBytes func() float64
 	// DiskOps cumulatively counts disk operations (nil = none).
 	DiskOps func() float64
-	// Disk is the host's contended disk device, when the experiment
-	// declares disk demands (nil = none). Its busy-time integral yields the
-	// %util column of the disk rows.
-	Disk *sim.Station
-	// NetRes is the host's contended network link, when the experiment
-	// declares payload demands (nil = none).
-	NetRes *sim.Station
-
-	// Function-based counter sources, for engines that model hosts without
-	// sim stations (the fluid approximation). Each is the cumulative
-	// busy-time or level equivalent of the station reading above
-	// and is consulted only when the corresponding object is nil.
-	//
-	// CPUBusyFn returns cumulative CPU busy-seconds for the host.
-	CPUBusyFn func() float64
-	// CPUServers is the core count dividing the CPU busy window when
-	// CPUBusyFn supplies the signal (minimum 1).
+	// CPUBusy returns the host's cumulative CPU busy-seconds. It is nil
+	// for hosts that run no modelled service (the client node).
+	CPUBusy func() float64
+	// CPUServers is the core count dividing a CPU busy window (minimum 1).
 	CPUServers int
-	// JobsFn returns the host's current in-flight request level.
-	JobsFn func() float64
-	// DiskBusyFn returns cumulative disk busy-seconds.
-	DiskBusyFn func() float64
-	// NetBusyFn returns cumulative network-link busy-seconds.
-	NetBusyFn func() float64
+	// Jobs returns the host's current in-flight request level (nil =
+	// none).
+	Jobs func() float64
+	// DiskBusy returns the cumulative busy-seconds of the host's
+	// contended disk, when the experiment declares disk demands (nil =
+	// none). Its deltas yield the %util column of the disk rows.
+	DiskBusy func() float64
+	// NetBusy returns the cumulative busy-seconds of the host's
+	// contended network link, when the experiment declares payload
+	// demands (nil = none).
+	NetBusy func() float64
 }
 
 // Config configures a monitoring session.
@@ -171,8 +161,8 @@ func New(k *sim.Kernel, cfg Config, probes []Probe) (*Monitor, error) {
 			famMem:      m.has("memory"),
 			famNet:      m.has("network") && p.NetBytes != nil,
 			famDisk:     m.has("disk") && p.DiskOps != nil,
-			famDiskUtil: m.has("disk") && (p.Disk != nil || p.DiskBusyFn != nil),
-			famNetUtil:  m.has("network") && (p.NetRes != nil || p.NetBusyFn != nil),
+			famDiskUtil: m.has("disk") && p.DiskBusy != nil,
+			famNetUtil:  m.has("network") && p.NetBusy != nil,
 		}
 		for fam, on := range sampled {
 			if on {
@@ -210,10 +200,8 @@ func (m *Monitor) Start() {
 	// Prime counters so the first window starts at Start, not at t=0.
 	for i := range m.probes {
 		p, st := &m.probes[i], &m.state[i]
-		if p.Station != nil {
-			st.lastBusy = p.Station.BusyTime()
-		} else if p.CPUBusyFn != nil {
-			st.lastBusy = p.CPUBusyFn()
+		if p.CPUBusy != nil {
+			st.lastBusy = p.CPUBusy()
 		}
 		if p.NetBytes != nil {
 			st.lastNet = p.NetBytes()
@@ -221,15 +209,11 @@ func (m *Monitor) Start() {
 		if p.DiskOps != nil {
 			st.lastDisk = p.DiskOps()
 		}
-		if p.Disk != nil {
-			st.lastDiskBusy = p.Disk.BusyTime()
-		} else if p.DiskBusyFn != nil {
-			st.lastDiskBusy = p.DiskBusyFn()
+		if p.DiskBusy != nil {
+			st.lastDiskBusy = p.DiskBusy()
 		}
-		if p.NetRes != nil {
-			st.lastNetBusy = p.NetRes.BusyTime()
-		} else if p.NetBusyFn != nil {
-			st.lastNetBusy = p.NetBusyFn()
+		if p.NetBusy != nil {
+			st.lastNetBusy = p.NetBusy()
 		}
 	}
 	if m.cfg.HorizonSec > 0 {
@@ -290,21 +274,11 @@ func (m *Monitor) tick() {
 func (m *Monitor) sample(p *Probe, st *probeState, now float64) {
 	if st.series[famCPU] != nil {
 		util := 0.0
-		if p.Station != nil || p.CPUBusyFn != nil {
-			var busy float64
-			servers := 1
-			if p.Station != nil {
-				busy = p.Station.BusyTime()
-				servers = p.Station.Servers()
-			} else {
-				busy = p.CPUBusyFn()
-				if p.CPUServers > 1 {
-					servers = p.CPUServers
-				}
-			}
+		if p.CPUBusy != nil {
+			busy := p.CPUBusy()
 			delta := busy - st.lastBusy
 			st.lastBusy = busy
-			util = delta / (m.cfg.IntervalSec * float64(servers))
+			util = delta / (m.cfg.IntervalSec * float64(max(p.CPUServers, 1)))
 			if util > 1 {
 				util = 1
 			}
@@ -313,10 +287,8 @@ func (m *Monitor) sample(p *Probe, st *probeState, now float64) {
 	}
 	if st.series[famMem] != nil {
 		used := p.BaseMemMB
-		if p.Station != nil {
-			used += float64(p.Station.InFlight()) * p.MemPerJobMB
-		} else if p.JobsFn != nil {
-			used += p.JobsFn() * p.MemPerJobMB
+		if p.Jobs != nil {
+			used += p.Jobs() * p.MemPerJobMB
 		}
 		if p.TotalMemMB > 0 && used > p.TotalMemMB {
 			used = p.TotalMemMB
@@ -336,12 +308,7 @@ func (m *Monitor) sample(p *Probe, st *probeState, now float64) {
 		m.record(p, st, famDisk, now, rate)
 	}
 	if st.series[famDiskUtil] != nil {
-		busy := 0.0
-		if p.Disk != nil {
-			busy = p.Disk.BusyTime()
-		} else {
-			busy = p.DiskBusyFn()
-		}
+		busy := p.DiskBusy()
 		delta := busy - st.lastDiskBusy
 		st.lastDiskBusy = busy
 		util := delta / m.cfg.IntervalSec
@@ -351,12 +318,7 @@ func (m *Monitor) sample(p *Probe, st *probeState, now float64) {
 		m.record(p, st, famDiskUtil, now, util*100)
 	}
 	if st.series[famNetUtil] != nil {
-		busy := 0.0
-		if p.NetRes != nil {
-			busy = p.NetRes.BusyTime()
-		} else {
-			busy = p.NetBusyFn()
-		}
+		busy := p.NetBusy()
 		delta := busy - st.lastNetBusy
 		st.lastNetBusy = busy
 		util := delta / m.cfg.IntervalSec

@@ -20,11 +20,20 @@ func busyStation(k *sim.Kernel) *sim.Station {
 	return s
 }
 
+// onStation returns p reading its CPU and queue counters from s, as the
+// DES engine wires a role's station.
+func onStation(p Probe, s *sim.Station) Probe {
+	p.CPUBusy = s.BusyTime
+	p.CPUServers = s.Servers()
+	p.Jobs = func() float64 { return float64(s.InFlight()) }
+	return p
+}
+
 func TestMonitorCPUSampling(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := busyStation(k)
 	m, err := New(k, Config{IntervalSec: 5, Metrics: []string{"cpu"}},
-		[]Probe{{Host: "h1", Role: "APP1", Station: s}})
+		[]Probe{onStation(Probe{Host: "h1", Role: "APP1"}, s)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +54,12 @@ func TestMonitorFileFormatRoundTrip(t *testing.T) {
 	s := busyStation(k)
 	var net float64
 	m, err := New(k, Config{IntervalSec: 5, Metrics: []string{"cpu", "memory", "network", "disk"}},
-		[]Probe{{
-			Host: "h1", Role: "MYSQL1", Station: s,
+		[]Probe{onStation(Probe{
+			Host: "h1", Role: "MYSQL1",
 			TotalMemMB: 256, BaseMemMB: 80, MemPerJobMB: 2,
 			NetBytes: func() float64 { net += 1000; return net },
 			DiskOps:  func() float64 { return 42 },
-		}})
+		}, s)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +104,7 @@ func TestMonitorSelectiveMetrics(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := busyStation(k)
 	m, _ := New(k, Config{IntervalSec: 5, Metrics: []string{"cpu"}},
-		[]Probe{{Host: "h1", Station: s, TotalMemMB: 256}})
+		[]Probe{onStation(Probe{Host: "h1", TotalMemMB: 256}, s)})
 	m.Start()
 	k.Run(20)
 	if _, ok := m.Series("h1", "memory"); ok {
@@ -111,7 +120,7 @@ func TestMonitorStop(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := busyStation(k)
 	m, _ := New(k, Config{IntervalSec: 5, Metrics: []string{"cpu"}},
-		[]Probe{{Host: "h1", Station: s}})
+		[]Probe{onStation(Probe{Host: "h1"}, s)})
 	m.Start()
 	k.Run(50)
 	m.Stop()
@@ -131,7 +140,7 @@ func TestMonitorWindowedUtilization(t *testing.T) {
 	s.Submit(10, func(bool, float64, float64) {}) // busy 0..10
 	k.Run(10)                                     // all pre-Start
 	m, _ := New(k, Config{IntervalSec: 5, Metrics: []string{"cpu"}},
-		[]Probe{{Host: "h1", Station: s}})
+		[]Probe{onStation(Probe{Host: "h1"}, s)})
 	m.Start()
 	k.Run(30) // idle afterwards
 	ts, _ := m.Series("h1", "cpu")
@@ -148,7 +157,7 @@ func TestMonitorMemoryClamped(t *testing.T) {
 		s.Submit(100, func(bool, float64, float64) {})
 	}
 	m, _ := New(k, Config{IntervalSec: 5, Metrics: []string{"memory"}},
-		[]Probe{{Host: "h1", Station: s, TotalMemMB: 256, BaseMemMB: 100, MemPerJobMB: 4}})
+		[]Probe{onStation(Probe{Host: "h1", TotalMemMB: 256, BaseMemMB: 100, MemPerJobMB: 4}, s)})
 	m.Start()
 	k.Run(20)
 	ts, _ := m.Series("h1", "memory")
@@ -173,7 +182,7 @@ func TestMonitorCollectedBytesGrow(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := busyStation(k)
 	m, _ := New(k, Config{IntervalSec: 1, Metrics: []string{"cpu"}},
-		[]Probe{{Host: "h1", Station: s}, {Host: "h2", Station: nil}})
+		[]Probe{onStation(Probe{Host: "h1"}, s), {Host: "h2"}})
 	m.Start()
 	k.Run(10)
 	b1 := m.CollectedBytes()
@@ -216,9 +225,9 @@ func TestMonitorHorizonSizesSeries(t *testing.T) {
 	k := sim.NewKernel(1)
 	count := func() float64 { return k.Now() * 10 }
 	probes := []Probe{
-		{Host: "h1", Role: "WEB1", Station: busyStation(k), TotalMemMB: 1024, NetBytes: count},
-		{Host: "h1", Role: "APP1", CPUBusyFn: count, TotalMemMB: 1024, DiskOps: count},
-		{Host: "h2", Role: "DB1", Station: busyStation(k), NetBytes: count, DiskOps: count, DiskBusyFn: count},
+		onStation(Probe{Host: "h1", Role: "WEB1", TotalMemMB: 1024, NetBytes: count}, busyStation(k)),
+		{Host: "h1", Role: "APP1", CPUBusy: count, TotalMemMB: 1024, DiskOps: count},
+		onStation(Probe{Host: "h2", Role: "DB1", NetBytes: count, DiskOps: count, DiskBusy: count}, busyStation(k)),
 	}
 	const block = 300 // ticks, at one tick per second
 	m, err := New(k, Config{IntervalSec: 1, Metrics: []string{"cpu", "memory", "network", "disk"},

@@ -3,6 +3,7 @@ package mulini
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -56,12 +57,12 @@ const maxNesting = 16
 // Walk runs a bundle's scripts in execution order from entry. It hands
 // every operative line to visit as a Step and, once visit accepts a bash
 // line, walks the script that line calls before going on. A malformed
-// line, and a bash line whose script is missing, is not a script or
-// would nest more than 16 calls deep, reaches visit with Err set, and
-// such a call is not followed. When visit returns an error, Walk stops
-// and returns it prefixed with the script:line of the step and of every
-// bash call on the way to it. Walk fails by itself only when entry is
-// not a script of b.
+// line, and a bash line whose script is missing, is not a script, is
+// already running (a recursive call) or would nest more than 16 calls
+// deep, reaches visit with Err set, and such a call is not followed.
+// When visit returns an error, Walk stops and returns it prefixed with
+// the script:line of the step and of every bash call on the way to it.
+// Walk fails by itself only when entry is not a script of b.
 func Walk(b *Bundle, entry string, visit func(Step) error) error {
 	body, err := scriptBody(b, entry)
 	if err != nil {
@@ -87,9 +88,13 @@ type walker struct {
 	bundle *Bundle
 	visit  func(Step) error
 	words  []string // reused by every elbactl line
+	// stack holds the scripts being walked, the entry first: a walk at
+	// depth d owns stack[:d+1].
+	stack [maxNesting + 1]string
 }
 
 func (w *walker) walk(path, body string, depth int) error {
+	w.stack[depth] = path
 	for n := 1; body != ""; n++ {
 		var line string
 		line, body, _ = strings.Cut(body, "\n")
@@ -100,9 +105,12 @@ func (w *walker) walk(path, body string, depth int) error {
 		s.Script, s.Line = path, n
 		var callee string
 		if s.Call != "" {
-			if depth == maxNesting {
+			switch {
+			case slices.Contains(w.stack[:depth+1], s.Call):
+				s.Err = fmt.Errorf("recursive script nesting at %q", s.Call)
+			case depth == maxNesting:
 				s.Err = fmt.Errorf("script nesting too deep at %q", s.Call)
-			} else {
+			default:
 				callee, s.Err = scriptBody(w.bundle, s.Call)
 			}
 		}

@@ -190,12 +190,27 @@ func TestWalkFollowsCalls(t *testing.T) {
 	}
 }
 
-// TestWalkNestingBound lets a script call itself: the entry and 16
-// nested calls run, and the 17th call is refused at its line.
+// TestWalkNestingBound walks a chain of distinct scripts, each calling
+// the next: the entry and 16 nested calls run, and the 17th call is
+// refused at its line.
 func TestWalkNestingBound(t *testing.T) {
-	b := scriptBundle(t, map[string]string{"run.sh": "elbactl allocate --role A\nbash run.sh\n"})
+	name := func(i int) string {
+		if i == 0 {
+			return "run.sh"
+		}
+		return fmt.Sprintf("s%d.sh", i)
+	}
+	scripts := map[string]string{}
+	var want strings.Builder
+	for i := 0; i <= maxNesting+1; i++ {
+		scripts[name(i)] = fmt.Sprintf("elbactl allocate --role A\nbash %s\n", name(i+1))
+		if i <= maxNesting {
+			want.WriteString(name(i) + ":2: ")
+		}
+	}
+	fmt.Fprintf(&want, "script nesting too deep at %q", name(maxNesting+1))
 	steps := 0
-	err := Walk(b, "run.sh", func(s Step) error {
+	err := Walk(scriptBundle(t, scripts), "run.sh", func(s Step) error {
 		if s.Call == "" {
 			steps++
 		}
@@ -204,9 +219,38 @@ func TestWalkNestingBound(t *testing.T) {
 	if steps != 1+maxNesting {
 		t.Errorf("%d levels ran, want %d", steps, 1+maxNesting)
 	}
-	want := strings.Repeat("run.sh:2: ", maxNesting+1) + `script nesting too deep at "run.sh"`
-	if err == nil || err.Error() != want {
-		t.Fatalf("error = %v, want %q", err, want)
+	if err == nil || err.Error() != want.String() {
+		t.Fatalf("error = %v, want %q", err, want.String())
+	}
+}
+
+// TestWalkRefusesRecursion checks that a bash call to a script already
+// on the call stack reaches visit with Err set and is not followed,
+// while a script called twice in turn runs twice.
+func TestWalkRefusesRecursion(t *testing.T) {
+	b := scriptBundle(t, map[string]string{
+		"run.sh": "bash lib.sh\nbash lib.sh\nbash run.sh\n",
+		"lib.sh": "elbactl allocate --role A\nbash run.sh\n",
+	})
+	var got []string
+	err := Walk(b, "run.sh", func(s Step) error {
+		at := fmt.Sprintf("%s:%d", s.Script, s.Line)
+		if s.Err != nil {
+			at += " " + s.Err.Error()
+		}
+		got = append(got, at)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"run.sh:1", "lib.sh:1", `lib.sh:2 recursive script nesting at "run.sh"`,
+		"run.sh:2", "lib.sh:1", `lib.sh:2 recursive script nesting at "run.sh"`,
+		`run.sh:3 recursive script nesting at "run.sh"`,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("steps = %q, want %q", got, want)
 	}
 }
 
@@ -231,16 +275,16 @@ func FuzzParseScript(f *testing.F) {
 			"run.sh": content,
 			"lib.sh": "elbactl allocate --role L\n",
 		})
-		// Stop at the first error, as deploy does: a walk that went on
-		// past failed self-calls could take time exponential in the
-		// number of bash lines. Any error is fine; the walk must only
+		// Go on past every error, as staging does: a recursive call is
+		// refused, so the walk reads each line of run.sh once and
+		// lib.sh once per call. Any error is fine; the walk must only
 		// not panic and accept no incomplete step.
-		_ = Walk(b, "run.sh", func(s Step) error {
+		if err := Walk(b, "run.sh", func(s Step) error {
 			if s.Line < 1 || s.Script == "" {
 				t.Fatalf("step without a position: %+v", s)
 			}
 			if s.Err != nil || s.Call != "" {
-				return s.Err
+				return nil
 			}
 			missing := s.Role == ""
 			switch s.Verb {
@@ -258,6 +302,8 @@ func FuzzParseScript(f *testing.F) {
 				t.Fatalf("accepted a step without its required flags: %+v", s)
 			}
 			return nil
-		})
+		}); err != nil {
+			t.Fatalf("walk failed: %v", err)
+		}
 	})
 }

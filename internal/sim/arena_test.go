@@ -31,9 +31,8 @@ type replayed struct {
 // slots, and broadcasts writes.
 func replayWorkload(k *Kernel) replayed {
 	nt := buildApp(k, 1, 2, 2)
-	nt.Demands[2] = TierDemand{DiskSec: 0.002}
-	nt.DB.Demand = nt.Demands[2]
-	for _, st := range nt.DB.Replicas() {
+	nt.DB.Demand = TierDemand{DiskSec: 0.002}
+	for _, st := range nt.DB.Stations() {
 		st.AttachDisk(NewStation(k, StationConfig{Name: "disk", Servers: 1, Speed: 1, Deterministic: true}))
 	}
 	d := NewDriver(k, nt, mixModel{think: 0.02}, DriverConfig{Users: 40, RampUp: 0.2}, 11)
@@ -53,7 +52,7 @@ func replayWorkload(k *Kernel) replayed {
 	for name, s := range d.PerInteraction() {
 		out.means[name] = s.Mean()
 	}
-	for _, tier := range [][]*Station{nt.Web.Stations(), nt.App.Stations(), nt.DB.Replicas()} {
+	for _, tier := range [][]*Station{nt.Web.Stations(), nt.App.Stations(), nt.DB.Stations()} {
 		for _, st := range tier {
 			out.busy = append(out.busy, st.BusyTime())
 			if disk := st.Disk(); disk != nil {
@@ -83,7 +82,7 @@ func TestResetKernelReplaysLikeFresh(t *testing.T) {
 	var tick func()
 	tick = func() { ticks++; k.Schedule(0.25, tick) }
 	k.Schedule(0.25, tick)
-	crash := nt.DB.Replicas()[0]
+	crash := nt.DB.Stations()[0]
 	k.Schedule(100, crash.Fail)
 	d.BeginMeasurement()
 	k.Run(10)

@@ -26,30 +26,20 @@ type NTier struct {
 	// is pinned to one application server instead of being balanced per
 	// request. The affinity ablation compares both modes.
 	StickyApp bool
-
-	// Demands carries each tier's optional per-request demands on the
-	// node's contended resources, indexed web=0, app=1, db=2. A zero
-	// value (the default) routes requests exactly as the CPU-only model
-	// always has. The DB entry applies to reads; broadcast writes read
-	// RAIDb.Demand, which the builder sets to the same value.
-	Demands [3]TierDemand
 }
 
-// TierDemand is one tier's per-request demand on its node's contended
-// resources beyond the benchmark's CPU demand.
-type TierDemand struct {
-	// CPUScale multiplies the interaction's CPU demand (0 = unchanged).
-	CPUScale float64
-	// DiskSec is seconds of disk service per request at the reference
-	// disk (0 = no disk leg).
-	DiskSec float64
-	// NetBytes is the payload carried into the tier per request over its
-	// ingress link (0 = no network leg).
-	NetBytes float64
+// Tier returns tier i, indexed web=0, app=1, db=2; the database tier's
+// is its balanced replica set.
+func (nt *NTier) Tier(i int) *Tier {
+	switch i {
+	case 0:
+		return nt.Web
+	case 1:
+		return nt.App
+	default:
+		return &nt.DB.Tier
+	}
 }
-
-// zero reports whether the demand adds nothing beyond CPU.
-func (d TierDemand) zero() bool { return d.CPUScale == 0 && d.DiskSec == 0 && d.NetBytes == 0 }
 
 // Outcome reports how a request ended.
 type Outcome int
@@ -111,25 +101,14 @@ type call struct {
 	hopStart   float64
 }
 
-// dispatch submits the job to st, noting the hop for span attribution
-// when the request is traced. tier indexes NTier.Demands; when that tier
-// declares no extra resource demands the request takes the exact
-// historical CPU-only path.
-func (c *call) dispatch(st *Station, demand float64, tier int) {
+// dispatch submits the job to st, a station of tier t, noting the hop
+// for span attribution when the request is traced.
+func (c *call) dispatch(t *Tier, st *Station, demand float64) {
 	if c.tr != nil {
 		c.hopStation = st.name
-		c.hopStart = st.k.Now()
+		c.hopStart = st.k.now
 	}
-	d := &c.nt.Demands[tier]
-	if d.zero() {
-		st.submit(demand, c)
-		return
-	}
-	cpu := demand
-	if d.CPUScale > 0 {
-		cpu = demand * d.CPUScale
-	}
-	st.submitRes(cpu, d.DiskSec, d.NetBytes, c)
+	t.submitTo(st, demand, c)
 }
 
 func (c *call) jobFinished(ok bool, wait, service float64) {
@@ -143,10 +122,11 @@ func (c *call) jobFinished(ok bool, wait, service float64) {
 			return
 		}
 		c.stage = 1
+		app := c.nt.App
 		if c.nt.StickyApp && c.session >= 0 {
-			c.dispatch(c.nt.App.pinned(c.session), c.appDemand, 1)
+			c.dispatch(app, app.pinned(c.session), c.appDemand)
 		} else {
-			c.dispatch(c.nt.App.pick(), c.appDemand, 1)
+			c.dispatch(app, app.pick(), c.appDemand)
 		}
 	case 1: // app tier finished
 		if c.tr != nil {
@@ -162,7 +142,8 @@ func (c *call) jobFinished(ok bool, wait, service float64) {
 			// record them, so the aggregated completion below must not.
 			c.nt.DB.writeJobTraced(c.dbDemand, c, c.tr)
 		} else {
-			c.dispatch(c.nt.DB.pickRead(), c.dbDemand, 2)
+			db := &c.nt.DB.Tier
+			c.dispatch(db, db.pick(), c.dbDemand)
 		}
 	default: // database finished
 		if c.tr != nil && !c.write {
@@ -199,7 +180,7 @@ func (nt *NTier) serveSession(session int, it *Interaction, done outcomeDone, tr
 	c.appDemand = it.AppDemand
 	c.dbDemand = it.DBDemand
 	c.tr = tr
-	c.dispatch(nt.Web.pick(), it.WebDemand, 0)
+	c.dispatch(nt.Web, nt.Web.pick(), it.WebDemand)
 }
 
 // ResetAccounting resets counters on all tiers.

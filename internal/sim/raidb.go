@@ -8,98 +8,35 @@ import (
 
 // RAIDb models a C-JDBC RAIDb-1 (full replication) database cluster, the
 // configuration the paper's generated mysqldb-raidb1-elba.xml file
-// describes. Reads are load-balanced across replicas; writes are broadcast
-// to every replica and complete when the slowest replica finishes.
+// describes. It is a Tier of replicas: reads are balanced across them
+// like any tier's requests, and scale-out and scale-in grow and retire
+// replicas as they do stations. Only writes differ: they are broadcast to
+// every active replica, each replica paying the tier's Demand, and
+// complete when the slowest replica finishes. Broadcasts in flight keep
+// the fan-out they started with; a retired replica drains its legs but
+// receives no new write.
 //
 // This asymmetry is what produces the paper's sub-linear database
 // scale-out: with write fraction w and d replicas, per-replica demand per
 // request is w·Dw + (1−w)·Dr/d, so capacity grows by 1/(w + (1−w)/d)
 // rather than d.
 type RAIDb struct {
-	k        *Kernel
-	replicas []*Station
-	policy   BalancerPolicy
-	next     int
-	// Demand carries the DB tier's optional per-request resource demands.
-	// Broadcast writes charge every replica's disk and ingress link
-	// individually: the controller ships the statement to each replica,
-	// and each replica applies it to its own spindle. A zero value keeps
-	// the historical CPU-only write path.
-	Demand TierDemand
+	Tier
 	// wpool recycles write-broadcast trackers so a broadcast write costs
 	// no allocation on the simulation hot path.
 	wpool []*writeCall
 	// lpool recycles per-replica write legs used only by traced writes.
 	lpool []*writeLeg
-	// retired holds replicas removed by scale-in. In-flight reads and
-	// broadcast-write legs on a retired replica still complete (writeCall
-	// snapshots its fan-out at submit), but no new query reaches it.
-	retired []*Station
 }
 
 // NewRAIDb creates a replicated DB tier over the given replica stations.
 func NewRAIDb(k *Kernel, policy BalancerPolicy, replicas []*Station) *RAIDb {
-	if len(replicas) == 0 {
-		panic("sim: RAIDb needs at least one replica")
-	}
-	return &RAIDb{k: k, replicas: replicas, policy: policy}
-}
-
-// Replicas returns the backing stations (shared, not copied).
-func (r *RAIDb) Replicas() []*Station { return r.replicas }
-
-// Retired returns replicas removed by scale-in (shared, not copied).
-func (r *RAIDb) Retired() []*Station { return r.retired }
-
-// Size reports the number of replicas.
-func (r *RAIDb) Size() int { return len(r.replicas) }
-
-// AddReplica joins a replica to the cluster: subsequent reads rotate over
-// the grown set from the head, and subsequent writes broadcast to it.
-// Broadcasts already in flight are unaffected (they snapshotted their
-// fan-out at submit).
-func (r *RAIDb) AddReplica(s *Station) {
-	r.replicas = append(r.replicas, s)
-	r.next = 0
-}
-
-// RemoveReplica retires the most recently added replica (LIFO) and
-// returns it, or nil when the cluster is already down to one replica.
-// The retired replica drains its in-flight queries but is excluded from
-// new reads and write broadcasts.
-func (r *RAIDb) RemoveReplica() *Station {
-	if len(r.replicas) <= 1 {
-		return nil
-	}
-	s := r.replicas[len(r.replicas)-1]
-	r.replicas = r.replicas[:len(r.replicas)-1]
-	r.retired = append(r.retired, s)
-	r.next = 0
-	return s
-}
-
-func (r *RAIDb) pickRead() *Station {
-	switch r.policy {
-	case LeastConnections:
-		best := r.replicas[0]
-		for _, s := range r.replicas[1:] {
-			if s.InFlight() < best.InFlight() {
-				best = s
-			}
-		}
-		return best
-	case RandomPick:
-		return r.replicas[r.k.Rand().IntN(len(r.replicas))]
-	default:
-		s := r.replicas[r.next%len(r.replicas)]
-		r.next++
-		return s
-	}
+	return &RAIDb{Tier: *NewTier(k, "db", policy, replicas)}
 }
 
 // Read dispatches a read query to one replica.
 func (r *RAIDb) Read(demand float64, done Completion) {
-	r.pickRead().submit(demand, completionFunc(done))
+	r.submitTo(r.pick(), demand, completionFunc(done))
 }
 
 // writeCall tracks one broadcast write across the replicas. Trackers are
@@ -141,9 +78,9 @@ func (r *RAIDb) Write(demand float64, done Completion) {
 	r.writeJob(demand, completionFunc(done))
 }
 
-// writeJob is the allocation-free form of Write used by the request
-// router.
-func (r *RAIDb) writeJob(demand float64, done jobDone) {
+// newWrite takes a broadcast tracker from the pool, armed to report to
+// done once every active replica has finished.
+func (r *RAIDb) newWrite(done jobDone) *writeCall {
 	var w *writeCall
 	if n := len(r.wpool); n > 0 {
 		w = r.wpool[n-1]
@@ -152,29 +89,19 @@ func (r *RAIDb) writeJob(demand float64, done jobDone) {
 		w = &writeCall{r: r}
 	}
 	w.parent = done
-	w.remaining = len(r.replicas)
+	w.remaining = len(r.stations)
 	w.allOK = true
 	w.maxWait, w.maxSvc = 0, 0
-	if r.Demand.zero() {
-		for _, rep := range r.replicas {
-			rep.submit(demand, w)
-		}
-		return
-	}
-	cpu, disk, net := r.writeDemands(demand)
-	for _, rep := range r.replicas {
-		rep.submitRes(cpu, disk, net, w)
-	}
+	return w
 }
 
-// writeDemands resolves one broadcast write's per-replica resource legs
-// from the tier demand declaration.
-func (r *RAIDb) writeDemands(demand float64) (cpu, disk, net float64) {
-	cpu = demand
-	if r.Demand.CPUScale > 0 {
-		cpu = demand * r.Demand.CPUScale
+// writeJob is the allocation-free form of Write used by the request
+// router.
+func (r *RAIDb) writeJob(demand float64, done jobDone) {
+	w := r.newWrite(done)
+	for _, rep := range r.stations {
+		r.submitTo(rep, demand, w)
 	}
-	return cpu, r.Demand.DiskSec, r.Demand.NetBytes
 }
 
 // writeLeg observes one replica's share of a traced broadcast write: it
@@ -206,24 +133,9 @@ func (r *RAIDb) writeJobTraced(demand float64, done jobDone, tr *trace.Trace) {
 		r.writeJob(demand, done)
 		return
 	}
-	var w *writeCall
-	if n := len(r.wpool); n > 0 {
-		w = r.wpool[n-1]
-		r.wpool = r.wpool[:n-1]
-	} else {
-		w = &writeCall{r: r}
-	}
-	w.parent = done
-	w.remaining = len(r.replicas)
-	w.allOK = true
-	w.maxWait, w.maxSvc = 0, 0
+	w := r.newWrite(done)
 	now := r.k.Now()
-	plain := r.Demand.zero()
-	var cpu, disk, net float64
-	if !plain {
-		cpu, disk, net = r.writeDemands(demand)
-	}
-	for _, rep := range r.replicas {
+	for _, rep := range r.stations {
 		var l *writeLeg
 		if n := len(r.lpool); n > 0 {
 			l = r.lpool[n-1]
@@ -232,25 +144,11 @@ func (r *RAIDb) writeJobTraced(demand float64, done jobDone, tr *trace.Trace) {
 			l = &writeLeg{}
 		}
 		l.w, l.tr, l.station, l.start = w, tr, rep.name, now
-		if plain {
-			rep.submit(demand, l)
-		} else {
-			rep.submitRes(cpu, disk, net, l)
-		}
-	}
-}
-
-// ResetAccounting resets counters on every replica.
-func (r *RAIDb) ResetAccounting() {
-	for _, s := range r.replicas {
-		s.ResetAccounting()
-	}
-	for _, s := range r.retired {
-		s.ResetAccounting()
+		r.submitTo(rep, demand, l)
 	}
 }
 
 // String describes the cluster for logs.
 func (r *RAIDb) String() string {
-	return fmt.Sprintf("RAIDb-1[%d replicas, %s reads]", len(r.replicas), r.policy)
+	return fmt.Sprintf("RAIDb-1[%d replicas, %s reads]", len(r.stations), r.policy)
 }

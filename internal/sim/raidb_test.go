@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -82,7 +83,7 @@ func TestRAIDbReadBalancing(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		db.Read(10.0, func(bool, float64, float64) {})
 	}
-	for i, rep := range db.Replicas() {
+	for i, rep := range db.Stations() {
 		if rep.InFlight() != 3 {
 			t.Fatalf("replica %d holds %d reads, want 3", i, rep.InFlight())
 		}
@@ -139,7 +140,7 @@ func TestRAIDbScaleOutCapacity(t *testing.T) {
 		}
 		k.Run(1e9)
 		var busy float64
-		for _, rep := range db.Replicas() {
+		for _, rep := range db.Stations() {
 			busy += rep.BusyTime()
 		}
 		perReplica := busy / float64(d) / reqs
@@ -150,15 +151,47 @@ func TestRAIDbScaleOutCapacity(t *testing.T) {
 	}
 }
 
-// Completed sums completed queries across replicas, including retired
-// ones (their work happened and still counts).
-func (r *RAIDb) Completed() int64 {
-	var n int64
-	for _, s := range r.replicas {
-		n += s.Completed()
+// TestRAIDbDemandChargesDisks declares the tier's disk demand once and
+// checks where reads and broadcast writes pay it: a read on one
+// replica's disk, a write on every active replica's disk, and nothing on
+// a replica retired by scale-in.
+func TestRAIDbDemandChargesDisks(t *testing.T) {
+	const d = 0.25
+	k := NewKernel(1)
+	db := makeRAIDb(k, 3)
+	db.Demand = TierDemand{DiskSec: d}
+	for _, rep := range db.Stations() {
+		rep.AttachDisk(NewStation(k, StationConfig{Name: "disk", Servers: 1, Speed: 1, Deterministic: true}))
 	}
-	for _, s := range r.retired {
-		n += s.Completed()
+	replicas := append([]*Station(nil), db.Stations()...)
+	// charged runs op to completion and returns how much disk busy time
+	// it added on each replica.
+	charged := func(op func(float64, Completion)) []float64 {
+		added := make([]float64, len(replicas))
+		for i, rep := range replicas {
+			added[i] = -rep.Disk().BusyTime()
+		}
+		op(1.0, func(bool, float64, float64) {})
+		k.Run(k.Now() + 100)
+		for i, rep := range replicas {
+			added[i] += rep.Disk().BusyTime()
+		}
+		return added
 	}
-	return n
+	check := func(op string, got []float64, want ...float64) {
+		t.Helper()
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-9 {
+				t.Fatalf("%s: disk busy time added per replica = %v, want %v", op, got, want)
+			}
+		}
+	}
+	read := charged(db.Read)
+	sort.Float64s(read)
+	check("read", read, 0, 0, d)
+	check("write", charged(db.Write), d, d, d)
+	if retired := db.RemoveStation(); retired != replicas[2] {
+		t.Fatalf("scale-in retired %v, want the newest replica", retired)
+	}
+	check("write after scale-in", charged(db.Write), d, d, 0)
 }

@@ -40,6 +40,25 @@ type Tier struct {
 	// readable so cumulative busy-time and completion sums over the tier
 	// remain monotone across replica-set changes.
 	retired []*Station
+	// Demand is the tier's per-request demand on its nodes' contended
+	// resources, charged on every station a request reaches: the one a
+	// balanced request picks, or each replica of a broadcast write. The
+	// zero value routes requests exactly as the CPU-only model always
+	// has.
+	Demand TierDemand
+}
+
+// TierDemand is one tier's per-request demand on its node's contended
+// resources beyond the benchmark's CPU demand.
+type TierDemand struct {
+	// CPUScale multiplies the interaction's CPU demand (0 = unchanged).
+	CPUScale float64
+	// DiskSec is seconds of disk service per request at the reference
+	// disk (0 = no disk leg).
+	DiskSec float64
+	// NetBytes is the payload carried into the tier per request over its
+	// ingress link (0 = no network leg).
+	NetBytes float64
 }
 
 // NewTier groups stations under a balancing policy. At least one station
@@ -101,6 +120,22 @@ func (t *Tier) pick() *Station {
 		t.next++
 		return s
 	}
+}
+
+// submitTo offers st, one of the tier's stations, a request of reference
+// CPU demand with the tier's resource legs. A tier that declares no
+// resource demand takes the CPU-only path.
+func (t *Tier) submitTo(st *Station, demand float64, done jobDone) {
+	d := &t.Demand
+	if d.CPUScale == 0 && d.DiskSec == 0 && d.NetBytes == 0 {
+		st.submit(demand, done)
+		return
+	}
+	cpu := demand
+	if d.CPUScale > 0 {
+		cpu = demand * d.CPUScale
+	}
+	st.submitRes(cpu, d.DiskSec, d.NetBytes, done)
 }
 
 // pinned selects the station assigned to affinity key pin. The request

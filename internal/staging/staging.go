@@ -72,7 +72,7 @@ type validator struct {
 // Validate statically checks a bundle starting from entry (normally
 // "run.sh"), then checks teardown.sh if present, and finally reports
 // bundle-level findings (unreferenced artifacts, unreachable scripts).
-// Issues are ordered errors-first, then by location.
+// Issues are ordered errors-first, then by location, then by message.
 func Validate(b *mulini.Bundle, entry string) []Issue {
 	v := &validator{
 		bundle:    b,
@@ -129,7 +129,10 @@ func Validate(b *mulini.Bundle, entry string) []Issue {
 		if v.issues[i].Script != v.issues[j].Script {
 			return v.issues[i].Script < v.issues[j].Script
 		}
-		return v.issues[i].Line < v.issues[j].Line
+		if v.issues[i].Line != v.issues[j].Line {
+			return v.issues[i].Line < v.issues[j].Line
+		}
+		return v.issues[i].Message < v.issues[j].Message
 	})
 	return v.issues
 }

@@ -1,8 +1,10 @@
 package staging
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"elba/internal/cim"
 	"elba/internal/mulini"
@@ -167,6 +169,51 @@ func TestValidateUnreachableAndUnused(t *testing.T) {
 func TestValidateRecursionCapped(t *testing.T) {
 	b := scriptBundle(t, map[string]string{"run.sh": "bash run.sh\n"})
 	wantIssue(t, Validate(b, "run.sh"), "nesting")
+}
+
+// TestValidateSelfCallsOnce gives run.sh two and then three lines that
+// call it again. Each is one issue at its own line, and none is
+// followed: a walk that followed them would report issues in numbers
+// exponential in the number of lines, and take minutes for three.
+func TestValidateSelfCallsOnce(t *testing.T) {
+	for _, n := range []int{2, 3} {
+		b := scriptBundle(t, map[string]string{"run.sh": strings.Repeat("bash run.sh\n", n)})
+		done := make(chan []Issue, 1)
+		go func() { done <- Validate(b, "run.sh") }()
+		var issues []Issue
+		select {
+		case issues = <-done:
+		case <-time.After(time.Second):
+			t.Fatalf("%d self-calls: Validate ran for over a second", n)
+		}
+		if len(issues) != n {
+			t.Fatalf("%d self-calls: %d issues, want %d: %v", n, len(issues), n, issues[:min(len(issues), n+1)])
+		}
+		for i, is := range issues {
+			if is.Script != "run.sh" || is.Line != i+1 || !strings.Contains(is.Message, "recursive") {
+				t.Errorf("%d self-calls: issue %d = %v, want a recursive call at run.sh:%d", n, i, is, i+1)
+			}
+		}
+	}
+}
+
+// TestValidateIssueOrderFixed checks that bundle-level issues, which
+// come from map walks, are returned in one order.
+func TestValidateIssueOrderFixed(t *testing.T) {
+	b := scriptBundle(t, map[string]string{
+		"run.sh": "elbactl allocate --role A\nelbactl allocate --role B\n" +
+			"elbactl allocate --role C\nelbactl allocate --role D\n",
+		"teardown.sh": "echo leaves every role allocated\n",
+	})
+	want := fmt.Sprint(Validate(b, "run.sh"))
+	if strings.Count(want, "still allocated") != 4 {
+		t.Fatalf("issues = %s, want four leaked roles", want)
+	}
+	for i := 0; i < 50; i++ {
+		if got := fmt.Sprint(Validate(b, "run.sh")); got != want {
+			t.Fatalf("call %d ordered the issues\n%s\nthe first ordered them\n%s", i, got, want)
+		}
+	}
 }
 
 func TestIssueString(t *testing.T) {
