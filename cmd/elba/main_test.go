@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"elba/internal/campaign"
 	"elba/internal/spec"
 )
 
@@ -141,9 +142,12 @@ func TestRunCacheDirReplays(t *testing.T) {
 	if err := run([]string{"-timescale", "0.05", "-cachedir", cacheDir, "-json", out1, specPath}); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := filepath.Glob(filepath.Join(cacheDir, "*.json"))
-	if err != nil || len(entries) != 2 {
-		t.Fatalf("cache dir holds %d entries, want 2: %v", len(entries), err)
+	cache, err := campaign.OpenCache(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := cache.Stats().Loaded; n != 2 {
+		t.Fatalf("cache dir reopens with %d entries, want 2", n)
 	}
 	if err := run([]string{"-timescale", "0.05", "-cachedir", cacheDir, "-json", out2, specPath}); err != nil {
 		t.Fatal(err)

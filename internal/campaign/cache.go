@@ -19,7 +19,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -29,7 +28,7 @@ import (
 
 // KeyID is the content address of a trial key: the hex SHA-256 of its
 // canonical field serialization. It names the cache entry in memory and
-// its file on disk, and is stable across processes.
+// is stable across processes.
 func KeyID(k experiment.TrialKey) string {
 	h := sha256.New()
 	for _, part := range []string{
@@ -45,16 +44,10 @@ func KeyID(k experiment.TrialKey) string {
 		strconv.Itoa(k.TrialRetries),
 		strconv.FormatFloat(k.TraceRate, 'g', -1, 64),
 		strconv.Itoa(k.TraceExemplars),
+		strconv.FormatBool(k.SketchRT),
 	} {
 		io.WriteString(h, part)
 		h.Write([]byte{0}) // unambiguous field boundaries
-	}
-	// SketchRT contributes to the address only when set: sketch-free keys
-	// hash exactly as they did before the field existed, so on-disk caches
-	// written by older builds stay valid.
-	if k.SketchRT {
-		io.WriteString(h, "rtsketch")
-		h.Write([]byte{0})
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -68,7 +61,8 @@ type CacheStats struct {
 	Hits uint64 `json:"hits"`
 	// Misses counts Do calls that computed and cached a fresh result.
 	Misses uint64 `json:"misses"`
-	// Loaded is the number of entries restored from disk at open time.
+	// Loaded is the number of distinct entries restored from disk at open
+	// time.
 	Loaded int `json:"loaded"`
 }
 
@@ -91,9 +85,12 @@ type CacheStats struct {
 // retryable, and each waiter on a failed flight retries the key itself
 // rather than inheriting a cancellation or fault from another campaign.
 //
-// With a directory attached, every fresh entry is also written to
-// <id>.json (atomically, via rename), and OpenCache restores the index
-// on start, so memoization survives restarts and separate submissions.
+// With a directory attached, every fresh entry is also appended to
+// <dir>/cache.log as one frame of the result log's format (frameLog, with
+// its own magic) and fsynced, and OpenCache replays the log on start, so
+// memoization survives restarts and separate submissions. Caches in one
+// process or several may share a directory: their appends interleave
+// whole frames, and a later open loads the union.
 type Cache struct {
 	dir string // "" = memory only
 
@@ -121,43 +118,45 @@ type cacheEntry struct {
 	res  *store.Result // never handed to a caller; hits get a clone
 }
 
-// diskEntry is the on-disk form of one memoized trial: the full key for
-// auditability and verification, plus the result's canonical JSON.
+// diskEntry is the on-disk form of one memoized trial, a cache log
+// record: the full key for auditability, plus the result's canonical
+// JSON.
 type diskEntry struct {
 	Key    experiment.TrialKey `json:"key"`
 	Result json.RawMessage     `json:"result"`
 }
 
-// OpenCache creates the directory if needed and loads every valid
-// <id>.json entry into the index. Entries whose filename does not match
-// the content address recomputed from their stored key are ignored (and
-// left on disk for inspection) rather than trusted.
+// cacheLogName names the log in a cache directory.
+const cacheLogName = "cache.log"
+
+var cacheLogFrames = frameLog{kind: "cache log", magic: "ELBACACHE1\n"}
+
+// OpenCache creates the directory if needed and loads its cache log into
+// the index, keying each entry by the KeyID of its stored key; a key
+// logged twice keeps its last entry. Files of the older one-file-per-entry
+// layout (<id>.json) are not read; their points recompute, byte-identically,
+// on their next miss.
 func OpenCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: open cache: %w", err)
 	}
 	c := NewCache()
 	c.dir = dir
-	names, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	f, _, err := cacheLogFrames.open(filepath.Join(dir, cacheLogName), func(payload []byte) error {
+		var ent diskEntry
+		if err := json.Unmarshal(payload, &ent); err != nil {
+			return err
+		}
+		c.entries[KeyID(ent.Key)] = cacheEntry{data: ent.Result}
+		return nil
+	})
+	if err == nil {
+		err = f.Close()
+	}
 	if err != nil {
 		return nil, err
 	}
-	for _, name := range names {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			return nil, err
-		}
-		var ent diskEntry
-		if err := json.Unmarshal(data, &ent); err != nil {
-			continue // partial write or foreign file: skip, don't fail the open
-		}
-		id := KeyID(ent.Key)
-		if id+".json" != filepath.Base(name) || len(ent.Result) == 0 {
-			continue
-		}
-		c.entries[id] = cacheEntry{data: append([]byte(nil), ent.Result...)}
-		c.loaded++
-	}
+	c.loaded = len(c.entries)
 	return c, nil
 }
 
@@ -221,7 +220,7 @@ func (c *Cache) Do(k experiment.TrialKey, compute func() (store.Result, error)) 
 		}
 		c.misses.Add(1)
 		if c.dir != "" {
-			if werr := c.persist(id, k, data); werr != nil {
+			if werr := c.persist(k, data); werr != nil {
 				return store.Result{}, false, werr
 			}
 		}
@@ -275,36 +274,29 @@ func cloneResult(r *store.Result) store.Result {
 	return out
 }
 
-// persist writes one entry file atomically: a same-directory temp file
-// renamed into place, so a crashed write can never leave a torn entry
-// under a valid content address.
-func (c *Cache) persist(id string, k experiment.TrialKey, result []byte) error {
-	data, err := json.MarshalIndent(diskEntry{Key: k, Result: result}, "", "  ")
+// persist appends one entry to the cache log. The log is opened for
+// each append, so a cache holds no file between misses.
+func (c *Cache) persist(k experiment.TrialKey, result []byte) error {
+	payload, err := json.Marshal(diskEntry{Key: k, Result: result})
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(c.dir, "."+id+".tmp")
+	f, err := os.OpenFile(filepath.Join(c.dir, cacheLogName), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		return err
 	}
-	_, werr := tmp.Write(append(data, '\n'))
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
+	err = appendFrame(f, payload)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return werr
-	}
-	return os.Rename(tmp.Name(), filepath.Join(c.dir, id+".json"))
+	return err
 }
 
 // String renders the stats one-line, for log lines and CLI summaries.
 func (s CacheStats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d entries, %d hits, %d misses", s.Entries, s.Hits, s.Misses)
+	out := fmt.Sprintf("%d entries, %d hits, %d misses", s.Entries, s.Hits, s.Misses)
 	if s.Loaded > 0 {
-		fmt.Fprintf(&b, " (%d loaded from disk)", s.Loaded)
+		out += fmt.Sprintf(" (%d loaded from disk)", s.Loaded)
 	}
-	return b.String()
+	return out
 }

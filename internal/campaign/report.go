@@ -1,9 +1,9 @@
 package campaign
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"elba/internal/report"
@@ -28,8 +28,8 @@ func (c *Campaign) Report() (string, error) {
 			continue
 		}
 		topologies := st.Topologies(name)
-		loads := distinctInts(results, func(r store.Result) int { return r.Key.Users })
-		for _, wr := range distinctRatios(results) {
+		loads := distinct(results, func(r store.Result) int { return r.Key.Users })
+		for _, wr := range distinct(results, func(r store.Result) float64 { return r.Key.WriteRatioPct }) {
 			if b.Len() > 0 {
 				b.WriteString("\n")
 			}
@@ -46,28 +46,12 @@ func (c *Campaign) Report() (string, error) {
 	return b.String(), nil
 }
 
-func distinctInts(rs []store.Result, f func(store.Result) int) []int {
-	seen := map[int]bool{}
-	var out []int
+// distinct returns the sorted distinct values of f over rs.
+func distinct[T cmp.Ordered](rs []store.Result, f func(store.Result) T) []T {
+	var out []T
 	for _, r := range rs {
-		if v := f(r); !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
+		out = append(out, f(r))
 	}
-	sort.Ints(out)
-	return out
-}
-
-func distinctRatios(rs []store.Result) []float64 {
-	seen := map[float64]bool{}
-	var out []float64
-	for _, r := range rs {
-		if v := r.Key.WriteRatioPct; !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	sort.Float64s(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }

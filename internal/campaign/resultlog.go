@@ -1,10 +1,8 @@
 package campaign
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sync"
 
@@ -16,17 +14,14 @@ import (
 // than misparse them.
 const resultLogMagic = "ELBALOG1\n"
 
-// maxResultRecord bounds one record's payload. Trial results are a few
-// kilobytes (tens with traces attached); the bound exists so a corrupt
-// length prefix can never drive the reader into a giant allocation.
-const maxResultRecord = 16 << 20
+var resultLogFrames = frameLog{kind: "result log", magic: resultLogMagic}
 
 // ResultLog is an append-only, crash-safe record of trial results in
 // commit order: the campaign's durable observation stream. Each record
-// is one store.Result as canonical JSON, framed by a uvarint payload
-// length and a CRC32 of the payload, and fsynced before Append returns —
-// so the log on disk is always a committed prefix of the stream, and a
-// torn tail left by a crash is detected and discarded, never misread.
+// is one store.Result as canonical JSON in a frame of the package's one
+// durable format (frameLog), fsynced before Append returns — so the log
+// on disk is always a committed prefix of the stream, and a torn tail
+// left by a crash is detected and discarded, never misread.
 //
 // Because results commit in deterministic grid order and serialize
 // canonically, two logs of the same campaign are byte-identical whatever
@@ -44,66 +39,26 @@ type ResultLog struct {
 // a torn tail from an interrupted write is truncated away, and
 // subsequent appends continue after the last committed record.
 func OpenResultLog(path string) (*ResultLog, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, n, err := resultLogFrames.open(path, decodeResult(nil))
 	if err != nil {
-		return nil, fmt.Errorf("campaign: open result log: %w", err)
-	}
-	l := &ResultLog{f: f, path: path}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	if len(data) == 0 {
-		if _, err := f.WriteString(resultLogMagic); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return l, nil
-	}
-	committed, n, err := scanResultLog(data, nil)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("campaign: result log %s: %w", path, err)
-	}
-	l.n = n
-	if err := f.Truncate(committed); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(committed, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return l, nil
+	return &ResultLog{f: f, path: path, n: n}, nil
 }
 
 // Append writes one result as the log's next record and fsyncs. The
-// record is durable (or absent) when Append returns: there is no state
-// in between that a replay could half-read.
+// record is durable (or absent) when Append returns.
 func (l *ResultLog) Append(r store.Result) error {
 	payload, err := json.Marshal(r)
 	if err != nil {
 		return err
 	}
-	frame := make([]byte, 0, len(payload)+binary.MaxVarintLen64+4)
-	frame = binary.AppendUvarint(frame, uint64(len(payload)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-	frame = append(frame, payload...)
-
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return fmt.Errorf("campaign: result log %s is closed", l.path)
 	}
-	if _, err := l.f.Write(frame); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
+	if err := appendFrame(l.f, payload); err != nil {
 		return err
 	}
 	l.n++
@@ -134,81 +89,23 @@ func (l *ResultLog) Close() error {
 
 // ReplayResultLog reads the log at path and calls fn for every committed
 // record in append order. A torn tail (an interrupted final write) ends
-// the replay cleanly; corruption inside the committed region — a failed
-// checksum or invalid JSON followed by further bytes — is an error. It
-// returns the number of records replayed.
+// the replay cleanly, and an empty file replays no records; corruption
+// inside the committed region — a failed checksum or invalid JSON — is an
+// error, as is an error fn returns. It returns the number of records
+// replayed.
 func ReplayResultLog(path string, fn func(store.Result) error) (int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	_, n, err := scanResultLog(data, fn)
-	if err != nil {
-		return n, fmt.Errorf("campaign: result log %s: %w", path, err)
-	}
-	return n, nil
+	_, _, n, err := resultLogFrames.read(path, decodeResult(fn))
+	return n, err
 }
 
-// scanResultLog walks the framed records in data, calling fn (when
-// non-nil) per decoded result, and returns the byte length of the
-// committed prefix plus the record count. Truncated frames at the end of
-// data are a torn tail: the scan stops there without error. A frame that
-// is complete but fails its checksum or does not decode is corruption,
-// not a tail, and is reported as an error.
-func scanResultLog(data []byte, fn func(store.Result) error) (committed int64, n int, err error) {
-	if len(data) < len(resultLogMagic) || string(data[:len(resultLogMagic)]) != resultLogMagic {
-		return 0, 0, fmt.Errorf("bad magic (not a result log)")
-	}
-	off := len(resultLogMagic)
-	committed = int64(off)
-	for off < len(data) {
-		size, vn := binary.Uvarint(data[off:])
-		if vn <= 0 {
-			if uvarintTruncated(data[off:]) {
-				return committed, n, nil // torn tail
-			}
-			return committed, n, fmt.Errorf("record %d: malformed length prefix", n)
-		}
-		if size > maxResultRecord {
-			return committed, n, fmt.Errorf("record %d: length %d exceeds limit", n, size)
-		}
-		body := off + vn
-		if body+4+int(size) > len(data) {
-			return committed, n, nil // torn tail
-		}
-		sum := binary.LittleEndian.Uint32(data[body:])
-		payload := data[body+4 : body+4+int(size)]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return committed, n, fmt.Errorf("record %d: checksum mismatch", n)
-		}
+// decodeResult returns a frame decoder that unmarshals each payload as a
+// store.Result and hands it to fn, when fn is non-nil.
+func decodeResult(fn func(store.Result) error) func([]byte) error {
+	return func(payload []byte) error {
 		var r store.Result
-		if derr := json.Unmarshal(payload, &r); derr != nil {
-			return committed, n, fmt.Errorf("record %d: %w", n, derr)
+		if err := json.Unmarshal(payload, &r); err != nil || fn == nil {
+			return err
 		}
-		if fn != nil {
-			if ferr := fn(r); ferr != nil {
-				return committed, n, ferr
-			}
-		}
-		off = body + 4 + int(size)
-		committed = int64(off)
-		n++
+		return fn(r)
 	}
-	return committed, n, nil
-}
-
-// uvarintTruncated reports whether b is a proper prefix of a valid
-// uvarint — every present byte has its continuation bit set and fewer
-// than the maximum number of bytes are present. Such a prefix can only
-// arise from an interrupted write.
-func uvarintTruncated(b []byte) bool {
-	if len(b) >= binary.MaxVarintLen64 {
-		return false
-	}
-	for _, c := range b {
-		if c < 0x80 {
-			return false
-		}
-	}
-	return true
 }

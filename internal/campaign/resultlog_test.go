@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"encoding/binary"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -128,10 +127,11 @@ func TestResultLogTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	committed4, _, err := scanResultLogPrefix(full, 4)
-	if err != nil {
-		t.Fatal(err)
+	ends := frameEnds(full, resultLogMagic)
+	if len(ends) != 5 {
+		t.Fatalf("log holds %d frames, want 5", len(ends))
 	}
+	committed4 := ends[3]
 	// Every truncation point strictly inside record 5 must replay exactly
 	// the 4 committed records.
 	for _, cut := range []int64{committed4 + 1, committed4 + 2, int64(len(full)) - 1} {
@@ -166,11 +166,11 @@ func TestResultLogTornTail(t *testing.T) {
 	}
 }
 
-// scanResultLogPrefix returns the byte length of the first k committed
-// records (plus magic), for building truncation points in tests.
-func scanResultLogPrefix(data []byte, k int) (int64, int, error) {
+// frameEnds returns the end offset of every complete frame in a frame
+// log's bytes, for building truncation points in tests.
+func frameEnds(data []byte, magic string) []int64 {
 	var ends []int64
-	off := len(resultLogMagic)
+	off := len(magic)
 	for off < len(data) {
 		size, vn := binary.Uvarint(data[off:])
 		if vn <= 0 {
@@ -183,10 +183,7 @@ func scanResultLogPrefix(data []byte, k int) (int64, int, error) {
 		ends = append(ends, int64(end))
 		off = end
 	}
-	if len(ends) < k {
-		return 0, 0, fmt.Errorf("only %d frames, want %d", len(ends), k)
-	}
-	return ends[k-1], k, nil
+	return ends
 }
 
 // TestResultLogRejectsCorruption: flipping a committed byte is

@@ -53,8 +53,8 @@ func (c *keyRecorder) Do(k TrialKey, compute func() (store.Result, error)) (stor
 
 // TestTrialKeysCarryTrialHash pins the spec part of every key a sweep, a
 // knee search and a single point ask the cache for to e.TrialHash(): the
-// runner computes it once per sweep or search, and the KeyIDs of on-disk
-// caches must not change with that.
+// runner computes it once per sweep or search, and the keys an on-disk
+// cache stores must not change with that.
 func TestTrialKeysCarryTrialHash(t *testing.T) {
 	e := rubisExperiment(t, `topologies 1-1-1, 1-2-1; workload { users 50 to 100 step 50; writeratio 15; }`)
 	r := testRunner(t)

@@ -62,9 +62,9 @@ func (r *Runner) KneeSearch(e *spec.Experiment, topo spec.Topology,
 		return KneeSearchResult{}, err
 	}
 	res := KneeSearchResult{}
-	err := r.withDeployment(e, topo, specHash(e, r.TrialCache), func(dep *deployed) error {
+	err := r.withDeployment(e, topo, r.specHash(e), func(dep *deployed) error {
 		probe := func(users int) (bool, error) {
-			out, err := r.trialOn(r.TrialCache, dep, users, writeRatioPct)
+			out, err := r.trialOn(dep, users, writeRatioPct)
 			if err != nil {
 				return false, err
 			}

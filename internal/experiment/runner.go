@@ -178,7 +178,7 @@ func (r *Runner) RunExperimentContext(ctx context.Context, e *spec.Experiment) e
 	if err != nil {
 		return err
 	}
-	hash := specHash(e, r.TrialCache)
+	hash := r.specHash(e)
 	// Cap parallelism so the largest concurrent topologies always fit
 	// the platform; each deployment also occupies a client machine.
 	workers := r.Parallel
@@ -243,37 +243,36 @@ type deployed struct {
 	d         *mulini.Deployment
 	placement *deploy.Placement
 	prof      fault.Profile
-	// specHash is specHash(e, cache) for the cache the points run
-	// through.
+	// specHash is r.specHash(e): the spec part of the points' trial
+	// keys.
 	specHash string
 }
 
 // specHash returns the spec part of the trial keys of e's points,
-// e.TrialHash(), when a cache will key them, and "" when none will. The
-// hash renders and digests the whole canonical spec, so a sweep or a knee
-// search computes it once for all of its points.
-func specHash(e *spec.Experiment, cache TrialCache) string {
-	if cache == nil {
+// e.TrialHash(), when TrialCache will key them, and "" when there is no
+// cache. The hash renders and digests the whole canonical spec, so a
+// sweep or a knee search computes it once for all of its points.
+func (r *Runner) specHash(e *spec.Experiment) string {
+	if r.TrialCache == nil {
 		return ""
 	}
 	return e.TrialHash()
 }
 
-// runPoint runs one workload point through the trial cache: a key
-// already cached (or in flight on another campaign sharing the cache)
-// is served without simulating, everything else is computed by
-// runPointUncached and cached on success. With no cache attached the
-// uncached path runs directly — byte- and allocation-identical to the
-// pre-cache runner.
-func (r *Runner) runPoint(ctx context.Context, cache TrialCache, dep *deployed, cfg TrialConfig, workers int) (*TrialOutcome, error) {
+// runPoint runs one workload point through TrialCache: a key already
+// cached (or in flight on another campaign sharing the cache) is served
+// without simulating, everything else is computed by runPointUncached and
+// cached on success. With no cache attached the uncached path runs
+// directly — byte- and allocation-identical to the pre-cache runner.
+func (r *Runner) runPoint(ctx context.Context, dep *deployed, cfg TrialConfig, workers int) (*TrialOutcome, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if cache == nil {
+	if r.TrialCache == nil {
 		return r.runPointUncached(ctx, dep, cfg, workers)
 	}
 	var fresh *TrialOutcome
-	res, _, err := cache.Do(r.trialKey(dep.specHash, dep.d.Topology.String(), cfg), func() (store.Result, error) {
+	res, _, err := r.TrialCache.Do(r.trialKey(dep.specHash, dep.d.Topology.String(), cfg), func() (store.Result, error) {
 		out, err := r.runPointUncached(ctx, dep, cfg, workers)
 		if err != nil {
 			return store.Result{}, err
@@ -372,7 +371,7 @@ func (r *Runner) runDeployment(ctx context.Context, dep *deployed) error {
 	var joined []error
 	ordered(len(points), workers, func(i int) bool {
 		pt := points[i]
-		out, err := r.runPoint(ctx, r.TrialCache, dep, r.trialConfig(dep, pt.users, pt.wr), replicaWorkers)
+		out, err := r.runPoint(ctx, dep, r.trialConfig(dep, pt.users, pt.wr), replicaWorkers)
 		if err != nil {
 			errs[i] = fmt.Errorf("experiment %s/%s u=%d w=%g: %w", e.Name, d.Topology, pt.users, pt.wr, err)
 			return ctx.Err() != nil
@@ -521,9 +520,9 @@ func (r *Runner) onDeployment(e *spec.Experiment, cl *cluster.Cluster, d *mulini
 // scale-out controller and ad-hoc probes use it.
 func (r *Runner) RunTrialAt(e *spec.Experiment, topo spec.Topology, users int, writeRatioPct float64) (*TrialOutcome, error) {
 	var out *TrialOutcome
-	err := r.withDeployment(e, topo, specHash(e, r.TrialCache), func(dep *deployed) error {
+	err := r.withDeployment(e, topo, r.specHash(e), func(dep *deployed) error {
 		var err error
-		out, err = r.trialOn(r.TrialCache, dep, users, writeRatioPct)
+		out, err = r.trialOn(dep, users, writeRatioPct)
 		return err
 	})
 	if err != nil {
@@ -532,10 +531,10 @@ func (r *Runner) RunTrialAt(e *spec.Experiment, topo spec.Topology, users int, w
 	return out, nil
 }
 
-// trialOn runs one workload point on dep through cache and commits its
-// outcome.
-func (r *Runner) trialOn(cache TrialCache, dep *deployed, users int, writeRatioPct float64) (*TrialOutcome, error) {
-	out, err := r.runPoint(context.Background(), cache, dep, r.trialConfig(dep, users, writeRatioPct), r.TrialParallel)
+// trialOn runs one workload point on dep through TrialCache and commits
+// its outcome.
+func (r *Runner) trialOn(dep *deployed, users int, writeRatioPct float64) (*TrialOutcome, error) {
+	out, err := r.runPoint(context.Background(), dep, r.trialConfig(dep, users, writeRatioPct), r.TrialParallel)
 	if err != nil {
 		return nil, err
 	}

@@ -34,6 +34,24 @@ func experimentResults(st *store.Store, experiment string) []store.Result {
 	return rs
 }
 
+// configResults returns an experiment's results that keep accepts, by
+// topology (as a string), then write ratio, then users: the row order of
+// the SLO and scaling tables.
+func configResults(st *store.Store, experiment string, keep func(store.Result) bool) []store.Result {
+	rs := st.Filter(func(r store.Result) bool { return r.Key.Experiment == experiment && keep(r) })
+	sort.Slice(rs, func(i, j int) bool {
+		a, b := rs[i].Key, rs[j].Key
+		if a.Topology != b.Topology {
+			return a.Topology < b.Topology
+		}
+		if a.WriteRatioPct != b.WriteRatioPct {
+			return a.WriteRatioPct < b.WriteRatioPct
+		}
+		return a.Users < b.Users
+	})
+	return rs
+}
+
 // TableEngineSummary lists an experiment's trials with their engine
 // provenance: which points came from the exact per-session DES and which
 // from the aggregated fluid approximation above the scaling threshold.

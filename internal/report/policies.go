@@ -2,7 +2,6 @@ package report
 
 import (
 	"fmt"
-	"sort"
 
 	"elba/internal/store"
 )
@@ -13,29 +12,13 @@ import (
 // mid-run by the spec's policies clause instead of between sweeps by the
 // operator.
 func TableScaling(st *store.Store, experiment string) string {
-	rs := st.Filter(func(r store.Result) bool {
-		return r.Key.Experiment == experiment && len(r.ScaleEvents) > 0
-	})
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Key.Topology != rs[j].Key.Topology {
-			return rs[i].Key.Topology < rs[j].Key.Topology
-		}
-		if rs[i].Key.WriteRatioPct != rs[j].Key.WriteRatioPct {
-			return rs[i].Key.WriteRatioPct < rs[j].Key.WriteRatioPct
-		}
-		return rs[i].Key.Users < rs[j].Key.Users
-	})
-
+	rs := configResults(st, experiment, func(r store.Result) bool { return len(r.ScaleEvents) > 0 })
 	t := NewTable(fmt.Sprintf("Scaling timeline — %s", experiment),
 		"Config (w-a-d)", "Users", "Writes", "Engine", "At", "Tier", "Replicas")
 	for _, r := range rs {
-		engine := r.Engine
-		if engine == "" {
-			engine = "des"
-		}
 		for _, ev := range r.ScaleEvents {
 			t.AddRow(r.Key.Topology, fmt.Sprint(r.Key.Users),
-				fmt.Sprintf("%g%%", r.Key.WriteRatioPct), engine,
+				fmt.Sprintf("%g%%", r.Key.WriteRatioPct), engineLabel(r),
 				fmt.Sprintf("%.0fs", ev.TSec), ev.Tier,
 				fmt.Sprintf("%d→%d", ev.From, ev.To))
 		}

@@ -2,7 +2,6 @@ package report
 
 import (
 	"fmt"
-	"sort"
 
 	"elba/internal/store"
 )
@@ -13,19 +12,7 @@ import (
 // paper's availability analysis reads, generalized from fixed thresholds
 // to arbitrary predicates.
 func TableSLO(st *store.Store, experiment string) string {
-	rs := st.Filter(func(r store.Result) bool {
-		return r.Key.Experiment == experiment && r.SLOAssert != ""
-	})
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Key.Topology != rs[j].Key.Topology {
-			return rs[i].Key.Topology < rs[j].Key.Topology
-		}
-		if rs[i].Key.WriteRatioPct != rs[j].Key.WriteRatioPct {
-			return rs[i].Key.WriteRatioPct < rs[j].Key.WriteRatioPct
-		}
-		return rs[i].Key.Users < rs[j].Key.Users
-	})
-
+	rs := configResults(st, experiment, func(r store.Result) bool { return r.SLOAssert != "" })
 	assert := ""
 	if len(rs) > 0 {
 		assert = rs[0].SLOAssert
@@ -34,17 +21,13 @@ func TableSLO(st *store.Store, experiment string) string {
 		"Config (w-a-d)", "Users", "Writes", "Engine", "Windows", "Violations",
 		"First violation", "Verdict")
 	for _, r := range rs {
-		engine := r.Engine
-		if engine == "" {
-			engine = "des"
-		}
 		first, verdict := "-", "PASS"
 		if r.SLOViolations > 0 {
 			first = fmt.Sprintf("%.0fs", r.SLOViolatedAt[0])
 			verdict = "FAIL"
 		}
 		t.AddRow(r.Key.Topology, fmt.Sprint(r.Key.Users),
-			fmt.Sprintf("%g%%", r.Key.WriteRatioPct), engine,
+			fmt.Sprintf("%g%%", r.Key.WriteRatioPct), engineLabel(r),
 			fmt.Sprint(r.SLOWindows), fmt.Sprint(r.SLOViolations),
 			first, verdict)
 	}

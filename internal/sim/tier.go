@@ -34,7 +34,7 @@ type Tier struct {
 	k        *Kernel
 	stations []*Station
 	policy   BalancerPolicy
-	next     int
+	next     int // round-robin cursor, below len(stations)
 	// retired holds stations removed by scale-in. They receive no new
 	// work but keep draining in-flight jobs, and their counters stay
 	// readable so cumulative busy-time and completion sums over the tier
@@ -116,8 +116,10 @@ func (t *Tier) pick() *Station {
 	case RandomPick:
 		return t.stations[t.k.Rand().IntN(len(t.stations))]
 	default: // RoundRobin
-		s := t.stations[t.next%len(t.stations)]
-		t.next++
+		s := t.stations[t.next]
+		if t.next++; t.next == len(t.stations) {
+			t.next = 0
+		}
 		return s
 	}
 }

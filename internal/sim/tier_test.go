@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -24,6 +25,31 @@ func TestTierRoundRobinSpread(t *testing.T) {
 		if s.InFlight() != 3 {
 			t.Fatalf("station %d has %d jobs, want 3", i, s.InFlight())
 		}
+	}
+
+	// The exact pick order: the cursor wraps at the set's length and
+	// restarts at the head when a station joins or retires.
+	extra := makeTier(k, 1, RoundRobin).Stations()[0]
+	index := map[*Station]int{extra: 3}
+	for i, s := range tier.Stations() {
+		index[s] = i
+	}
+	picks := func(n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = index[tier.pick()]
+		}
+		return out
+	}
+	var got []int
+	got = append(got, picks(2)...) // after the nine submits the cursor is at 0
+	tier.AddStation(extra)
+	got = append(got, picks(6)...)
+	tier.RemoveStation()
+	got = append(got, picks(4)...)
+	want := []int{0, 1, 0, 1, 2, 3, 0, 1, 0, 1, 2, 0}
+	if !slices.Equal(got, want) {
+		t.Fatalf("round-robin picks %v, want %v", got, want)
 	}
 }
 
