@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -294,9 +295,10 @@ func (c *Cache) persist(k experiment.TrialKey, result []byte) error {
 
 // String renders the stats one-line, for log lines and CLI summaries.
 func (s CacheStats) String() string {
-	out := fmt.Sprintf("%d entries, %d hits, %d misses", s.Entries, s.Hits, s.Misses)
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d entries, %d hits, %d misses", s.Entries, s.Hits, s.Misses)
 	if s.Loaded > 0 {
-		out += fmt.Sprintf(" (%d loaded from disk)", s.Loaded)
+		fmt.Fprintf(&b, " (%d loaded from disk)", s.Loaded)
 	}
-	return out
+	return b.String()
 }
