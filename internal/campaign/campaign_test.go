@@ -191,19 +191,23 @@ func TestCancelStopsMidSweep(t *testing.T) {
 // TestCancelQueuedCampaign: a campaign cancelled before any worker
 // picks it up terminalizes immediately and never runs a trial.
 func TestCancelQueuedCampaign(t *testing.T) {
-	// One worker, occupied by a long campaign: the second submission
-	// waits in the queue where the cancellation must catch it.
+	// One worker, held in the first campaign's first trial until the test
+	// returns: the second submission waits in the queue where the
+	// cancellation must catch it, however fast the first campaign runs.
 	started := make(chan struct{})
+	release := make(chan struct{})
 	opts := fastOptions()
 	var once bool
 	opts.OnTrial = func(store.Result) {
 		if !once {
 			once = true
 			close(started)
+			<-release
 		}
 	}
 	svc := NewService(Config{Workers: 1, Options: opts})
 	defer svc.Close()
+	defer close(release) // before Close, which waits for the held worker
 	if _, err := svc.Submit(sweepA); err != nil {
 		t.Fatal(err)
 	}
