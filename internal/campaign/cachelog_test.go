@@ -146,6 +146,100 @@ func TestCacheLogRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestFrameLogLengthPastEndIsCorruption flips bit 0x20 of record 1's
+// second length byte in a three-record cache log and result log, so that
+// its length runs past the end of the file while record 2 follows
+// intact. A crash cannot leave that, so opening must fail, naming the
+// file and record 1, and leave the file as it was.
+func TestFrameLogLengthPastEndIsCorruption(t *testing.T) {
+	cacheDir := t.TempDir()
+	fillCache(t, openLoaded(t, cacheDir, 0), 0, 1, 2)
+	resultPath := filepath.Join(t.TempDir(), "r.log")
+	l, err := OpenResultLog(resultPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := l.Append(logResult(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	logs := []struct {
+		path, magic string
+		open        func() error
+	}{
+		{filepath.Join(cacheDir, cacheLogName), cacheLogFrames.magic, func() error {
+			_, err := OpenCache(cacheDir)
+			return err
+		}},
+		{resultPath, resultLogMagic, func() error {
+			_, err := OpenResultLog(resultPath)
+			return err
+		}},
+		{resultPath, resultLogMagic, func() error {
+			_, err := ReplayResultLog(resultPath, nil)
+			return err
+		}},
+	}
+	for _, lg := range logs {
+		full, err := os.ReadFile(lg.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends := frameEnds(full, lg.magic)
+		if len(ends) != 3 {
+			t.Fatalf("%s holds %d frames, want 3", lg.path, len(ends))
+		}
+		data := bytes.Clone(full)
+		data[ends[0]+1] ^= 0x20
+		size, prefix := binary.Uvarint(data[ends[0]:])
+		if prefix < 2 || ends[0]+int64(prefix)+4+int64(size) <= int64(len(data)) {
+			t.Fatalf("%s: record 1's flipped length %d (%d bytes) does not run past the end of %d bytes", lg.path, size, prefix, len(data))
+		}
+		if err := os.WriteFile(lg.path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("%s: record 1:", lg.path)
+		if err := lg.open(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("open error %v, want one naming %q", err, want)
+		}
+		if after, err := os.ReadFile(lg.path); err != nil || !bytes.Equal(after, data) {
+			t.Fatalf("%s: a failed open changed the file (%v)", lg.path, err)
+		}
+		if err := os.WriteFile(lg.path, full, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCacheLogZeroFilledTailIsTorn cuts a three-entry cache log inside its
+// last frame and pads it with zero bytes, as a crash can leave a file's
+// last block. Five zero bytes would read as an empty frame with a valid
+// checksum, so this checks that the torn tail is still cut, not taken for
+// corruption.
+func TestCacheLogZeroFilledTailIsTorn(t *testing.T) {
+	dir := t.TempDir()
+	fillCache(t, openLoaded(t, dir, 0), 0, 1, 2)
+	path := filepath.Join(dir, cacheLogName)
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := frameEnds(full, cacheLogFrames.magic)
+	if len(ends) != 3 {
+		t.Fatalf("log holds %d frames, want 3", len(ends))
+	}
+	torn := append(bytes.Clone(full[:ends[1]+10]), make([]byte, 16)...)
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	openLoaded(t, dir, 2)
+	if fi, err := os.Stat(path); err != nil || fi.Size() != ends[1] {
+		t.Fatalf("after open the log holds %v bytes (%v), want the %d committed", fi.Size(), err, ends[1])
+	}
+}
+
 // TestCacheLogConcurrentAppends has two caches on one directory miss on
 // overlapping key sets at once, from four goroutines each; run it under
 // -race. A third open must load the union.

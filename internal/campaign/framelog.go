@@ -84,7 +84,11 @@ func appendFrame(f *os.File, payload []byte) error {
 // returns the byte length of the committed prefix and the record count.
 // A frame cut short at the end of data is a torn tail: the scan stops
 // before it without error. A complete frame that fails its checksum or
-// that decode rejects is corruption, reported as an error.
+// that decode rejects is corruption, reported as an error, and so is a
+// length that runs past the end of data when a complete frame with a
+// valid checksum starts after it: a crash tears only the last frame, so
+// the length itself must be corrupt, and cutting the file there would
+// drop committed records.
 func (fl frameLog) scan(data []byte, decode func([]byte) error) (committed int64, n int, err error) {
 	if !bytes.HasPrefix(data, []byte(fl.magic)) {
 		return 0, 0, fmt.Errorf("bad magic (not a %s)", fl.kind)
@@ -104,6 +108,9 @@ func (fl frameLog) scan(data []byte, decode func([]byte) error) (committed int64
 		}
 		body := off + vn
 		if body+4+int(size) > len(data) {
+			if next := nextFrame(data, off+1); next >= 0 {
+				return committed, n, fmt.Errorf("record %d: length %d runs past the end of the file, but a frame starts at byte %d", n, size, next)
+			}
 			return committed, n, nil // torn tail
 		}
 		payload := data[body+4 : body+4+int(size)]
@@ -118,4 +125,25 @@ func (fl frameLog) scan(data []byte, decode func([]byte) error) (committed int64
 		n++
 	}
 	return committed, n, nil
+}
+
+// nextFrame returns the offset of the first complete frame with a valid
+// checksum that starts at or after from in data, or -1 if there is none.
+// Empty frames do not count: no record has an empty payload, and five
+// zero bytes, which a crash can leave at the end of a file, read as one.
+func nextFrame(data []byte, from int) int {
+	for p := from; p < len(data); p++ {
+		size, vn := binary.Uvarint(data[p:])
+		if vn <= 0 || size == 0 || size > maxFrame {
+			continue
+		}
+		body := p + vn
+		if body+4+int(size) > len(data) {
+			continue
+		}
+		if crc32.ChecksumIEEE(data[body+4:body+4+int(size)]) == binary.LittleEndian.Uint32(data[body:]) {
+			return p
+		}
+	}
+	return -1
 }

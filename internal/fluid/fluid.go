@@ -411,10 +411,18 @@ func harmonic(d int) float64 {
 // stays well conditioned. The perturbation is a pure function of the
 // input order. It works in place: every caller passes a slice it has just
 // built.
+//
+// For positive rates, a pair whose difference d exceeds 2e-9 times both
+// has d/max ≥ 2e-9 up to rounding, so it can never pass the 1e-9 test;
+// only closer pairs pay for math.Max and the division.
 func distinctRates(rates []float64) []float64 {
 	for i := 1; i < len(rates); i++ {
 		for j := 0; j < i; j++ {
-			if rel := math.Abs(rates[i]-rates[j]) / math.Max(rates[i], rates[j]); rel < 1e-9 {
+			d := math.Abs(rates[i] - rates[j])
+			if d > 2e-9*rates[i] && d > 2e-9*rates[j] {
+				continue
+			}
+			if d/math.Max(rates[i], rates[j]) < 1e-9 {
 				rates[i] *= 1 + 1e-6*float64(i+1)
 				j = -1 // restart against earlier entries
 			}
@@ -896,27 +904,29 @@ func waitDist(m, shape float64) []float64 {
 // class repeats the same per-tier wait stages, so a window's thousands of
 // branch stages draw on a few dozen rates. The rates live once in a table
 // deduplicated by bit pattern and each branch term holds an index into
-// it, so a CDF evaluation calls math.Exp once per distinct rate. Each
+// it, so a CDF evaluation computes math.Exp once per distinct rate. Each
 // branch then subtracts its αᵢ·e terms in stage order and clamps to
 // [0, 1]: the same float operations, in the same order, as evaluating the
 // branch on its own. math.Exp returns the same bits for the same input on
 // one CPU, so the result is bit-identical to the per-branch evaluation on
-// that CPU. Across CPUs the bits can differ (amd64 takes an FMA path in
+// that CPU, whether the Go pass or the amd64 kernels (cdf_amd64.go) run
+// it. Across CPUs the bits can differ (amd64 takes an FMA path in
 // math.Exp only where the CPU has FMA), so stored fluid bytes can too;
 // ROADMAP's host-independence item tracks that. The solver owns one
 // mixture and rebuilds it in place, so rebuilding it allocates nothing
 // once its buffers have grown.
 type mixture struct {
 	rates    []float64        // distinct stage rates
-	exps     [][lanes]float64 // e^(−rate·x) per table entry and lane, refilled by cdfs
+	exps     [][lanes]float64 // e^(−rate·x) per table entry and lane, refilled by each pass
 	terms    []term           // every branch's stages, branch after branch
 	branches []branch
 	buf      []float64 // one branch's stage rates while it is built
 }
 
 // lanes is the number of points one CDF pass evaluates: StatsBetween's
-// four quantiles (p50, p90, p99 and the maximum). cdfs unrolls its term
-// walk by hand to this width.
+// four quantiles (p50, p90, p99 and the maximum). goPass unrolls its term
+// walk by hand to this width, and the amd64 kernels hold it in one
+// 256-bit register.
 const lanes = 4
 
 // term is one exponential stage of a branch: its CDF coefficient and the
@@ -1017,12 +1027,25 @@ func (m *mixture) cdf(x float64) float64 {
 }
 
 // cdfs evaluates the weighted mixture CDF at every lane's point, with one
-// pass over the branch terms: each lane keeps its own accumulators and
-// does exactly the float operations, in the same order, that evaluating
-// its point alone would. A lane at x ≤ 0 reads 0 and costs no
-// exponentials, which is how callers idle a lane. A branch with no stages
-// is a point mass at zero.
+// pass (see pass) over the branch terms. A lane at x ≤ 0 reads 0, which
+// is how callers idle a lane. A branch with no stages is a point mass at
+// zero.
 func (m *mixture) cdfs(xs [lanes]float64) [lanes]float64 {
+	f := m.pass(xs)
+	for l, x := range xs {
+		if x <= 0 {
+			f[l] = 0
+		}
+	}
+	return f
+}
+
+// goPass is one CDF pass in Go: it refills the exponential table for
+// every lane at x > 0, then walks the terms. Each lane keeps its own
+// accumulators and does exactly the float operations, in the same order,
+// that evaluating its point alone would. A lane at x ≤ 0 costs no
+// exponentials, and its result is garbage for cdfs to discard.
+func (m *mixture) goPass(xs [lanes]float64) [lanes]float64 {
 	for l, x := range xs {
 		if x <= 0 {
 			continue
@@ -1048,13 +1071,7 @@ func (m *mixture) cdfs(xs [lanes]float64) [lanes]float64 {
 		f2 += b.weight * clamp01(g2)
 		f3 += b.weight * clamp01(g3)
 	}
-	f := [lanes]float64{f0, f1, f2, f3}
-	for l, x := range xs {
-		if x <= 0 {
-			f[l] = 0
-		}
-	}
-	return f
+	return [lanes]float64{f0, f1, f2, f3}
 }
 
 // clamp01 bounds a branch's CDF value, which rounding can push past

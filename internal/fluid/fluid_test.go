@@ -2,6 +2,7 @@ package fluid
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -315,5 +316,49 @@ func TestStepCostPopulationIndependent(t *testing.T) {
 	s.Advance(1200) // a full rubbos-length trial horizon
 	if s.tiers[TierDB].done <= 0 {
 		t.Fatal("million-user run produced no completions")
+	}
+}
+
+// TestDistinctRatesSkipMatchesDivision checks distinctRates, which skips
+// the division for pairs far apart, against dividing every pair, on
+// positive rates from 1e-290 to 1e300 (below that, the 1e-6 relative
+// perturbation can round away and the original loops forever) with exact
+// duplicates and near ones on both sides of the 1e-9 and 2e-9 gaps.
+func TestDistinctRatesSkipMatchesDivision(t *testing.T) {
+	divideAll := func(rates []float64) []float64 {
+		for i := 1; i < len(rates); i++ {
+			for j := 0; j < i; j++ {
+				if rel := math.Abs(rates[i]-rates[j]) / math.Max(rates[i], rates[j]); rel < 1e-9 {
+					rates[i] *= 1 + 1e-6*float64(i+1)
+					j = -1
+				}
+			}
+		}
+		return rates
+	}
+	rng := rand.New(rand.NewPCG(47, 53))
+	var perturbed int
+	for trial := 0; trial < 20000; trial++ {
+		rates := make([]float64, 1+rng.IntN(12))
+		for i := range rates {
+			if i > 0 && rng.IntN(2) == 0 {
+				rates[i] = rates[rng.IntN(i)] * (1 + 3e-9*(2*rng.Float64()-1)*float64(rng.IntN(2)))
+			} else {
+				rates[i] = math.Pow(10, -290+590*rng.Float64())
+			}
+		}
+		want := divideAll(append([]float64(nil), rates...))
+		got := distinctRates(append([]float64(nil), rates...))
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("rates %v: distinctRates %v, dividing every pair %v", rates, got, want)
+			}
+			if want[i] != rates[i] {
+				perturbed++
+			}
+		}
+	}
+	if perturbed < 1000 {
+		t.Fatalf("coverage: only %d rates perturbed", perturbed)
 	}
 }
