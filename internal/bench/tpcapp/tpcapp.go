@@ -1,9 +1,10 @@
 // Package tpcapp sketches the TPC-App application-server benchmark the
 // paper mentions as a candidate for "potentially rapid inclusion ... when
 // a mature implementation is released" (§I). It demonstrates that the
-// bench.Model machinery accommodates a third benchmark with a different
-// character: TPC-App is a web-services order-processing workload with a
-// much higher write fraction than RUBiS and a short think time.
+// workload machinery (a bench.Profile, which implements sim.Model)
+// accommodates a third benchmark with a different character: TPC-App is
+// a web-services order-processing workload with a much higher write
+// fraction than RUBiS and a short think time.
 //
 // The demand profile is synthetic (TPC-App was never released in a form
 // the paper could run); the package exists to exercise the extensibility

@@ -56,19 +56,6 @@ func resourceLabel(res string) string {
 	return res
 }
 
-// resourceRank breaks utilization ties deterministically: the classic
-// CPU diagnosis wins over the newer resources at equal utilization.
-func resourceRank(res string) int {
-	switch res {
-	case "cpu":
-		return 0
-	case "disk":
-		return 1
-	default:
-		return 2
-	}
-}
-
 // Detect diagnoses the bottleneck from one trial's observations.
 func Detect(r store.Result, th Thresholds) Verdict {
 	if th.SaturationCPU == 0 {
@@ -91,37 +78,29 @@ func Detect(r store.Result, th Thresholds) Verdict {
 			Reason: fmt.Sprintf("trial failed with %.1f%% errors: connection pool exhausted", r.ErrorRate()*100),
 		}
 	}
-	// Rank (tier, resource) candidates by utilization, deterministically.
-	// CPU is always observed; disk and network utilization exist only when
-	// the experiment declared demands on those resources.
-	type tierUtil struct {
-		tier string
-		res  string
-		util float64
+	// Pick the most utilized (tier, resource) pair. CPU is always
+	// observed; disk and network utilization exist only when the
+	// experiment declared demands on those resources. A tie goes to the
+	// lower tier name, then to the resource listed first: the classic CPU
+	// diagnosis wins over the newer resources.
+	var top struct {
+		tier, res string
+		util      float64
 	}
-	var tiers []tierUtil
-	for tier, u := range r.TierCPU {
-		tiers = append(tiers, tierUtil{tier, "cpu", u})
-	}
-	for tier, u := range r.TierDisk {
-		tiers = append(tiers, tierUtil{tier, "disk", u})
-	}
-	for tier, u := range r.TierNet {
-		tiers = append(tiers, tierUtil{tier, "net", u})
-	}
-	sort.Slice(tiers, func(i, j int) bool {
-		if tiers[i].util != tiers[j].util {
-			return tiers[i].util > tiers[j].util
+	found := false
+	for _, res := range [...]struct {
+		name  string
+		tiers map[string]float64
+	}{{"cpu", r.TierCPU}, {"disk", r.TierDisk}, {"net", r.TierNet}} {
+		for tier, u := range res.tiers {
+			if !found || u > top.util || u == top.util && tier < top.tier {
+				top.tier, top.res, top.util, found = tier, res.name, u, true
+			}
 		}
-		if tiers[i].tier != tiers[j].tier {
-			return tiers[i].tier < tiers[j].tier
-		}
-		return resourceRank(tiers[i].res) < resourceRank(tiers[j].res)
-	})
-	if len(tiers) == 0 {
+	}
+	if !found {
 		return Verdict{Tier: "none", Reason: "no utilization observations"}
 	}
-	top := tiers[0]
 	label := resourceLabel(top.res)
 	switch {
 	case top.util >= th.SaturationCPU:
@@ -180,6 +159,13 @@ func utilizationImbalance(hostCPU map[string]float64) (group string, lo, hi floa
 	return "", 0, 0, false
 }
 
+// MeetsSLO reports whether a trial is a completed one whose mean response
+// time meets the SLO: the predicate of Knee, experiment.KneeSearch,
+// experiment.ScaleOut and core's capacity planning.
+func MeetsSLO(completed bool, meanRTms, sloMS float64) bool {
+	return completed && meanRTms <= sloMS
+}
+
 // Knee finds the workload at which a response-time series crosses an SLO,
 // scanning completed points in increasing-x order. It returns the first
 // violating x, or the first failed trial's x when the series breaks
@@ -190,10 +176,7 @@ func Knee(points []store.SeriesPoint, sloMS float64) (x float64, found bool) {
 	copy(sorted, points)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].X < sorted[j].X })
 	for _, p := range sorted {
-		if !p.OK {
-			return p.X, true
-		}
-		if p.Y > sloMS {
+		if !MeetsSLO(p.OK, p.Y, sloMS) {
 			return p.X, true
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 
 	"elba/internal/core"
@@ -55,6 +56,7 @@ type Config struct {
 	// ResultLogDir, when set (implies Stream), writes each campaign's
 	// committed results to an append-only log at <dir>/<id>.log; replaying
 	// the log through a report.Folder reproduces the live tables exactly.
+	// Campaign IDs skip any whose log the directory already holds.
 	ResultLogDir string
 	// Options is the base characterizer configuration applied to every
 	// campaign. The service manages Store and TrialCache itself — each
@@ -139,8 +141,7 @@ func (s *Service) Submit(src string) (*Campaign, error) {
 		s.mu.Unlock()
 		return nil, errors.New("campaign: service is shut down")
 	}
-	s.seq++
-	id := fmt.Sprintf("c%04d", s.seq)
+	id := s.nextID()
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Campaign{
 		id:          id,
@@ -167,12 +168,30 @@ func (s *Service) Submit(src string) (*Campaign, error) {
 	default:
 		s.mu.Unlock()
 		cancel()
+		c.discardResultLog()
 		return nil, fmt.Errorf("campaign: queue full (%d pending)", cap(s.queue))
 	}
 	s.byID[id] = c
 	s.order = append(s.order, id)
 	s.mu.Unlock()
 	return c, nil
+}
+
+// nextID takes the next campaign ID. IDs restart at c0001 with every
+// Service, so with a result log directory it skips each ID whose log is
+// already there: opening that log would keep another campaign's
+// records. Called with s.mu held.
+func (s *Service) nextID() string {
+	for {
+		s.seq++
+		id := fmt.Sprintf("c%04d", s.seq)
+		if s.logDir == "" {
+			return id
+		}
+		if _, err := os.Stat(resultLogPath(s.logDir, id)); err != nil {
+			return id
+		}
+	}
 }
 
 // Get returns a campaign by ID.

@@ -65,7 +65,7 @@ func (c *Campaign) initStream(logDir string) error {
 		if err := os.MkdirAll(logDir, 0o755); err != nil {
 			return fmt.Errorf("campaign: result log dir: %w", err)
 		}
-		rlog, err := OpenResultLog(filepath.Join(logDir, c.id+".log"))
+		rlog, err := OpenResultLog(resultLogPath(logDir, c.id))
 		if err != nil {
 			return err
 		}
@@ -75,6 +75,22 @@ func (c *Campaign) initStream(logDir string) error {
 	c.stream = st
 	c.mu.Unlock()
 	return nil
+}
+
+// resultLogPath is the path of campaign id's result log in dir.
+func resultLogPath(dir, id string) string {
+	return filepath.Join(dir, id+".log")
+}
+
+// discardResultLog closes and deletes the result log of a campaign the
+// service refused after opening it. Their errors are dropped: the
+// refusal is the error Submit reports, and a log left behind holds no
+// record.
+func (c *Campaign) discardResultLog() {
+	if path := c.ResultLogPath(); path != "" {
+		_ = c.stream.rlog.Close()
+		_ = os.Remove(path)
+	}
 }
 
 // Streaming reports whether this campaign runs the streaming path.

@@ -2,6 +2,9 @@ package campaign
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -302,5 +305,88 @@ func TestStreamEventJSONShape(t *testing.T) {
 	}
 	if !strings.Contains(s, `"status":"done"`) {
 		t.Errorf("status event missing status: %s", s)
+	}
+}
+
+// TestRestartedServiceLogsOnlyItsOwnCampaigns runs two Services in turn
+// on one result log directory, as a restarted elbad would. The second
+// Service's IDs restart at c0001, so its first campaign must skip the
+// ID whose log the first one left; each log must replay to exactly its
+// own campaign's live tables.
+func TestRestartedServiceLogsOnlyItsOwnCampaigns(t *testing.T) {
+	dir := t.TempDir()
+	for i, src := range streamSpecs[:2] {
+		svc := NewService(Config{ResultLogDir: dir, Options: fastOptions()})
+		c, err := svc.Submit(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := c.Wait(); st != StatusDone {
+			t.Fatalf("service %d: campaign %s finished %s", i, c.ID(), st)
+		}
+		svc.Close()
+		folder := report.NewFolder()
+		n, err := ReplayResultLog(c.ResultLogPath(), func(r store.Result) error {
+			folder.Ingest(r)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := c.Progress().TotalTrials; n != want {
+			t.Fatalf("service %d: log %s holds %d records, campaign %s ran %d trials",
+				i, c.ResultLogPath(), n, c.ID(), want)
+		}
+		if live, replayed := c.StreamTables(), folder.Tables(); replayed != live {
+			t.Fatalf("service %d: replayed tables differ from the live fold of %s:\n--- live\n%s\n--- replay\n%s",
+				i, c.ID(), live, replayed)
+		}
+	}
+}
+
+// TestRefusedSubmissionLeavesNoResultLog fills a one-deep queue behind a
+// held worker: the refused submissions must leave no result log in the
+// directory, only the running and the queued campaign have one.
+func TestRefusedSubmissionLeavesNoResultLog(t *testing.T) {
+	started := make(chan struct{})
+	release := make(chan struct{})
+	opts := fastOptions()
+	var once bool
+	opts.OnTrial = func(store.Result) {
+		if !once {
+			once = true
+			close(started)
+			<-release
+		}
+	}
+	dir := t.TempDir()
+	svc := NewService(Config{Workers: 1, QueueDepth: 1, ResultLogDir: dir, Options: opts})
+	defer svc.Close()
+	defer close(release) // before Close, which waits for the held worker
+	running, err := svc.Submit(streamSpecs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	queued, err := svc.Submit(streamSpecs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := svc.Submit(streamSpecs[2]); err == nil || !strings.Contains(err.Error(), "queue full") {
+			t.Fatalf("submission %d into a full queue: err = %v", i, err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, filepath.Join(dir, e.Name()))
+	}
+	want := []string{running.ResultLogPath(), queued.ResultLogPath()}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("result log directory holds %v, want %v", got, want)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sync"
 
+	"elba/internal/bottleneck"
 	"elba/internal/cim"
 	"elba/internal/experiment"
 	"elba/internal/fault"
@@ -251,7 +252,7 @@ func (c *Characterizer) Capacity(set string, users int, writeRatioPct, sloMS flo
 			Experiment: set, Topology: topo,
 			Users: users, WriteRatioPct: writeRatioPct,
 		})
-		if !ok || !r.Completed || r.AvgRTms > sloMS {
+		if !ok || !bottleneck.MeetsSLO(r.Completed, r.AvgRTms, sloMS) {
 			continue
 		}
 		t, err := spec.ParseTopology(topo)

@@ -432,26 +432,21 @@ func buildNTier(k *sim.Kernel, e *spec.Experiment, d *mulini.Deployment,
 }
 
 // newStation builds role's station on node: the node's cores and speed,
-// plus per-node disk and network queues sized from its Table-2 capacities
-// when the tier declares those demands. Without demands the station is
-// the historical CPU-only one.
+// plus a disk and a network queue for each device the node contributes
+// (nodeDevices), sized from its Table-2 capacities. Without demands the
+// station is the historical CPU-only one.
 func newStation(k *sim.Kernel, role string, node *cluster.Node, td spec.ResourceDemand) *sim.Station {
 	st := sim.NewStation(k, sim.StationConfig{
 		Name:    role,
 		Servers: node.Cores(),
 		Speed:   node.EffectiveSpeed(),
 	})
-	if td.DiskSec > 0 {
-		ds := node.EffectiveDiskSpeed()
-		if ds <= 0 {
-			ds = node.DiskSpeed()
-		}
-		st.AttachDisk(sim.NewStation(k, sim.StationConfig{Name: role + "/disk", Servers: 1, Speed: ds, Deterministic: true}))
+	disk, net := nodeDevices(node, td)
+	if disk > 0 {
+		st.AttachDisk(sim.NewStation(k, sim.StationConfig{Name: role + "/disk", Servers: 1, Speed: disk, Deterministic: true}))
 	}
-	if td.NetBytes > 0 {
-		if bps := node.NetBytesPerSec(); bps > 0 {
-			st.AttachNet(sim.NewStation(k, sim.StationConfig{Name: role + "/net", Servers: 1, Speed: bps, Deterministic: true}))
-		}
+	if net > 0 {
+		st.AttachNet(sim.NewStation(k, sim.StationConfig{Name: role + "/net", Servers: 1, Speed: net, Deterministic: true}))
 	}
 	return st
 }

@@ -83,8 +83,9 @@ func newFluidEngine(pl trialPlan) (engine, error) {
 }
 
 // fluidTier converts one deployed tier to the fluid model's view: the
-// allocated hardware plus the TBL-declared demands, with disk and network
-// legs gated exactly like newStation's resource attachment.
+// allocated hardware plus the TBL-declared demands, with a disk and a
+// network leg for each device the node contributes (nodeDevices), the
+// devices newStation attaches.
 func fluidTier(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement, tier string) (fluid.TierSpec, error) {
 	td := e.Demands[tier]
 	out := fluid.TierSpec{
@@ -99,15 +100,7 @@ func fluidTier(e *spec.Experiment, d *mulini.Deployment, p *deploy.Placement, ti
 			return fluid.TierSpec{}, fmt.Errorf("experiment: role %s has no allocated node", role)
 		}
 		ns := fluid.NodeSpec{Cores: node.Cores(), Speed: node.EffectiveSpeed()}
-		if td.DiskSec > 0 {
-			ns.DiskRate = node.EffectiveDiskSpeed()
-			if ns.DiskRate <= 0 {
-				ns.DiskRate = node.DiskSpeed()
-			}
-		}
-		if td.NetBytes > 0 {
-			ns.NetRate = node.NetBytesPerSec()
-		}
+		ns.DiskRate, ns.NetRate = nodeDevices(node, td)
 		out.Nodes = append(out.Nodes, ns)
 	}
 	return out, nil
@@ -122,11 +115,11 @@ func (fe *fluidEngine) counters(p monitor.Probe, ti int, node *cluster.Node) (mo
 	p.CPUBusy = func() float64 { sync(); return s.NodeCPUBusy(ti) }
 	p.CPUServers = node.Cores()
 	p.Jobs = func() float64 { sync(); return s.NodeJobs(ti) }
-	td := fe.e.Demands[tierNames[ti]]
-	if td.DiskSec > 0 {
+	disk, net := nodeDevices(node, fe.e.Demands[tierNames[ti]])
+	if disk > 0 {
 		p.DiskBusy = func() float64 { sync(); return s.NodeDiskBusy(ti) }
 	}
-	if td.NetBytes > 0 && node.NetBytesPerSec() > 0 {
+	if net > 0 {
 		p.NetBusy = func() float64 { sync(); return s.NodeNetBusy(ti) }
 	}
 	return p, func() float64 { sync(); return s.NodeOps(ti) }

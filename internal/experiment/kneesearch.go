@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"elba/internal/bottleneck"
 	"elba/internal/spec"
 )
 
@@ -74,7 +75,7 @@ func (r *Runner) KneeSearch(e *spec.Experiment, topo spec.Topology,
 					Users: users, AvgRTms: out.Result.AvgRTms, Completed: out.Result.Completed,
 				})
 			}
-			return out.Result.Completed && out.Result.AvgRTms <= sloMS, nil
+			return bottleneck.MeetsSLO(out.Result.Completed, out.Result.AvgRTms, sloMS), nil
 		}
 		users, violation, err := kneeBisect(probe, lo, hi, resolution)
 		if err != nil {

@@ -67,65 +67,41 @@ func assembleResult(e *spec.Experiment, d *mulini.Deployment, eng engine, mon *m
 func collectUtilization(res *store.Result, d *mulini.Deployment, mon *monitor.Monitor,
 	hostOf map[string]string, runStart, runEnd float64) {
 
-	tierSums := map[string]float64{}
-	tierCounts := map[string]int{}
-	// Allocated lazily: a CPU-only trial (no declared demands) must not
-	// allocate for resources it never observed.
-	var diskSums, netSums map[string]float64
-	var diskCounts, netCounts map[string]int
-	for _, a := range d.Assignments {
-		if _, ok := expr.TierIndex(a.Tier); !ok {
-			continue
-		}
-		host := hostOf[a.Role]
-		if host == "" {
-			continue
-		}
-		if ts, ok := mon.Series(host, "cpu"); ok {
-			if mean, ok := ts.MeanIn(runStart, runEnd); ok {
-				res.HostCPU[a.Role] = mean
-				tierSums[a.Tier] += mean
-				tierCounts[a.Tier]++
+	fold := func(metric string, hostMap, tierMap *map[string]float64) {
+		var sums [expr.NumTiers]float64
+		var counts [expr.NumTiers]int
+		for _, a := range d.Assignments {
+			ti, ok := expr.TierIndex(a.Tier)
+			host := hostOf[a.Role]
+			if !ok || host == "" {
+				continue
 			}
-		}
-		if ts, ok := mon.Series(host, "disk-util"); ok {
-			if mean, ok := ts.MeanIn(runStart, runEnd); ok {
-				if res.HostDisk == nil {
-					res.HostDisk = map[string]float64{}
-					diskSums = map[string]float64{}
-					diskCounts = map[string]int{}
-				}
-				res.HostDisk[a.Role] = mean
-				diskSums[a.Tier] += mean
-				diskCounts[a.Tier]++
+			ts, ok := mon.Series(host, metric)
+			if !ok {
+				continue
 			}
-		}
-		if ts, ok := mon.Series(host, "net-util"); ok {
-			if mean, ok := ts.MeanIn(runStart, runEnd); ok {
-				if res.HostNet == nil {
-					res.HostNet = map[string]float64{}
-					netSums = map[string]float64{}
-					netCounts = map[string]int{}
-				}
-				res.HostNet[a.Role] = mean
-				netSums[a.Tier] += mean
-				netCounts[a.Tier]++
+			mean, ok := ts.MeanIn(runStart, runEnd)
+			if !ok {
+				continue
 			}
+			if *hostMap == nil {
+				*hostMap = map[string]float64{}
+			}
+			(*hostMap)[a.Role] = mean
+			sums[ti] += mean
+			counts[ti]++
+		}
+		for ti, n := range counts {
+			if n == 0 {
+				continue
+			}
+			if *tierMap == nil {
+				*tierMap = map[string]float64{}
+			}
+			(*tierMap)[tierNames[ti]] = sums[ti] / float64(n)
 		}
 	}
-	for tier, sum := range tierSums {
-		res.TierCPU[tier] = sum / float64(tierCounts[tier])
-	}
-	for tier, sum := range diskSums {
-		if res.TierDisk == nil {
-			res.TierDisk = map[string]float64{}
-		}
-		res.TierDisk[tier] = sum / float64(diskCounts[tier])
-	}
-	for tier, sum := range netSums {
-		if res.TierNet == nil {
-			res.TierNet = map[string]float64{}
-		}
-		res.TierNet[tier] = sum / float64(netCounts[tier])
-	}
+	fold("cpu", &res.HostCPU, &res.TierCPU)
+	fold("disk-util", &res.HostDisk, &res.TierDisk)
+	fold("net-util", &res.HostNet, &res.TierNet)
 }

@@ -141,7 +141,7 @@ func (r *Runner) ScaleOut(e *spec.Experiment, opts ScaleOutOptions) ([]Step, err
 			}
 		}
 
-		sloOK := res.Completed && res.AvgRTms <= opts.SLOms
+		sloOK := bottleneck.MeetsSLO(res.Completed, res.AvgRTms, opts.SLOms)
 		switch {
 		case sloOK && users+opts.LoadStep <= opts.MaxUsers:
 			step.Action = ActionIncreaseLoad

@@ -113,6 +113,24 @@ var memProfile = map[string]struct{ base, perJob float64 }{
 // tierNames maps expr tier indices to TBL tier names.
 var tierNames = [expr.NumTiers]string{"web", "app", "db"}
 
+// nodeDevices returns the rates of the disk and the link node contributes
+// to a tier with demands td, 0 for a device it does not contribute: a
+// disk when the tier declares disk demand, at the node's effective disk
+// speed (else its nominal one), and a link when the tier declares payload
+// demand and the node has one, at its bandwidth. Both engines attach a
+// node's devices by it.
+func nodeDevices(node *cluster.Node, td spec.ResourceDemand) (disk, net float64) {
+	if td.DiskSec > 0 {
+		if disk = node.EffectiveDiskSpeed(); disk <= 0 {
+			disk = node.DiskSpeed()
+		}
+	}
+	if td.NetBytes > 0 {
+		net = node.NetBytesPerSec()
+	}
+	return disk, net
+}
+
 // engine is the model a trial runs on: the exact DES (engine_des.go) or
 // the fluid approximation (engine_fluid.go). The trial protocol, the
 // monitor wiring, the observation-window loop and result assembly are

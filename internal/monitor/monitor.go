@@ -8,6 +8,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -101,15 +102,20 @@ const (
 	numFamilies
 )
 
-// families names each family's series and the row text between the host
-// and the values.
-var families = [numFamilies]struct{ series, label string }{
-	famCPU:      {"cpu", " cpu all "},
-	famMem:      {"memory", " mem "},
-	famNet:      {"network", " net eth0 "},
-	famDisk:     {"disk", " disk sda "},
-	famDiskUtil: {"disk-util", " disk sda %util "},
-	famNetUtil:  {"net-util", " net eth0 %util "},
+// families describes each family: its series, the row text between the
+// host and the values, the TBL monitor metric that enables it, and
+// whether it is a utilization, a busy-time rate capped at 1 and recorded
+// as a percentage.
+var families = [numFamilies]struct {
+	series, label, metric string
+	util                  bool
+}{
+	famCPU:      {"cpu", " cpu all ", "cpu", true},
+	famMem:      {"memory", " mem ", "memory", false},
+	famNet:      {"network", " net eth0 ", "network", false},
+	famDisk:     {"disk", " disk sda ", "disk", false},
+	famDiskUtil: {"disk-util", " disk sda %util ", "disk", true},
+	famNetUtil:  {"net-util", " net eth0 %util ", "network", true},
 }
 
 // stampLen is the length of an HH:MM:SS stamp.
@@ -117,17 +123,15 @@ const stampLen = 8
 
 // probeState is the resolved hot-path state for one probe: its host's
 // file, the series receiving each family's values (nil = family not
-// sampled), and the previous cumulative counter readings for windowed
-// rates.
+// sampled), and each family's cumulative counter (nil = none; memory
+// reads a gauge instead), the divisor turning a counter's delta into a
+// rate, and the counter's previous reading.
 type probeState struct {
-	file     *hostFile
-	series   [numFamilies]*metrics.TimeSeries
-	lastBusy float64
-	lastNet  float64
-	lastDisk float64
-	// previous busy-time readings of the contended disk/net resources
-	lastDiskBusy float64
-	lastNetBusy  float64
+	file    *hostFile
+	series  [numFamilies]*metrics.TimeSeries
+	counter [numFamilies]func() float64
+	div     [numFamilies]float64
+	last    [numFamilies]float64
 }
 
 // New creates a monitor for the probes. Sampling begins at Start.
@@ -156,19 +160,21 @@ func New(k *sim.Kernel, cfg Config, probes []Probe) (*Monitor, error) {
 		f.probes = append(f.probes, i)
 		st := &m.state[i]
 		st.file = f
-		sampled := [numFamilies]bool{
-			famCPU:      m.has("cpu"),
-			famMem:      m.has("memory"),
-			famNet:      m.has("network") && p.NetBytes != nil,
-			famDisk:     m.has("disk") && p.DiskOps != nil,
-			famDiskUtil: m.has("disk") && p.DiskBusy != nil,
-			famNetUtil:  m.has("network") && p.NetBusy != nil,
+		st.counter = [numFamilies]func() float64{
+			famCPU: p.CPUBusy, famNet: p.NetBytes, famDisk: p.DiskOps,
+			famDiskUtil: p.DiskBusy, famNetUtil: p.NetBusy,
 		}
-		for fam, on := range sampled {
-			if on {
-				st.series[fam] = m.seriesFor(p.Host, families[fam].series)
+		for fam, family := range families {
+			st.div[fam] = cfg.IntervalSec
+			// cpu and memory have a row on every probe, cpu reading idle
+			// without a counter; the other families need their counter.
+			if slices.Contains(cfg.Metrics, family.metric) &&
+				(st.counter[fam] != nil || fam == famCPU || fam == famMem) {
+				st.series[fam] = m.seriesFor(p.Host, family.series)
 			}
 		}
+		// A CPU busy window is shared by the host's cores.
+		st.div[famCPU] *= float64(max(p.CPUServers, 1))
 	}
 	return m, nil
 }
@@ -185,35 +191,16 @@ func (m *Monitor) seriesFor(host, metric string) *metrics.TimeSeries {
 	return ts
 }
 
-func (m *Monitor) has(metric string) bool {
-	for _, x := range m.cfg.Metrics {
-		if x == metric {
-			return true
-		}
-	}
-	return false
-}
-
 // Start begins periodic sampling. Sampling continues until Stop.
 func (m *Monitor) Start() {
 	m.running = true
 	// Prime counters so the first window starts at Start, not at t=0.
-	for i := range m.probes {
-		p, st := &m.probes[i], &m.state[i]
-		if p.CPUBusy != nil {
-			st.lastBusy = p.CPUBusy()
-		}
-		if p.NetBytes != nil {
-			st.lastNet = p.NetBytes()
-		}
-		if p.DiskOps != nil {
-			st.lastDisk = p.DiskOps()
-		}
-		if p.DiskBusy != nil {
-			st.lastDiskBusy = p.DiskBusy()
-		}
-		if p.NetBusy != nil {
-			st.lastNetBusy = p.NetBusy()
+	for i := range m.state {
+		st := &m.state[i]
+		for fam, read := range st.counter {
+			if read != nil {
+				st.last[fam] = read()
+			}
 		}
 	}
 	if m.cfg.HorizonSec > 0 {
@@ -272,60 +259,32 @@ func (m *Monitor) tick() {
 // allocates nothing beyond amortized series growth; collection volume is
 // Table 3 scale, so this path runs millions of times per sweep.
 func (m *Monitor) sample(p *Probe, st *probeState, now float64) {
-	if st.series[famCPU] != nil {
-		util := 0.0
-		if p.CPUBusy != nil {
-			busy := p.CPUBusy()
-			delta := busy - st.lastBusy
-			st.lastBusy = busy
-			util = delta / (m.cfg.IntervalSec * float64(max(p.CPUServers, 1)))
-			if util > 1 {
-				util = 1
+	// Ranging over the array itself would copy it on every sample.
+	for fam, ts := range &st.series {
+		if ts == nil {
+			continue
+		}
+		var v float64 // cpu without a counter reads idle
+		if read := st.counter[fam]; read != nil {
+			cum := read()
+			v = (cum - st.last[fam]) / st.div[fam]
+			st.last[fam] = cum
+		} else if fam == famMem {
+			v = p.BaseMemMB
+			if p.Jobs != nil {
+				v += p.Jobs() * p.MemPerJobMB
+			}
+			if p.TotalMemMB > 0 && v > p.TotalMemMB {
+				v = p.TotalMemMB
 			}
 		}
-		m.record(p, st, famCPU, now, util*100)
-	}
-	if st.series[famMem] != nil {
-		used := p.BaseMemMB
-		if p.Jobs != nil {
-			used += p.Jobs() * p.MemPerJobMB
+		if families[fam].util {
+			if v > 1 {
+				v = 1
+			}
+			v *= 100
 		}
-		if p.TotalMemMB > 0 && used > p.TotalMemMB {
-			used = p.TotalMemMB
-		}
-		m.record(p, st, famMem, now, used)
-	}
-	if st.series[famNet] != nil {
-		cum := p.NetBytes()
-		rate := (cum - st.lastNet) / m.cfg.IntervalSec
-		st.lastNet = cum
-		m.record(p, st, famNet, now, rate)
-	}
-	if st.series[famDisk] != nil {
-		cum := p.DiskOps()
-		rate := (cum - st.lastDisk) / m.cfg.IntervalSec
-		st.lastDisk = cum
-		m.record(p, st, famDisk, now, rate)
-	}
-	if st.series[famDiskUtil] != nil {
-		busy := p.DiskBusy()
-		delta := busy - st.lastDiskBusy
-		st.lastDiskBusy = busy
-		util := delta / m.cfg.IntervalSec
-		if util > 1 {
-			util = 1
-		}
-		m.record(p, st, famDiskUtil, now, util*100)
-	}
-	if st.series[famNetUtil] != nil {
-		busy := p.NetBusy()
-		delta := busy - st.lastNetBusy
-		st.lastNetBusy = busy
-		util := delta / m.cfg.IntervalSec
-		if util > 1 {
-			util = 1
-		}
-		m.record(p, st, famNetUtil, now, util*100)
+		m.record(p, st, fam, now, v)
 	}
 }
 

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -259,4 +260,56 @@ func (r Record) CPUUtil() (float64, bool) {
 		return 0, false
 	}
 	return r.Values[0] + r.Values[1], true
+}
+
+// TestMonitorCounterReadSchedule pins when and in what order the monitor
+// reads its counters: Start reads every non-nil counter once, each tick
+// reads the counter of each sampled family once, in family order, and
+// nothing is read between ticks or after Stop. A DES counter folds busy
+// time into its integral when read, so an extra or reordered read moves
+// stored bits; the eager reference's counters are pure functions of
+// time, so it cannot see one.
+func TestMonitorCounterReadSchedule(t *testing.T) {
+	k := sim.NewKernel(1)
+	var reads []string
+	counter := func(name string) func() float64 {
+		return func() float64 {
+			reads = append(reads, name)
+			return k.Now()
+		}
+	}
+	probes := []Probe{
+		{
+			Host: "h1", Role: "APP1", CPUBusy: counter("h1 cpu"), CPUServers: 2,
+			Jobs: counter("h1 jobs"), NetBytes: counter("h1 net"), DiskOps: counter("h1 disk"),
+			DiskBusy: counter("h1 disk busy"), NetBusy: counter("h1 net busy"),
+		},
+		// No CPU counter (its cpu row reads idle) and a network counter
+		// whose family is not enabled.
+		{Host: "h2", Role: "CLIENT1", NetBytes: counter("h2 net")},
+	}
+	const interval = 5.0
+	m, err := New(k, Config{IntervalSec: interval, Metrics: []string{"cpu", "memory", "disk"}}, probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect := func(stage string, want ...string) {
+		t.Helper()
+		if strings.Join(reads, ", ") != strings.Join(want, ", ") {
+			t.Fatalf("%s read %q, want %q", stage, reads, want)
+		}
+		reads = nil
+	}
+	m.Start()
+	expect("Start", "h1 cpu", "h1 net", "h1 disk", "h1 disk busy", "h1 net busy", "h2 net")
+	k.Run(interval / 2)
+	expect("the first interval")
+	for tick := 1; tick <= 3; tick++ {
+		// From halfway through one interval to halfway through the next.
+		k.Run((float64(tick) + 0.5) * interval)
+		expect(fmt.Sprintf("tick %d", tick), "h1 cpu", "h1 jobs", "h1 disk", "h1 disk busy")
+	}
+	m.Stop()
+	k.Run(10 * interval)
+	expect("Stop")
 }

@@ -380,28 +380,27 @@ func TableResourceUtilization(st *store.Store, experiment, topology string, writ
 	sort.Slice(rs, func(i, j int) bool { return rs[i].Key.Users < rs[j].Key.Users })
 
 	type col struct{ tier, res string }
+	// util reads r's utilization of c's resource in c's tier.
+	util := func(r *store.Result, c col) (float64, bool) {
+		m := r.TierNet
+		switch c.res {
+		case "cpu":
+			m = r.TierCPU
+		case "disk":
+			m = r.TierDisk
+		}
+		u, ok := m[c.tier]
+		return u, ok
+	}
 	var cols []col
-	have := map[col]bool{}
 	for _, tier := range []string{"web", "app", "db"} {
 		for _, res := range []string{"cpu", "disk", "net"} {
 			c := col{tier, res}
 			for _, r := range rs {
-				var m map[string]float64
-				switch res {
-				case "cpu":
-					m = r.TierCPU
-				case "disk":
-					m = r.TierDisk
-				default:
-					m = r.TierNet
-				}
-				if _, ok := m[tier]; ok {
-					have[c] = true
+				if _, ok := util(&r, c); ok {
+					cols = append(cols, c)
 					break
 				}
-			}
-			if have[c] {
-				cols = append(cols, c)
 			}
 		}
 	}
@@ -415,16 +414,7 @@ func TableResourceUtilization(st *store.Store, experiment, topology string, writ
 	for _, r := range rs {
 		row := []string{fmt.Sprint(r.Key.Users)}
 		for _, c := range cols {
-			var m map[string]float64
-			switch c.res {
-			case "cpu":
-				m = r.TierCPU
-			case "disk":
-				m = r.TierDisk
-			default:
-				m = r.TierNet
-			}
-			if u, ok := m[c.tier]; ok {
+			if u, ok := util(&r, c); ok {
 				row = append(row, fmt.Sprintf("%.1f", u))
 			} else {
 				row = append(row, "-")
